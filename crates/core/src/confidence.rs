@@ -22,36 +22,38 @@
 //! * [`acceptance_probability`] — `Pr(S ∈ L(A))` for an NFA, the engine
 //!   behind 0-uniform queries, Theorem 5.5, and nonemptiness tests.
 //!
-//! The flat-layer passes run on the `transmark-kernel` drivers over step
-//! graphs precompiled by [`crate::kernelize`]; the dynamic-state passes
-//! fold their layers through [`SubsetLayer`]. All sums use compensated
-//! accumulation at the final reduction; per-cell accumulation is plain
-//! `f64` (additions of nonnegative numbers — no cancellation).
+//! Each route is written once, as a seed/step/finish forward pass fed by
+//! either layer kind — a bind's steps or a pulled source matrix (see
+//! `crate::forward`). The Thm 4.6 routes advance a flat `(node, machine
+//! row)` layer on the `transmark-kernel` drivers over step graphs
+//! precompiled by [`crate::kernelize`]; the dynamic-state routes fold
+//! their layers through [`SubsetLayer`]; acceptance runs the
+//! [`EventSession`] fold through the one series driver. All sums use
+//! compensated accumulation at the final reduction; per-cell
+//! accumulation is plain `f64` (additions of nonnegative numbers — no
+//! cancellation).
+
+use std::borrow::BorrowMut;
+use std::cell::Cell;
+use std::sync::Arc;
 
 use transmark_automata::{ops::DetCore, BitSet, Nfa, StateId, SymbolId};
-use transmark_kernel::{
-    advance, count_layers, Bool, ExecSteps, LayerCsr, Prob, StepGraph, SubsetLayer, Workspace,
-};
+use transmark_kernel::{count_layers, Neumaier, Prob, StepGraph, Strategy, SubsetLayer, Workspace};
 use transmark_markov::{MarkovSequence, StepSource};
 
 use crate::error::EngineError;
-use crate::kernelize::{emission_id_for, output_step_graph, state_step_graph};
+use crate::forward::{FlatPass, ForwardPass, Layer};
+use crate::incremental::{EventSession, StreamSession};
+use crate::plan::{PlanKind, PreparedQuery};
 use crate::transducer::Transducer;
 
-// Each pass below is split into a validating free function (the public,
-// historical API) and a `*_impl` that runs the DP over caller-supplied
-// precompiled artifacts. The free functions build the artifacts exactly as
-// they always did; `crate::plan`'s bound queries pass cached ones. Both
-// routes execute the identical loop, so outputs agree bit for bit.
-//
-// Every forward-only pass additionally has a `*_source` form that pulls
-// its layers from a [`StepSource`] instead of a materialized sequence.
-// The per-layer arithmetic is shared (the in-memory form feeds the same
-// helpers its contiguous `transition_matrix` slices; the flat-layer DPs
-// compact each pulled matrix through the kernel's [`LayerCsr`], which
-// reproduces a materialized CSR's rows exactly), so streamed results are
-// bit-identical to in-memory ones while holding only O(|Σ|²) of sequence
-// data at a time.
+// The public free functions validate, compile a one-shot plan and bind
+// it, so the Table 2 dispatch, the cached machine-side artifacts and the
+// per-layer arithmetic are exactly those of the prepared API. Every
+// confidence route is one `ConfidencePass`: `BoundQuery` drives it over a
+// bind's steps, `SourceBoundQuery` over pulled layers, and the
+// checkpointable `ConfidenceSession` one pulled matrix at a time — so
+// in-memory, streamed and suspended evaluations agree bit for bit.
 
 /// Validates that the transducer and sequence share an input alphabet and
 /// that `o` is over the output alphabet.
@@ -67,14 +69,20 @@ pub(crate) fn check_inputs(
         });
     }
     if let Some(o) = o {
-        for &d in o {
-            if d.index() >= t.n_output_symbols() {
-                return Err(EngineError::InvalidSymbol {
-                    symbol: d.index(),
-                    n_symbols: t.n_output_symbols(),
-                    alphabet: "output",
-                });
-            }
+        check_output(t, o)?;
+    }
+    Ok(())
+}
+
+/// Validates that every symbol of `o` is in the output alphabet.
+pub(crate) fn check_output(t: &Transducer, o: &[SymbolId]) -> Result<(), EngineError> {
+    for &d in o {
+        if d.index() >= t.n_output_symbols() {
+            return Err(EngineError::InvalidSymbol {
+                symbol: d.index(),
+                n_symbols: t.n_output_symbols(),
+                alphabet: "output",
+            });
         }
     }
     Ok(())
@@ -96,15 +104,7 @@ pub(crate) fn check_source_inputs<S: StepSource>(
         });
     }
     if let Some(o) = o {
-        for &d in o {
-            if d.index() >= t.n_output_symbols() {
-                return Err(EngineError::InvalidSymbol {
-                    symbol: d.index(),
-                    n_symbols: t.n_output_symbols(),
-                    alphabet: "output",
-                });
-            }
-        }
+        check_output(t, o)?;
     }
     check_source_fresh(src)
 }
@@ -120,14 +120,16 @@ pub(crate) fn check_source_fresh<S: StepSource>(src: &S) -> Result<(), EngineErr
 }
 
 // ---------------------------------------------------------------------------
-// Theorem 4.6 — deterministic transducers
+// The confidence routes
 // ---------------------------------------------------------------------------
 
 /// `Pr(S →[A^ω]→ o)` for a *deterministic* transducer (Theorem 4.6).
 ///
 /// Dispatches to the k-uniform fast path when the emission is uniform.
 /// Returns [`EngineError::NotDeterministic`] otherwise — use
-/// [`confidence`] for automatic algorithm selection.
+/// [`confidence`] for automatic algorithm selection. A deterministic
+/// machine's plan is one of the two Thm 4.6 routes, so this is exactly
+/// [`confidence`] after the check.
 pub fn confidence_deterministic(
     t: &Transducer,
     m: &MarkovSequence,
@@ -137,137 +139,8 @@ pub fn confidence_deterministic(
     if !t.is_deterministic() {
         return Err(EngineError::NotDeterministic);
     }
-    // Strategy choice applies to the legacy entry points too: a dense
-    // bind skips the CSR flatten entirely (the tiny-query fix — CSR
-    // construction dominated sub-microsecond evaluations), and dense and
-    // sparse advances are bit-identical, so this is invisible downstream.
-    if let Some(k) = t.uniform_emission() {
-        let graph = state_step_graph(t);
-        let mut ws: Workspace<f64> = Workspace::new();
-        return Ok(crate::plan::with_exec_steps(m, |steps| {
-            confidence_deterministic_uniform_impl(t, steps, &graph, &mut ws, o, k, &mut |slice| {
-                emission_id_for(t, slice)
-            })
-        }));
-    }
-    let graph = output_step_graph(t, o);
-    let mut ws: Workspace<f64> = Workspace::new();
-    Ok(crate::plan::with_exec_steps(m, |steps| {
-        confidence_deterministic_impl(t, steps, &graph, &mut ws, o.len())
-    }))
+    confidence(t, m, o)
 }
-
-/// The Thm 4.6 positional DP over precompiled artifacts. `graph` must be
-/// `output_step_graph(t, o)` and `steps` the bound execution view of the
-/// sequence (sparse and dense advance bit-identically).
-pub(crate) fn confidence_deterministic_impl(
-    t: &Transducer,
-    steps: ExecSteps<'_>,
-    graph: &StepGraph,
-    ws: &mut Workspace<f64>,
-    o_len: usize,
-) -> f64 {
-    let n = steps.n_steps() + 1;
-    let n_nodes = steps.n_nodes();
-    let nq = t.n_states();
-    let width = o_len + 1;
-    let nr = graph.n_rows();
-
-    // cell[node * nr + q * width + j] = Pr(strings of this length whose
-    // unique run ends at q having emitted o[..j]).
-    ws.reset(n_nodes * nr, 0.0);
-
-    // Position 1: the precompiled edges out of (q₀, j = 0) already encode
-    // the output-prefix check.
-    let init_row = (t.initial().index() * width) as u32;
-    for &(node, p) in steps.initial() {
-        for e in graph.edges(node, init_row) {
-            ws.cur_mut()[node as usize * nr + e.to as usize] += p;
-        }
-    }
-
-    // Positions 2..n.
-    for i in 0..n - 1 {
-        ws.clear_next(0.0);
-        let (cur, next) = ws.buffers();
-        steps.advance::<Prob>(i, graph, cur, next);
-        ws.swap();
-    }
-    count_layers((n - 1) as u64);
-
-    // Accepting states with the full output emitted.
-    let cur = ws.cur();
-    let mut total = transmark_kernel::Neumaier::new();
-    for node in 0..n_nodes {
-        for q in 0..nq {
-            if t.is_accepting(StateId(q as u32)) {
-                total.add(cur[node * nr + q * width + o_len]);
-            }
-        }
-    }
-    total.total()
-}
-
-// The streamed (`StepSource`) form of this pass lives in
-// `crate::incremental::ConfidenceSession` — the seed/step/finish state
-// machine that `SourceBoundQuery::confidence` drives and checkpoints.
-
-/// k-uniform fast path of Theorem 4.6: the output position is forced to
-/// `k·i`, so the DP is over (node, state) only; edges are gated per step
-/// by the interned id of the k-gram this step must emit. `graph` must be
-/// `state_step_graph(t)`; `emission_id` maps a k-gram to its interned id
-/// (or `u32::MAX` when absent) and may be a cached index — interning is
-/// injective, so any correct lookup yields identical gating.
-pub(crate) fn confidence_deterministic_uniform_impl(
-    t: &Transducer,
-    steps: ExecSteps<'_>,
-    graph: &StepGraph,
-    ws: &mut Workspace<f64>,
-    o: &[SymbolId],
-    k: usize,
-    emission_id: &mut dyn FnMut(&[SymbolId]) -> u32,
-) -> f64 {
-    let n = steps.n_steps() + 1;
-    if o.len() != k * n {
-        return 0.0;
-    }
-    let n_nodes = steps.n_nodes();
-    let nq = t.n_states();
-
-    ws.reset(n_nodes * nq, 0.0);
-    let seed_id = emission_id(&o[..k]);
-    for &(node, p) in steps.initial() {
-        for e in graph.edges(node, t.initial().0) {
-            if e.payload == seed_id {
-                ws.cur_mut()[node as usize * nq + e.to as usize] += p;
-            }
-        }
-    }
-    for i in 0..n - 1 {
-        let expected = emission_id(&o[k * (i + 1)..k * (i + 2)]);
-        ws.clear_next(0.0);
-        let (cur, next) = ws.buffers();
-        steps.advance_filtered::<Prob>(i, graph, expected, cur, next);
-        ws.swap();
-    }
-    count_layers((n - 1) as u64);
-    let cur = ws.cur();
-    let mut total = transmark_kernel::Neumaier::new();
-    for node in 0..n_nodes {
-        for q in 0..nq {
-            if t.is_accepting(StateId(q as u32)) {
-                total.add(cur[node * nq + q]);
-            }
-        }
-    }
-    total.total()
-}
-
-// (Streamed form: `crate::incremental::ConfidenceSession`.)
-
-// ---------------------------------------------------------------------------
-// Theorem 4.8 — nondeterministic, uniform emission
-// ---------------------------------------------------------------------------
 
 /// `Pr(S →[A^ω]→ o)` for a k-uniform (possibly nondeterministic)
 /// transducer (Theorem 4.8).
@@ -288,23 +161,45 @@ pub fn confidence_uniform_nfa(
     let Some(k) = t.uniform_emission() else {
         return Err(EngineError::NotUniform);
     };
-    let graph = state_step_graph(t);
-    let accepting = accepting_bitset(t);
-    Ok(confidence_uniform_nfa_impl(
-        t,
-        m,
-        &graph,
-        &accepting,
-        o,
-        k,
-        &mut |slice| emission_id_for(t, slice),
-    ))
+    confidence_via(t, m, o, PlanKind::UniformNfa { k })
+}
+
+/// `Pr(S →[A^ω]→ o)` for an arbitrary transducer.
+///
+/// Exact on every instance. The DP state is `(node, C)` where `C` is the
+/// exact set of `(state, output position)` *configurations* reachable by
+/// runs whose emission so far is a prefix of `o`. The number of distinct
+/// reachable `C` can be exponential — unavoidably, by Prop. 4.7 and
+/// Thm 4.9 — but the algorithm materializes only reachable ones, so it is
+/// polynomial exactly on the easy fragments (deterministic: singleton
+/// configurations; uniform: one output position per layer).
+pub fn confidence_general(
+    t: &Transducer,
+    m: &MarkovSequence,
+    o: &[SymbolId],
+) -> Result<f64, EngineError> {
+    check_inputs(t, m, Some(o))?;
+    confidence_via(t, m, o, PlanKind::General)
+}
+
+/// Runs one subset route regardless of the machine's own plan kind. The
+/// subset routes read each step's dense matrix, so a dense bind (no CSR
+/// build) serves them.
+fn confidence_via(
+    t: &Transducer,
+    m: &MarkovSequence,
+    o: &[SymbolId],
+    route: PlanKind,
+) -> Result<f64, EngineError> {
+    crate::plan::prepare(t)
+        .bind_with_strategy(m, Some(Strategy::Dense))?
+        .confidence_via(route, o)
 }
 
 /// Seeds the Thm 4.8 layer from a dense initial distribution: one
 /// reachable-state set per positive-probability node, gated by the seed
 /// emission id.
-pub(crate) fn uniform_nfa_seed(
+fn uniform_nfa_seed(
     t: &Transducer,
     graph: &StepGraph,
     initial: &[f64],
@@ -334,7 +229,7 @@ pub(crate) fn uniform_nfa_seed(
 /// zeros visits exactly the pairs `transitions_from` used to yield, in the
 /// same ascending order, so the fold is bit-identical to the historical
 /// sequence-walking loop.
-pub(crate) fn uniform_nfa_step(
+fn uniform_nfa_step(
     t: &Transducer,
     graph: &StepGraph,
     layer: SubsetLayer<(u32, BitSet)>,
@@ -366,58 +261,9 @@ pub(crate) fn uniform_nfa_step(
     next
 }
 
-/// The Thm 4.8 subset DP over precompiled artifacts. `graph` must be
-/// `state_step_graph(t)` and `accepting` the accepting-state bitset.
-pub(crate) fn confidence_uniform_nfa_impl(
-    t: &Transducer,
-    m: &MarkovSequence,
-    graph: &StepGraph,
-    accepting: &BitSet,
-    o: &[SymbolId],
-    k: usize,
-    emission_id: &mut dyn FnMut(&[SymbolId]) -> u32,
-) -> f64 {
-    let n = m.len();
-    if o.len() != k * n {
-        return 0.0;
-    }
-    let n_sym = m.n_symbols();
-    let mut layer = uniform_nfa_seed(t, graph, m.initial_dist(), emission_id(&o[..k]));
-    for i in 0..n - 1 {
-        let expected = emission_id(&o[k * (i + 1)..k * (i + 2)]);
-        layer = uniform_nfa_step(t, graph, layer, m.transition_matrix(i), n_sym, expected);
-    }
-    layer.reduce(|(_, set)| set.intersects(accepting))
-}
-
-// (Streamed form: `crate::incremental::ConfidenceSession`.)
-
-// ---------------------------------------------------------------------------
-// General exact algorithm (exponential worst case)
-// ---------------------------------------------------------------------------
-
-/// `Pr(S →[A^ω]→ o)` for an arbitrary transducer.
-///
-/// Exact on every instance. The DP state is `(node, C)` where `C` is the
-/// exact set of `(state, output position)` *configurations* reachable by
-/// runs whose emission so far is a prefix of `o`. The number of distinct
-/// reachable `C` can be exponential — unavoidably, by Prop. 4.7 and
-/// Thm 4.9 — but the algorithm materializes only reachable ones, so it is
-/// polynomial exactly on the easy fragments (deterministic: singleton
-/// configurations; uniform: one output position per layer).
-pub fn confidence_general(
-    t: &Transducer,
-    m: &MarkovSequence,
-    o: &[SymbolId],
-) -> Result<f64, EngineError> {
-    check_inputs(t, m, Some(o))?;
-    let graph = output_step_graph(t, o);
-    Ok(confidence_general_impl(t, m, &graph, o.len()))
-}
-
 /// Seeds the general configuration layer from a dense initial
 /// distribution. `cap` is the configuration-bit capacity `|Q|·(|o|+1)`.
-pub(crate) fn general_seed(
+fn general_seed(
     graph: &StepGraph,
     initial: &[f64],
     init_row: u32,
@@ -441,7 +287,7 @@ pub(crate) fn general_seed(
 
 /// Advances the general configuration layer by one dense row-major
 /// `|Σ|²` matrix (same zero-skipping walk as [`uniform_nfa_step`]).
-pub(crate) fn general_step(
+fn general_step(
     graph: &StepGraph,
     layer: SubsetLayer<(u32, BitSet)>,
     matrix: &[f64],
@@ -469,32 +315,234 @@ pub(crate) fn general_step(
     next
 }
 
-/// The general exact configuration-set DP over precompiled artifacts.
-/// `graph` must be `output_step_graph(t, o)` for an `o` of length `o_len`.
-pub(crate) fn confidence_general_impl(
-    t: &Transducer,
-    m: &MarkovSequence,
-    graph: &StepGraph,
-    o_len: usize,
-) -> f64 {
-    let n = m.len();
-    let nq = t.n_states();
-    let width = o_len + 1;
-    // Configuration bits ARE the output-graph rows: bit = q * width + j.
-    let cap = (nq * width).max(1);
-    let n_sym = m.n_symbols();
-
-    let init_row = (t.initial().index() * width) as u32;
-    let mut layer = general_seed(graph, m.initial_dist(), init_row, cap);
-    for i in 0..n - 1 {
-        layer = general_step(graph, layer, m.transition_matrix(i), n_sym, cap);
-    }
-    layer.reduce(|(_, set)| {
-        (0..nq).any(|q| t.is_accepting(StateId(q as u32)) && set.contains(q * width + o_len))
-    })
+/// The per-route layer of a [`ConfidencePass`].
+pub(crate) enum ConfState<W> {
+    /// Thm 4.6 k-uniform: `(node, state)` cells, each step gated by the
+    /// interned id of the k-gram it must emit.
+    DetUniform { k: usize, pass: FlatPass<Prob, W> },
+    /// Thm 4.6 positional: `(node, state·width + j)` cells.
+    Det { pass: FlatPass<Prob, W> },
+    /// Thm 4.8: `(node, reachable-state set)` layer.
+    UniformNfa {
+        k: usize,
+        layer: SubsetLayer<(u32, BitSet)>,
+    },
+    /// General exact: `(node, configuration set)` layer; configuration
+    /// bits are the output graph's rows, `q·(|o|+1) + j`.
+    General {
+        graph: Arc<StepGraph>,
+        cap: usize,
+        layer: SubsetLayer<(u32, BitSet)>,
+    },
 }
 
-// (Streamed form: `crate::incremental::ConfidenceSession`.)
+impl<W> ConfState<W> {
+    /// The route's checkpoint tag.
+    pub(crate) fn tag(&self) -> u8 {
+        match self {
+            ConfState::DetUniform { .. } => 1,
+            ConfState::Det { .. } => 2,
+            ConfState::UniformNfa { .. } => 3,
+            ConfState::General { .. } => 4,
+        }
+    }
+}
+
+/// `Pr(S →[A^ω]→ o)` along one Table 2 route, as a forward pass: seeded
+/// from `μ₀→` ([`ConfidencePass::seed`]), stepped once per transition
+/// matrix, reduced by [`ConfidencePass::confidence`]. The only
+/// implementation of every confidence route — in memory, streamed and in
+/// checkpointable sessions.
+///
+/// `W` holds the flat routes' double buffer: a bind lends its reused
+/// workspace, a session owns one.
+pub(crate) struct ConfidencePass<W> {
+    pub(crate) plan: Arc<PreparedQuery>,
+    pub(crate) o: Vec<SymbolId>,
+    pub(crate) n_nodes: usize,
+    /// Transition matrices folded in, including any folded before a
+    /// checkpoint this pass was resumed from.
+    pub(crate) consumed: u64,
+    /// Set when a uniform route has outlived its output string (or, with
+    /// a known stream length, can never match it): the confidence is
+    /// necessarily 0 and stepping is a no-op.
+    pub(crate) overrun: bool,
+    pub(crate) state: ConfState<W>,
+    /// Layers advanced by this pass and not yet reported to
+    /// `kernel.advance.layers`; [`ConfidencePass::confidence`] reports
+    /// them once.
+    uncounted: Cell<u64>,
+}
+
+impl<W: BorrowMut<Workspace<f64>>> ConfidencePass<W> {
+    /// Seeds `route` from the dense initial distribution. `len` is the
+    /// stream length when known upfront: a uniform route whose output is
+    /// not `k·len` symbols long is then overrun from the start. The
+    /// caller has validated the alphabet and `o`.
+    pub(crate) fn seed(
+        plan: Arc<PreparedQuery>,
+        route: PlanKind,
+        ws: W,
+        initial: &[f64],
+        o: &[SymbolId],
+        len: Option<usize>,
+    ) -> Self {
+        let t = plan.transducer();
+        let overrun = |k: usize| o.len() < k || len.is_some_and(|n| o.len() != k * n);
+        let (state, overrun) = match route {
+            PlanKind::DeterministicUniform { k } => {
+                let overrun = overrun(k);
+                // `u32::MAX` is never an emission id: an overrun pass
+                // seeds nothing.
+                let gate = if overrun {
+                    u32::MAX
+                } else {
+                    plan.emission_id(&o[..k])
+                };
+                let graph = Arc::clone(plan.state_graph());
+                let pass = FlatPass::seed(t, graph, ws, initial, 1, Some(gate));
+                (ConfState::DetUniform { k, pass }, overrun)
+            }
+            PlanKind::Deterministic => {
+                let pass = FlatPass::seed(t, plan.output_graph(o), ws, initial, o.len() + 1, None);
+                (ConfState::Det { pass }, false)
+            }
+            PlanKind::UniformNfa { k } => {
+                let overrun = overrun(k);
+                let layer = if overrun {
+                    SubsetLayer::new()
+                } else {
+                    uniform_nfa_seed(t, plan.state_graph(), initial, plan.emission_id(&o[..k]))
+                };
+                (ConfState::UniformNfa { k, layer }, overrun)
+            }
+            PlanKind::General | PlanKind::Sproj | PlanKind::SprojIndexed => {
+                let graph = plan.output_graph(o);
+                let width = o.len() + 1;
+                let cap = (t.n_states() * width).max(1);
+                let init_row = (t.initial().index() * width) as u32;
+                let layer = general_seed(&graph, initial, init_row, cap);
+                (ConfState::General { graph, cap, layer }, false)
+            }
+        };
+        ConfidencePass::resumed(plan, o, initial.len(), 0, overrun, state)
+    }
+
+    /// A pass around a restored layer that has folded `consumed` matrices.
+    pub(crate) fn resumed(
+        plan: Arc<PreparedQuery>,
+        o: &[SymbolId],
+        n_nodes: usize,
+        consumed: u64,
+        overrun: bool,
+        state: ConfState<W>,
+    ) -> Self {
+        ConfidencePass {
+            plan,
+            o: o.to_vec(),
+            n_nodes,
+            consumed,
+            overrun,
+            state,
+            uncounted: Cell::new(0),
+        }
+    }
+
+    /// Marks a uniform route overrun once step `i` would need output
+    /// symbols past the end of `o`; returns the step's expected k-gram id
+    /// otherwise.
+    fn gate(&mut self, k: usize, i: usize) -> Option<u32> {
+        if !self.overrun && self.o.len() < k * (i + 2) {
+            self.overrun = true;
+        }
+        (!self.overrun).then(|| self.plan.emission_id(&self.o[k * (i + 1)..k * (i + 2)]))
+    }
+
+    /// The confidence after the last folded position. Reductions run in
+    /// ascending node/state (or subset key) order; the layers advanced
+    /// since the previous call are reported once.
+    pub(crate) fn confidence(&self) -> f64 {
+        count_layers(self.uncounted.take());
+        let t = self.plan.transducer();
+        let o_len = self.o.len();
+        let n_positions = self.consumed as usize + 1;
+        match &self.state {
+            ConfState::DetUniform { k, pass } => {
+                if self.overrun || o_len != k * n_positions {
+                    return 0.0;
+                }
+                pass.accepting(t, 0).collect::<Neumaier>().total()
+            }
+            ConfState::Det { pass } => pass.accepting(t, o_len).collect::<Neumaier>().total(),
+            ConfState::UniformNfa { k, layer } => {
+                if self.overrun || o_len != k * n_positions {
+                    return 0.0;
+                }
+                let accepting = self.plan.accepting();
+                layer.reduce(|(_, set)| set.intersects(accepting))
+            }
+            ConfState::General { layer, .. } => {
+                let width = o_len + 1;
+                layer.reduce(|(_, set)| {
+                    (0..t.n_states()).any(|q| {
+                        t.is_accepting(StateId(q as u32)) && set.contains(q * width + o_len)
+                    })
+                })
+            }
+        }
+    }
+}
+
+impl<W: BorrowMut<Workspace<f64>>> ForwardPass for ConfidencePass<W> {
+    type Output = f64;
+
+    fn flat(&self) -> bool {
+        matches!(
+            self.state,
+            ConfState::DetUniform { .. } | ConfState::Det { .. }
+        )
+    }
+
+    fn step<L: Layer>(&mut self, step: &L) {
+        let i = self.consumed as usize;
+        self.consumed += 1;
+        let gate = match self.state {
+            ConfState::DetUniform { k, .. } | ConfState::UniformNfa { k, .. } => {
+                match self.gate(k, i) {
+                    None => return, // overrun: a no-op step
+                    gate => gate,
+                }
+            }
+            _ => None,
+        };
+        let (t, n) = (self.plan.transducer(), self.n_nodes);
+        match &mut self.state {
+            ConfState::DetUniform { pass, .. } => pass.step(step, gate),
+            ConfState::Det { pass } => pass.step(step, None),
+            ConfState::UniformNfa { layer, .. } => {
+                let taken = std::mem::take(layer);
+                let expected = gate.unwrap_or(u32::MAX);
+                *layer = uniform_nfa_step(
+                    t,
+                    self.plan.state_graph(),
+                    taken,
+                    step.matrix(),
+                    n,
+                    expected,
+                );
+            }
+            ConfState::General { graph, cap, layer } => {
+                let taken = std::mem::take(layer);
+                *layer = general_step(graph, taken, step.matrix(), n, *cap);
+            }
+        }
+        self.uncounted.set(self.uncounted.get() + 1);
+    }
+
+    fn finish(&mut self) -> f64 {
+        self.confidence()
+    }
+}
 
 /// `Pr(S →[A^ω]→ o)` with automatic algorithm selection:
 /// deterministic → Thm 4.6 (uniform fast path included);
@@ -558,97 +606,13 @@ pub fn confidence_source<S: StepSource>(
 ///
 /// Unlike the confidence *value*, membership needs only reachability over
 /// `(node, state, output position)` — the same step graph as
-/// [`confidence_deterministic`] driven in the [`Bool`] semiring:
-/// `O(n·|Σ|²·|Q|·|o|)`.
+/// [`confidence_deterministic`] driven in the [`Bool`](transmark_kernel::Bool)
+/// semiring: `O(n·|Σ|²·|Q|·|o|)`.
 ///
 /// Legacy convenience routing through the prepared API
 /// ([`BoundQuery::is_answer`](crate::plan::BoundQuery::is_answer)).
 pub fn is_answer(t: &Transducer, m: &MarkovSequence, o: &[SymbolId]) -> Result<bool, EngineError> {
     crate::plan::prepare(t).bind(m)?.is_answer(o)
-}
-
-/// Boolean reachability over the positional graph. `graph` must be
-/// `output_step_graph(t, o)` for an `o` of length `o_len`.
-pub(crate) fn is_answer_impl(
-    t: &Transducer,
-    steps: ExecSteps<'_>,
-    graph: &StepGraph,
-    ws: &mut Workspace<bool>,
-    o_len: usize,
-) -> bool {
-    let n = steps.n_steps() + 1;
-    let n_nodes = steps.n_nodes();
-    let nq = t.n_states();
-    let width = o_len + 1;
-    let nr = graph.n_rows();
-
-    ws.reset(n_nodes * nr, false);
-    let init_row = (t.initial().index() * width) as u32;
-    for &(node, _) in steps.initial() {
-        for e in graph.edges(node, init_row) {
-            ws.cur_mut()[node as usize * nr + e.to as usize] = true;
-        }
-    }
-    for i in 0..n - 1 {
-        ws.clear_next(false);
-        let (cur, next) = ws.buffers();
-        steps.advance::<Bool>(i, graph, cur, next);
-        ws.swap();
-    }
-    count_layers((n - 1) as u64);
-    let cur = ws.cur();
-    for node in 0..n_nodes {
-        for q in 0..nq {
-            if t.is_accepting(StateId(q as u32)) && cur[node * nr + q * width + o_len] {
-                return true;
-            }
-        }
-    }
-    false
-}
-
-/// [`is_answer_impl`] over a streamed source.
-pub(crate) fn is_answer_source_impl<S: StepSource>(
-    t: &Transducer,
-    src: &mut S,
-    graph: &StepGraph,
-    ws: &mut Workspace<bool>,
-    o_len: usize,
-) -> Result<bool, EngineError> {
-    let n_nodes = src.alphabet().len();
-    let nq = t.n_states();
-    let width = o_len + 1;
-    let nr = graph.n_rows();
-
-    ws.reset(n_nodes * nr, false);
-    let init_row = (t.initial().index() * width) as u32;
-    for (node, &p) in src.initial().iter().enumerate() {
-        if p > 0.0 {
-            for e in graph.edges(node as u32, init_row) {
-                ws.cur_mut()[node * nr + e.to as usize] = true;
-            }
-        }
-    }
-    let mut csr = LayerCsr::new();
-    let mut layers = 0u64;
-    while let Some(matrix) = src.next_step()? {
-        csr.load_dense(n_nodes, matrix);
-        ws.clear_next(false);
-        let (cur, next) = ws.buffers();
-        advance::<Bool, _>(&csr, graph, cur, next);
-        ws.swap();
-        layers += 1;
-    }
-    count_layers(layers);
-    let cur = ws.cur();
-    for node in 0..n_nodes {
-        for q in 0..nq {
-            if t.is_accepting(StateId(q as u32)) && cur[node * nr + q * width + o_len] {
-                return Ok(true);
-            }
-        }
-    }
-    Ok(false)
 }
 
 /// Whether the query has any answer at all: `Pr(S ∈ L(A)) > 0`.
@@ -660,88 +624,13 @@ pub fn answer_exists(t: &Transducer, m: &MarkovSequence) -> Result<bool, EngineE
     crate::plan::prepare(t).bind(m)?.answer_exists()
 }
 
-/// Boolean reachability over the state graph. `graph` must be
-/// `state_step_graph(t)`.
-pub(crate) fn answer_exists_impl(
-    t: &Transducer,
-    steps: ExecSteps<'_>,
-    graph: &StepGraph,
-    ws: &mut Workspace<bool>,
-) -> bool {
-    let n = steps.n_steps() + 1;
-    let n_nodes = steps.n_nodes();
-    let nq = t.n_states();
-
-    ws.reset(n_nodes * nq, false);
-    for &(node, _) in steps.initial() {
-        for e in graph.edges(node, t.initial().0) {
-            ws.cur_mut()[node as usize * nq + e.to as usize] = true;
-        }
-    }
-    for i in 0..n - 1 {
-        ws.clear_next(false);
-        let (cur, next) = ws.buffers();
-        steps.advance::<Bool>(i, graph, cur, next);
-        ws.swap();
-    }
-    count_layers((n - 1) as u64);
-    let cur = ws.cur();
-    for node in 0..n_nodes {
-        for q in 0..nq {
-            if cur[node * nq + q] && t.is_accepting(StateId(q as u32)) {
-                return true;
-            }
-        }
-    }
-    false
-}
-
-/// [`answer_exists_impl`] over a streamed source.
-pub(crate) fn answer_exists_source_impl<S: StepSource>(
-    t: &Transducer,
-    src: &mut S,
-    graph: &StepGraph,
-    ws: &mut Workspace<bool>,
-) -> Result<bool, EngineError> {
-    let n_nodes = src.alphabet().len();
-    let nq = t.n_states();
-
-    ws.reset(n_nodes * nq, false);
-    for (node, &p) in src.initial().iter().enumerate() {
-        if p > 0.0 {
-            for e in graph.edges(node as u32, t.initial().0) {
-                ws.cur_mut()[node * nq + e.to as usize] = true;
-            }
-        }
-    }
-    let mut csr = LayerCsr::new();
-    let mut layers = 0u64;
-    while let Some(matrix) = src.next_step()? {
-        csr.load_dense(n_nodes, matrix);
-        ws.clear_next(false);
-        let (cur, next) = ws.buffers();
-        advance::<Bool, _>(&csr, graph, cur, next);
-        ws.swap();
-        layers += 1;
-    }
-    count_layers(layers);
-    let cur = ws.cur();
-    for node in 0..n_nodes {
-        for q in 0..nq {
-            if cur[node * nq + q] && t.is_accepting(StateId(q as u32)) {
-                return Ok(true);
-            }
-        }
-    }
-    Ok(false)
-}
-
 // ---------------------------------------------------------------------------
 // Acceptance probability
 // ---------------------------------------------------------------------------
 
-/// The single acceptance-DP engine behind [`acceptance_probability`], the
-/// prefix series, and the streaming [`crate::streaming::EventMonitor`]:
+/// The single acceptance-DP engine behind [`EventSession`] — and so behind
+/// [`acceptance_probability`], the prefix series, and the streaming
+/// [`crate::streaming::EventMonitor`]:
 /// a distribution over `(determinized subset, current node)` advanced one
 /// dense row-major `|Σ|²` matrix at a time.
 ///
@@ -911,12 +800,7 @@ pub(crate) fn check_nfa_alphabet(nfa: &Nfa, n_symbols: usize) -> Result<(), Engi
 /// reachable while scanning `μ` are materialized (this gives Theorem 5.5
 /// its `4^{|Q_E|}`-only blow-up downstream).
 pub fn acceptance_probability(nfa: &Nfa, m: &MarkovSequence) -> Result<f64, EngineError> {
-    check_nfa_alphabet(nfa, m.n_symbols())?;
-    let mut fold = AcceptanceFold::start(nfa, m.initial_dist());
-    for i in 0..m.len() - 1 {
-        fold.step(nfa, m.transition_matrix(i));
-    }
-    Ok(fold.probability())
+    acceptance_probability_source(nfa, &mut m.step_source())
 }
 
 /// [`acceptance_probability`] over a streamed source — one forward pass,
@@ -925,13 +809,8 @@ pub fn acceptance_probability_source<S: StepSource>(
     nfa: &Nfa,
     src: &mut S,
 ) -> Result<f64, EngineError> {
-    check_nfa_alphabet(nfa, src.alphabet().len())?;
-    check_source_fresh(src)?;
-    let mut fold = AcceptanceFold::start(nfa, src.initial());
-    while let Some(matrix) = src.next_step()? {
-        fold.step(nfa, matrix);
-    }
-    Ok(fold.probability())
+    let sess = EventSession::start(nfa.clone(), src.initial())?;
+    Ok(StreamSession::Event(sess).drain(src, false)?[0])
 }
 
 /// The Lahar-style streaming Boolean query: for every position `i`,
@@ -944,15 +823,7 @@ pub fn prefix_acceptance_probabilities(
     nfa: &Nfa,
     m: &MarkovSequence,
 ) -> Result<Vec<f64>, EngineError> {
-    check_nfa_alphabet(nfa, m.n_symbols())?;
-    let mut fold = AcceptanceFold::start(nfa, m.initial_dist());
-    let mut out = Vec::with_capacity(m.len());
-    out.push(fold.probability());
-    for i in 0..m.len() - 1 {
-        fold.step(nfa, m.transition_matrix(i));
-        out.push(fold.probability());
-    }
-    Ok(out)
+    prefix_acceptance_probabilities_source(nfa, &mut m.step_source())
 }
 
 /// [`prefix_acceptance_probabilities`] over a streamed source. The output
@@ -961,16 +832,8 @@ pub fn prefix_acceptance_probabilities_source<S: StepSource>(
     nfa: &Nfa,
     src: &mut S,
 ) -> Result<Vec<f64>, EngineError> {
-    check_nfa_alphabet(nfa, src.alphabet().len())?;
-    check_source_fresh(src)?;
-    let mut fold = AcceptanceFold::start(nfa, src.initial());
-    let mut out = Vec::with_capacity(src.len());
-    out.push(fold.probability());
-    while let Some(matrix) = src.next_step()? {
-        fold.step(nfa, matrix);
-        out.push(fold.probability());
-    }
-    Ok(out)
+    let sess = EventSession::start(nfa.clone(), src.initial())?;
+    StreamSession::Event(sess).drain(src, true)
 }
 
 /// The accepting states of a transducer as a [`BitSet`].

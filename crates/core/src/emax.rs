@@ -17,7 +17,7 @@
 //! Lawler–Murty instantiation does.
 
 use transmark_automata::{StateId, SymbolId};
-use transmark_kernel::{advance, count_layers, BackEdge, ExecSteps, LayerCsr, MaxLog, Workspace};
+use transmark_kernel::{count_layers, BackEdge, ExecSteps};
 use transmark_markov::{MarkovSequence, StepSource};
 
 use crate::error::EngineError;
@@ -159,53 +159,10 @@ pub fn emax_of_output(
     crate::plan::prepare(t).bind(m)?.emax_of_output(o)
 }
 
-/// The max-product positional DP over precompiled artifacts. `graph` must
-/// be `output_step_graph(t, o)` for an `o` of length `o_len`.
-pub(crate) fn emax_of_output_impl(
-    t: &Transducer,
-    steps: ExecSteps<'_>,
-    graph: &transmark_kernel::StepGraph,
-    ws: &mut Workspace<f64>,
-    o_len: usize,
-) -> f64 {
-    let n = steps.n_steps() + 1;
-    let n_nodes = steps.n_nodes();
-    let nq = t.n_states();
-    let width = o_len + 1;
-    let nr = graph.n_rows();
-
-    ws.reset(n_nodes * nr, f64::NEG_INFINITY);
-    let init_row = (t.initial().index() * width) as u32;
-    for &(node, p) in steps.initial() {
-        let lp = p.ln();
-        for e in graph.edges(node, init_row) {
-            let cell = &mut ws.cur_mut()[node as usize * nr + e.to as usize];
-            *cell = cell.max(lp);
-        }
-    }
-    for i in 0..n - 1 {
-        ws.clear_next(f64::NEG_INFINITY);
-        let (cur, next) = ws.buffers();
-        steps.advance::<MaxLog>(i, graph, cur, next);
-        ws.swap();
-    }
-    count_layers((n - 1) as u64);
-    let cur = ws.cur();
-    let mut best = f64::NEG_INFINITY;
-    for node in 0..n_nodes {
-        for q in 0..nq {
-            if t.is_accepting(StateId(q as u32)) {
-                best = best.max(cur[node * nr + q * width + o_len]);
-            }
-        }
-    }
-    best
-}
-
 /// `ln E_max(o)` over a streamed source — a forward-only max-product pass
 /// (no traceback is needed for the *score*, unlike [`top_by_emax`], whose
-/// back-pointers are inherently O(n)). Each pulled layer is compacted via
-/// [`LayerCsr`], so the result is bit-identical to [`emax_of_output`].
+/// back-pointers are inherently O(n)). The same pass as
+/// [`emax_of_output`], fed pulled layers, so the result is bit-identical.
 ///
 /// Legacy convenience routing through the prepared API
 /// ([`SourceBoundQuery::emax_of_output`](crate::plan::SourceBoundQuery::emax_of_output)).
@@ -215,53 +172,6 @@ pub fn emax_of_output_source<S: StepSource>(
     o: &[SymbolId],
 ) -> Result<f64, EngineError> {
     crate::plan::prepare(t).bind_source(src)?.emax_of_output(o)
-}
-
-/// The streamed max-product positional DP over precompiled artifacts.
-pub(crate) fn emax_of_output_source_impl<S: StepSource>(
-    t: &Transducer,
-    src: &mut S,
-    graph: &transmark_kernel::StepGraph,
-    ws: &mut Workspace<f64>,
-    o_len: usize,
-) -> Result<f64, EngineError> {
-    let n_nodes = src.alphabet().len();
-    let nq = t.n_states();
-    let width = o_len + 1;
-    let nr = graph.n_rows();
-
-    ws.reset(n_nodes * nr, f64::NEG_INFINITY);
-    let init_row = (t.initial().index() * width) as u32;
-    for (node, &p) in src.initial().iter().enumerate() {
-        if p > 0.0 {
-            let lp = p.ln();
-            for e in graph.edges(node as u32, init_row) {
-                let cell = &mut ws.cur_mut()[node * nr + e.to as usize];
-                *cell = cell.max(lp);
-            }
-        }
-    }
-    let mut csr = LayerCsr::new();
-    let mut layers = 0u64;
-    while let Some(matrix) = src.next_step()? {
-        csr.load_dense(n_nodes, matrix);
-        ws.clear_next(f64::NEG_INFINITY);
-        let (cur, next) = ws.buffers();
-        advance::<MaxLog, _>(&csr, graph, cur, next);
-        ws.swap();
-        layers += 1;
-    }
-    count_layers(layers);
-    let cur = ws.cur();
-    let mut best = f64::NEG_INFINITY;
-    for node in 0..n_nodes {
-        for q in 0..nq {
-            if t.is_accepting(StateId(q as u32)) {
-                best = best.max(cur[node * nr + q * width + o_len]);
-            }
-        }
-    }
-    Ok(best)
 }
 
 #[cfg(test)]

@@ -14,10 +14,10 @@
 //!   the determinized subsets in discovery order, so resumed reductions
 //!   accumulate in exactly the original order.
 //! * [`ConfidenceSession`] — the streamed `Pr(S →[A^ω]→ o)` evaluation as
-//!   an explicit seed/step/finish machine over every [`PlanKind`] route.
-//!   [`crate::plan::SourceBoundQuery::confidence`] is now a thin driver
-//!   around it, and checkpoint/resume round-trips bit-identically on all
-//!   four routes.
+//!   an explicit seed/step/finish machine over every [`PlanKind`] route:
+//!   the one confidence pass the bound and source-bound queries also
+//!   drive, fed one pulled matrix at a time. Checkpoint/resume
+//!   round-trips bit-identically on all four routes.
 //! * [`SlidingWindowQuery`] — `Pr(window of the last w positions ∈ L(A))`
 //!   at every tick. Each step's `|Σ|²` matrix lifts to an `m × m` operator
 //!   on the scan state space (see [`crate::scan`]); a two-stack
@@ -27,6 +27,10 @@
 //!   counter tallies every slide that would have been a rewind+recompute
 //!   under the old scheme. Window-start mass is a ring of node marginals
 //!   (O(w·|Σ|) memory, O(|Σ|²) advance per tick).
+//! * [`StreamSession`] — any of the three behind one `advance` /
+//!   `probability` / `position` / `checkpoint` interface, plus the one
+//!   series driver every acceptance, prefix-series, monitor and window
+//!   pass runs through.
 //!
 //! # Numerics contract
 //!
@@ -50,16 +54,16 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use transmark_automata::{BitSet, StateId};
+use transmark_automata::BitSet;
 use transmark_automata::{Nfa, SymbolId};
 use transmark_kernel::{
-    advance, advance_filtered, count_layers, LayerCsr, Neumaier, Prob, SlidingProduct,
-    StepOperator, SubsetLayer,
+    LayerCsr, Prob, SlidingProduct, StepGraph, StepOperator, SubsetLayer, Workspace,
 };
 use transmark_markov::{MarkovSequence, StepSource};
 
-use crate::confidence::{self, AcceptanceFold};
+use crate::confidence::{self, AcceptanceFold, ConfState, ConfidencePass};
 use crate::error::EngineError;
+use crate::forward::{FlatPass, ForwardPass, PulledLayer};
 use crate::plan::{PlanKind, PreparedQuery};
 use crate::scan::ScanDfa;
 
@@ -403,6 +407,12 @@ impl EventSession {
     /// Folds in the next row-major `|Σ|²` transition matrix and returns
     /// the updated probability.
     pub fn advance(&mut self, matrix: &[f64]) -> Result<f64, EngineError> {
+        self.step(matrix)?;
+        Ok(self.probability())
+    }
+
+    /// [`EventSession::advance`] without the reduction.
+    pub(crate) fn step(&mut self, matrix: &[f64]) -> Result<(), EngineError> {
         let k = self.n_symbols;
         if matrix.len() != k * k {
             return Err(EngineError::AlphabetMismatch {
@@ -412,7 +422,7 @@ impl EventSession {
         }
         self.fold.step(&self.nfa, matrix);
         self.consumed += 1;
-        Ok(self.probability())
+        Ok(())
     }
 
     /// Suspends the session to a versioned blob. Resuming with
@@ -447,65 +457,24 @@ impl EventSession {
 // ConfidenceSession — streamed confidence as seed/step/finish
 // ---------------------------------------------------------------------------
 
-/// Per-[`PlanKind`] incremental state of a streamed confidence query.
-enum ConfState {
-    /// Thm 4.6 k-uniform: flat `(node, state)` probabilities.
-    DetUniform { k: usize, cur: Vec<f64> },
-    /// Thm 4.6 positional: flat `(node, state·width + j)` probabilities.
-    Det {
-        graph: Arc<transmark_kernel::StepGraph>,
-        cur: Vec<f64>,
-    },
-    /// Thm 4.8: `(node, reachable-state set)` layer.
-    UniformNfa {
-        k: usize,
-        layer: SubsetLayer<(u32, BitSet)>,
-    },
-    /// General exact: `(node, configuration set)` layer.
-    General {
-        graph: Arc<transmark_kernel::StepGraph>,
-        cap: usize,
-        layer: SubsetLayer<(u32, BitSet)>,
-    },
-}
-
-impl ConfState {
-    fn tag(&self) -> u8 {
-        match self {
-            ConfState::DetUniform { .. } => 1,
-            ConfState::Det { .. } => 2,
-            ConfState::UniformNfa { .. } => 3,
-            ConfState::General { .. } => 4,
-        }
-    }
-}
-
 /// The streamed `Pr(S →[A^ω]→ o)` evaluation as an explicit state
 /// machine: seed from the initial distribution
 /// ([`PreparedQuery::begin_confidence`]), [`ConfidenceSession::step`] one
 /// transition matrix at a time, [`ConfidenceSession::finish`] for the
-/// probability. Every [`PlanKind`] route runs the same arithmetic in the
-/// same order as the historical one-shot streamed pass, so driving a
-/// session over a source is bit-identical to the old
-/// `SourceBoundQuery::confidence` (which is now implemented this way).
+/// probability. It runs the one confidence pass of every [`PlanKind`]
+/// route (`crate::confidence::ConfidencePass`, the pass
+/// [`crate::plan::BoundQuery::confidence`] and
+/// [`crate::plan::SourceBoundQuery::confidence`] drive), fed each pulled
+/// matrix compacted into a reusable [`LayerCsr`] — so a session driven
+/// over a sequence is bit-identical to the one-shot passes.
 ///
 /// Sessions suspend to a blob ([`ConfidenceSession::checkpoint`]) and
 /// resume ([`PreparedQuery::resume_confidence`]) bit-identically: the
 /// uniform routes' per-step output gating depends only on the step index,
 /// which the blob records.
 pub struct ConfidenceSession {
-    plan: Arc<PreparedQuery>,
-    o: Vec<SymbolId>,
-    n_nodes: usize,
-    consumed: u64,
-    /// Set when a uniform route has outlived its output string (the
-    /// stream is longer than `|o|/k` positions): the confidence is
-    /// necessarily 0 and stepping is a no-op, mirroring the one-shot
-    /// pass's upfront `o.len() != k·n` rejection.
-    overrun: bool,
-    state: ConfState,
+    pass: ConfidencePass<Workspace<f64>>,
     csr: LayerCsr,
-    scratch: Vec<f64>,
 }
 
 fn confidence_fingerprint(plan: &PreparedQuery, o: &[SymbolId]) -> u64 {
@@ -534,83 +503,18 @@ impl PreparedQuery {
                 sequence: initial.len(),
             });
         }
-        for &d in o {
-            if d.index() >= t.n_output_symbols() {
-                return Err(EngineError::InvalidSymbol {
-                    symbol: d.index(),
-                    n_symbols: t.n_output_symbols(),
-                    alphabet: "output",
-                });
-            }
-        }
-        let n_nodes = initial.len();
-        let nq = t.n_states();
-        let (state, overrun) = match self.kind() {
-            PlanKind::DeterministicUniform { k } => {
-                let mut cur = vec![0.0; n_nodes * nq];
-                let overrun = o.len() < k;
-                if !overrun {
-                    let seed_id = self.emission_id(&o[..k]);
-                    let graph = self.state_graph();
-                    for (node, &p) in initial.iter().enumerate() {
-                        if p > 0.0 {
-                            for e in graph.edges(node as u32, t.initial().0) {
-                                if e.payload == seed_id {
-                                    cur[node * nq + e.to as usize] += p;
-                                }
-                            }
-                        }
-                    }
-                }
-                (ConfState::DetUniform { k, cur }, overrun)
-            }
-            PlanKind::Deterministic => {
-                let graph = self.output_graph(o);
-                let width = o.len() + 1;
-                let nr = graph.n_rows();
-                let mut cur = vec![0.0; n_nodes * nr];
-                let init_row = (t.initial().index() * width) as u32;
-                for (node, &p) in initial.iter().enumerate() {
-                    if p > 0.0 {
-                        for e in graph.edges(node as u32, init_row) {
-                            cur[node * nr + e.to as usize] += p;
-                        }
-                    }
-                }
-                (ConfState::Det { graph, cur }, false)
-            }
-            PlanKind::UniformNfa { k } => {
-                let overrun = o.len() < k;
-                let layer = if overrun {
-                    SubsetLayer::new()
-                } else {
-                    confidence::uniform_nfa_seed(
-                        t,
-                        self.state_graph(),
-                        initial,
-                        self.emission_id(&o[..k]),
-                    )
-                };
-                (ConfState::UniformNfa { k, layer }, overrun)
-            }
-            PlanKind::General | PlanKind::Sproj | PlanKind::SprojIndexed => {
-                let graph = self.output_graph(o);
-                let width = o.len() + 1;
-                let cap = (nq * width).max(1);
-                let init_row = (t.initial().index() * width) as u32;
-                let layer = confidence::general_seed(&graph, initial, init_row, cap);
-                (ConfState::General { graph, cap, layer }, false)
-            }
-        };
+        confidence::check_output(t, o)?;
+        let pass = ConfidencePass::seed(
+            Arc::clone(self),
+            self.kind(),
+            Workspace::new(),
+            initial,
+            o,
+            None,
+        );
         Ok(ConfidenceSession {
-            plan: Arc::clone(self),
-            o: o.to_vec(),
-            n_nodes,
-            consumed: 0,
-            overrun,
-            state,
+            pass,
             csr: LayerCsr::new(),
-            scratch: Vec::new(),
         })
     }
 
@@ -635,19 +539,18 @@ impl PreparedQuery {
         let overrun = r.get_u8()? != 0;
         let tag = r.get_u8()?;
         let nq = t.n_states();
+        let flat = |graph: Arc<StepGraph>, width: usize, r: &mut ByteReader<'_>| {
+            let cells = read_f64s(r, n_nodes * graph.n_rows())?;
+            Ok::<_, EngineError>(FlatPass::restore(graph, Workspace::new(), &cells, width))
+        };
         let state = match (self.kind(), tag) {
             (PlanKind::DeterministicUniform { k }, 1) => ConfState::DetUniform {
                 k,
-                cur: read_f64s(&mut r, n_nodes * nq)?,
+                pass: flat(Arc::clone(self.state_graph()), 1, &mut r)?,
             },
-            (PlanKind::Deterministic, 2) => {
-                let graph = self.output_graph(o);
-                let nr = graph.n_rows();
-                ConfState::Det {
-                    cur: read_f64s(&mut r, n_nodes * nr)?,
-                    graph,
-                }
-            }
+            (PlanKind::Deterministic, 2) => ConfState::Det {
+                pass: flat(self.output_graph(o), o.len() + 1, &mut r)?,
+            },
             (PlanKind::UniformNfa { k }, 3) => ConfState::UniformNfa {
                 k,
                 layer: read_subset_layer(&mut r, n_nodes, nq)?,
@@ -669,15 +572,10 @@ impl PreparedQuery {
         };
         transmark_obs::counter!("checkpoint.resumes").inc();
         transmark_obs::profile::instant("checkpoint.resume");
+        let pass = ConfidencePass::resumed(Arc::clone(self), o, n_nodes, position, overrun, state);
         Ok(ConfidenceSession {
-            plan: Arc::clone(self),
-            o: o.to_vec(),
-            n_nodes,
-            consumed: position,
-            overrun,
-            state,
+            pass,
             csr: LayerCsr::new(),
-            scratch: Vec::new(),
         })
     }
 }
@@ -685,124 +583,30 @@ impl PreparedQuery {
 impl ConfidenceSession {
     /// Transition matrices consumed so far.
     pub fn position(&self) -> u64 {
-        self.consumed
+        self.pass.consumed
     }
 
     /// Folds in the next row-major `|Σ|²` transition matrix.
     pub fn step(&mut self, matrix: &[f64]) -> Result<(), EngineError> {
-        let n = self.n_nodes;
+        let n = self.pass.n_nodes;
         if matrix.len() != n * n {
             return Err(EngineError::AlphabetMismatch {
                 transducer: n * n,
                 sequence: matrix.len(),
             });
         }
-        let t = self.plan.transducer();
-        let i = self.consumed as usize;
-        match &mut self.state {
-            ConfState::DetUniform { k, cur } => {
-                if !self.overrun && self.o.len() < *k * (i + 2) {
-                    self.overrun = true;
-                }
-                if !self.overrun {
-                    let expected = self.plan.emission_id(&self.o[*k * (i + 1)..*k * (i + 2)]);
-                    self.csr.load_dense(n, matrix);
-                    self.scratch.clear();
-                    self.scratch.resize(cur.len(), 0.0);
-                    advance_filtered::<Prob, _>(
-                        &self.csr,
-                        self.plan.state_graph(),
-                        expected,
-                        cur,
-                        &mut self.scratch,
-                    );
-                    std::mem::swap(cur, &mut self.scratch);
-                }
-            }
-            ConfState::Det { graph, cur } => {
-                self.csr.load_dense(n, matrix);
-                self.scratch.clear();
-                self.scratch.resize(cur.len(), 0.0);
-                advance::<Prob, _>(&self.csr, graph, cur, &mut self.scratch);
-                std::mem::swap(cur, &mut self.scratch);
-            }
-            ConfState::UniformNfa { k, layer } => {
-                if !self.overrun && self.o.len() < *k * (i + 2) {
-                    self.overrun = true;
-                }
-                if !self.overrun {
-                    let expected = self.plan.emission_id(&self.o[*k * (i + 1)..*k * (i + 2)]);
-                    let taken = std::mem::replace(layer, SubsetLayer::new());
-                    *layer = confidence::uniform_nfa_step(
-                        t,
-                        self.plan.state_graph(),
-                        taken,
-                        matrix,
-                        n,
-                        expected,
-                    );
-                }
-            }
-            ConfState::General { graph, cap, layer } => {
-                let taken = std::mem::replace(layer, SubsetLayer::new());
-                *layer = confidence::general_step(graph, taken, matrix, n, *cap);
-            }
-        }
-        self.consumed += 1;
+        let flat = self.pass.flat();
+        self.pass
+            .step(&PulledLayer::load(&mut self.csr, flat, n, matrix));
         Ok(())
     }
 
     /// The confidence after the last consumed position. Reductions run in
-    /// the same ascending order as the one-shot pass.
+    /// the same ascending order as the one-shot pass. The layers this
+    /// session stepped are reported to `kernel.advance.layers` once, on
+    /// the first call after they were stepped.
     pub fn finish(&self) -> f64 {
-        count_layers(self.consumed);
-        let t = self.plan.transducer();
-        let nq = t.n_states();
-        let n_positions = self.consumed as usize + 1;
-        match &self.state {
-            ConfState::DetUniform { k, cur } => {
-                if self.overrun || self.o.len() != k * n_positions {
-                    return 0.0;
-                }
-                let mut total = Neumaier::new();
-                for node in 0..self.n_nodes {
-                    for q in 0..nq {
-                        if t.is_accepting(StateId(q as u32)) {
-                            total.add(cur[node * nq + q]);
-                        }
-                    }
-                }
-                total.total()
-            }
-            ConfState::Det { graph, cur } => {
-                let width = self.o.len() + 1;
-                let nr = graph.n_rows();
-                let mut total = Neumaier::new();
-                for node in 0..self.n_nodes {
-                    for q in 0..nq {
-                        if t.is_accepting(StateId(q as u32)) {
-                            total.add(cur[node * nr + q * width + self.o.len()]);
-                        }
-                    }
-                }
-                total.total()
-            }
-            ConfState::UniformNfa { k, layer } => {
-                if self.overrun || self.o.len() != k * n_positions {
-                    return 0.0;
-                }
-                let accepting = self.plan.accepting();
-                layer.reduce(|(_, set)| set.intersects(accepting))
-            }
-            ConfState::General { layer, .. } => {
-                let width = self.o.len() + 1;
-                layer.reduce(|(_, set)| {
-                    (0..nq).any(|q| {
-                        t.is_accepting(StateId(q as u32)) && set.contains(q * width + self.o.len())
-                    })
-                })
-            }
-        }
+        self.pass.confidence()
     }
 
     /// Suspends the session to a versioned blob; resume with
@@ -810,20 +614,109 @@ impl ConfidenceSession {
     pub fn checkpoint(&self) -> Vec<u8> {
         transmark_obs::counter!("checkpoint.saves").inc();
         transmark_obs::profile::instant("checkpoint.save");
-        let fp = confidence_fingerprint(&self.plan, &self.o);
-        let mut w = ByteWriter::envelope(CheckpointKind::Confidence, fp, self.consumed);
-        w.put_u32(self.n_nodes as u32);
-        w.put_u8(self.overrun as u8);
-        w.put_u8(self.state.tag());
-        match &self.state {
-            ConfState::DetUniform { cur, .. } | ConfState::Det { cur, .. } => {
-                write_f64s(&mut w, cur);
+        let p = &self.pass;
+        let fp = confidence_fingerprint(&p.plan, &p.o);
+        let mut w = ByteWriter::envelope(CheckpointKind::Confidence, fp, p.consumed);
+        w.put_u32(p.n_nodes as u32);
+        w.put_u8(p.overrun as u8);
+        w.put_u8(p.state.tag());
+        match &p.state {
+            ConfState::DetUniform { pass, .. } | ConfState::Det { pass } => {
+                write_f64s(&mut w, pass.cells());
             }
             ConfState::UniformNfa { layer, .. } | ConfState::General { layer, .. } => {
                 write_subset_layer(&mut w, layer);
             }
         }
         w.finish()
+    }
+}
+
+// ---------------------------------------------------------------------------
+// StreamSession — any streamed session behind one interface
+// ---------------------------------------------------------------------------
+
+/// One streamed query session of any kind, so a layer-driving loop (the
+/// server's stream sessions, `tmk stream`, the store's monitor, the
+/// engine's own series passes) is written once.
+pub enum StreamSession<'q> {
+    /// `Pr(S →[A^ω]→ o)`, known once the stream ends.
+    Confidence(ConfidenceSession),
+    /// The prefix series `Pr(S[1..t] ∈ L(A))`.
+    Event(EventSession),
+    /// The sliding-window series `Pr(S[t−w+1..t] ∈ L(A))`.
+    Window(WindowSession<'q>),
+}
+
+impl StreamSession<'_> {
+    /// Folds in the next row-major `|Σ|²` transition matrix.
+    pub fn advance(&mut self, matrix: &[f64]) -> Result<(), EngineError> {
+        match self {
+            StreamSession::Confidence(s) => s.step(matrix),
+            StreamSession::Event(s) => s.step(matrix),
+            StreamSession::Window(s) => s.step(matrix),
+        }
+    }
+
+    /// Whether the session reports a probability at every position (the
+    /// event and window series) rather than only at the end.
+    pub fn is_series(&self) -> bool {
+        !matches!(self, StreamSession::Confidence(_))
+    }
+
+    /// The current probability: the series value at the current
+    /// position, or the confidence as if the stream ended here
+    /// ([`ConfidenceSession::finish`]).
+    pub fn probability(&self) -> f64 {
+        match self {
+            StreamSession::Confidence(s) => s.finish(),
+            StreamSession::Event(s) => s.probability(),
+            StreamSession::Window(s) => s.probability(),
+        }
+    }
+
+    /// Transition matrices consumed so far.
+    pub fn position(&self) -> u64 {
+        match self {
+            StreamSession::Confidence(s) => s.position(),
+            StreamSession::Event(s) => s.position(),
+            StreamSession::Window(s) => s.position(),
+        }
+    }
+
+    /// Suspends the session to its kind's versioned checkpoint blob.
+    pub fn checkpoint(&self) -> Vec<u8> {
+        match self {
+            StreamSession::Confidence(s) => s.checkpoint(),
+            StreamSession::Event(s) => s.checkpoint(),
+            StreamSession::Window(s) => s.checkpoint(),
+        }
+    }
+
+    /// The one series driver: feeds every layer of a fresh `src` to the
+    /// session. With `series`, returns the probability at position 1 and
+    /// after every layer; otherwise only the final probability. In-memory
+    /// callers pass the zero-copy [`MarkovSequence::step_source`].
+    pub(crate) fn drain<S: StepSource>(
+        &mut self,
+        src: &mut S,
+        series: bool,
+    ) -> Result<Vec<f64>, EngineError> {
+        confidence::check_source_fresh(src)?;
+        let mut out = Vec::with_capacity(if series { src.len() } else { 1 });
+        if series {
+            out.push(self.probability());
+        }
+        while let Some(matrix) = src.next_step()? {
+            self.advance(matrix)?;
+            if series {
+                out.push(self.probability());
+            }
+        }
+        if !series {
+            out.push(self.probability());
+        }
+        Ok(out)
     }
 }
 
@@ -954,28 +847,13 @@ impl SlidingWindowQuery {
     /// is `Pr(S[max(1, t−w+1) .. t] ∈ L(A))` (prefix semantics until the
     /// window fills).
     pub fn series(&self, m: &MarkovSequence) -> Result<Vec<f64>, EngineError> {
-        confidence::check_nfa_alphabet(&self.nfa, m.n_symbols())?;
-        let mut sess = self.start(m.initial_dist())?;
-        let mut out = Vec::with_capacity(m.len());
-        out.push(sess.probability());
-        for i in 0..m.len() - 1 {
-            out.push(sess.advance(m.transition_matrix(i))?);
-        }
-        Ok(out)
+        self.series_source(&mut m.step_source())
     }
 
     /// [`SlidingWindowQuery::series`] over a streamed source — one
     /// forward pass, never rewinding.
     pub fn series_source<S: StepSource>(&self, src: &mut S) -> Result<Vec<f64>, EngineError> {
-        confidence::check_nfa_alphabet(&self.nfa, src.alphabet().len())?;
-        confidence::check_source_fresh(src)?;
-        let mut sess = self.start(src.initial())?;
-        let mut out = Vec::with_capacity(src.len());
-        out.push(sess.probability());
-        while let Some(matrix) = src.next_step()? {
-            out.push(sess.advance(matrix)?);
-        }
-        Ok(out)
+        StreamSession::Window(self.start(src.initial())?).drain(src, true)
     }
 
     /// The from-scratch oracle a slid window is compared against (tests,
@@ -1032,6 +910,12 @@ impl WindowSession<'_> {
     /// one operator composition — never a source rewind), fold in the new
     /// matrix, and return the updated probability.
     pub fn advance(&mut self, matrix: &[f64]) -> Result<f64, EngineError> {
+        self.step(matrix)?;
+        Ok(self.probability())
+    }
+
+    /// [`WindowSession::advance`] without the reduction.
+    pub(crate) fn step(&mut self, matrix: &[f64]) -> Result<(), EngineError> {
         let k = self.query.nfa.n_symbols();
         if matrix.len() != k * k {
             return Err(EngineError::AlphabetMismatch {
@@ -1066,7 +950,7 @@ impl WindowSession<'_> {
             transmark_obs::profile::instant("window.slide");
         }
         self.consumed += 1;
-        Ok(self.probability())
+        Ok(())
     }
 
     /// Suspends the session to a versioned blob; resume with

@@ -41,6 +41,7 @@ pub mod enumerate;
 pub mod error;
 pub mod evaluate;
 pub mod evidence;
+pub(crate) mod forward;
 pub mod generate;
 pub mod incremental;
 pub mod kernelize;
@@ -69,7 +70,7 @@ pub use evaluate::{ConfidenceCost, Evaluation, ScoredAnswer};
 pub use evidence::{enumerate_evidences, top_k_evidences, Evidence, Evidences};
 pub use incremental::{
     CheckpointKind, ConfidenceSession, EventSession, SlidingWindowQuery, StreamCheckpoint,
-    WindowSession,
+    StreamSession, WindowSession,
 };
 pub use plan::{
     choose_strategy, prepare, BoundQuery, BoundedCache, PlanExplain, PlanKind, PreparedEventQuery,

@@ -18,9 +18,13 @@
 //! 2. **bind** ([`PreparedQuery::bind`]): flatten one sequence's CSR
 //!    ([`SparseSteps`]) and allocate reusable workspaces.
 //! 3. **execute**: every pass of the engine, as a method on
-//!    [`BoundQuery`], running the *same* `*_impl` loops as the legacy free
-//!    functions over the cached artifacts — outputs are bit-for-bit
-//!    identical (pinned by the golden Table 1, oracle, and parity suites).
+//!    [`BoundQuery`]. Each forward route is one seed/step/finish pass
+//!    (see `crate::forward`) driven over the bind's steps; a
+//!    [`SourceBoundQuery`] drives the same pass over pulled layers and a
+//!    [`crate::incremental::ConfidenceSession`] one matrix at a time, so
+//!    every form agrees bit for bit (pinned by the golden Table 1,
+//!    oracle, and parity suites). The legacy free functions compile a
+//!    one-shot plan and call these methods.
 //!
 //! The machine side is immutable after compilation and `Send + Sync`, so
 //! one `Arc<PreparedQuery>` serves a whole fleet of threads (the store's
@@ -42,11 +46,11 @@ use rand::Rng;
 use transmark_automata::{BitSet, Nfa, SymbolId};
 pub use transmark_kernel::Strategy;
 use transmark_kernel::{
-    DenseSteps, ExecSteps, SharedSparseSteps, SharedStepGraph, StepGraph, Workspace,
+    Bool, DenseSteps, ExecSteps, MaxLog, SharedSparseSteps, SharedStepGraph, StepGraph, Workspace,
 };
 use transmark_markov::{MarkovSequence, StepSource};
 
-use crate::confidence::{self, check_inputs};
+use crate::confidence::{self, check_inputs, ConfidencePass};
 use crate::constraints::{constrain, PrefixConstraint};
 use crate::emax::{self, EmaxResult};
 use crate::enumerate::{
@@ -56,9 +60,9 @@ use crate::enumerate::{
 use crate::error::EngineError;
 use crate::evaluate::{ConfidenceCost, ScoredAnswer};
 use crate::evidence::{self, Evidence, Evidences};
+use crate::forward::{run_source, BoundLayer, FlatReduce, ForwardPass};
 use crate::kernelize::{output_step_graph, prefix_step_graph, state_step_graph};
 use crate::montecarlo::{self, McEstimate};
-use crate::streaming::EventMonitor;
 use crate::transducer::Transducer;
 
 /// The Table 2 route a prepared query executes — one variant per machine
@@ -196,25 +200,6 @@ pub(crate) fn record_strategy(s: Strategy) {
         Strategy::Scan => transmark_obs::counter!("planner.strategy.scan").inc(),
     }
     transmark_obs::profile::instant_detail("planner.strategy", s.label());
-}
-
-/// Runs `f` over the strategy-selected execution view of `m` — the shared
-/// entry point for the legacy free functions, which bind and evaluate in
-/// one call (the prepared path stores its choice in the [`BoundQuery`]).
-/// Under a dense choice no CSR is ever built.
-pub(crate) fn with_exec_steps<R>(m: &MarkovSequence, f: impl FnOnce(ExecSteps<'_>) -> R) -> R {
-    let chosen = choose_strategy(m);
-    record_strategy(chosen);
-    match chosen {
-        Strategy::Dense => {
-            let dense = m.dense_steps();
-            f(ExecSteps::Dense(&dense))
-        }
-        _ => {
-            let steps = m.sparse_steps();
-            f(ExecSteps::Sparse(&steps))
-        }
-    }
 }
 
 /// A bounded memo cache with LRU eviction and hit/miss accounting.
@@ -689,71 +674,71 @@ impl<'m> BoundQuery<'m> {
         self.steps.shared_csr(self.m)
     }
 
-    /// `Pr(S →[A^ω]→ o)` along the plan's Table 2 route (bit-identical to
-    /// [`crate::confidence::confidence`]).
-    pub fn confidence(&self, o: &[SymbolId]) -> Result<f64, EngineError> {
-        let _exec = ExecGuard::enter(&self.plan);
-        let t = &self.plan.t;
-        check_inputs(t, self.m, Some(o))?;
-        Ok(match self.plan.kind {
-            PlanKind::DeterministicUniform { k } => {
-                confidence::confidence_deterministic_uniform_impl(
-                    t,
-                    self.steps.exec(),
-                    self.plan.state_graph(),
-                    &mut self.ws_f.borrow_mut(),
-                    o,
-                    k,
-                    &mut |slice| self.plan.emission_id(slice),
-                )
-            }
-            PlanKind::Deterministic => confidence::confidence_deterministic_impl(
-                t,
-                self.steps.exec(),
-                &self.plan.output_graph(o),
-                &mut self.ws_f.borrow_mut(),
-                o.len(),
-            ),
-            PlanKind::UniformNfa { k } => confidence::confidence_uniform_nfa_impl(
-                t,
-                self.m,
-                self.plan.state_graph(),
-                self.plan.accepting(),
-                o,
-                k,
-                &mut |slice| self.plan.emission_id(slice),
-            ),
-            PlanKind::General | PlanKind::Sproj | PlanKind::SprojIndexed => {
-                confidence::confidence_general_impl(t, self.m, &self.plan.output_graph(o), o.len())
-            }
-        })
+    /// Drives a forward pass over every step of this bind.
+    fn run<P: ForwardPass>(&self, mut pass: P) -> P::Output {
+        let steps = self.steps.exec();
+        for i in 0..steps.n_steps() {
+            pass.step(&BoundLayer {
+                steps,
+                m: self.m,
+                i,
+            });
+        }
+        pass.finish()
     }
 
-    /// Whether `o` is an answer (bit-identical to
-    /// [`crate::confidence::is_answer`]).
+    /// `Pr(S →[A^ω]→ o)` along the plan's Table 2 route.
+    pub fn confidence(&self, o: &[SymbolId]) -> Result<f64, EngineError> {
+        self.confidence_via(self.plan.kind, o)
+    }
+
+    /// `Pr(S →[A^ω]→ o)` along an explicit `route` (the legacy
+    /// per-theorem entry points force theirs).
+    pub(crate) fn confidence_via(
+        &self,
+        route: PlanKind,
+        o: &[SymbolId],
+    ) -> Result<f64, EngineError> {
+        let _exec = ExecGuard::enter(&self.plan);
+        check_inputs(&self.plan.t, self.m, Some(o))?;
+        let mut ws = self.ws_f.borrow_mut();
+        let initial = self.m.initial_dist();
+        let plan = Arc::clone(&self.plan);
+        let len = Some(self.m.len());
+        Ok(self.run(ConfidencePass::seed(plan, route, &mut *ws, initial, o, len)))
+    }
+
+    /// Whether `o` is an answer: Boolean reachability over the output
+    /// graph.
     pub fn is_answer(&self, o: &[SymbolId]) -> Result<bool, EngineError> {
         let _exec = ExecGuard::enter(&self.plan);
         let t = &self.plan.t;
         check_inputs(t, self.m, Some(o))?;
-        Ok(confidence::is_answer_impl(
+        let mut ws = self.ws_b.borrow_mut();
+        let graph = self.plan.output_graph(o);
+        let initial = self.m.initial_dist();
+        Ok(self.run(FlatReduce::<Bool, _>::output(
             t,
-            self.steps.exec(),
-            &self.plan.output_graph(o),
-            &mut self.ws_b.borrow_mut(),
+            graph,
+            &mut *ws,
+            initial,
             o.len(),
-        ))
+        )))
     }
 
-    /// Whether the query has any answer (bit-identical to
-    /// [`crate::confidence::answer_exists`]).
+    /// Whether the query has any answer: Boolean reachability over the
+    /// state graph.
     pub fn answer_exists(&self) -> Result<bool, EngineError> {
         let _exec = ExecGuard::enter(&self.plan);
-        Ok(confidence::answer_exists_impl(
+        let mut ws = self.ws_b.borrow_mut();
+        let graph = Arc::clone(self.plan.state_graph());
+        let initial = self.m.initial_dist();
+        Ok(self.run(FlatReduce::<Bool, _>::states(
             &self.plan.t,
-            self.steps.exec(),
-            self.plan.state_graph(),
-            &mut self.ws_b.borrow_mut(),
-        ))
+            graph,
+            &mut *ws,
+            initial,
+        )))
     }
 
     /// The top answer by `E_max` (bit-identical to
@@ -767,18 +752,21 @@ impl<'m> BoundQuery<'m> {
         ))
     }
 
-    /// `ln E_max(o)` (bit-identical to [`crate::emax::emax_of_output`]).
+    /// `ln E_max(o)`: max-product over the output graph.
     pub fn emax_of_output(&self, o: &[SymbolId]) -> Result<f64, EngineError> {
         let _exec = ExecGuard::enter(&self.plan);
         let t = &self.plan.t;
         check_inputs(t, self.m, Some(o))?;
-        Ok(emax::emax_of_output_impl(
+        let mut ws = self.ws_f.borrow_mut();
+        let graph = self.plan.output_graph(o);
+        let initial = self.m.initial_dist();
+        Ok(self.run(FlatReduce::<MaxLog, _>::output(
             t,
-            self.steps.exec(),
-            &self.plan.output_graph(o),
-            &mut self.ws_f.borrow_mut(),
+            graph,
+            &mut *ws,
+            initial,
             o.len(),
-        ))
+        )))
     }
 
     /// Monte-Carlo confidence estimate (same sampling sequence as
@@ -919,22 +907,22 @@ impl<S: StepSource> SourceBoundQuery<S> {
     }
 
     /// `Pr(S →[A^ω]→ o)` along the plan's Table 2 route, streamed
-    /// (bit-identical to [`BoundQuery::confidence`]).
-    ///
-    /// Implemented by driving a [`crate::incremental::ConfidenceSession`]
-    /// — the same seed/step/finish machine checkpoint/resume runs on —
-    /// so one code path serves both the one-shot pass and suspendable
-    /// sessions. The session's per-layer arithmetic is the historical
-    /// streamed pass's, so results stay bit-identical.
+    /// (bit-identical to [`BoundQuery::confidence`]: the same
+    /// [`crate::confidence`] pass, fed pulled layers).
     pub fn confidence(&mut self, o: &[SymbolId]) -> Result<f64, EngineError> {
         let plan = Arc::clone(&self.plan);
         let _exec = ExecGuard::enter(&plan);
         confidence::check_source_inputs(&plan.t, &self.src, Some(o))?;
-        let mut sess = plan.begin_confidence(self.src.initial(), o)?;
-        while let Some(matrix) = self.src.next_step()? {
-            sess.step(matrix)?;
-        }
-        Ok(sess.finish())
+        let len = Some(self.src.len());
+        let pass = ConfidencePass::seed(
+            Arc::clone(&plan),
+            plan.kind,
+            &mut self.ws_f,
+            self.src.initial(),
+            o,
+            len,
+        );
+        run_source(&mut self.src, pass)
     }
 
     /// Whether `o` is an answer, streamed (bit-identical to
@@ -943,13 +931,15 @@ impl<S: StepSource> SourceBoundQuery<S> {
         let plan = Arc::clone(&self.plan);
         let _exec = ExecGuard::enter(&plan);
         confidence::check_source_inputs(&plan.t, &self.src, Some(o))?;
-        confidence::is_answer_source_impl(
+        let graph = plan.output_graph(o);
+        let pass = FlatReduce::<Bool, _>::output(
             &plan.t,
-            &mut self.src,
-            &plan.output_graph(o),
+            graph,
             &mut self.ws_b,
+            self.src.initial(),
             o.len(),
-        )
+        );
+        run_source(&mut self.src, pass)
     }
 
     /// Whether the query has any answer, streamed (bit-identical to
@@ -958,27 +948,28 @@ impl<S: StepSource> SourceBoundQuery<S> {
         let plan = Arc::clone(&self.plan);
         let _exec = ExecGuard::enter(&plan);
         confidence::check_source_fresh(&self.src)?;
-        confidence::answer_exists_source_impl(
-            &plan.t,
-            &mut self.src,
-            plan.state_graph(),
-            &mut self.ws_b,
-        )
+        let graph = Arc::clone(plan.state_graph());
+        let pass =
+            FlatReduce::<Bool, _>::states(&plan.t, graph, &mut self.ws_b, self.src.initial());
+        run_source(&mut self.src, pass)
     }
 
     /// `ln E_max(o)`, streamed (bit-identical to
-    /// [`BoundQuery::emax_of_output`]).
+    /// [`BoundQuery::emax_of_output`]). Unlike [`BoundQuery::top`], the
+    /// score of a fixed output needs no back-pointers, so it streams.
     pub fn emax_of_output(&mut self, o: &[SymbolId]) -> Result<f64, EngineError> {
         let plan = Arc::clone(&self.plan);
         let _exec = ExecGuard::enter(&plan);
         confidence::check_source_inputs(&plan.t, &self.src, Some(o))?;
-        emax::emax_of_output_source_impl(
+        let graph = plan.output_graph(o);
+        let pass = FlatReduce::<MaxLog, _>::output(
             &plan.t,
-            &mut self.src,
-            &plan.output_graph(o),
+            graph,
             &mut self.ws_f,
+            self.src.initial(),
             o.len(),
-        )
+        );
+        run_source(&mut self.src, pass)
     }
 
     /// Streamed Monte-Carlo confidence estimate: all samples advance one
@@ -1168,23 +1159,6 @@ impl PreparedEventQuery {
         }
     }
 
-    /// Starts a fresh streaming monitor over this query.
-    pub fn monitor(&self, initial: &[f64]) -> Result<EventMonitor, EngineError> {
-        EventMonitor::start(self.nfa.clone(), initial)
-    }
-
-    /// Replays a stored sequence through a fresh monitor (bit-identical to
-    /// [`crate::streaming::EventMonitor::replay`]).
-    pub fn replay(&self, m: &MarkovSequence) -> Result<Vec<f64>, EngineError> {
-        EventMonitor::replay(self.nfa.clone(), m)
-    }
-
-    /// `Pr(S ∈ L(A))` over a streamed source (bit-identical to
-    /// [`PreparedEventQuery::acceptance`] of the materialized sequence).
-    pub fn acceptance_source<S: StepSource>(&self, src: &mut S) -> Result<f64, EngineError> {
-        confidence::acceptance_probability_source(&self.nfa, src)
-    }
-
     /// The per-prefix probability series over a streamed source
     /// (bit-identical to [`PreparedEventQuery::series`]).
     pub fn series_source<S: StepSource>(&self, src: &mut S) -> Result<Vec<f64>, EngineError> {
@@ -1336,7 +1310,10 @@ mod tests {
         let b = crate::confidence::acceptance_probability(&nfa, &m).unwrap();
         assert_eq!(a.to_bits(), b.to_bits());
         let s1 = q.series(&m).unwrap();
-        let s2 = q.replay(&m).unwrap();
+        let s2 = crate::streaming::EventMonitor::replay(nfa, &m).unwrap();
         assert_eq!(s1.len(), s2.len());
+        for (x, y) in s1.iter().zip(&s2) {
+            assert_eq!(x.to_bits(), y.to_bits());
+        }
     }
 }

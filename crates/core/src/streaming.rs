@@ -13,12 +13,14 @@
 //!
 //! The monitor is a thin adapter over the incremental state machine: the
 //! session state (and the per-step arithmetic) lives in
-//! [`crate::incremental::EventSession`] — which itself runs
-//! `confidence::AcceptanceFold`, the same engine the batch and
-//! [`StepSource`]-driven acceptance passes run on — and the subset
-//! construction is the shared `transmark-automata` [`DetCore`]. Subset
-//! ids are interned in discovery order exactly as the batch passes intern
-//! them, so a monitor fed a stored sequence's matrices reproduces
+//! [`crate::incremental::EventSession`], whose fold runs the shared
+//! `transmark-automata` [`DetCore`] subset construction. There is one
+//! acceptance pass: `acceptance_probability`, the prefix series (in
+//! memory and `*_source`), [`EventMonitor::replay`] and
+//! [`EventMonitor::series_source`] all feed an `EventSession` through the
+//! one series driver (`StreamSession::drain`), in-memory sequences via
+//! their zero-copy [`MarkovSequence::step_source`]. A monitor fed a
+//! stored sequence's matrices therefore reproduces
 //! `prefix_acceptance_probabilities` bit for bit, and a monitor
 //! suspended with [`EventMonitor::checkpoint`] resumes bit-identically.
 //!
@@ -28,7 +30,7 @@ use transmark_automata::Nfa;
 use transmark_markov::{MarkovSequence, StepSource};
 
 use crate::error::EngineError;
-use crate::incremental::EventSession;
+use crate::incremental::{EventSession, StreamSession};
 
 /// An online monitor for `Pr(S[1..t] ∈ L(A))` over a Markov stream whose
 /// transition matrices arrive one step at a time.
@@ -90,27 +92,14 @@ impl EventMonitor {
     /// materialized sequence). Named `*_source` like every other streamed
     /// variant of a batch pass.
     pub fn series_source<S: StepSource>(nfa: Nfa, src: &mut S) -> Result<Vec<f64>, EngineError> {
-        crate::confidence::check_source_fresh(src)?;
-        let mut monitor = EventMonitor::start(nfa, src.initial())?;
-        let mut out = Vec::with_capacity(src.len());
-        out.push(monitor.probability());
-        while let Some(matrix) = src.next_step()? {
-            out.push(monitor.advance(matrix)?);
-        }
-        Ok(out)
+        StreamSession::Event(EventSession::start(nfa, src.initial())?).drain(src, true)
     }
 
     /// Convenience: replays a stored sequence through the monitor,
     /// returning the full probability series (equals
     /// [`crate::confidence::prefix_acceptance_probabilities`]).
     pub fn replay(nfa: Nfa, m: &MarkovSequence) -> Result<Vec<f64>, EngineError> {
-        let mut monitor = EventMonitor::start(nfa, m.initial_dist())?;
-        let mut out = Vec::with_capacity(m.len());
-        out.push(monitor.probability());
-        for i in 0..m.len() - 1 {
-            out.push(monitor.advance(m.transition_matrix(i))?);
-        }
-        Ok(out)
+        Self::series_source(nfa, &mut m.step_source())
     }
 }
 

@@ -357,3 +357,39 @@ fn profiled_execution_is_bit_neutral() {
     assert_eq!(e1.estimate.to_bits(), e2.estimate.to_bits());
     assert_eq!(e1.std_error.to_bits(), e2.std_error.to_bits());
 }
+
+/// A resumed confidence session reports only the layers it stepped
+/// itself, and only once: `finish()` may be called repeatedly (the
+/// server does on resumed streams) without re-counting, and the layers
+/// folded before the checkpoint — in another session, possibly another
+/// process — are not counted again.
+#[test]
+fn resumed_confidence_session_counts_only_its_own_layers() {
+    let _g = GLOBAL_METRICS.lock().unwrap_or_else(|e| e.into_inner());
+    let t = transmark_workloads::hospital::room_tracker();
+    let m = transmark_workloads::hospital::hospital_sequence();
+    let o = transmark_workloads::hospital::places(&["1", "2"]);
+    let plan = prepare(&t);
+    let (p, r) = (2usize, m.len() - 1 - 2);
+
+    let mut first = plan.begin_confidence(m.initial_dist(), &o).unwrap();
+    for i in 0..p {
+        first.step(m.transition_matrix(i)).unwrap();
+    }
+    let blob = first.checkpoint();
+
+    let base = transmark_obs::registry().snapshot();
+    let mut resumed = plan.resume_confidence(&o, &blob).unwrap();
+    assert_eq!(resumed.position(), p as u64);
+    for i in p..p + r {
+        resumed.step(m.transition_matrix(i)).unwrap();
+    }
+    let c1 = resumed.finish();
+    let c2 = resumed.finish();
+    assert_eq!(c1.to_bits(), c2.to_bits());
+    assert!((c1 - transmark_workloads::hospital::CONF_12).abs() < 1e-12);
+    let d = transmark_obs::registry().snapshot().diff(&base);
+    if transmark_obs::enabled() {
+        assert_eq!(d.counter("kernel.advance.layers"), r as u64);
+    }
+}

@@ -72,7 +72,8 @@ fn representations(m: &MarkovSequence) -> Vec<(&'static str, MarkovSequence)> {
 }
 
 /// Every evaluation mode under a forced-dense bind, compared bitwise
-/// against a forced-sparse bind of the same `(t, m)`.
+/// against a forced-sparse bind of the same `(t, m)`; the Boolean passes
+/// also against a streamed (`bind_source`) bind.
 fn assert_dense_matches_sparse_bitwise(t: &Transducer, m: &MarkovSequence, ctx: &str) {
     let plan = prepare(t);
     let sparse = plan
@@ -86,10 +87,19 @@ fn assert_dense_matches_sparse_bitwise(t: &Transducer, m: &MarkovSequence, ctx: 
     assert_eq!(sparse.explain().strategy, Some(Strategy::Sparse), "{ctx}");
     assert_eq!(dense.explain().strategy, Some(Strategy::Dense), "{ctx}");
 
+    // The streamed Boolean passes are the third input: a `bind_source`
+    // over the same sequence, rewound between passes.
+    let mut streamed = plan.bind_source(m.step_source()).expect("source bind");
+
     assert_eq!(
         sparse.answer_exists().unwrap(),
         dense.answer_exists().unwrap(),
         "{ctx}"
+    );
+    assert_eq!(
+        sparse.answer_exists().unwrap(),
+        streamed.answer_exists().unwrap(),
+        "{ctx}: streamed answer_exists"
     );
     assert_eq!(sparse.top().unwrap(), dense.top().unwrap(), "{ctx}");
 
@@ -114,6 +124,29 @@ fn assert_dense_matches_sparse_bitwise(t: &Transducer, m: &MarkovSequence, ctx: 
             dense.is_answer(o).unwrap(),
             "{ctx}"
         );
+        streamed.rewind().unwrap();
+        assert_eq!(
+            sparse.is_answer(o).unwrap(),
+            streamed.is_answer(o).unwrap(),
+            "{ctx}: streamed is_answer of {o:?}"
+        );
+        // A perturbed output (last symbol flipped) is usually not an
+        // answer, so both outcomes of the streamed pass are exercised.
+        if let Some((&last, head)) = o.split_last() {
+            let mut miss = head.to_vec();
+            miss.push(SymbolId(1 - last.0.min(1)));
+            streamed.rewind().unwrap();
+            assert_eq!(
+                sparse.is_answer(&miss).unwrap(),
+                streamed.is_answer(&miss).unwrap(),
+                "{ctx}: streamed is_answer of {miss:?}"
+            );
+            assert_eq!(
+                sparse.is_answer(&miss).unwrap(),
+                dense.is_answer(&miss).unwrap(),
+                "{ctx}: dense is_answer of {miss:?}"
+            );
+        }
     }
     // And the ranked route end to end.
     let ds: Vec<_> = dense.top_k_scored(4).unwrap();

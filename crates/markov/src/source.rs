@@ -212,16 +212,52 @@ impl<S: RewindableStepSource + ?Sized> RewindableStepSource for Box<S> {
 /// The in-memory source: a cursor over a borrowed [`MarkovSequence`].
 /// Yields each [`MarkovSequence::transition_matrix`] slice directly (no
 /// copy), so it is trivially bit-identical to the materialized path.
-#[derive(Debug, Clone)]
+///
+/// A pull here is a pointer offset, so the data-plane counters are fed in
+/// one batch — when the source is exhausted, rewound or dropped — rather
+/// than per step, where two atomic adds would be a measurable share of a
+/// cheap per-tick fold.
+#[derive(Debug)]
 pub struct SequenceSource<'a> {
     m: &'a MarkovSequence,
     pos: usize,
+    /// Steps yielded but not yet reported to the data-plane counters.
+    unreported: usize,
 }
 
 impl<'a> SequenceSource<'a> {
     /// A cursor positioned before step 0.
     pub fn new(m: &'a MarkovSequence) -> Self {
-        SequenceSource { m, pos: 0 }
+        SequenceSource {
+            m,
+            pos: 0,
+            unreported: 0,
+        }
+    }
+
+    fn report(&mut self) {
+        if self.unreported > 0 {
+            let k = self.m.n_symbols();
+            crate::obs::record_steps(std::mem::take(&mut self.unreported), k * k);
+        }
+    }
+}
+
+impl Clone for SequenceSource<'_> {
+    /// A cursor at the same position; the steps pulled so far stay the
+    /// original's to report.
+    fn clone(&self) -> Self {
+        SequenceSource {
+            m: self.m,
+            pos: self.pos,
+            unreported: 0,
+        }
+    }
+}
+
+impl Drop for SequenceSource<'_> {
+    fn drop(&mut self) {
+        self.report();
     }
 }
 
@@ -244,18 +280,19 @@ impl StepSource for SequenceSource<'_> {
 
     fn next_step(&mut self) -> Result<Option<&[f64]>, SourceError> {
         if self.pos + 1 >= self.m.len() {
+            self.report();
             return Ok(None);
         }
         let i = self.pos;
         self.pos += 1;
-        let m = self.m.transition_matrix(i);
-        crate::obs::record_step(m.len());
-        Ok(Some(m))
+        self.unreported += 1;
+        Ok(Some(self.m.transition_matrix(i)))
     }
 }
 
 impl RewindableStepSource for SequenceSource<'_> {
     fn rewind(&mut self) -> Result<(), SourceError> {
+        self.report();
         crate::obs::record_rewind();
         self.pos = 0;
         Ok(())

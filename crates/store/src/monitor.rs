@@ -24,7 +24,7 @@
 use std::path::PathBuf;
 
 use transmark_automata::Nfa;
-use transmark_core::incremental::{EventSession, SlidingWindowQuery, WindowSession};
+use transmark_core::incremental::{EventSession, SlidingWindowQuery, StreamSession};
 use transmark_markov::{MarkovSequence, StepSource};
 
 use crate::pool::resolve_threads;
@@ -78,34 +78,13 @@ impl StreamReport {
     }
 }
 
-/// A stream's in-flight session: the prefix fold or the sliding window.
-enum Session<'q> {
-    Event(EventSession),
-    Window(WindowSession<'q>),
-}
-
-impl Session<'_> {
-    fn probability(&self) -> f64 {
-        match self {
-            Session::Event(s) => s.probability(),
-            Session::Window(s) => s.probability(),
-        }
-    }
-
-    fn advance(&mut self, matrix: &[f64]) -> Result<f64, transmark_core::EngineError> {
-        match self {
-            Session::Event(s) => s.advance(matrix),
-            Session::Window(s) => s.advance(matrix),
-        }
-    }
-}
-
 /// One worker-owned stream mid-flight.
 struct Active<'q, S> {
     idx: usize,
     name: String,
     src: S,
-    sess: Session<'q>,
+    /// The prefix fold or the sliding window.
+    sess: StreamSession<'q>,
     series: Vec<f64>,
     done: bool,
 }
@@ -203,8 +182,8 @@ impl Monitor {
                             for idx in (wi..names.len()).step_by(n_threads) {
                                 let src = open(idx)?;
                                 let sess = match window_query {
-                                    Some(q) => Session::Window(q.start(src.initial())?),
-                                    None => Session::Event(EventSession::start(
+                                    Some(q) => StreamSession::Window(q.start(src.initial())?),
+                                    None => StreamSession::Event(EventSession::start(
                                         nfa.clone(),
                                         src.initial(),
                                     )?),
@@ -228,7 +207,8 @@ impl Monitor {
                                             StoreError::Io(format!("{}: {e}", a.name))
                                         })? {
                                             Some(matrix) => {
-                                                a.series.push(a.sess.advance(matrix)?);
+                                                a.sess.advance(matrix)?;
+                                                a.series.push(a.sess.probability());
                                                 ticks += 1;
                                             }
                                             None => {

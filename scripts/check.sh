@@ -218,6 +218,13 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo build --release"
 cargo build --release
 
+# examples/benchmark is a package of its own, outside the workspace
+# members, so nothing above compiles it; a public-API change could break
+# the repository benchmark unnoticed. Compile-only: running it is the
+# benchmark's job.
+echo "==> cargo build --release (examples/benchmark)"
+cargo build --release --offline --manifest-path examples/benchmark/Cargo.toml
+
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 

@@ -421,8 +421,8 @@ fn read_tmsb_bytes(path: &str) -> Result<Vec<u8>, CliError> {
 }
 
 /// The incremental `tmk stream` path: a checkpointable session folding
-/// one layer at a time — plain acceptance ([`EventSession`]) or a
-/// sliding window ([`WindowSession`]) — with suspend (`--checkpoint-at`/
+/// one layer at a time — plain acceptance or a sliding window, as a core
+/// `StreamSession` — with suspend (`--checkpoint-at`/
 /// `--checkpoint-out`) and resume (`--resume`) at any step boundary.
 /// The checkpoint file holds the core session's versioned blob verbatim.
 fn run_incremental_stream<S: transmark_markov::StepSource>(
@@ -434,51 +434,20 @@ fn run_incremental_stream<S: transmark_markov::StepSource>(
     checkpoint_out: Option<&str>,
     resume_blob: Option<&[u8]>,
 ) -> Result<(), CliError> {
-    use transmark_core::incremental::{EventSession, SlidingWindowQuery, WindowSession};
-
-    enum Sess<'q> {
-        Event(EventSession),
-        Window(WindowSession<'q>),
-    }
-    impl Sess<'_> {
-        fn probability(&self) -> f64 {
-            match self {
-                Sess::Event(s) => s.probability(),
-                Sess::Window(s) => s.probability(),
-            }
-        }
-        fn position(&self) -> u64 {
-            match self {
-                Sess::Event(s) => s.position(),
-                Sess::Window(s) => s.position(),
-            }
-        }
-        fn advance(&mut self, m: &[f64]) -> Result<f64, transmark_core::error::EngineError> {
-            match self {
-                Sess::Event(s) => s.advance(m),
-                Sess::Window(s) => s.advance(m),
-            }
-        }
-        fn checkpoint(&self) -> Vec<u8> {
-            match self {
-                Sess::Event(s) => s.checkpoint(),
-                Sess::Window(s) => s.checkpoint(),
-            }
-        }
-    }
+    use transmark_core::incremental::{EventSession, SlidingWindowQuery, StreamSession};
 
     let wq_storage;
     let mut sess = match window {
         Some(w) => {
             wq_storage = SlidingWindowQuery::new(nfa, w)?;
             match resume_blob {
-                Some(b) => Sess::Window(wq_storage.resume(b)?),
-                None => Sess::Window(wq_storage.start(src.initial())?),
+                Some(b) => StreamSession::Window(wq_storage.resume(b)?),
+                None => StreamSession::Window(wq_storage.start(src.initial())?),
             }
         }
         None => match resume_blob {
-            Some(b) => Sess::Event(EventSession::resume(nfa, b)?),
-            None => Sess::Event(EventSession::start(nfa, src.initial())?),
+            Some(b) => StreamSession::Event(EventSession::resume(nfa, b)?),
+            None => StreamSession::Event(EventSession::start(nfa, src.initial())?),
         },
     };
 
@@ -516,8 +485,8 @@ fn run_incremental_stream<S: transmark_markov::StepSource>(
         }
         match src.next_step()? {
             Some(m) => {
-                let p = sess.advance(m)?;
-                let _ = writeln!(out, "t={:<6} {p}", sess.position() + 1);
+                sess.advance(m)?;
+                let _ = writeln!(out, "t={:<6} {}", sess.position() + 1, sess.probability());
             }
             None => return Ok(()),
         }

@@ -19,9 +19,8 @@
 //! bounded queue
 //! (typed [`ERR_SATURATED`](protocol::ERR_SATURATED) at the door);
 //! per-tenant fairness is an in-flight quota keyed by the HELLO tenant
-//! name. Streamed `.tmsb` sessions drive an incremental core session
-//! ([`ConfidenceSession`], [`EventSession`],
-//! [`WindowSession`](transmark_core::incremental::WindowSession)) layer
+//! name. Streamed `.tmsb` sessions drive an incremental core
+//! [`StreamSession`] (confidence, event series or sliding window) layer
 //! by layer with stop-and-wait backpressure — server memory stays
 //! O(|Σ|² + one chunk) no matter how long the sequence is — and the
 //! client can suspend any session to an opaque checkpoint blob
@@ -40,9 +39,7 @@ use std::sync::{Arc, Mutex};
 use transmark_automata::SymbolId;
 use transmark_core::error::EngineError;
 use transmark_core::evaluate::Evaluation;
-use transmark_core::incremental::{
-    ConfidenceSession, EventSession, SlidingWindowQuery, WindowSession,
-};
+use transmark_core::incremental::{EventSession, SlidingWindowQuery, StreamSession};
 use transmark_core::transducer::Transducer;
 use transmark_markov::binio::{read_prelude, RawLayerReader};
 use transmark_markov::{MarkovSequence, SourceError};
@@ -1113,49 +1110,11 @@ fn parse_serve_checkpoint(kind: u8, blob: &[u8]) -> Result<ServeCheckpoint, (u16
     })
 }
 
-/// One incremental session per streamed kind, so the layer-drive loop
-/// below is written once. `advance` returns the value (if any) to append
-/// to the result series.
-enum Sess<'q> {
-    Conf(ConfidenceSession),
-    Series(EventSession),
-    Window(WindowSession<'q>),
-}
-
-impl Sess<'_> {
-    fn advance(&mut self, matrix: &[f64]) -> Result<Option<f64>, EngineError> {
-        match self {
-            Sess::Conf(s) => s.step(matrix).map(|()| None),
-            Sess::Series(s) => s.advance(matrix).map(Some),
-            Sess::Window(s) => s.advance(matrix).map(Some),
-        }
-    }
-
-    fn checkpoint(&self) -> Vec<u8> {
-        match self {
-            Sess::Conf(s) => s.checkpoint(),
-            Sess::Series(s) => s.checkpoint(),
-            Sess::Window(s) => s.checkpoint(),
-        }
-    }
-
-    /// Series kinds report the position-0 probability before any layer
-    /// is consumed (matching `series`/`series_source` shape).
-    fn initial_probability(&self) -> Option<f64> {
-        match self {
-            Sess::Conf(_) => None,
-            Sess::Series(s) => Some(s.probability()),
-            Sess::Window(s) => Some(s.probability()),
-        }
-    }
-}
-
 /// Runs one streamed query over the session's byte stream as an
 /// incremental state machine: `.tmsb` prelude negotiation comes from
 /// [`read_prelude`]/[`RawLayerReader`], so version and stride/truncation
 /// typing still belong to the binio layer, while every decoded layer is
-/// fed to a core session (`ConfidenceSession` / `EventSession` /
-/// `WindowSession`). Between any two layers — including mid-layer, since
+/// fed to a core [`StreamSession`]. Between any two layers — including mid-layer, since
 /// the raw reader's partial fill survives the interrupting marker error —
 /// the client may swap a DATA frame for [`OP_STREAM_CHECKPOINT`] and get
 /// the suspended session back as an opaque blob; presenting that blob
@@ -1205,24 +1164,28 @@ fn run_stream_query<R: Read, W: Write>(
                 let raw = RawLayerReader::new(&prelude).map_err(|e| source_err(&e))?;
                 let dims = (prelude.alphabet().len(), prelude.len());
                 let sess = match kind {
-                    KIND_CONFIDENCE => Sess::Conf(
+                    KIND_CONFIDENCE => StreamSession::Confidence(
                         plan.as_ref()
                             .expect("plan prepared for confidence kind")
                             .begin_confidence(prelude.initial(), &o)
                             .map_err(query_err)?,
                     ),
-                    KIND_SERIES => Sess::Series(
+                    KIND_SERIES => StreamSession::Event(
                         EventSession::start(t.underlying_nfa(), prelude.initial())
                             .map_err(query_err)?,
                     ),
-                    _ => Sess::Window(
+                    _ => StreamSession::Window(
                         wq.expect("window query built for window kind")
                             .start(prelude.initial())
                             .map_err(query_err)?,
                     ),
                 };
+                // Series kinds report the position-0 probability before
+                // any layer is consumed (matching `series_source`).
                 let mut series = Vec::new();
-                series.extend(sess.initial_probability());
+                if sess.is_series() {
+                    series.push(sess.probability());
+                }
                 (sess, raw, series, dims)
             }
             Some(blob) => {
@@ -1231,17 +1194,17 @@ fn run_stream_query<R: Read, W: Write>(
                 // recorded in the envelope rather than re-read.
                 let env = parse_serve_checkpoint(kind, blob)?;
                 let sess = match kind {
-                    KIND_CONFIDENCE => Sess::Conf(
+                    KIND_CONFIDENCE => StreamSession::Confidence(
                         plan.as_ref()
                             .expect("plan prepared for confidence kind")
                             .resume_confidence(&o, &env.core)
                             .map_err(checkpoint_err)?,
                     ),
-                    KIND_SERIES => Sess::Series(
+                    KIND_SERIES => StreamSession::Event(
                         EventSession::resume(t.underlying_nfa(), &env.core)
                             .map_err(checkpoint_err)?,
                     ),
-                    _ => Sess::Window(
+                    _ => StreamSession::Window(
                         wq.expect("window query built for window kind")
                             .resume(&env.core)
                             .map_err(checkpoint_err)?,
@@ -1269,8 +1232,9 @@ fn run_stream_query<R: Read, W: Write>(
         loop {
             match raw.next_layer(src) {
                 Ok(Some(matrix)) => {
-                    if let Some(p) = sess.advance(matrix).map_err(query_err)? {
-                        series.push(p);
+                    sess.advance(matrix).map_err(query_err)?;
+                    if sess.is_series() {
+                        series.push(sess.probability());
                     }
                 }
                 Ok(None) => break,
@@ -1299,16 +1263,17 @@ fn run_stream_query<R: Read, W: Write>(
             }
         }
 
-        match sess {
-            Sess::Conf(s) => Ok((RESULT_CONFIDENCE, PayloadBuilder::new().f64(s.finish()))),
-            Sess::Series(_) | Sess::Window(_) => {
-                let mut b = PayloadBuilder::new().u64(series.len() as u64);
-                for v in &series {
-                    b = b.f64(*v);
-                }
-                Ok((RESULT_SERIES, b))
-            }
+        if !sess.is_series() {
+            return Ok((
+                RESULT_CONFIDENCE,
+                PayloadBuilder::new().f64(sess.probability()),
+            ));
         }
+        let mut b = PayloadBuilder::new().u64(series.len() as u64);
+        for v in &series {
+            b = b.f64(*v);
+        }
+        Ok((RESULT_SERIES, b))
     };
 
     let need_profile = with_profile || trace_id != 0 || ctx.slow_ms.is_some();
