@@ -73,9 +73,12 @@ pub(crate) fn top_by_emax_impl(
     let sz = n_nodes * nq;
     let idx = |node: usize, q: usize| node * nq + q;
 
+    // One flat back-pointer buffer (layer i at `i·sz..`) and two score
+    // layers swapped per step: the pass allocates once.
     let mut score = vec![f64::NEG_INFINITY; sz];
-    let mut backs: Vec<Vec<BackEdge>> = Vec::with_capacity(n);
-    let mut first_back = vec![BackEdge::NONE; sz];
+    let mut next = vec![f64::NEG_INFINITY; sz];
+    let mut backs = vec![BackEdge::NONE; n * sz];
+    let (first_back, rest) = backs.split_at_mut(sz);
 
     for &(node, p) in steps.initial() {
         let lp = p.ln();
@@ -90,14 +93,11 @@ pub(crate) fn top_by_emax_impl(
             }
         }
     }
-    backs.push(first_back);
 
-    for i in 0..n - 1 {
-        let mut next = vec![f64::NEG_INFINITY; sz];
-        let mut back = vec![BackEdge::NONE; sz];
-        steps.advance_tracked(i, graph, &score, &mut next, &mut back);
-        score = next;
-        backs.push(back);
+    for (i, back) in rest.chunks_exact_mut(sz).enumerate() {
+        next.fill(f64::NEG_INFINITY);
+        steps.advance_tracked(i, graph, &score, &mut next, back);
+        std::mem::swap(&mut score, &mut next);
     }
     count_layers((n - 1) as u64);
 
@@ -118,7 +118,7 @@ pub(crate) fn top_by_emax_impl(
     // A back-pointer's `prev` is the flat source cell `node * nq + q`.
     let mut evidence_rev: Vec<SymbolId> = Vec::with_capacity(n);
     let mut emissions_rev: Vec<u32> = Vec::with_capacity(n);
-    for layer in backs.iter().rev() {
+    for layer in backs.chunks_exact(sz).rev() {
         let b = layer[idx(node, q)];
         evidence_rev.push(SymbolId(node as u32));
         emissions_rev.push(b.payload);

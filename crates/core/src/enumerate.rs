@@ -287,7 +287,9 @@ pub struct EmaxEnumeration<'a> {
 }
 
 impl EmaxEnumeration<'_> {
-    /// Number of pending subspaces in the Lawler–Murty frontier.
+    /// Number of probed subspaces waiting in the Lawler–Murty frontier
+    /// (the last emitted answer's subspaces are probed by the next call,
+    /// so they are not counted yet).
     pub fn frontier_len(&self) -> usize {
         self.inner.frontier_len()
     }

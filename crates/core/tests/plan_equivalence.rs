@@ -306,3 +306,24 @@ fn concurrent_binds_agree_bitwise() {
         assert!((f64::from_bits(emax_bits).exp() - emax).abs() < TOL);
     }
 }
+
+/// The Theorem 4.3 enumeration probes a subspace only when the next
+/// answer is asked for: the top-1 compiles the root constraint product
+/// and nothing else, and each further answer adds the products of the
+/// previous answer's subspaces.
+#[test]
+fn top_1_probes_only_the_root_subspace() {
+    use transmark_workloads::hospital::{hospital_sequence, places, room_tracker};
+    let t = room_tracker();
+    let m = hospital_sequence();
+
+    let plan = prepare(&t);
+    let top = plan.bind(&m).unwrap().top_k_scored(1).unwrap();
+    assert_eq!(top[0].output, places(&["1", "2"]));
+    assert_eq!(plan.explain().cached_constraint_products, 1);
+
+    let plan = prepare(&t);
+    let top3 = plan.bind(&m).unwrap().top_k_scored(3).unwrap();
+    assert_eq!(top3[0], top[0]);
+    assert!(plan.explain().cached_constraint_products > 1);
+}

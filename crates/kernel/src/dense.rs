@@ -19,16 +19,23 @@
 //! once ([`mul_row_f64`], AVX2 on x86-64 with a scalar fallback chosen at
 //! runtime — see [`crate::exec::simd_enabled`]). The scatter along
 //! machine edges stays scalar in source order, which is what pins the
-//! accumulation sequence. Max-log and Boolean advances use the scalar
-//! stage unconditionally (`ln` and `bool` have no profitable lane form).
+//! accumulation sequence. Boolean and untracked max-log advances use the
+//! scalar stage (`bool` and `ln` have no profitable lane form).
+//!
+//! The tracked (Viterbi) driver stages per node instead of per row: each
+//! node's log row (`ln p` for its `p > 0` targets) is computed once, at
+//! the node's first live machine row, and reused for every live row of
+//! that node — the same `ln` of the same `p`, so the result is
+//! bit-identical to taking it per edge (see [`crate::dp::advance_tracked`]).
 
-use crate::dp::BackEdge;
+use crate::dp::{relax_tracked, BackEdge};
 use crate::semiring::Semiring;
 use crate::step_graph::StepGraph;
 
 /// Rows staged through the lane multiply at most this wide; wider
 /// alphabets (rare — `|Σ|` is a sensor/node vocabulary) fall back to the
-/// inline scalar loop, which is still bit-identical.
+/// inline scalar loop, which is still bit-identical. The tracked drivers
+/// stage log rows in chunks of this many targets.
 pub const STAGE_CAP: usize = 64;
 
 /// The dense counterpart of [`crate::SparseSteps`]: a borrowed view of
@@ -264,9 +271,9 @@ pub fn advance_dense_filtered<S: Semiring>(
     }
 }
 
-/// [`crate::dp::advance_tracked`] over a dense layer: strict-`>`
-/// first-wins updates, identical back-pointer choices. `ln` has no lane
-/// form, so this driver is scalar throughout.
+/// [`crate::dp::advance_tracked`] over a dense layer: the same per-node
+/// log-row staging, strict-`>` first-wins updates, identical back-pointer
+/// choices.
 pub fn advance_dense_tracked(
     layer: &DenseLayer<'_>,
     graph: &StepGraph,
@@ -274,29 +281,30 @@ pub fn advance_dense_tracked(
     next: &mut [f64],
     back: &mut [BackEdge],
 ) {
-    let k = layer.k;
     let nr = graph.n_rows();
-    for node in 0..k {
+    let mut stage = [0.0f64; STAGE_CAP];
+    for node in 0..layer.k {
         let base = node * nr;
-        let prow = layer.row(node);
-        for row in 0..nr {
-            let v = cur[base + row];
-            if v == f64::NEG_INFINITY {
-                continue;
-            }
-            for (to, &p) in prow.iter().enumerate() {
-                if p > 0.0 {
-                    let cand = v + p.ln();
-                    let to_base = to * nr;
-                    for e in graph.edges(to as u32, row as u32) {
-                        let cell = to_base + e.to as usize;
-                        if cand > next[cell] {
-                            next[cell] = cand;
-                            back[cell] = BackEdge {
-                                prev: (base + row) as u32,
-                                payload: e.payload,
-                            };
+        for (c, chunk) in layer.row(node).chunks(STAGE_CAP).enumerate() {
+            let offset = c * STAGE_CAP;
+            let mut staged = false;
+            for row in 0..nr {
+                let v = cur[base + row];
+                if v == f64::NEG_INFINITY {
+                    continue;
+                }
+                if !staged {
+                    for (lp, &p) in stage.iter_mut().zip(chunk) {
+                        if p > 0.0 {
+                            *lp = p.ln();
                         }
+                    }
+                    staged = true;
+                }
+                let prev = (base + row) as u32;
+                for (j, (&p, &lp)) in chunk.iter().zip(&stage).enumerate() {
+                    if p > 0.0 {
+                        relax_tracked(graph, offset + j, row, prev, v + lp, next, back);
                     }
                 }
             }
@@ -323,6 +331,18 @@ mod tests {
             0.125, 0.125, 0.25, 0.5,
             0.0, 1.0, 0.0, 0.0,
         ];
+        let steps = csr(k, &initial, &matrix);
+        let mut g = StepGraph::builder(k, 2);
+        for sym in 0..k as u32 {
+            g.add_edge(sym, 0, sym % 2, sym);
+            g.add_edge(sym, 0, 1, sym + 10);
+            g.add_edge(sym, 1, 0, sym);
+        }
+        (initial, matrix, steps, g.build())
+    }
+
+    /// The one-step CSR of a dense `k × k` layer (zeros dropped).
+    fn csr(k: usize, initial: &[f64], matrix: &[f64]) -> SparseSteps {
         let mut b = SparseSteps::builder(k, 1);
         for (s, &p) in initial.iter().enumerate() {
             if p > 0.0 {
@@ -337,14 +357,7 @@ mod tests {
             }
             b.finish_row();
         }
-        let steps = b.build();
-        let mut g = StepGraph::builder(k, 2);
-        for sym in 0..k as u32 {
-            g.add_edge(sym, 0, sym % 2, sym);
-            g.add_edge(sym, 0, 1, sym + 10);
-            g.add_edge(sym, 1, 0, sym);
-        }
-        (initial, matrix, steps, g.build())
+        b.build()
     }
 
     fn seed(initial: &[f64], nr: usize) -> Vec<f64> {
@@ -425,6 +438,111 @@ mod tests {
         }
         for (a, b) in sback.iter().zip(dback.iter()) {
             assert_eq!((a.prev, a.payload), (b.prev, b.payload));
+        }
+    }
+
+    /// The tracked advance with one `ln` per (live row × transition):
+    /// the loop both tracked drivers must reproduce bit for bit.
+    fn naive_tracked(
+        k: usize,
+        matrix: &[f64],
+        graph: &StepGraph,
+        cur: &[f64],
+        next: &mut [f64],
+        back: &mut [BackEdge],
+    ) {
+        let nr = graph.n_rows();
+        for node in 0..k {
+            let base = node * nr;
+            for row in 0..nr {
+                let v = cur[base + row];
+                if v == f64::NEG_INFINITY {
+                    continue;
+                }
+                for (to, &p) in matrix[node * k..(node + 1) * k].iter().enumerate() {
+                    if p > 0.0 {
+                        let cand = v + p.ln();
+                        let to_base = to * nr;
+                        for e in graph.edges(to as u32, row as u32) {
+                            let cell = to_base + e.to as usize;
+                            if cand > next[cell] {
+                                next[cell] = cand;
+                                back[cell] = BackEdge {
+                                    prev: (base + row) as u32,
+                                    payload: e.payload,
+                                };
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn tracked_drivers_match_per_edge_ln_bitwise() {
+        // Probabilities and scores come from small sets, so many
+        // candidates tie; k = 70 stages its rows in two chunks.
+        for k in [5usize, 70] {
+            let nr = 4;
+            let probs = [0.0, 0.25, 0.5, 0.25, 0.0, 0.125];
+            let matrix: Vec<f64> = (0..k * k)
+                .map(|i| probs[(i / k * 7 + i % k * 3) % probs.len()])
+                .collect();
+            let steps = csr(k, &vec![1.0; k], &matrix);
+            let mut g = StepGraph::builder(k, nr);
+            for sym in 0..k as u32 {
+                for row in 0..nr as u32 {
+                    g.add_edge(sym, row, (row + sym) % nr as u32, 3 * sym + row);
+                    g.add_edge(sym, row, (row + 1) % nr as u32, 3 * sym + row + 1);
+                    g.add_edge(sym, row, 0, sym);
+                }
+            }
+            let graph = g.build();
+            let scores = [-1.0, -0.5, -1.0, f64::NEG_INFINITY, -0.5, -2.0];
+            // Three of every node's four rows are live.
+            let cur: Vec<f64> = (0..k * nr)
+                .map(|i| {
+                    if i % nr == (i / nr) % nr {
+                        f64::NEG_INFINITY
+                    } else {
+                        scores[i % 4]
+                    }
+                })
+                .collect();
+
+            let mut want = vec![f64::NEG_INFINITY; cur.len()];
+            let mut want_back = vec![BackEdge::NONE; cur.len()];
+            naive_tracked(k, &matrix, &graph, &cur, &mut want, &mut want_back);
+            assert!(want.iter().any(|v| v.is_finite()));
+
+            let mut sn = vec![f64::NEG_INFINITY; cur.len()];
+            let mut sback = vec![BackEdge::NONE; cur.len()];
+            advance_tracked(&steps.at(0), &graph, &cur, &mut sn, &mut sback);
+            let mut dn = vec![f64::NEG_INFINITY; cur.len()];
+            let mut dback = vec![BackEdge::NONE; cur.len()];
+            advance_dense_tracked(
+                &DenseLayer::new(k, &matrix),
+                &graph,
+                &cur,
+                &mut dn,
+                &mut dback,
+            );
+            for got in [(&sn, &sback), (&dn, &dback)] {
+                for cell in 0..cur.len() {
+                    assert_eq!(
+                        got.0[cell].to_bits(),
+                        want[cell].to_bits(),
+                        "k {k} cell {cell}"
+                    );
+                    let (b, w) = (got.1[cell], want_back[cell]);
+                    assert_eq!(
+                        (b.prev, b.payload),
+                        (w.prev, w.payload),
+                        "k {k} cell {cell}"
+                    );
+                }
+            }
         }
     }
 

@@ -34,6 +34,7 @@
 //! worker count the scan result is itself deterministic — chunk shapes
 //! are a pure function of `(n, threads)`, never of scheduling.
 
+use crate::dense::STAGE_CAP;
 use crate::semiring::Semiring;
 use crate::step_graph::StepGraph;
 use crate::steps::StepRows;
@@ -135,6 +136,15 @@ impl BackEdge {
 /// predecessor — the tie-breaking the traceback-based passes relied on.
 /// `next` must be filled with `-∞` and `back` may hold arbitrary entries
 /// (a cell's entry is meaningful only if its score is finite).
+///
+/// A transition's log-potential `ln p` does not depend on the machine
+/// row, so each source node's log row is staged once, at its first live
+/// row, and reused for every live row of that node: a layer takes at most
+/// nnz logarithms instead of one per (live row × transition). Rows wider
+/// than [`STAGE_CAP`] are staged `STAGE_CAP` targets at a time; a chunk's
+/// targets reach cells no other chunk reaches, so every cell still sees
+/// its candidates in the original order, with the same `ln` of the same
+/// `p` and the same add — scores and back-pointers are bit-identical.
 pub fn advance_tracked<R: StepRows>(
     steps: &R,
     graph: &StepGraph,
@@ -143,27 +153,53 @@ pub fn advance_tracked<R: StepRows>(
     back: &mut [BackEdge],
 ) {
     let nr = graph.n_rows();
+    let mut stage = [0.0f64; STAGE_CAP];
     for node in 0..steps.n_nodes() {
         let base = node * nr;
-        for row in 0..nr {
-            let v = cur[base + row];
-            if v == f64::NEG_INFINITY {
-                continue;
-            }
-            for &(to, p) in steps.row(node) {
-                let cand = v + p.ln();
-                let to_base = to as usize * nr;
-                for e in graph.edges(to, row as u32) {
-                    let cell = to_base + e.to as usize;
-                    if cand > next[cell] {
-                        next[cell] = cand;
-                        back[cell] = BackEdge {
-                            prev: (base + row) as u32,
-                            payload: e.payload,
-                        };
+        for chunk in steps.row(node).chunks(STAGE_CAP) {
+            let mut staged = false;
+            for row in 0..nr {
+                let v = cur[base + row];
+                if v == f64::NEG_INFINITY {
+                    continue;
+                }
+                if !staged {
+                    for (lp, &(_, p)) in stage.iter_mut().zip(chunk) {
+                        *lp = p.ln();
                     }
+                    staged = true;
+                }
+                let prev = (base + row) as u32;
+                for (&(to, _), &lp) in chunk.iter().zip(&stage) {
+                    relax_tracked(graph, to as usize, row, prev, v + lp, next, back);
                 }
             }
+        }
+    }
+}
+
+/// The tracked drivers' update: offers `cand`, reached from flat cell
+/// `prev`, to every cell the machine edges out of `row` on symbol `to`
+/// lead to, keeping the first strict maximum.
+#[inline(always)]
+pub(crate) fn relax_tracked(
+    graph: &StepGraph,
+    to: usize,
+    row: usize,
+    prev: u32,
+    cand: f64,
+    next: &mut [f64],
+    back: &mut [BackEdge],
+) {
+    let to_base = to * graph.n_rows();
+    for e in graph.edges(to as u32, row as u32) {
+        let cell = to_base + e.to as usize;
+        if cand > next[cell] {
+            next[cell] = cand;
+            back[cell] = BackEdge {
+                prev,
+                payload: e.payload,
+            };
         }
     }
 }

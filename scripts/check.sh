@@ -55,6 +55,15 @@ serve_smoke() {
     *"confidence = 0.403800"*) ;;
     *) echo "serve smoke: top query failed: $got" >&2; return 1 ;;
   esac
+  # The served top-3 matches the in-process ranking line for line:
+  # answers, order, E_max and confidence.
+  got=$("$tmk" client "$addr" top "$dir/room_tracker.tmt" "$dir/hospital.tms" --k 3)
+  want=$("$tmk" top "$dir/hospital.tms" "$dir/room_tracker.tmt" --k 3)
+  if [ "$got" != "$want" ] || [ "$(printf '%s\n' "$got" | wc -l)" -ne 3 ]; then
+    echo "serve smoke: served top-3 differs from local:" >&2
+    printf '%s\n--- local:\n%s\n' "$got" "$want" >&2
+    return 1
+  fi
   # The same confidence over a chunked stream session, bit-identical to
   # the in-process answer.
   got=$("$tmk" client "$addr" stream "$dir/room_tracker.tmt" "$dir/hospital.tmsb" 1 2 --chunk 16)
