@@ -18,6 +18,7 @@ use std::hint::black_box;
 use transmark_bench::{instance_with_answer, sproj_instance};
 use transmark_core::confidence::{confidence_deterministic, confidence_general};
 use transmark_core::generate::TransducerClass;
+use transmark_core::prepare;
 use transmark_core::transducer::Transducer;
 use transmark_sproj::compile::to_transducer;
 use transmark_sproj::{enumerate_by_imax_lawler, enumerate_indexed, sproj_confidence};
@@ -108,7 +109,11 @@ fn bench_top_answer_route(c: &mut Criterion) {
             })
         });
         g.bench_with_input(BenchmarkId::new("emax_on_compiled_thm43", n), &n, |b, _| {
-            b.iter(|| transmark_core::emax::top_by_emax(black_box(&compiled), black_box(&m)))
+            b.iter(|| {
+                prepare(black_box(&compiled))
+                    .bind(black_box(&m))
+                    .and_then(|b| b.top())
+            })
         });
     }
     g.finish();

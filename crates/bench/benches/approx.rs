@@ -8,7 +8,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
-use transmark_core::emax::top_by_emax;
+use transmark_core::prepare;
 use transmark_sproj::indexed::enumerate_indexed;
 use transmark_workloads::gadgets::{emax_gap, imax_gap};
 use transmark_workloads::hospital::{hospital_sequence, places, room_tracker};
@@ -18,7 +18,11 @@ fn bench_emax_on_gadget(c: &mut Criterion) {
     for n in [8usize, 32, 128] {
         let (t, m) = emax_gap(n);
         g.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
-            b.iter(|| top_by_emax(black_box(&t), black_box(&m)))
+            b.iter(|| {
+                prepare(black_box(&t))
+                    .bind(black_box(&m))
+                    .and_then(|b| b.top())
+            })
         });
     }
     g.finish();
@@ -45,11 +49,17 @@ fn bench_running_example(c: &mut Criterion) {
     let twelve = places(&["1", "2"]);
     c.bench_function("approx/hospital_conf_12", |b| {
         b.iter(|| {
-            transmark_core::confidence::confidence(black_box(&t), black_box(&m), black_box(&twelve))
+            prepare(black_box(&t))
+                .bind(black_box(&m))
+                .and_then(|b| b.confidence(black_box(&twelve)))
         })
     });
     c.bench_function("approx/hospital_top_emax", |b| {
-        b.iter(|| top_by_emax(black_box(&t), black_box(&m)))
+        b.iter(|| {
+            prepare(black_box(&t))
+                .bind(black_box(&m))
+                .and_then(|b| b.top())
+        })
     });
 }
 

@@ -18,9 +18,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use transmark_bench::instance_with_answer;
-use transmark_core::confidence::confidence;
-use transmark_core::enumerate::{enumerate_by_emax, enumerate_unranked};
 use transmark_core::generate::TransducerClass;
+use transmark_core::prepare;
 
 fn bench_plans(c: &mut Criterion) {
     let mut g = c.benchmark_group("baseline");
@@ -30,8 +29,17 @@ fn bench_plans(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("two_step_full", n), &n, |b, _| {
             b.iter(|| {
                 let mut total = 0.0;
-                for o in enumerate_unranked(black_box(&t), black_box(&m)).expect("enumerate") {
-                    total += confidence(&t, &m, &o).expect("confidence");
+                for o in prepare(black_box(&t))
+                    .bind(black_box(&m))
+                    .unwrap()
+                    .unranked()
+                    .expect("enumerate")
+                {
+                    total += prepare(&t)
+                        .bind(&m)
+                        .unwrap()
+                        .confidence(&o)
+                        .expect("confidence");
                 }
                 total
             })
@@ -39,11 +47,18 @@ fn bench_plans(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("ranked_top5", n), &n, |b, _| {
             b.iter(|| {
                 let mut total = 0.0;
-                for r in enumerate_by_emax(black_box(&t), black_box(&m))
+                for r in prepare(black_box(&t))
+                    .bind(black_box(&m))
+                    .unwrap()
+                    .ranked()
                     .expect("enumerate")
                     .take(5)
                 {
-                    total += confidence(&t, &m, &r.output).expect("confidence");
+                    total += prepare(&t)
+                        .bind(&m)
+                        .unwrap()
+                        .confidence(&r.output)
+                        .expect("confidence");
                 }
                 total
             })

@@ -15,11 +15,11 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use transmark_bench::{chain, instance_with_answer, sproj_instance};
 use transmark_core::confidence::{
-    acceptance_probability, confidence, confidence_deterministic, confidence_general,
-    confidence_uniform_nfa,
+    confidence_deterministic, confidence_general, confidence_uniform_nfa,
 };
 use transmark_core::generate::TransducerClass;
 use transmark_core::plan::prepare;
+use transmark_core::PreparedEventQuery;
 use transmark_sproj::indexed::IndexedEvaluator;
 use transmark_sproj::sproj_confidence;
 
@@ -83,7 +83,11 @@ fn bench_prepared(c: &mut Criterion) {
         b.iter(|| {
             let mut acc = 0.0;
             for m in &chains {
-                acc += confidence(black_box(&t), black_box(m), black_box(&o)).expect("confidence");
+                acc += prepare(black_box(&t))
+                    .bind(black_box(m))
+                    .unwrap()
+                    .confidence(black_box(&o))
+                    .expect("confidence");
             }
             acc
         })
@@ -164,10 +168,10 @@ fn bench_acceptance(c: &mut Criterion) {
     let mut g = c.benchmark_group("confidence/acceptance_probability");
     for n in [32usize, 128, 512] {
         let (t, m, _) = instance_with_answer(TransducerClass::General, n, 4, 3, 13);
-        let nfa = t.underlying_nfa();
+        let q = PreparedEventQuery::new(t.underlying_nfa());
         let _ = chain(2, 2, 0);
         g.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
-            b.iter(|| acceptance_probability(black_box(&nfa), black_box(&m)))
+            b.iter(|| black_box(&q).acceptance(black_box(&m)))
         });
     }
     g.finish();

@@ -12,8 +12,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use transmark_bench::{instance_with_answer, sproj_instance};
-use transmark_core::enumerate::{enumerate_by_emax, enumerate_unranked};
 use transmark_core::generate::TransducerClass;
+use transmark_core::prepare;
 use transmark_sproj::{enumerate_by_imax, enumerate_indexed};
 
 const K: usize = 10;
@@ -25,7 +25,10 @@ fn bench_unranked(c: &mut Criterion) {
         let (t, m, _) = instance_with_answer(TransducerClass::Deterministic, n, 3, 3, 5);
         g.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
             b.iter(|| {
-                enumerate_unranked(black_box(&t), black_box(&m))
+                prepare(black_box(&t))
+                    .bind(black_box(&m))
+                    .unwrap()
+                    .unranked()
                     .expect("enumerate")
                     .take(K)
                     .count()
@@ -42,7 +45,10 @@ fn bench_emax_ranked(c: &mut Criterion) {
         let (t, m, _) = instance_with_answer(TransducerClass::Deterministic, n, 3, 3, 5);
         g.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
             b.iter(|| {
-                enumerate_by_emax(black_box(&t), black_box(&m))
+                prepare(black_box(&t))
+                    .bind(black_box(&m))
+                    .unwrap()
+                    .ranked()
                     .expect("enumerate")
                     .take(K)
                     .count()

@@ -15,10 +15,8 @@ use std::sync::Arc;
 
 use transmark_automata::{Alphabet, Nfa, SymbolId};
 use transmark_bench::{fmt_time, time_median};
-use transmark_core::confidence::{
-    acceptance_probability, acceptance_probability_source, confidence, confidence_source,
-};
 use transmark_core::transducer::Transducer;
+use transmark_core::{prepare, EventSession, PreparedEventQuery, StreamSession};
 use transmark_markov::generate::{random_markov_sequence, RandomChainSpec};
 use transmark_markov::source::materialize;
 use transmark_markov::{RewindableStepSource, SourceError, StepSource};
@@ -116,8 +114,15 @@ fn query_transducer(alphabet: &Arc<Alphabet>) -> Transducer {
     b.build().unwrap()
 }
 
+/// `Pr(S ∈ L(A))` folded straight off a source, never materializing it.
+fn acceptance_streamed(nfa: &Nfa, src: &mut CyclicSource) -> f64 {
+    let sess = EventSession::start(nfa.clone(), src.initial()).unwrap();
+    StreamSession::Event(sess).drain(src, false).unwrap()[0]
+}
+
 fn main() {
     let nfa = query_nfa();
+    let event = PreparedEventQuery::new(nfa.clone());
     let probe = CyclicSource::new(2);
     let t = query_transducer(probe.alphabet());
     let o = vec![SymbolId(0)];
@@ -136,15 +141,19 @@ fn main() {
 
         // Bit-identity first: the sweep only times passes that agree.
         let m = materialize(&mut CyclicSource::new(n)).expect("cyclic source is valid");
-        let acc_mat = acceptance_probability(&nfa, &m).unwrap();
-        let acc_str = acceptance_probability_source(&nfa, &mut CyclicSource::new(n)).unwrap();
+        let acc_mat = event.acceptance(&m).unwrap();
+        let acc_str = acceptance_streamed(&nfa, &mut CyclicSource::new(n));
         assert_eq!(
             acc_mat.to_bits(),
             acc_str.to_bits(),
             "acceptance at n = {n}"
         );
-        let conf_mat = confidence(&t, &m, &o).unwrap();
-        let conf_str = confidence_source(&t, &mut CyclicSource::new(n), &o).unwrap();
+        let conf_mat = prepare(&t).bind(&m).unwrap().confidence(&o).unwrap();
+        let conf_str = prepare(&t)
+            .bind_source(&mut CyclicSource::new(n))
+            .unwrap()
+            .confidence(&o)
+            .unwrap();
         assert_eq!(
             conf_mat.to_bits(),
             conf_str.to_bits(),
@@ -153,19 +162,23 @@ fn main() {
 
         let t_acc_mat = time_median(reps, || {
             let m = materialize(&mut CyclicSource::new(n)).unwrap();
-            std::hint::black_box(acceptance_probability(&nfa, &m).unwrap());
+            std::hint::black_box(event.acceptance(&m).unwrap());
         });
         let t_acc_str = time_median(reps, || {
-            std::hint::black_box(
-                acceptance_probability_source(&nfa, &mut CyclicSource::new(n)).unwrap(),
-            );
+            std::hint::black_box(acceptance_streamed(&nfa, &mut CyclicSource::new(n)));
         });
         let t_conf_mat = time_median(reps, || {
             let m = materialize(&mut CyclicSource::new(n)).unwrap();
-            std::hint::black_box(confidence(&t, &m, &o).unwrap());
+            std::hint::black_box(prepare(&t).bind(&m).unwrap().confidence(&o).unwrap());
         });
         let t_conf_str = time_median(reps, || {
-            std::hint::black_box(confidence_source(&t, &mut CyclicSource::new(n), &o).unwrap());
+            std::hint::black_box(
+                prepare(&t)
+                    .bind_source(&mut CyclicSource::new(n))
+                    .unwrap()
+                    .confidence(&o)
+                    .unwrap(),
+            );
         });
 
         let mat_bytes = layer_bytes * (n - 1);

@@ -12,8 +12,7 @@
 //! Run with: `cargo run --release -p transmark-bench --bin approx_ratios`
 
 use transmark_bench::sproj_instance;
-use transmark_core::confidence::confidence;
-use transmark_core::emax::top_by_emax;
+use transmark_core::prepare;
 use transmark_sproj::enumerate::imax_of_output;
 use transmark_sproj::sproj_confidence;
 use transmark_workloads::gadgets;
@@ -23,8 +22,9 @@ fn main() {
     println!("# n  measured_ratio  analytic_ratio(1.5^n)");
     for n in [2usize, 4, 6, 8, 10, 12, 16, 20] {
         let (t, m) = gadgets::emax_gap(n);
-        let top_e = top_by_emax(&t, &m).expect("emax").expect("answers");
-        let conf_e = confidence(&t, &m, &top_e.output).expect("confidence");
+        let bound = prepare(&t).bind(&m).expect("bind");
+        let top_e = bound.top().expect("emax").expect("answers");
+        let conf_e = bound.confidence(&top_e.output).expect("confidence");
         let conf_best = 0.6f64.powi(n as i32); // all-y answer, analytic
         println!(
             "{n:>3}  {:>14.4}  {:>14.4}",
@@ -53,11 +53,11 @@ fn main() {
     println!("# answers_emitted  emax_frontier_subspaces  unranked_stack_depth");
     {
         use transmark_bench::instance_with_answer;
-        use transmark_core::enumerate::{enumerate_by_emax, enumerate_unranked};
         use transmark_core::generate::TransducerClass;
         let (t, m, _) = instance_with_answer(TransducerClass::Deterministic, 16, 3, 3, 2024);
-        let mut ranked = enumerate_by_emax(&t, &m).expect("enumerate");
-        let mut unranked = enumerate_unranked(&t, &m).expect("enumerate");
+        let bound = prepare(&t).bind(&m).expect("bind");
+        let mut ranked = bound.ranked().expect("enumerate");
+        let mut unranked = bound.unranked().expect("enumerate");
         let mut max_stack = 0usize;
         for emitted in 1..=50usize {
             if ranked.next().is_none() {

@@ -3,8 +3,7 @@
 //!
 //! Run with: `cargo run -p transmark-bench --bin table1`
 
-use transmark_core::confidence::confidence;
-use transmark_core::emax::emax_of_output;
+use transmark_core::prepare;
 use transmark_workloads::hospital::{
     hospital_sequence, places, room_tracker, table1_rows, CONF_12,
 };
@@ -65,8 +64,9 @@ fn main() {
     }
 
     let twelve = places(&["1", "2"]);
-    let conf = confidence(&t, &mu, &twelve).expect("confidence");
-    let emax = emax_of_output(&t, &mu, &twelve).expect("emax").exp();
+    let bound = prepare(&t).bind(&mu).expect("bind");
+    let conf = bound.confidence(&twelve).expect("confidence");
+    let emax = bound.emax_of_output(&twelve).expect("emax").exp();
     println!(
         "\nExample 3.4: conf(12) = {conf:.4} (paper: {CONF_12})  {}",
         if (conf - CONF_12).abs() < 1e-9 {

@@ -15,8 +15,8 @@ use transmark_bench::{chain, fmt_time, instance_with_answer, sproj_instance, tim
 use transmark_core::confidence::{
     confidence_deterministic, confidence_general, confidence_uniform_nfa,
 };
-use transmark_core::enumerate::{enumerate_by_emax, enumerate_unranked};
 use transmark_core::generate::TransducerClass;
+use transmark_core::prepare;
 use transmark_sproj::indexed::IndexedEvaluator;
 use transmark_sproj::{enumerate_by_imax, enumerate_indexed, sproj_confidence};
 use transmark_workloads::gadgets;
@@ -115,7 +115,10 @@ fn row2_ranked_delays() {
 
     let (t, m, _) = instance_with_answer(TransducerClass::Deterministic, 24, 3, 3, 5);
     let dt = time_median(3, || {
-        let _ = enumerate_unranked(&t, &m)
+        let _ = prepare(&t)
+            .bind(&m)
+            .expect("bind")
+            .unranked()
             .expect("enumerate")
             .take(k)
             .count();
@@ -126,7 +129,10 @@ fn row2_ranked_delays() {
     );
 
     let dt = time_median(3, || {
-        let _ = enumerate_by_emax(&t, &m)
+        let _ = prepare(&t)
+            .bind(&m)
+            .expect("bind")
+            .ranked()
             .expect("enumerate")
             .take(k)
             .count();
@@ -167,11 +173,9 @@ fn row3_inapproximability() {
     println!("  one-state Mealy machine (Thm 4.4 regime, analytic ratio 1.5^n):");
     for n in [4usize, 8, 12] {
         let (t, m) = gadgets::emax_gap(n);
-        let top_e = transmark_core::emax::top_by_emax(&t, &m)
-            .expect("emax")
-            .expect("answers exist");
-        let conf_of_emax_top =
-            transmark_core::confidence::confidence(&t, &m, &top_e.output).expect("confidence");
+        let bound = prepare(&t).bind(&m).expect("bind");
+        let top_e = bound.top().expect("emax").expect("answers exist");
+        let conf_of_emax_top = bound.confidence(&top_e.output).expect("confidence");
         // True top is all-y with confidence 0.6^n (analytic; brute force
         // would be exponential here).
         let conf_best = 0.6f64.powi(n as i32);

@@ -17,6 +17,7 @@
 use rand::{rngs::StdRng, SeedableRng};
 use transmark_automata::{Dfa, StateId, SymbolId};
 use transmark_core::generate::{random_transducer, RandomTransducerSpec, TransducerClass};
+use transmark_core::prepare;
 use transmark_core::transducer::Transducer;
 use transmark_markov::generate::{random_markov_sequence, RandomChainSpec};
 use transmark_markov::MarkovSequence;
@@ -69,7 +70,7 @@ pub fn instance_with_answer(
     for attempt in 0..100 {
         let t = transducer(class, n_states, n_symbols, seed + attempt * 1000);
         let m = chain(n, n_symbols, seed + attempt * 1000 + 7);
-        if let Ok(Some(top)) = transmark_core::emax::top_by_emax(&t, &m) {
+        if let Ok(Some(top)) = prepare(&t).bind(&m).and_then(|b| b.top()) {
             return (t, m, top.output);
         }
     }

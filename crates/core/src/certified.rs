@@ -25,9 +25,8 @@
 use transmark_automata::SymbolId;
 use transmark_markov::MarkovSequence;
 
-use crate::confidence::{acceptance_probability, confidence_deterministic};
-use crate::enumerate::enumerate_by_emax;
 use crate::error::EngineError;
+use crate::plan::{prepare, PreparedEventQuery};
 use crate::transducer::Transducer;
 
 /// Result of a certified top-confidence search.
@@ -48,75 +47,38 @@ pub struct CertifiedTop {
 
 /// Finds the top answer by exact confidence with a certificate, for a
 /// deterministic transducer (see module docs). Inspects at most `budget`
-/// answers; returns `Ok(None)` when the query has no answers.
+/// answers; returns `Ok(None)` when the query has no answers. This is
+/// [`certified_top_k_by_confidence`] with `k = 1`.
 pub fn certified_top_by_confidence(
     t: &Transducer,
     m: &MarkovSequence,
     budget: usize,
 ) -> Result<Option<CertifiedTop>, EngineError> {
-    if !t.is_deterministic() {
-        return Err(EngineError::NotDeterministic);
-    }
-    let total_mass = acceptance_probability(&t.underlying_nfa(), m)?;
-    let mut seen_mass = 0.0f64;
-    let mut best: Option<(Vec<SymbolId>, f64)> = None;
-    let mut inspected = 0usize;
-
-    let mut answers = enumerate_by_emax(t, m)?;
-    let mut exhausted = true;
-    for ranked in answers.by_ref() {
-        inspected += 1;
-        let conf = confidence_deterministic(t, m, &ranked.output)?;
-        seen_mass += conf;
-        if best.as_ref().is_none_or(|(_, c)| conf > *c) {
-            best = Some((ranked.output, conf));
-        }
-        let residual = (total_mass - seen_mass).max(0.0);
-        let best_conf = best.as_ref().map(|(_, c)| *c).expect("just set");
-        if best_conf >= residual {
-            // Certified: no unseen answer can beat the best seen one.
-            return Ok(Some(CertifiedTop {
-                output: best.expect("nonempty").0,
-                confidence: best_conf,
-                certified: true,
-                residual_bound: residual,
-                answers_inspected: inspected,
-            }));
-        }
-        if inspected >= budget {
-            exhausted = false;
-            break;
-        }
-    }
-    match best {
-        None => Ok(None),
-        Some((output, confidence)) => {
-            let residual = if exhausted {
-                0.0
-            } else {
-                (total_mass - seen_mass).max(0.0)
-            };
-            Ok(Some(CertifiedTop {
-                output,
-                confidence,
-                // Running out of answers is itself a certificate.
-                certified: exhausted,
-                residual_bound: residual,
-                answers_inspected: inspected,
-            }))
-        }
-    }
+    let top = certified_top_k_by_confidence(t, m, 1, budget)?;
+    Ok(top
+        .answers
+        .into_iter()
+        .next()
+        .map(|(output, confidence)| CertifiedTop {
+            output,
+            confidence,
+            certified: top.certified,
+            residual_bound: top.residual_bound,
+            answers_inspected: top.answers_inspected,
+        }))
 }
 
 /// Result of a certified top-k search.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CertifiedTopK {
-    /// The best answers found, sorted by decreasing exact confidence.
+    /// The best answers found, sorted by decreasing exact confidence
+    /// (ties keep enumeration order).
     pub answers: Vec<(Vec<SymbolId>, f64)>,
     /// Whether `answers` is certifiably the global top-k set (every
     /// unseen answer has confidence ≤ the k-th reported one).
     pub certified: bool,
-    /// Upper bound on the confidence of any unseen answer.
+    /// Upper bound on the confidence of any unseen answer (0 when the
+    /// enumeration was exhausted).
     pub residual_bound: f64,
     /// How many answers were enumerated before stopping.
     pub answers_inspected: usize,
@@ -125,6 +87,11 @@ pub struct CertifiedTopK {
 /// Certified top-k by exact confidence for deterministic transducers: the
 /// k-set is certified as soon as its k-th confidence dominates the
 /// residual unseen mass. Inspects at most `budget` answers.
+///
+/// One plan and one bind serve the whole search: the Theorem 4.3
+/// enumeration and the Theorem 4.6 confidences share the bind's
+/// artifacts, and the total mass `Pr(S ∈ L(A))` comes from the machine's
+/// underlying automaton as an event query.
 pub fn certified_top_k_by_confidence(
     t: &Transducer,
     m: &MarkovSequence,
@@ -135,21 +102,23 @@ pub fn certified_top_k_by_confidence(
         return Err(EngineError::NotDeterministic);
     }
     assert!(k >= 1, "k must be positive");
-    let total_mass = acceptance_probability(&t.underlying_nfa(), m)?;
+    let total_mass = PreparedEventQuery::new(t.underlying_nfa()).acceptance(m)?;
+    let bound = prepare(t).bind(m)?;
     let mut seen_mass = 0.0f64;
     let mut top: Vec<(Vec<SymbolId>, f64)> = Vec::new();
     let mut inspected = 0usize;
-    let mut answers = enumerate_by_emax(t, m)?;
     let mut exhausted = true;
-    for ranked in answers.by_ref() {
+    for ranked in bound.ranked()? {
         inspected += 1;
-        let conf = confidence_deterministic(t, m, &ranked.output)?;
+        let conf = bound.confidence(&ranked.output)?;
         seen_mass += conf;
         top.push((ranked.output, conf));
+        // Stable: an equal later answer never displaces an earlier one.
         top.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("no NaN"));
         top.truncate(k);
         let residual = (total_mass - seen_mass).max(0.0);
         if top.len() == k && top[k - 1].1 >= residual {
+            // Certified: no unseen answer can beat the k-th seen one.
             return Ok(CertifiedTopK {
                 answers: top,
                 certified: true,
@@ -169,6 +138,7 @@ pub fn certified_top_k_by_confidence(
     };
     Ok(CertifiedTopK {
         answers: top,
+        // Running out of answers is itself a certificate.
         certified: exhausted,
         residual_bound: residual,
         answers_inspected: inspected,
@@ -294,6 +264,85 @@ mod tests {
             .unwrap();
         assert!(full.certified);
         assert!(full.answers_inspected >= 7);
+    }
+
+    /// The search prepares and binds once, however many answers it has
+    /// to inspect before the certificate holds.
+    #[cfg(not(feature = "obs-off"))]
+    #[test]
+    fn the_search_binds_the_sequence_once() {
+        use std::sync::Arc;
+        use transmark_automata::Alphabet;
+        use transmark_markov::MarkovSequenceBuilder;
+        let alphabet = Alphabet::of_chars("ab");
+        let m = MarkovSequenceBuilder::new(alphabet.clone(), 3)
+            .uniform_all()
+            .build()
+            .unwrap();
+        let mut tb = Transducer::builder(alphabet.clone(), alphabet.clone());
+        let q = tb.add_state(true);
+        for s in [alphabet.sym("a"), alphabet.sym("b")] {
+            tb.add_transition(q, s, q, &[s]).unwrap();
+        }
+        let t = tb.build().unwrap();
+
+        let rec = Arc::new(transmark_obs::Recorder::new());
+        let top = rec
+            .scope(|| certified_top_by_confidence(&t, &m, usize::MAX))
+            .unwrap()
+            .unwrap();
+        let profile = rec.finish();
+        assert!(top.certified);
+        assert!(
+            top.answers_inspected >= 2,
+            "the instance needs several answers"
+        );
+        assert_eq!(profile.phases["bind"].count, 1);
+    }
+
+    #[test]
+    fn certified_top_and_its_evidences_match_brute_force() {
+        use transmark_automata::Alphabet;
+        use transmark_markov::MarkovSequenceBuilder;
+        let alphabet = Alphabet::of_chars("ab");
+        let (a, b_) = (alphabet.sym("a"), alphabet.sym("b"));
+        let m = MarkovSequenceBuilder::new(alphabet.clone(), 3)
+            .initial(a, 0.9)
+            .initial(b_, 0.1)
+            .transition(0, a, a, 0.9)
+            .transition(0, a, b_, 0.1)
+            .transition(0, b_, b_, 1.0)
+            .transition(1, a, a, 0.9)
+            .transition(1, a, b_, 0.1)
+            .transition(1, b_, b_, 1.0)
+            .build()
+            .unwrap();
+        let mut tb = Transducer::builder(alphabet.clone(), alphabet);
+        let q = tb.add_state(true);
+        tb.add_transition(q, a, q, &[a]).unwrap();
+        tb.add_transition(q, b_, q, &[b_]).unwrap();
+        let t = tb.build().unwrap();
+
+        let top = certified_top_by_confidence(&t, &m, 100)
+            .unwrap()
+            .expect("answers exist");
+        assert!(top.certified);
+        // Identity: aaa is the dominant world (0.9³ = 0.729 > residual).
+        assert_eq!(top.answers_inspected, 1);
+        assert!((top.confidence - 0.729).abs() < 1e-12);
+        let (best, conf) = brute::top_by_confidence(&t, &m).unwrap().unwrap();
+        assert_eq!(top.output, best);
+        assert!((top.confidence - conf).abs() < 1e-12);
+
+        // Evidence view of the same answer.
+        let evs = prepare(&t)
+            .bind(&m)
+            .unwrap()
+            .top_evidences(&top.output, 3)
+            .unwrap();
+        assert_eq!(evs.len(), 1, "identity: one world per answer");
+        assert_eq!(evs[0].world, top.output);
+        assert!((evs[0].prob() - top.confidence).abs() < 1e-12);
     }
 
     #[test]

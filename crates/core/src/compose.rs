@@ -84,6 +84,7 @@ pub fn compose(first: &Transducer, second: &Transducer) -> Result<Transducer, En
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::prepare;
     use std::collections::BTreeSet;
     use transmark_automata::{Alphabet, SymbolId};
 
@@ -234,7 +235,11 @@ mod tests {
         let truth = crate::brute::evaluate(&composite, &m).unwrap();
         assert!(!truth.is_empty());
         for (o, want) in truth {
-            let got = crate::confidence::confidence(&composite, &m, &o).unwrap();
+            let got = prepare(&composite)
+                .bind(&m)
+                .unwrap()
+                .confidence(&o)
+                .unwrap();
             assert!((got - want).abs() < 1e-12, "output {o:?}");
         }
     }

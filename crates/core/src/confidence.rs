@@ -19,8 +19,16 @@
 //!   transducer (Thm 4.9) — but exact on any instance and polynomial
 //!   whenever the reachable configuration sets stay polynomial (it
 //!   degenerates gracefully to the deterministic case).
-//! * [`acceptance_probability`] — `Pr(S ∈ L(A))` for an NFA, the engine
-//!   behind 0-uniform queries, Theorem 5.5, and nonemptiness tests.
+//! * the acceptance fold — `Pr(S ∈ L(A))` for an NFA, the engine behind
+//!   0-uniform queries, Theorem 5.5, and the prefix series
+//!   ([`PreparedEventQuery`](crate::plan::PreparedEventQuery)).
+//!
+//! The routes are run through a bind:
+//! [`BoundQuery::confidence`](crate::plan::BoundQuery::confidence) takes
+//! the plan's own Table 2 route; the three `confidence_*` functions here
+//! force one route on any machine it applies to, which makes them the
+//! cross-route references the Table 2 harness and the oracle suites
+//! compare against.
 //!
 //! Each route is written once, as a seed/step/finish forward pass fed by
 //! either layer kind — a bind's steps or a pulled source matrix (see
@@ -28,8 +36,9 @@
 //! row)` layer on the `transmark-kernel` drivers over step graphs
 //! precompiled by [`crate::kernelize`]; the dynamic-state routes fold
 //! their layers through [`SubsetLayer`]; acceptance runs the
-//! [`EventSession`] fold through the one series driver. All sums use
-//! compensated accumulation at the final reduction; per-cell
+//! [`EventSession`](crate::incremental::EventSession) fold through the one
+//! series driver. All sums use compensated accumulation at the final
+//! reduction; per-cell
 //! accumulation is plain `f64` (additions of nonnegative numbers — no
 //! cancellation).
 
@@ -43,15 +52,11 @@ use transmark_markov::{MarkovSequence, StepSource};
 
 use crate::error::EngineError;
 use crate::forward::{FlatPass, ForwardPass, Layer};
-use crate::incremental::{EventSession, StreamSession};
 use crate::plan::{PlanKind, PreparedQuery};
 use crate::transducer::Transducer;
 
-// The public free functions validate, compile a one-shot plan and bind
-// it, so the Table 2 dispatch, the cached machine-side artifacts and the
-// per-layer arithmetic are exactly those of the prepared API. Every
-// confidence route is one `ConfidencePass`: `BoundQuery` drives it over a
-// bind's steps, `SourceBoundQuery` over pulled layers, and the
+// Every confidence route is one `ConfidencePass`: `BoundQuery` drives it
+// over a bind's steps, `SourceBoundQuery` over pulled layers, and the
 // checkpointable `ConfidenceSession` one pulled matrix at a time — so
 // in-memory, streamed and suspended evaluations agree bit for bit.
 
@@ -127,9 +132,10 @@ pub(crate) fn check_source_fresh<S: StepSource>(src: &S) -> Result<(), EngineErr
 ///
 /// Dispatches to the k-uniform fast path when the emission is uniform.
 /// Returns [`EngineError::NotDeterministic`] otherwise — use
-/// [`confidence`] for automatic algorithm selection. A deterministic
-/// machine's plan is one of the two Thm 4.6 routes, so this is exactly
-/// [`confidence`] after the check.
+/// [`BoundQuery::confidence`](crate::plan::BoundQuery::confidence) for
+/// automatic algorithm selection. A deterministic machine's plan is one of
+/// the two Thm 4.6 routes, so this is exactly the bind's confidence after
+/// the check.
 pub fn confidence_deterministic(
     t: &Transducer,
     m: &MarkovSequence,
@@ -139,7 +145,7 @@ pub fn confidence_deterministic(
     if !t.is_deterministic() {
         return Err(EngineError::NotDeterministic);
     }
-    confidence(t, m, o)
+    crate::plan::prepare(t).bind(m)?.confidence(o)
 }
 
 /// `Pr(S →[A^ω]→ o)` for a k-uniform (possibly nondeterministic)
@@ -544,93 +550,14 @@ impl<W: BorrowMut<Workspace<f64>>> ForwardPass for ConfidencePass<W> {
     }
 }
 
-/// `Pr(S →[A^ω]→ o)` with automatic algorithm selection:
-/// deterministic → Thm 4.6 (uniform fast path included);
-/// uniform NFA → Thm 4.8; otherwise the general exact algorithm.
-///
-/// ```
-/// use transmark_automata::Alphabet;
-/// use transmark_core::transducer::Transducer;
-/// use transmark_core::confidence::confidence;
-/// use transmark_markov::MarkovSequenceBuilder;
-///
-/// // A 2-step chain over {a, b} and the identity transducer.
-/// let alphabet = Alphabet::of_chars("ab");
-/// let (a, b) = (alphabet.sym("a"), alphabet.sym("b"));
-/// let chain = MarkovSequenceBuilder::new(alphabet.clone(), 2)
-///     .initial(a, 0.6).initial(b, 0.4)
-///     .transition(0, a, a, 0.5).transition(0, a, b, 0.5)
-///     .transition(0, b, b, 1.0)
-///     .build()?;
-/// let mut builder = Transducer::builder(alphabet.clone(), alphabet);
-/// let q = builder.add_state(true);
-/// builder.add_transition(q, a, q, &[a])?;
-/// builder.add_transition(q, b, q, &[b])?;
-/// let identity = builder.build()?;
-///
-/// // Identity ⇒ conf(o) = p(o): conf("ab") = 0.6·0.5.
-/// let conf = confidence(&identity, &chain, &[a, b])?;
-/// assert!((conf - 0.3).abs() < 1e-12);
-/// # Ok::<(), Box<dyn std::error::Error>>(())
-/// ```
-///
-/// Legacy convenience: compiles a one-shot plan and routes through the
-/// prepared API ([`crate::plan::prepare`] → bind → execute), so the
-/// Table 2 dispatch and the DP are exactly
-/// [`BoundQuery::confidence`](crate::plan::BoundQuery::confidence) —
-/// prefer the prepared flow when issuing several queries.
-pub fn confidence(t: &Transducer, m: &MarkovSequence, o: &[SymbolId]) -> Result<f64, EngineError> {
-    crate::plan::prepare(t).bind(m)?.confidence(o)
-}
-
-/// [`confidence`] over a streamed source: the same Table 2 dispatch, with
-/// every route running layer-at-a-time off the pulled matrices. One
-/// forward pass; bit-identical to the in-memory result.
-///
-/// Legacy convenience routing through the prepared API
-/// ([`SourceBoundQuery::confidence`](crate::plan::SourceBoundQuery::confidence)).
-pub fn confidence_source<S: StepSource>(
-    t: &Transducer,
-    src: &mut S,
-    o: &[SymbolId],
-) -> Result<f64, EngineError> {
-    crate::plan::prepare(t).bind_source(src)?.confidence(o)
-}
-
-// ---------------------------------------------------------------------------
-// Answer membership (polynomial for every transducer)
-// ---------------------------------------------------------------------------
-
-/// Decides whether `o` is an answer, i.e. `Pr(S →[A^ω]→ o) > 0` (§3.2:
-/// "whether a string is an answer can be decided efficiently").
-///
-/// Unlike the confidence *value*, membership needs only reachability over
-/// `(node, state, output position)` — the same step graph as
-/// [`confidence_deterministic`] driven in the [`Bool`](transmark_kernel::Bool)
-/// semiring: `O(n·|Σ|²·|Q|·|o|)`.
-///
-/// Legacy convenience routing through the prepared API
-/// ([`BoundQuery::is_answer`](crate::plan::BoundQuery::is_answer)).
-pub fn is_answer(t: &Transducer, m: &MarkovSequence, o: &[SymbolId]) -> Result<bool, EngineError> {
-    crate::plan::prepare(t).bind(m)?.is_answer(o)
-}
-
-/// Whether the query has any answer at all: `Pr(S ∈ L(A)) > 0`.
-/// Boolean reachability over `(node, state)` — `O(n·|Σ|²·|Q|·b)`.
-///
-/// Legacy convenience routing through the prepared API
-/// ([`BoundQuery::answer_exists`](crate::plan::BoundQuery::answer_exists)).
-pub fn answer_exists(t: &Transducer, m: &MarkovSequence) -> Result<bool, EngineError> {
-    crate::plan::prepare(t).bind(m)?.answer_exists()
-}
-
 // ---------------------------------------------------------------------------
 // Acceptance probability
 // ---------------------------------------------------------------------------
 
-/// The single acceptance-DP engine behind [`EventSession`] — and so behind
-/// [`acceptance_probability`], the prefix series, and the streaming
-/// [`crate::streaming::EventMonitor`]:
+/// The single acceptance-DP engine behind
+/// [`EventSession`](crate::incremental::EventSession) — and so behind
+/// [`PreparedEventQuery`](crate::plan::PreparedEventQuery)'s acceptance
+/// and prefix series, the server's streams and the store's monitor:
 /// a distribution over `(determinized subset, current node)` advanced one
 /// dense row-major `|Σ|²` matrix at a time.
 ///
@@ -795,47 +722,6 @@ pub(crate) fn check_nfa_alphabet(nfa: &Nfa, n_symbols: usize) -> Result<(), Engi
     Ok(())
 }
 
-/// `Pr(S ∈ L(A))` for an NFA over `Σ_μ`, by on-the-fly determinization:
-/// the DP state is `(node, determinized subset)`, so only subsets actually
-/// reachable while scanning `μ` are materialized (this gives Theorem 5.5
-/// its `4^{|Q_E|}`-only blow-up downstream).
-pub fn acceptance_probability(nfa: &Nfa, m: &MarkovSequence) -> Result<f64, EngineError> {
-    acceptance_probability_source(nfa, &mut m.step_source())
-}
-
-/// [`acceptance_probability`] over a streamed source — one forward pass,
-/// O(reachable subsets × |Σ|) memory, bit-identical to the in-memory form.
-pub fn acceptance_probability_source<S: StepSource>(
-    nfa: &Nfa,
-    src: &mut S,
-) -> Result<f64, EngineError> {
-    let sess = EventSession::start(nfa.clone(), src.initial())?;
-    Ok(StreamSession::Event(sess).drain(src, false)?[0])
-}
-
-/// The Lahar-style streaming Boolean query: for every position `i`,
-/// `Pr(S[1..i] ∈ L(A))` — "the probability that the query is true at each
-/// time period" (§6's description of Lahar's event queries). One scan,
-/// same on-the-fly-determinized DP as [`acceptance_probability`];
-/// `result[i-1]` is the probability at time `i`, and `result[n-1]` equals
-/// `acceptance_probability`.
-pub fn prefix_acceptance_probabilities(
-    nfa: &Nfa,
-    m: &MarkovSequence,
-) -> Result<Vec<f64>, EngineError> {
-    prefix_acceptance_probabilities_source(nfa, &mut m.step_source())
-}
-
-/// [`prefix_acceptance_probabilities`] over a streamed source. The output
-/// vector is the only O(n) state.
-pub fn prefix_acceptance_probabilities_source<S: StepSource>(
-    nfa: &Nfa,
-    src: &mut S,
-) -> Result<Vec<f64>, EngineError> {
-    let sess = EventSession::start(nfa.clone(), src.initial())?;
-    StreamSession::Event(sess).drain(src, true)
-}
-
 /// The accepting states of a transducer as a [`BitSet`].
 pub(crate) fn accepting_bitset(t: &Transducer) -> BitSet {
     BitSet::from_iter_with_capacity(
@@ -847,6 +733,7 @@ pub(crate) fn accepting_bitset(t: &Transducer) -> BitSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::{prepare, PreparedEventQuery};
     use transmark_automata::Alphabet;
     use transmark_markov::numeric::approx_eq;
     use transmark_markov::support::support;
@@ -891,7 +778,12 @@ mod tests {
         let m = chain();
         let t = identity();
         for (s, p) in support(&m) {
-            assert!(approx_eq(confidence(&t, &m, &s).unwrap(), p, 1e-15, 1e-12));
+            assert!(approx_eq(
+                prepare(&t).bind(&m).unwrap().confidence(&s).unwrap(),
+                p,
+                1e-15,
+                1e-12
+            ));
             assert!(approx_eq(
                 confidence_deterministic(&t, &m, &s).unwrap(),
                 p,
@@ -917,9 +809,19 @@ mod tests {
     fn wrong_length_outputs_have_zero_confidence() {
         let m = chain();
         let t = identity();
-        assert_eq!(confidence(&t, &m, &[sym(0)]).unwrap(), 0.0);
-        assert_eq!(confidence(&t, &m, &[sym(0); 5]).unwrap(), 0.0);
-        assert_eq!(confidence(&t, &m, &[]).unwrap(), 0.0);
+        assert_eq!(
+            prepare(&t).bind(&m).unwrap().confidence(&[sym(0)]).unwrap(),
+            0.0
+        );
+        assert_eq!(
+            prepare(&t)
+                .bind(&m)
+                .unwrap()
+                .confidence(&[sym(0); 5])
+                .unwrap(),
+            0.0
+        );
+        assert_eq!(prepare(&t).bind(&m).unwrap().confidence(&[]).unwrap(), 0.0);
     }
 
     #[test]
@@ -927,7 +829,7 @@ mod tests {
         let m = chain();
         let t = identity();
         assert!(matches!(
-            confidence(&t, &m, &[sym(9)]),
+            prepare(&t).bind(&m).and_then(|b| b.confidence(&[sym(9)])),
             Err(EngineError::InvalidSymbol {
                 alphabet: "output",
                 ..
@@ -947,7 +849,7 @@ mod tests {
         nfa.add_transition(q1, sym(0), q1);
         nfa.add_transition(q1, sym(1), q1);
 
-        let got = prefix_acceptance_probabilities(&nfa, &m).unwrap();
+        let got = PreparedEventQuery::new(nfa.clone()).series(&m).unwrap();
         assert_eq!(got.len(), 3);
         for (i, &gi) in got.iter().enumerate() {
             let want: f64 = support(&m)
@@ -962,7 +864,7 @@ mod tests {
         }
         // The last entry is the full acceptance probability, and the
         // series is monotone for this monotone ("ever saw b") property.
-        let full = acceptance_probability(&nfa, &m).unwrap();
+        let full = PreparedEventQuery::new(nfa.clone()).acceptance(&m).unwrap();
         assert!(approx_eq(got[2], full, 1e-15, 1e-12));
         assert!(got[0] <= got[1] && got[1] <= got[2]);
     }
@@ -980,9 +882,9 @@ mod tests {
         b.add_transition(dead, sym(0), dead, &[]).unwrap();
         b.add_transition(dead, sym(1), dead, &[]).unwrap();
         let t = b.build().unwrap();
-        assert!(answer_exists(&t, &m).unwrap());
+        assert!(prepare(&t).bind(&m).unwrap().answer_exists().unwrap());
         assert!(approx_eq(
-            confidence(&t, &m, &[]).unwrap(),
+            prepare(&t).bind(&m).unwrap().confidence(&[]).unwrap(),
             0.6 * 0.6 * 0.5,
             1e-15,
             1e-12
@@ -996,7 +898,7 @@ mod tests {
             .fill_dead_rows_self_loop()
             .build()
             .unwrap();
-        assert!(!answer_exists(&t, &m2).unwrap());
+        assert!(!prepare(&t).bind(&m2).unwrap().answer_exists().unwrap());
     }
 }
 
@@ -1004,6 +906,7 @@ mod tests {
 mod determinism_tests {
     use super::*;
     use crate::generate::{random_transducer, RandomTransducerSpec, TransducerClass};
+    use crate::plan::{prepare, PreparedEventQuery};
     use rand::{rngs::StdRng, SeedableRng};
     use transmark_markov::generate::{random_markov_sequence, RandomChainSpec};
 
@@ -1033,15 +936,15 @@ mod determinism_tests {
                 &mut rng,
             );
             let nfa = t.underlying_nfa();
-            let a = acceptance_probability(&nfa, &m).unwrap();
-            let b = acceptance_probability(&nfa, &m).unwrap();
+            let a = PreparedEventQuery::new(nfa.clone()).acceptance(&m).unwrap();
+            let b = PreparedEventQuery::new(nfa.clone()).acceptance(&m).unwrap();
             assert_eq!(a.to_bits(), b.to_bits(), "acceptance probability drifted");
-            let s1 = prefix_acceptance_probabilities(&nfa, &m).unwrap();
-            let s2 = prefix_acceptance_probabilities(&nfa, &m).unwrap();
+            let s1 = PreparedEventQuery::new(nfa.clone()).series(&m).unwrap();
+            let s2 = PreparedEventQuery::new(nfa.clone()).series(&m).unwrap();
             for (x, y) in s1.iter().zip(s2.iter()) {
                 assert_eq!(x.to_bits(), y.to_bits(), "prefix series drifted");
             }
-            if let Ok(Some(top)) = crate::emax::top_by_emax(&t, &m) {
+            if let Ok(Some(top)) = prepare(&t).bind(&m).and_then(|b| b.top()) {
                 let c1 = confidence_general(&t, &m, &top.output).unwrap();
                 let c2 = confidence_general(&t, &m, &top.output).unwrap();
                 assert_eq!(c1.to_bits(), c2.to_bits(), "general confidence drifted");

@@ -7,7 +7,8 @@
 //! Theorem 4.4 shows that, up to sub-exponential factors, no polynomial
 //! algorithm does better.
 //!
-//! [`top_by_emax`] is the core optimizer: a Viterbi pass over the layered
+//! [`BoundQuery::top`](crate::plan::BoundQuery::top) is the core
+//! optimizer: a Viterbi pass over the layered
 //! product graph (position × node × transducer state) that maximizes
 //! `p(s)` over accepting (string, run) pairs and returns the run's output.
 //! Because every evidence of the returned output lives in the same search
@@ -18,9 +19,7 @@
 
 use transmark_automata::{StateId, SymbolId};
 use transmark_kernel::{count_layers, BackEdge, ExecSteps};
-use transmark_markov::{MarkovSequence, StepSource};
 
-use crate::error::EngineError;
 use crate::transducer::Transducer;
 
 /// Result of an `E_max` optimization.
@@ -44,22 +43,13 @@ impl EmaxResult {
 /// The top answer by `E_max`: maximizes `p(s)` over all `(s, run)` with
 /// `run` accepting, and returns the run's output (Theorem 4.3's
 /// constrained optimizer, with constraints pre-applied via
-/// [`crate::constraints::constrain`]).
+/// [`crate::constraints::constrain`]). `None` when the (possibly
+/// constrained) query has no answer.
 ///
 /// A tracked (back-pointered) Viterbi pass of the kernel over the
 /// state-only step graph; edge payloads carry the interned emission ids
-/// the traceback concatenates into the output.
-///
-/// Returns `None` when the (possibly constrained) query has no answer.
-/// `O(n·|Σ|²·|Q|·b)` time, `O(n·|Σ|·|Q|)` space for the back-pointers.
-///
-/// Legacy convenience routing through the prepared API
-/// ([`BoundQuery::top`](crate::plan::BoundQuery::top)).
-pub fn top_by_emax(t: &Transducer, m: &MarkovSequence) -> Result<Option<EmaxResult>, EngineError> {
-    crate::plan::prepare(t).bind(m)?.top()
-}
-
-/// The tracked Viterbi pass over precompiled artifacts. `graph` must be
+/// the traceback concatenates into the output. `O(n·|Σ|²·|Q|·b)` time,
+/// `O(n·|Σ|·|Q|)` space for the back-pointers. `graph` must be
 /// `state_step_graph(t)` and `steps` the bound execution view of the
 /// sequence (sparse and dense advance bit-identically).
 pub(crate) fn top_by_emax_impl(
@@ -141,42 +131,10 @@ pub(crate) fn top_by_emax_impl(
     })
 }
 
-/// `ln E_max(o)` for a *specific* output string `o` — the max-probability
-/// evidence transduced into exactly `o` (`-∞` if `o` is not an answer).
-///
-/// A max-product DP over (node, state, output position) — the kernel's
-/// [`MaxLog`] semiring over the same output step graph as
-/// [`crate::confidence::confidence_deterministic`]:
-/// `O(|o|·n·|Σ|²·|Q|·b)`.
-///
-/// Legacy convenience routing through the prepared API
-/// ([`BoundQuery::emax_of_output`](crate::plan::BoundQuery::emax_of_output)).
-pub fn emax_of_output(
-    t: &Transducer,
-    m: &MarkovSequence,
-    o: &[SymbolId],
-) -> Result<f64, EngineError> {
-    crate::plan::prepare(t).bind(m)?.emax_of_output(o)
-}
-
-/// `ln E_max(o)` over a streamed source — a forward-only max-product pass
-/// (no traceback is needed for the *score*, unlike [`top_by_emax`], whose
-/// back-pointers are inherently O(n)). The same pass as
-/// [`emax_of_output`], fed pulled layers, so the result is bit-identical.
-///
-/// Legacy convenience routing through the prepared API
-/// ([`SourceBoundQuery::emax_of_output`](crate::plan::SourceBoundQuery::emax_of_output)).
-pub fn emax_of_output_source<S: StepSource>(
-    t: &Transducer,
-    src: &mut S,
-    o: &[SymbolId],
-) -> Result<f64, EngineError> {
-    crate::plan::prepare(t).bind_source(src)?.emax_of_output(o)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::prepare;
     use transmark_automata::Alphabet;
     use transmark_markov::MarkovSequenceBuilder;
 
@@ -208,14 +166,19 @@ mod tests {
         }
         let t = b.build().unwrap();
 
-        let top = top_by_emax(&t, &m).unwrap().unwrap();
+        let top = prepare(&t).bind(&m).unwrap().top().unwrap().unwrap();
         // Only one answer: zzz. Its E_max is the Viterbi path of μ.
         assert_eq!(top.output, vec![output.sym("z"); 3]);
         let (viterbi, p) = m.most_likely_string();
         assert_eq!(top.evidence, viterbi);
         assert!((top.prob() - p).abs() < 1e-12);
         // And emax_of_output agrees.
-        let e = emax_of_output(&t, &m, &top.output).unwrap().exp();
+        let e = prepare(&t)
+            .bind(&m)
+            .unwrap()
+            .emax_of_output(&top.output)
+            .unwrap()
+            .exp();
         assert!((e - p).abs() < 1e-12);
     }
 
@@ -232,10 +195,18 @@ mod tests {
         b.add_transition(q, sym(0), q, &[output.sym("x")]).unwrap();
         let t = b.build().unwrap();
         // "yy" can never be emitted.
-        let e = emax_of_output(&t, &m, &[output.sym("y"), output.sym("y")]).unwrap();
+        let e = prepare(&t)
+            .bind(&m)
+            .unwrap()
+            .emax_of_output(&[output.sym("y"), output.sym("y")])
+            .unwrap();
         assert_eq!(e, f64::NEG_INFINITY);
         // "xx" is the sole answer with E_max = 1.
-        let e2 = emax_of_output(&t, &m, &[output.sym("x"), output.sym("x")]).unwrap();
+        let e2 = prepare(&t)
+            .bind(&m)
+            .unwrap()
+            .emax_of_output(&[output.sym("x"), output.sym("x")])
+            .unwrap();
         assert!((e2.exp() - 1.0).abs() < 1e-12);
     }
 
@@ -250,6 +221,6 @@ mod tests {
         let q = b.add_state(false);
         b.add_transition(q, sym(0), q, &[]).unwrap();
         let t = b.build().unwrap();
-        assert!(top_by_emax(&t, &m).unwrap().is_none());
+        assert!(prepare(&t).bind(&m).unwrap().top().unwrap().is_none());
     }
 }

@@ -1,7 +1,11 @@
 //! Answer enumeration: unranked (Theorem 4.1) and ranked by `E_max`
 //! (Theorem 4.3).
 //!
-//! **Unranked (Theorem 4.1).** [`enumerate_unranked`] walks the trie of
+//! Both run through a bind:
+//! [`BoundQuery::unranked`](crate::plan::BoundQuery::unranked) and
+//! [`BoundQuery::ranked`](crate::plan::BoundQuery::ranked).
+//!
+//! **Unranked (Theorem 4.1).** The enumeration walks the trie of
 //! output prefixes depth-first, descending into `p·d` only when the
 //! prefix-constrained query still has an answer and emitting `p` whenever
 //! `p` itself is an answer. Both facts come from *one* boolean
@@ -15,10 +19,10 @@
 //! the DFS stack is the only state — polynomial space. Answers appear in
 //! lexicographic order.
 //!
-//! **Ranked by `E_max` (Theorem 4.3).** [`enumerate_by_emax`] instantiates
+//! **Ranked by `E_max` (Theorem 4.3).** The enumeration instantiates
 //! the Lawler–Murty framework of `transmark-kbest` with
 //! [`PrefixConstraint`] subspaces: the constrained optimizer is the
-//! Viterbi of [`crate::emax::top_by_emax`] run on the constraint-product
+//! `E_max` Viterbi ([`crate::emax`]) run on the constraint-product
 //! machine, and splitting partitions the subspace by longest common
 //! prefix with the emitted answer. Polynomial delay; space grows with the
 //! number of answers emitted, exactly as the paper notes.
@@ -32,7 +36,6 @@ use transmark_markov::MarkovSequence;
 
 use crate::constraints::PrefixConstraint;
 use crate::emax::top_by_emax_impl;
-use crate::error::EngineError;
 use crate::plan::PreparedQuery;
 use crate::transducer::Transducer;
 
@@ -72,28 +75,8 @@ struct Frame {
     exact: bool,
 }
 
-/// Starts the Theorem 4.1 enumeration. Fails fast on alphabet mismatch.
-///
-/// Legacy convenience: compiles a one-shot [`PreparedQuery`] internally,
-/// so the enumeration is the same code path as
-/// [`BoundQuery::unranked`](crate::plan::BoundQuery::unranked) — prefer
-/// the prepared flow when enumerating over several sequences.
-pub fn enumerate_unranked<'a>(
-    t: &'a Transducer,
-    m: &'a MarkovSequence,
-) -> Result<UnrankedAnswers<'a>, EngineError> {
-    crate::confidence::check_inputs(t, m, None)?;
-    Ok(enumerate_unranked_with(
-        t,
-        m,
-        m.sparse_steps().into_shared(),
-        crate::plan::prepare(t),
-    ))
-}
-
-/// The enumeration over caller-supplied artifacts (the prepared path
-/// passes its shared CSR and its graph cache). Inputs must already be
-/// validated.
+/// Starts the Theorem 4.1 enumeration over a bind's shared CSR and its
+/// plan's graph cache. Inputs must already be validated (the bind did).
 pub(crate) fn enumerate_unranked_with<'a>(
     t: &'a Transducer,
     m: &MarkovSequence,
@@ -278,15 +261,13 @@ impl PartitionSpace for PlanEmaxSpace {
 /// The Theorem 4.3 enumeration, as a concrete iterator exposing its
 /// frontier size (the space that, as the paper notes, "can grow
 /// proportionally to the number of printed answers" — measured by the
-/// experiment harness). The lifetime ties a legacy
-/// [`enumerate_by_emax`] call to its borrowed inputs; the prepared path
-/// owns its artifacts and is `'static`.
-pub struct EmaxEnumeration<'a> {
+/// experiment harness). It owns its artifacts (the plan and the bind's
+/// CSR), so it outlives the bind that started it.
+pub struct EmaxEnumeration {
     inner: LawlerMurty<PlanEmaxSpace>,
-    _borrow: std::marker::PhantomData<&'a MarkovSequence>,
 }
 
-impl EmaxEnumeration<'_> {
+impl EmaxEnumeration {
     /// Number of probed subspaces waiting in the Lawler–Murty frontier
     /// (the last emitted answer's subspaces are probed by the next call,
     /// so they are not counted yet).
@@ -295,7 +276,7 @@ impl EmaxEnumeration<'_> {
     }
 }
 
-impl Iterator for EmaxEnumeration<'_> {
+impl Iterator for EmaxEnumeration {
     type Item = RankedAnswer;
 
     fn next(&mut self) -> Option<RankedAnswer> {
@@ -305,51 +286,21 @@ impl Iterator for EmaxEnumeration<'_> {
     }
 }
 
-/// Enumerates `A^ω(μ)` in decreasing `E_max` with polynomial delay
-/// (Theorem 4.3). Yields [`RankedAnswer`]s whose `log_score` is
-/// `ln E_max(output)`.
-///
-/// Legacy convenience: compiles a one-shot [`PreparedQuery`] internally,
-/// so it is the same code path as
-/// [`BoundQuery::ranked`](crate::plan::BoundQuery::ranked) — prefer the
-/// prepared flow when enumerating over several sequences.
-pub fn enumerate_by_emax<'a>(
-    t: &'a Transducer,
-    m: &'a MarkovSequence,
-) -> Result<EmaxEnumeration<'a>, EngineError> {
-    // Validate alphabets once up front.
-    crate::confidence::check_inputs(t, m, None)?;
-    Ok(enumerate_by_emax_planned(
-        crate::plan::prepare(t),
-        m.sparse_steps().into_shared(),
-    ))
-}
-
 /// The Theorem 4.3 enumeration over a prepared plan and a shared CSR.
 /// Inputs must already be validated (the bind did).
 pub(crate) fn enumerate_by_emax_planned(
     plan: Arc<PreparedQuery>,
     steps: SharedSparseSteps,
-) -> EmaxEnumeration<'static> {
+) -> EmaxEnumeration {
     EmaxEnumeration {
         inner: LawlerMurty::new(PlanEmaxSpace { plan, steps }),
-        _borrow: std::marker::PhantomData,
     }
-}
-
-/// The top-k answers by `E_max` (stop the Theorem 4.3 enumeration after
-/// `k` outputs — the §2.3.1 top-k reduction).
-pub fn top_k_by_emax(
-    t: &Transducer,
-    m: &MarkovSequence,
-    k: usize,
-) -> Result<Vec<RankedAnswer>, EngineError> {
-    Ok(enumerate_by_emax(t, m)?.take(k).collect())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::prepare;
     use transmark_automata::Alphabet;
     use transmark_markov::MarkovSequenceBuilder;
 
@@ -381,7 +332,7 @@ mod tests {
     #[test]
     fn unranked_is_lexicographic_and_complete() {
         let (t, m) = setup();
-        let got: Vec<_> = enumerate_unranked(&t, &m).unwrap().collect();
+        let got: Vec<_> = prepare(&t).bind(&m).unwrap().unranked().unwrap().collect();
         assert_eq!(
             got,
             vec![
@@ -395,7 +346,7 @@ mod tests {
     #[test]
     fn emax_ranked_matches_hand_computation() {
         let (t, m) = setup();
-        let got: Vec<_> = enumerate_by_emax(&t, &m).unwrap().collect();
+        let got: Vec<_> = prepare(&t).bind(&m).unwrap().ranked().unwrap().collect();
         // Identity: E_max(o) = p(o). Order: aa (0.42), ba (0.40), ab (0.18).
         assert_eq!(got.len(), 3);
         assert_eq!(got[0].output, vec![sym(0), sym(0)]);
@@ -409,11 +360,11 @@ mod tests {
     #[test]
     fn top_k_stops_early() {
         let (t, m) = setup();
-        let got = top_k_by_emax(&t, &m, 2).unwrap();
+        let got = prepare(&t).bind(&m).unwrap().top_k(2).unwrap();
         assert_eq!(got.len(), 2);
         assert_eq!(got[0].output, vec![sym(0), sym(0)]);
         // Asking for more than exist returns everything.
-        assert_eq!(top_k_by_emax(&t, &m, 99).unwrap().len(), 3);
+        assert_eq!(prepare(&t).bind(&m).unwrap().top_k(99).unwrap().len(), 3);
     }
 
     #[test]
@@ -428,8 +379,8 @@ mod tests {
         let q = tb.add_state(false);
         tb.add_transition(q, sym(0), q, &[]).unwrap();
         let t = tb.build().unwrap();
-        assert_eq!(enumerate_unranked(&t, &m).unwrap().count(), 0);
-        assert_eq!(enumerate_by_emax(&t, &m).unwrap().count(), 0);
+        assert_eq!(prepare(&t).bind(&m).unwrap().unranked().unwrap().count(), 0);
+        assert_eq!(prepare(&t).bind(&m).unwrap().ranked().unwrap().count(), 0);
     }
 
     #[test]
@@ -446,9 +397,9 @@ mod tests {
             tb.add_transition(q, sym(s), q, &[]).unwrap();
         }
         let t = tb.build().unwrap();
-        let got: Vec<_> = enumerate_unranked(&t, &m).unwrap().collect();
+        let got: Vec<_> = prepare(&t).bind(&m).unwrap().unranked().unwrap().collect();
         assert_eq!(got, vec![Vec::<SymbolId>::new()]);
-        let ranked: Vec<_> = enumerate_by_emax(&t, &m).unwrap().collect();
+        let ranked: Vec<_> = prepare(&t).bind(&m).unwrap().ranked().unwrap().collect();
         assert_eq!(ranked.len(), 1);
         assert!(ranked[0].output.is_empty());
         // E_max(ε) = most likely world = 0.25.

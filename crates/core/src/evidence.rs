@@ -22,9 +22,6 @@ use transmark_automata::{StateId, SymbolId};
 use transmark_kbest::{Dag, KBestPaths};
 use transmark_markov::MarkovSequence;
 
-use crate::confidence::check_inputs;
-use crate::error::EngineError;
-use crate::kernelize::output_step_graph;
 use crate::transducer::Transducer;
 
 /// One evidence: a possible world and its probability.
@@ -67,27 +64,14 @@ impl Iterator for Evidences {
     }
 }
 
-/// Enumerates all worlds transduced into `o`, most probable first.
+/// Enumerates all worlds transduced into `o`, most probable first — the
+/// pass behind [`BoundQuery::evidences`](crate::plan::BoundQuery::evidences).
 ///
 /// Graph: node `(i, x, q, j)` means "after reading position `i` ending at
 /// Markov node `x`, the run is in state `q` having emitted `o[..j]`";
 /// sink edges require `q ∈ F` and `j = |o|`. Graph size
-/// `O(n·|Σ|·|Q|·|o|)` nodes.
-pub fn enumerate_evidences(
-    t: &Transducer,
-    m: &MarkovSequence,
-    o: &[SymbolId],
-) -> Result<Evidences, EngineError> {
-    check_inputs(t, m, Some(o))?;
-    // The machine side — states × output positions with the emission
-    // checks resolved — is precompiled once; its rows are the `(q, j)`
-    // part of the DAG's node ids.
-    let graph = output_step_graph(t, o);
-    Ok(enumerate_evidences_impl(t, m, &graph, o.len()))
-}
-
-/// The evidence-DAG construction over a precompiled output graph. `graph`
-/// must be `output_step_graph(t, o)` for an `o` of length `o_len`.
+/// `O(n·|Σ|·|Q|·|o|)` nodes. `graph` must be `output_step_graph(t, o)`
+/// (the plan's memoized copy) for an `o` of length `o_len`.
 pub(crate) fn enumerate_evidences_impl(
     t: &Transducer,
     m: &MarkovSequence,
@@ -171,19 +155,10 @@ pub(crate) fn enumerate_evidences_impl(
     }
 }
 
-/// The `k` most probable evidences of `o`.
-pub fn top_k_evidences(
-    t: &Transducer,
-    m: &MarkovSequence,
-    o: &[SymbolId],
-    k: usize,
-) -> Result<Vec<Evidence>, EngineError> {
-    Ok(enumerate_evidences(t, m, o)?.take(k).collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::prepare;
     use transmark_automata::Alphabet;
     use transmark_markov::support::support;
     use transmark_markov::MarkovSequenceBuilder;
@@ -208,7 +183,7 @@ mod tests {
     }
 
     fn check(t: &Transducer, m: &MarkovSequence, o: &[SymbolId]) {
-        let got: Vec<_> = enumerate_evidences(t, m, o).unwrap().collect();
+        let got: Vec<_> = prepare(t).bind(m).unwrap().evidences(o).unwrap().collect();
         let want = brute_evidences(t, m, o);
         assert_eq!(got.len(), want.len(), "evidence count for {o:?}");
         // Same multiset of worlds; non-increasing probabilities that match.
@@ -255,7 +230,13 @@ mod tests {
         let o = vec![out.sym("z"); 3];
         check(&t, &m, &o);
         // Top evidence is the Viterbi string.
-        let top = enumerate_evidences(&t, &m, &o).unwrap().next().unwrap();
+        let top = prepare(&t)
+            .bind(&m)
+            .unwrap()
+            .evidences(&o)
+            .unwrap()
+            .next()
+            .unwrap();
         let (viterbi, p) = m.most_likely_string();
         assert_eq!(top.world, viterbi);
         assert!((top.prob() - p).abs() < 1e-12);
@@ -286,7 +267,12 @@ mod tests {
             .unwrap();
         // Output "ab" has exactly one world, despite 4 runs.
         let o = vec![sym(0), sym(1)];
-        let evs: Vec<_> = enumerate_evidences(&t, &m, &o).unwrap().collect();
+        let evs: Vec<_> = prepare(&t)
+            .bind(&m)
+            .unwrap()
+            .evidences(&o)
+            .unwrap()
+            .collect();
         assert_eq!(evs.len(), 1);
         assert_eq!(evs[0].world, o);
         check(&t, &m, &o);
@@ -303,9 +289,22 @@ mod tests {
         let q = b.add_state(true);
         b.add_transition(q, sym(0), q, &[sym(0)]).unwrap();
         let t = b.build().unwrap();
-        assert_eq!(enumerate_evidences(&t, &m, &[sym(0)]).unwrap().count(), 0);
         assert_eq!(
-            top_k_evidences(&t, &m, &[sym(0), sym(0)], 5).unwrap().len(),
+            prepare(&t)
+                .bind(&m)
+                .unwrap()
+                .evidences(&[sym(0)])
+                .unwrap()
+                .count(),
+            0
+        );
+        assert_eq!(
+            prepare(&t)
+                .bind(&m)
+                .unwrap()
+                .top_evidences(&[sym(0), sym(0)], 5)
+                .unwrap()
+                .len(),
             1
         );
     }

@@ -8,7 +8,8 @@
 //! first-class instead:
 //!
 //! * [`EventSession`] — the acceptance fold behind
-//!   [`crate::streaming::EventMonitor`] with suspend/resume: serialize to
+//!   [`crate::plan::PreparedEventQuery`], fed one matrix at a time, with
+//!   suspend/resume: serialize to
 //!   a versioned [`StreamCheckpoint`] blob mid-stream, resume later (in
 //!   another process) and continue **bit-identically** — the blob records
 //!   the determinized subsets in discovery order, so resumed reductions
@@ -80,7 +81,7 @@ const WINDOW_STATE_CAP: usize = 4096;
 /// Which session a checkpoint blob suspends.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CheckpointKind {
-    /// An [`EventSession`] / [`crate::streaming::EventMonitor`].
+    /// An [`EventSession`].
     Event,
     /// A [`ConfidenceSession`].
     Confidence,
@@ -356,9 +357,11 @@ fn read_subset_layer(
 // ---------------------------------------------------------------------------
 
 /// The streamed `Pr(S[1..t] ∈ L(A))` evaluation as a suspendable state
-/// machine. [`crate::streaming::EventMonitor`] is a thin wrapper around
-/// this type; use the session directly when you need
-/// [`EventSession::checkpoint`] / [`EventSession::resume`].
+/// machine: [`EventSession::start`] from the stream's initial
+/// distribution, [`EventSession::advance`] one transition matrix at a
+/// time, [`EventSession::checkpoint`] / [`EventSession::resume`] across
+/// processes. Memory is independent of the stream length (bounded by
+/// reachable subsets × `|Σ|`).
 pub struct EventSession {
     nfa: Nfa,
     fold: AcceptanceFold,
@@ -490,7 +493,7 @@ fn confidence_fingerprint(plan: &PreparedQuery, o: &[SymbolId]) -> u64 {
 impl PreparedQuery {
     /// Seeds a [`ConfidenceSession`] from a stream's `μ₀→` distribution
     /// (dense, one entry per node). Validation mirrors
-    /// [`crate::confidence::check_source_inputs`].
+    /// [`SourceBoundQuery::confidence`](crate::plan::SourceBoundQuery::confidence).
     pub fn begin_confidence(
         self: &Arc<Self>,
         initial: &[f64],
@@ -697,7 +700,7 @@ impl StreamSession<'_> {
     /// session. With `series`, returns the probability at position 1 and
     /// after every layer; otherwise only the final probability. In-memory
     /// callers pass the zero-copy [`MarkovSequence::step_source`].
-    pub(crate) fn drain<S: StepSource>(
+    pub fn drain<S: StepSource>(
         &mut self,
         src: &mut S,
         series: bool,
@@ -1142,6 +1145,131 @@ mod tests {
             }
             let want = q.recompute(&marg, &[]);
             assert!((got - want).abs() <= 1e-12, "t={t}: {got} vs {want}");
+        }
+    }
+
+    /// Brute-force prefix series: `Pr(S[1..i] ∈ L(A))` as the mass of the
+    /// support's worlds whose length-`i` prefix is accepted.
+    fn brute_series(nfa: &Nfa, m: &MarkovSequence) -> Vec<f64> {
+        let worlds = transmark_markov::support::support(m);
+        (0..m.len())
+            .map(|i| {
+                worlds
+                    .iter()
+                    .filter(|(s, _)| nfa.accepts(&s[..=i]))
+                    .map(|(_, p)| p)
+                    .sum()
+            })
+            .collect()
+    }
+
+    /// The series of a session fed one stored matrix at a time.
+    fn stepwise_series(nfa: Nfa, m: &MarkovSequence) -> Vec<f64> {
+        let mut sess = EventSession::start(nfa, m.initial_dist()).unwrap();
+        let mut out = vec![sess.probability()];
+        for i in 0..m.len() - 1 {
+            out.push(sess.advance(m.transition_matrix(i)).unwrap());
+        }
+        out
+    }
+
+    fn assert_matches_brute(got: &[f64], want: &[f64]) {
+        assert_eq!(got.len(), want.len());
+        for (g, w) in got.iter().zip(want) {
+            assert!((g - w).abs() <= 1e-12 * w.max(1.0), "{g} vs brute {w}");
+        }
+    }
+
+    #[test]
+    fn drained_series_matches_brute_force_and_the_stepwise_session() {
+        let mut rng = StdRng::seed_from_u64(12);
+        for _ in 0..10 {
+            let m = random_markov_sequence(
+                &RandomChainSpec {
+                    len: 6,
+                    n_symbols: 3,
+                    zero_prob: 0.3,
+                },
+                &mut rng,
+            );
+            let mut sess =
+                StreamSession::Event(EventSession::start(has_two(), m.initial_dist()).unwrap());
+            let drained = sess.drain(&mut m.step_source(), true).unwrap();
+            assert_matches_brute(&drained, &brute_series(&has_two(), &m));
+            let stepwise = stepwise_series(has_two(), &m);
+            for (d, s) in drained.iter().zip(&stepwise) {
+                // The series driver and a hand-fed session share one fold,
+                // so they agree bit for bit, not just approximately.
+                assert_eq!(d.to_bits(), s.to_bits(), "{d} vs {s}");
+            }
+        }
+    }
+
+    #[test]
+    fn series_source_matches_brute_force_and_the_stepwise_session() {
+        let mut rng = StdRng::seed_from_u64(13);
+        for _ in 0..5 {
+            let m = random_markov_sequence(
+                &RandomChainSpec {
+                    len: 7,
+                    n_symbols: 3,
+                    zero_prob: 0.3,
+                },
+                &mut rng,
+            );
+            let streamed = crate::plan::PreparedEventQuery::new(has_two())
+                .series_source(&mut m.step_source())
+                .unwrap();
+            assert_matches_brute(&streamed, &brute_series(&has_two(), &m));
+            for (a, b) in streamed.iter().zip(&stepwise_series(has_two(), &m)) {
+                assert_eq!(a.to_bits(), b.to_bits(), "{a} vs {b}");
+            }
+        }
+    }
+
+    #[test]
+    fn event_session_runs_without_storing_the_stream() {
+        // Feed matrices one at a time; state size stays bounded.
+        let k = 3;
+        let uniform = vec![1.0 / k as f64; k * k];
+        let mut sess = EventSession::start(has_two(), &[1.0, 0.0, 0.0]).unwrap();
+        assert_eq!(sess.probability(), 0.0); // first node is 0, not 2
+        let mut last = 0.0;
+        for _ in 0..1000 {
+            let p = sess.advance(&uniform).unwrap();
+            assert!(p >= last - 1e-12, "monotone for a monotone property");
+            last = p;
+        }
+        assert_eq!(sess.positions(), 1001);
+        // After 1000 uniform steps the pattern has almost surely appeared.
+        assert!(last > 0.999999);
+    }
+
+    #[test]
+    fn event_session_start_and_advance_validate_shapes() {
+        assert!(EventSession::start(has_two(), &[1.0]).is_err());
+        let mut s = EventSession::start(has_two(), &[1.0, 0.0, 0.0]).unwrap();
+        assert!(s.advance(&[1.0, 0.0]).is_err());
+    }
+
+    /// Uniform chains make every reachable subset appear; two drains of
+    /// the same sequence agree bitwise.
+    #[test]
+    fn event_series_is_bit_reproducible() {
+        let mut rng = StdRng::seed_from_u64(77);
+        let m = random_markov_sequence(
+            &RandomChainSpec {
+                len: 9,
+                n_symbols: 3,
+                zero_prob: 0.4,
+            },
+            &mut rng,
+        );
+        let q = crate::plan::PreparedEventQuery::new(has_two());
+        let a = q.series(&m).unwrap();
+        let b = q.series(&m).unwrap();
+        for (x, y) in a.iter().zip(b.iter()) {
+            assert_eq!(x.to_bits(), y.to_bits());
         }
     }
 }

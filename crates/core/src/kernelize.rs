@@ -52,7 +52,7 @@ pub fn output_step_graph(t: &Transducer, o: &[SymbolId]) -> StepGraph {
 }
 
 /// Precompiles the state-only machine of the output-oblivious DPs
-/// (`answer_exists`, `top_by_emax`) and of the k-uniform fast paths,
+/// (`BoundQuery::answer_exists`, `BoundQuery::top`) and of the k-uniform fast paths,
 /// which filter edges per step by the expected emission id instead of by
 /// output position. Rows are transducer states; payloads are interned
 /// emission ids.

@@ -16,6 +16,13 @@
 //! every output string `o` with `Pr(S →[A^ω]→ o) > 0` is an *answer*, and
 //! that probability is its *confidence*.
 //!
+//! Every transducer query runs through one front door: [`prepare`] the
+//! machine once (the Table 2 planner), [`PreparedQuery::bind`] it to a
+//! sequence (or [`PreparedQuery::bind_source`] to a stream), and call the
+//! evaluation mode on the [`BoundQuery`]. Boolean event queries run
+//! through [`PreparedEventQuery`], or an [`EventSession`] when they are
+//! fed one matrix at a time.
+//!
 //! The modules map onto the paper's results:
 //!
 //! | Module | Paper result |
@@ -39,7 +46,6 @@ pub mod constraints;
 pub mod emax;
 pub mod enumerate;
 pub mod error;
-pub mod evaluate;
 pub mod evidence;
 pub(crate) mod forward;
 pub mod generate;
@@ -48,7 +54,6 @@ pub mod kernelize;
 pub mod montecarlo;
 pub mod plan;
 pub mod scan;
-pub mod streaming;
 pub mod textio;
 pub mod transducer;
 
@@ -56,29 +61,25 @@ pub use certified::{
     certified_top_by_confidence, certified_top_k_by_confidence, CertifiedTop, CertifiedTopK,
 };
 pub use compose::compose;
-pub use confidence::{
-    acceptance_probability, acceptance_probability_source, confidence, confidence_deterministic,
-    confidence_general, confidence_source, confidence_uniform_nfa, is_answer,
-    prefix_acceptance_probabilities, prefix_acceptance_probabilities_source,
-};
-pub use emax::{emax_of_output, emax_of_output_source, top_by_emax, EmaxResult};
-pub use enumerate::{
-    enumerate_by_emax, enumerate_unranked, top_k_by_emax, RankedAnswer, UnrankedAnswers,
-};
+pub use confidence::{confidence_deterministic, confidence_general, confidence_uniform_nfa};
+pub use emax::EmaxResult;
+pub use enumerate::{RankedAnswer, UnrankedAnswers};
 pub use error::EngineError;
-pub use evaluate::{ConfidenceCost, Evaluation, ScoredAnswer};
-pub use evidence::{enumerate_evidences, top_k_evidences, Evidence, Evidences};
+pub use evidence::{Evidence, Evidences};
 pub use incremental::{
     CheckpointKind, ConfidenceSession, EventSession, SlidingWindowQuery, StreamCheckpoint,
     StreamSession, WindowSession,
 };
 pub use plan::{
-    choose_strategy, prepare, BoundQuery, BoundedCache, PlanExplain, PlanKind, PreparedEventQuery,
-    PreparedQuery, SourceBoundQuery, Strategy,
+    choose_strategy, prepare, BoundQuery, BoundedCache, ConfidenceCost, PlanExplain, PlanKind,
+    PreparedEventQuery, PreparedQuery, ScoredAnswer, SourceBoundQuery, Strategy,
 };
-pub use scan::prefix_acceptance_probabilities_scan;
-pub use streaming::EventMonitor;
 pub use transducer::{Transducer, TransducerBuilder};
+
+/// Another name for [`BoundQuery`], kept so code that names its
+/// evaluation handle `Evaluation` still compiles;
+/// [`BoundQuery::with_plan`] is [`PreparedQuery::bind`].
+pub type Evaluation<'m> = BoundQuery<'m>;
 
 pub use transmark_automata::{Alphabet, BitSet, Dfa, Nfa, StateId, SymbolId};
 pub use transmark_markov::{MarkovSequence, MarkovSequenceBuilder};

@@ -63,24 +63,9 @@ pub(crate) fn transduces_to_with(
     (0..nq).any(|q| t.is_accepting(StateId(q as u32)) && cur[q * width + o_len])
 }
 
-/// Estimates `Pr(S →[A^ω]→ o)` from `samples` independent worlds.
-///
-/// Legacy convenience routing through the prepared API
-/// ([`BoundQuery::estimate_confidence`](crate::plan::BoundQuery::estimate_confidence));
-/// the draw sequence for a given `rng` state is identical.
-pub fn estimate_confidence<R: Rng + ?Sized>(
-    t: &Transducer,
-    m: &MarkovSequence,
-    o: &[SymbolId],
-    samples: usize,
-    rng: &mut R,
-) -> Result<McEstimate, EngineError> {
-    crate::plan::prepare(t)
-        .bind(m)?
-        .estimate_confidence(o, samples, rng)
-}
-
-/// The sampling loop over an optionally precompiled membership graph.
+/// The sampling loop behind
+/// [`BoundQuery::estimate_confidence`](crate::plan::BoundQuery::estimate_confidence),
+/// over an optionally precompiled membership graph.
 /// `graph` must be `Some(output_step_graph(t, o))` exactly when `t` is
 /// nondeterministic (the deterministic fast path needs no graph).
 pub(crate) fn estimate_confidence_impl<R: Rng + ?Sized>(
@@ -129,15 +114,15 @@ fn draw_row<R: Rng + ?Sized>(row: &[f64], rng: &mut R) -> usize {
     last.expect("distribution has positive mass")
 }
 
-/// [`estimate_confidence`] over a streamed source: all `samples` worlds
-/// advance together, one pulled layer at a time, with an online Boolean
-/// membership DP per world — memory is `O(samples · |Q| · |o|)`,
-/// independent of `n`.
+/// [`BoundQuery::estimate_confidence`](crate::plan::BoundQuery::estimate_confidence)
+/// over a streamed source: all `samples` worlds advance together, one
+/// pulled layer at a time, with an online Boolean membership DP per world
+/// — memory is `O(samples · |Q| · |o|)`, independent of `n`.
 ///
 /// The estimator is the same unbiased mean-of-indicators, but the RNG
 /// draw order is necessarily *sample-major per layer* (world `j`'s `i`-th
 /// symbol is drawn after every world's `i−1`-th), whereas
-/// [`estimate_confidence`] draws each world to completion before the
+/// the in-memory estimator draws each world to completion before the
 /// next. For a given seed the two therefore produce different (equally
 /// valid) estimates; this function itself is deterministic given the
 /// seed, and bit-identical across in-memory, text, and binary sources.
@@ -206,6 +191,7 @@ pub fn estimate_confidence_source<S: StepSource, R: Rng + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::prepare;
     use rand::{rngs::StdRng, SeedableRng};
     use transmark_automata::Alphabet;
     use transmark_markov::MarkovSequenceBuilder;
@@ -261,7 +247,11 @@ mod tests {
         let o = vec![sym(0)]; // suffix "a"
         let exact = crate::brute::evaluate(&t, &m).unwrap()[&o];
         let mut rng = StdRng::seed_from_u64(99);
-        let est = estimate_confidence(&t, &m, &o, 20_000, &mut rng).unwrap();
+        let est = prepare(&t)
+            .bind(&m)
+            .unwrap()
+            .estimate_confidence(&o, 20_000, &mut rng)
+            .unwrap();
         assert!(
             (est.estimate - exact).abs() < 4.0 * est.std_error + 1e-9,
             "estimate {} vs exact {exact} (se {})",
@@ -283,7 +273,11 @@ mod tests {
         let m = uniform_chain(2);
         let mut rng = StdRng::seed_from_u64(7);
         let o = vec![sym(0), sym(1)];
-        let est = estimate_confidence(&t, &m, &o, 20_000, &mut rng).unwrap();
+        let est = prepare(&t)
+            .bind(&m)
+            .unwrap()
+            .estimate_confidence(&o, 20_000, &mut rng)
+            .unwrap();
         assert!((est.estimate - 0.25).abs() < 0.02);
     }
 }

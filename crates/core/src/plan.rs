@@ -1,42 +1,40 @@
 //! The prepared-query layer: compile once, bind per sequence, execute
-//! many times.
+//! many times. It is the engine's only entry point for transducer
+//! queries; Boolean event queries have theirs in [`PreparedEventQuery`].
 //!
 //! The paper's Table 2 is a query planner in prose: for each machine
-//! class it names the algorithm that evaluates it. The free functions in
-//! [`crate::confidence`], [`crate::emax`], … re-derive that choice — and
-//! rebuild every machine-side artifact — on each call. A
-//! [`PreparedQuery`] does the analysis once:
+//! class it names the algorithm that evaluates it. A [`PreparedQuery`]
+//! makes that choice once per machine:
 //!
-//! 1. **compile** ([`PreparedQuery::new`]): classify the machine
-//!    (deterministic? k-uniform? Mealy?), select the Table 2 route as a
-//!    [`PlanKind`], precompile the state step graph, the accepting-state
-//!    bitset, and an emission index (a hash lookup replacing the linear
-//!    scans of `emission_id_for` — interning is injective, so lookups are
-//!    equivalent); output-dependent artifacts (output/prefix step graphs,
-//!    Lawler–Murty constraint products) are compiled on first use and
-//!    memoized in bounded caches.
+//! 1. **compile** ([`prepare`] / [`PreparedQuery::new`]): classify the
+//!    machine (deterministic? k-uniform? Mealy?), select the Table 2 route
+//!    as a [`PlanKind`], precompile the state step graph, the
+//!    accepting-state bitset, and an emission index (a hash lookup
+//!    replacing the linear scans of `emission_id_for` — interning is
+//!    injective, so lookups are equivalent); output-dependent artifacts
+//!    (output/prefix step graphs, Lawler–Murty constraint products) are
+//!    compiled on first use and memoized in bounded caches.
 //! 2. **bind** ([`PreparedQuery::bind`]): flatten one sequence's CSR
-//!    ([`SparseSteps`]) and allocate reusable workspaces.
+//!    ([`SparseSteps`](transmark_kernel::SparseSteps)) or borrow its dense
+//!    buffer, and allocate reusable workspaces.
 //! 3. **execute**: every pass of the engine, as a method on
 //!    [`BoundQuery`]. Each forward route is one seed/step/finish pass
 //!    (see `crate::forward`) driven over the bind's steps; a
 //!    [`SourceBoundQuery`] drives the same pass over pulled layers and a
 //!    [`crate::incremental::ConfidenceSession`] one matrix at a time, so
 //!    every form agrees bit for bit (pinned by the golden Table 1,
-//!    oracle, and parity suites). The legacy free functions compile a
-//!    one-shot plan and call these methods.
+//!    oracle, and parity suites).
 //!
 //! The machine side is immutable after compilation and `Send + Sync`, so
 //! one `Arc<PreparedQuery>` serves a whole fleet of threads (the store's
 //! parallel evaluation binds the same plan per stream per thread).
 //!
 //! What is deliberately **not** cached: the on-the-fly determinizations
-//! behind [`crate::confidence::acceptance_probability`] and the streaming
-//! monitor. Their subset ids are interned in discovery order and the
-//! reduction order follows those ids, so sharing a determinizer across
-//! sequences (or even across repeated evaluations) would perturb float
-//! accumulation order and break bit-reproducibility. Each evaluation gets
-//! a fresh determinizer, exactly as the legacy path did.
+//! behind [`PreparedEventQuery`] and the streaming sessions. Their subset
+//! ids are interned in discovery order and the reduction order follows
+//! those ids, so sharing a determinizer across sequences (or even across
+//! repeated evaluations) would perturb float accumulation order and break
+//! bit-reproducibility. Each evaluation gets a fresh determinizer.
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
@@ -58,9 +56,9 @@ use crate::enumerate::{
     UnrankedAnswers,
 };
 use crate::error::EngineError;
-use crate::evaluate::{ConfidenceCost, ScoredAnswer};
 use crate::evidence::{self, Evidence, Evidences};
 use crate::forward::{run_source, BoundLayer, FlatReduce, ForwardPass};
+use crate::incremental::{EventSession, StreamSession};
 use crate::kernelize::{output_step_graph, prefix_step_graph, state_step_graph};
 use crate::montecarlo::{self, McEstimate};
 use crate::transducer::Transducer;
@@ -145,6 +143,29 @@ impl PlanKind {
             PlanKind::General => ConfidenceCost::ExponentialWorstCase,
         }
     }
+}
+
+/// How expensive exact confidence computation is for a machine
+/// (the columns of Table 2 that apply to plain transducers).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ConfidenceCost {
+    /// Deterministic: polynomial (Theorem 4.6).
+    Polynomial,
+    /// Nondeterministic but k-uniform: `O(4^{|Q|})` (Theorem 4.8).
+    ExponentialInStates,
+    /// General: exponential in reachable configurations (Prop. 4.7).
+    ExponentialWorstCase,
+}
+
+/// A fully scored answer.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ScoredAnswer {
+    /// The output string.
+    pub output: Vec<SymbolId>,
+    /// `E_max(output)` — the best-evidence score the ranking used.
+    pub emax: f64,
+    /// The exact confidence `Pr(S →[A^ω]→ output)`.
+    pub confidence: f64,
 }
 
 impl fmt::Display for PlanKind {
@@ -634,9 +655,8 @@ impl BoundSteps<'_> {
 
 /// One plan bound to one sequence: the data-side artifacts (strategy-
 /// chosen step storage, layer workspaces) plus a handle on the shared
-/// machine side. Methods mirror the legacy free functions — same
-/// validation, same errors, bit-identical results — but reuse every
-/// precompiled artifact across calls.
+/// machine side. Every evaluation mode of §3.2 is a method here, and
+/// repeated calls reuse every precompiled artifact.
 pub struct BoundQuery<'m> {
     plan: Arc<PreparedQuery>,
     m: &'m MarkovSequence,
@@ -646,6 +666,15 @@ pub struct BoundQuery<'m> {
 }
 
 impl<'m> BoundQuery<'m> {
+    /// Binds `plan` to `m` under the planner's strategy: the same call as
+    /// [`PreparedQuery::bind`], kept under the [`crate::Evaluation`] name.
+    pub fn with_plan(
+        plan: &Arc<PreparedQuery>,
+        m: &'m MarkovSequence,
+    ) -> Result<Self, EngineError> {
+        plan.bind(m)
+    }
+
     /// The plan this bind executes.
     pub fn plan(&self) -> &Arc<PreparedQuery> {
         &self.plan
@@ -668,9 +697,9 @@ impl<'m> BoundQuery<'m> {
         e
     }
 
-    /// The bind's shared CSR (for facade iterators that outlive `&self`),
+    /// The bind's shared CSR (for enumerations that own their artifacts),
     /// built on first use under a dense bind.
-    pub(crate) fn steps_shared(&self) -> &SharedSparseSteps {
+    fn steps_shared(&self) -> &SharedSparseSteps {
         self.steps.shared_csr(self.m)
     }
 
@@ -687,13 +716,41 @@ impl<'m> BoundQuery<'m> {
         pass.finish()
     }
 
-    /// `Pr(S →[A^ω]→ o)` along the plan's Table 2 route.
+    /// `Pr(S →[A^ω]→ o)` along the plan's Table 2 route: deterministic →
+    /// Thm 4.6 (uniform fast path included); uniform NFA → Thm 4.8;
+    /// otherwise the general exact algorithm.
+    ///
+    /// ```
+    /// use transmark_automata::Alphabet;
+    /// use transmark_core::{prepare, Transducer};
+    /// use transmark_markov::MarkovSequenceBuilder;
+    ///
+    /// // A 2-step chain over {a, b} and the identity transducer.
+    /// let alphabet = Alphabet::of_chars("ab");
+    /// let (a, b) = (alphabet.sym("a"), alphabet.sym("b"));
+    /// let chain = MarkovSequenceBuilder::new(alphabet.clone(), 2)
+    ///     .initial(a, 0.6).initial(b, 0.4)
+    ///     .transition(0, a, a, 0.5).transition(0, a, b, 0.5)
+    ///     .transition(0, b, b, 1.0)
+    ///     .build()?;
+    /// let mut builder = Transducer::builder(alphabet.clone(), alphabet);
+    /// let q = builder.add_state(true);
+    /// builder.add_transition(q, a, q, &[a])?;
+    /// builder.add_transition(q, b, q, &[b])?;
+    /// let identity = builder.build()?;
+    ///
+    /// // Identity ⇒ conf(o) = p(o): conf("ab") = 0.6·0.5.
+    /// let conf = prepare(&identity).bind(&chain)?.confidence(&[a, b])?;
+    /// assert!((conf - 0.3).abs() < 1e-12);
+    /// # Ok::<(), Box<dyn std::error::Error>>(())
+    /// ```
     pub fn confidence(&self, o: &[SymbolId]) -> Result<f64, EngineError> {
         self.confidence_via(self.plan.kind, o)
     }
 
-    /// `Pr(S →[A^ω]→ o)` along an explicit `route` (the legacy
-    /// per-theorem entry points force theirs).
+    /// `Pr(S →[A^ω]→ o)` along an explicit `route` (the per-theorem
+    /// entry points such as [`crate::confidence::confidence_general`]
+    /// force theirs).
     pub(crate) fn confidence_via(
         &self,
         route: PlanKind,
@@ -708,8 +765,10 @@ impl<'m> BoundQuery<'m> {
         Ok(self.run(ConfidencePass::seed(plan, route, &mut *ws, initial, o, len)))
     }
 
-    /// Whether `o` is an answer: Boolean reachability over the output
-    /// graph.
+    /// Whether `o` is an answer, i.e. `Pr(S →[A^ω]→ o) > 0` (§3.2:
+    /// "whether a string is an answer can be decided efficiently").
+    /// Boolean reachability over the output graph — polynomial for every
+    /// transducer, `O(n·|Σ|²·|Q|·|o|)`.
     pub fn is_answer(&self, o: &[SymbolId]) -> Result<bool, EngineError> {
         let _exec = ExecGuard::enter(&self.plan);
         let t = &self.plan.t;
@@ -726,8 +785,8 @@ impl<'m> BoundQuery<'m> {
         )))
     }
 
-    /// Whether the query has any answer: Boolean reachability over the
-    /// state graph.
+    /// Whether the query has any answer (`Pr(S ∈ L(A)) > 0`): Boolean
+    /// reachability over the state graph, `O(n·|Σ|²·|Q|·b)`.
     pub fn answer_exists(&self) -> Result<bool, EngineError> {
         let _exec = ExecGuard::enter(&self.plan);
         let mut ws = self.ws_b.borrow_mut();
@@ -741,8 +800,10 @@ impl<'m> BoundQuery<'m> {
         )))
     }
 
-    /// The top answer by `E_max` (bit-identical to
-    /// [`crate::emax::top_by_emax`]).
+    /// The top answer by `E_max`: a tracked Viterbi pass maximizing
+    /// `p(s)` over accepting `(s, run)` pairs, returning the run's output
+    /// and its best evidence (§4.2; see [`crate::emax`]). `None` when the
+    /// query has no answer.
     pub fn top(&self) -> Result<Option<EmaxResult>, EngineError> {
         let _exec = ExecGuard::enter(&self.plan);
         Ok(emax::top_by_emax_impl(
@@ -752,7 +813,9 @@ impl<'m> BoundQuery<'m> {
         ))
     }
 
-    /// `ln E_max(o)`: max-product over the output graph.
+    /// `ln E_max(o)`: the best evidence transduced into exactly `o`
+    /// (`-∞` if `o` is not an answer), by max-product over the output
+    /// graph.
     pub fn emax_of_output(&self, o: &[SymbolId]) -> Result<f64, EngineError> {
         let _exec = ExecGuard::enter(&self.plan);
         let t = &self.plan.t;
@@ -769,9 +832,8 @@ impl<'m> BoundQuery<'m> {
         )))
     }
 
-    /// Monte-Carlo confidence estimate (same sampling sequence as
-    /// [`crate::montecarlo::estimate_confidence`] for the same `rng`
-    /// state).
+    /// Monte-Carlo estimate of `Pr(S →[A^ω]→ o)` from `samples`
+    /// independent worlds (see [`crate::montecarlo`]).
     pub fn estimate_confidence<R: Rng + ?Sized>(
         &self,
         o: &[SymbolId],
@@ -796,8 +858,8 @@ impl<'m> BoundQuery<'m> {
         ))
     }
 
-    /// All evidences of `o`, most probable first (bit-identical to
-    /// [`crate::evidence::enumerate_evidences`]).
+    /// All evidences of `o` — the worlds transduced into it — most
+    /// probable first (see [`crate::evidence`]).
     pub fn evidences(&self, o: &[SymbolId]) -> Result<Evidences, EngineError> {
         let _exec = ExecGuard::enter(&self.plan);
         let t = &self.plan.t;
@@ -815,9 +877,9 @@ impl<'m> BoundQuery<'m> {
         Ok(self.evidences(o)?.take(k).collect())
     }
 
-    /// Theorem 4.1 lexicographic enumeration (bit-identical to
-    /// [`crate::enumerate::enumerate_unranked`]); per-prefix graphs come
-    /// from the plan's memo cache.
+    /// Theorem 4.1 lexicographic enumeration with polynomial delay and
+    /// space; per-prefix graphs come from the plan's memo cache. The
+    /// iterator borrows the bind.
     pub fn unranked(&self) -> Result<UnrankedAnswers<'_>, EngineError> {
         Ok(enumerate_unranked_with(
             &self.plan.t,
@@ -827,19 +889,22 @@ impl<'m> BoundQuery<'m> {
         ))
     }
 
-    /// Theorem 4.3 ranked enumeration (bit-identical to
-    /// [`crate::enumerate::enumerate_by_emax`]); constraint products come
-    /// from the plan's memo cache and the Viterbi probes share this bind's
-    /// CSR.
-    pub fn ranked(&self) -> Result<EmaxEnumeration<'static>, EngineError> {
+    /// Theorem 4.3 enumeration in decreasing `E_max` with polynomial
+    /// delay; constraint products come from the plan's memo cache and the
+    /// Viterbi probes share this bind's CSR.
+    pub fn ranked(&self) -> Result<EmaxEnumeration, EngineError> {
         Ok(enumerate_by_emax_planned(
             Arc::clone(&self.plan),
             Arc::clone(self.steps_shared()),
         ))
     }
 
-    /// The top-k answers by `E_max`, each with its exact confidence
-    /// (bit-identical to [`crate::evaluate::Evaluation::top_k_scored`]).
+    /// The top-k answers by `E_max`, each with its exact confidence.
+    ///
+    /// This is the paper's recommended practical mode: the ranking is the
+    /// provably-best polynomial heuristic, and the confidence attached to
+    /// each reported answer is exact (polynomial when the plan's
+    /// [`PlanKind::confidence_cost`] is `Polynomial`).
     pub fn top_k_scored(&self, k: usize) -> Result<Vec<ScoredAnswer>, EngineError> {
         let _exec = ExecGuard::enter(&self.plan);
         let mut out = Vec::with_capacity(k);
@@ -854,7 +919,8 @@ impl<'m> BoundQuery<'m> {
         Ok(out)
     }
 
-    /// The top-k answers by `E_max` without confidences.
+    /// The top-k answers by `E_max` without confidences (the §2.3.1
+    /// top-k reduction: stop the Theorem 4.3 enumeration after `k`).
     pub fn top_k(&self, k: usize) -> Result<Vec<RankedAnswer>, EngineError> {
         let _exec = ExecGuard::enter(&self.plan);
         Ok(self.ranked()?.take(k).collect())
@@ -1076,8 +1142,9 @@ impl fmt::Display for PlanExplain {
 }
 
 /// The prepared form of a Boolean event query (an NFA over the sequence
-/// alphabet): the compile/bind surface for [`crate::streaming`] and the
-/// acceptance passes.
+/// alphabet): the entry point for `Pr(S ∈ L(A))` and the Lahar-style
+/// prefix series. For one-matrix-at-a-time monitoring with checkpoints,
+/// drive an [`EventSession`] directly.
 ///
 /// The only machine-side artifact worth caching here is the validated NFA
 /// itself — the subset determinization is rebuilt per evaluation *on
@@ -1103,14 +1170,18 @@ impl PreparedEventQuery {
         self.nfa.fingerprint()
     }
 
-    /// `Pr(S ∈ L(A))` (bit-identical to
-    /// [`crate::confidence::acceptance_probability`]).
+    /// `Pr(S ∈ L(A))` by on-the-fly determinization: the DP state is
+    /// `(node, determinized subset)`, so only subsets actually reachable
+    /// while scanning `μ` are materialized (this gives Theorem 5.5 its
+    /// `4^{|Q_E|}`-only blow-up downstream).
     pub fn acceptance(&self, m: &MarkovSequence) -> Result<f64, EngineError> {
-        confidence::acceptance_probability(&self.nfa, m)
+        let sess = EventSession::start(self.nfa.clone(), m.initial_dist())?;
+        Ok(StreamSession::Event(sess).drain(&mut m.step_source(), false)?[0])
     }
 
-    /// The per-prefix probability series (bit-identical to
-    /// [`crate::confidence::prefix_acceptance_probabilities`]).
+    /// The Lahar-style streaming Boolean query: for every position `i`,
+    /// `Pr(S[1..i] ∈ L(A))` (§6). `result[i-1]` is the probability at time
+    /// `i`, and `result[n-1]` equals [`PreparedEventQuery::acceptance`].
     pub fn series(&self, m: &MarkovSequence) -> Result<Vec<f64>, EngineError> {
         self.series_with(m, 1, None)
     }
@@ -1123,9 +1194,9 @@ impl PreparedEventQuery {
     ///   space is small enough for composition to pay off; otherwise the
     ///   sequential fold (bit-identical to [`PreparedEventQuery::series`]).
     /// * `Some(Strategy::Sparse)` — force the sequential fold.
-    /// * `Some(Strategy::Scan)` — force the scan
-    ///   ([`crate::scan::prefix_acceptance_probabilities_scan`]); results
-    ///   agree with the fold within a relative `1e-12`, not bitwise.
+    /// * `Some(Strategy::Scan)` — force the parallel-prefix scan (see
+    ///   [`crate::scan`]); results agree with the fold within a relative
+    ///   `1e-12`, not bitwise.
     /// * `Some(Strategy::Dense)` — rejected: dense kernels apply to bound
     ///   transducer queries, not series evaluation.
     pub fn series_with(
@@ -1141,7 +1212,7 @@ impl PreparedEventQuery {
             }),
             Some(Strategy::Sparse) => {
                 record_strategy(Strategy::Sparse);
-                confidence::prefix_acceptance_probabilities(&self.nfa, m)
+                self.series_source(&mut m.step_source())
             }
             Some(Strategy::Scan) => {
                 record_strategy(Strategy::Scan);
@@ -1154,15 +1225,17 @@ impl PreparedEventQuery {
                     return Ok(series);
                 }
                 record_strategy(Strategy::Sparse);
-                confidence::prefix_acceptance_probabilities(&self.nfa, m)
+                self.series_source(&mut m.step_source())
             }
         }
     }
 
     /// The per-prefix probability series over a streamed source
-    /// (bit-identical to [`PreparedEventQuery::series`]).
+    /// (bit-identical to [`PreparedEventQuery::series`]). The output
+    /// vector is the only O(n) state.
     pub fn series_source<S: StepSource>(&self, src: &mut S) -> Result<Vec<f64>, EngineError> {
-        confidence::prefix_acceptance_probabilities_source(&self.nfa, src)
+        let sess = EventSession::start(self.nfa.clone(), src.initial())?;
+        StreamSession::Event(sess).drain(src, true)
     }
 }
 
@@ -1220,25 +1293,24 @@ mod tests {
     }
 
     #[test]
-    fn bound_results_match_free_functions_bitwise() {
+    fn bound_results_match_brute_force() {
         let t = identity();
         let m = chain();
         let plan = prepare(&t);
         let bound = plan.bind(&m).unwrap();
+        let answers = crate::brute::evaluate(&t, &m).unwrap();
         let o = [sym(0), sym(1), sym(0)];
-        let free = crate::confidence::confidence(&t, &m, &o).unwrap();
         let planned = bound.confidence(&o).unwrap();
-        assert_eq!(free.to_bits(), planned.to_bits());
+        assert!((planned - answers[&o[..]]).abs() < 1e-12);
         // Repeated calls reuse the cached artifacts and stay identical.
         assert_eq!(bound.confidence(&o).unwrap().to_bits(), planned.to_bits());
-        assert_eq!(
-            bound.is_answer(&o).unwrap(),
-            crate::confidence::is_answer(&t, &m, &o).unwrap()
-        );
-        assert_eq!(
-            bound.top().unwrap(),
-            crate::emax::top_by_emax(&t, &m).unwrap()
-        );
+        assert!(bound.is_answer(&o).unwrap());
+        assert!(!bound.is_answer(&o[..2]).unwrap());
+        let top = bound.top().unwrap().unwrap();
+        let want = crate::brute::emax(&t, &m, &top.output).unwrap();
+        assert!((top.prob() - want).abs() < 1e-12);
+        let best = answers.values().cloned().fold(0.0, f64::max);
+        assert!((top.prob() - best).abs() < 1e-12, "identity: E_max = conf");
     }
 
     #[test]
@@ -1271,6 +1343,53 @@ mod tests {
     }
 
     #[test]
+    fn bound_query_works_end_to_end() {
+        let (t, m) = (identity(), chain());
+        let bound = prepare(&t).bind(&m).unwrap();
+        let answers = crate::brute::evaluate(&t, &m).unwrap();
+        assert_eq!(
+            bound.plan().kind().confidence_cost(),
+            ConfidenceCost::Polynomial
+        );
+        assert!(bound.answer_exists().unwrap());
+        let scored = bound.top_k_scored(3).unwrap();
+        assert_eq!(scored.len(), 3);
+        for s in &scored {
+            // Identity over a uniform chain: every answer has conf = 1/8,
+            // and E_max = conf (single evidence each).
+            assert!((s.confidence - answers[&s.output]).abs() < 1e-12);
+            let emax = crate::brute::emax(&t, &m, &s.output).unwrap();
+            assert!((s.emax - emax).abs() < 1e-12);
+            assert!(bound.is_answer(&s.output).unwrap());
+        }
+        assert_eq!(bound.unranked().unwrap().count(), answers.len());
+        assert_eq!(bound.ranked().unwrap().count(), answers.len());
+        let top = bound.top().unwrap().unwrap();
+        assert!((top.prob() - 0.125).abs() < 1e-12);
+    }
+
+    #[test]
+    fn cost_classification() {
+        let alphabet = Alphabet::of_chars("a");
+        // Nondeterministic 1-uniform.
+        let mut b = Transducer::builder(alphabet.clone(), alphabet.clone());
+        let q0 = b.add_state(true);
+        let q1 = b.add_state(true);
+        b.add_transition(q0, sym(0), q0, &[sym(0)]).unwrap();
+        b.add_transition(q0, sym(0), q1, &[sym(0)]).unwrap();
+        let t = b.build().unwrap();
+        let m = MarkovSequenceBuilder::new(alphabet, 1)
+            .initial(sym(0), 1.0)
+            .build()
+            .unwrap();
+        let bound = prepare(&t).bind(&m).unwrap();
+        assert_eq!(
+            bound.plan().kind().confidence_cost(),
+            ConfidenceCost::ExponentialInStates
+        );
+    }
+
+    #[test]
     fn bind_rejects_alphabet_mismatch() {
         let t = identity();
         let m3 = MarkovSequenceBuilder::new(Alphabet::of_chars("abc"), 2)
@@ -1294,7 +1413,7 @@ mod tests {
     }
 
     #[test]
-    fn prepared_event_query_matches_direct_calls() {
+    fn prepared_event_query_matches_brute_force() {
         let mut rng = StdRng::seed_from_u64(11);
         let m = random_markov_sequence(
             &RandomChainSpec {
@@ -1306,14 +1425,17 @@ mod tests {
         );
         let nfa = identity().underlying_nfa();
         let q = PreparedEventQuery::new(nfa.clone());
+        let worlds = transmark_markov::support::support(&m);
         let a = q.acceptance(&m).unwrap();
-        let b = crate::confidence::acceptance_probability(&nfa, &m).unwrap();
-        assert_eq!(a.to_bits(), b.to_bits());
-        let s1 = q.series(&m).unwrap();
-        let s2 = crate::streaming::EventMonitor::replay(nfa, &m).unwrap();
-        assert_eq!(s1.len(), s2.len());
-        for (x, y) in s1.iter().zip(&s2) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
+        let want: f64 = worlds
+            .iter()
+            .filter(|(s, _)| nfa.accepts(s))
+            .map(|(_, p)| p)
+            .sum();
+        assert!((a - want).abs() < 1e-12, "{a} vs brute {want}");
+        let series = q.series(&m).unwrap();
+        assert_eq!(series.len(), m.len());
+        // The final-only and the series drains run one fold.
+        assert_eq!(series[m.len() - 1].to_bits(), a.to_bits());
     }
 }

@@ -1,8 +1,9 @@
 //! Parallel-prefix evaluation of the prefix-acceptance series.
 //!
-//! [`crate::confidence::prefix_acceptance_probabilities`] folds the
-//! acceptance DP strictly left to right: `n - 1` dependent steps, O(n)
-//! span. This module evaluates the same series by *function composition*:
+//! The sequential prefix series (an
+//! [`EventSession`](crate::incremental::EventSession) driven over the
+//! sequence) folds the acceptance DP strictly left to right: `n - 1`
+//! dependent steps, O(n) span. This module evaluates the same series by *function composition*:
 //! each step's dense `|Σ|²` matrix lifts to a linear operator on the
 //! `(determinized subset, node)` state space, operators compose
 //! associatively, and contiguous chunks of the sequence compose in
@@ -19,7 +20,7 @@
 //! within a relative `1e-12` and deterministic for a fixed `(input,
 //! thread count)` — see the numerics contract in `transmark_kernel::dp`.
 //!
-//! Strategy selection ([`Strategy::Scan`] auto-pick) lives in
+//! Strategy selection ([`Strategy::Scan`](transmark_kernel::Strategy::Scan) auto-pick) lives in
 //! [`crate::plan::PreparedEventQuery::series_with`]; the heuristics here
 //! only decide *how* a scan runs (chunked vs. flat sequential replay).
 
@@ -375,12 +376,13 @@ pub(crate) fn run_scan(dfa: &ScanDfa, m: &MarkovSequence, threads: usize) -> Vec
 }
 
 /// The prefix-acceptance series by parallel-prefix scan — the
-/// [`crate::plan::Strategy::Scan`] evaluator. Same series as
-/// [`crate::confidence::prefix_acceptance_probabilities`] within a
-/// relative `1e-12` (not bitwise; see the module docs), deterministic for
-/// a fixed `(input, n_threads)`. `n_threads ≤ 1` runs the flat sequential
-/// replay over the same upfront-determinized state space.
-pub fn prefix_acceptance_probabilities_scan(
+/// [`Strategy::Scan`](crate::plan::Strategy::Scan) evaluator behind
+/// [`crate::plan::PreparedEventQuery::series_with`]. Same series as the
+/// sequential fold within a relative `1e-12` (not bitwise; see the module
+/// docs), deterministic for a fixed `(input, n_threads)`. `n_threads ≤ 1`
+/// runs the flat sequential replay over the same upfront-determinized
+/// state space.
+pub(crate) fn prefix_acceptance_probabilities_scan(
     nfa: &Nfa,
     m: &MarkovSequence,
     n_threads: usize,
@@ -409,7 +411,7 @@ pub(crate) fn try_auto_scan(nfa: &Nfa, m: &MarkovSequence, n_threads: usize) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::confidence::prefix_acceptance_probabilities;
+    use crate::plan::PreparedEventQuery;
     use rand::{rngs::StdRng, SeedableRng};
     use transmark_automata::StateId;
     use transmark_markov::generate::{random_markov_sequence, RandomChainSpec};
@@ -453,7 +455,7 @@ mod tests {
         let n = nfa();
         for seed in 0..4 {
             let m = chain(97, seed);
-            let fold = prefix_acceptance_probabilities(&n, &m).unwrap();
+            let fold = PreparedEventQuery::new(n.clone()).series(&m).unwrap();
             let scan = prefix_acceptance_probabilities_scan(&n, &m, 1).unwrap();
             assert_close(&scan, &fold);
         }
@@ -464,7 +466,7 @@ mod tests {
         let n = nfa();
         for threads in [2, 3, 4, 7] {
             let m = chain(301, threads as u64);
-            let fold = prefix_acceptance_probabilities(&n, &m).unwrap();
+            let fold = PreparedEventQuery::new(n.clone()).series(&m).unwrap();
             let scan = prefix_acceptance_probabilities_scan(&n, &m, threads).unwrap();
             assert_close(&scan, &fold);
         }
@@ -478,7 +480,7 @@ mod tests {
         let n = nfa();
         for (len, threads) in [(6, 4), (5, 4), (9, 7), (4, 3), (3, 2)] {
             let m = chain(len, 17);
-            let fold = prefix_acceptance_probabilities(&n, &m).unwrap();
+            let fold = PreparedEventQuery::new(n.clone()).series(&m).unwrap();
             let scan = prefix_acceptance_probabilities_scan(&n, &m, threads).unwrap();
             assert_close(&scan, &fold);
         }
@@ -499,7 +501,7 @@ mod tests {
     fn degenerate_lengths() {
         let n = nfa();
         let m = chain(1, 3);
-        let fold = prefix_acceptance_probabilities(&n, &m).unwrap();
+        let fold = PreparedEventQuery::new(n.clone()).series(&m).unwrap();
         let scan = prefix_acceptance_probabilities_scan(&n, &m, 4).unwrap();
         assert_close(&scan, &fold);
         assert_eq!(scan.len(), 1);
@@ -521,7 +523,7 @@ mod tests {
         let long = chain(AUTO_MIN_LEN, 2);
         assert!(try_auto_scan(&n, &long, 1).is_none(), "one thread");
         let got = try_auto_scan(&n, &long, 4).expect("eligible");
-        let fold = prefix_acceptance_probabilities(&n, &long).unwrap();
+        let fold = PreparedEventQuery::new(n.clone()).series(&long).unwrap();
         assert_close(&got, &fold);
     }
 

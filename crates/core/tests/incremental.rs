@@ -14,6 +14,7 @@ use transmark_core::incremental::{
 };
 use transmark_core::plan::{prepare, PreparedQuery};
 use transmark_core::transducer::Transducer;
+use transmark_core::PreparedEventQuery;
 use transmark_core::SymbolId;
 use transmark_markov::generate::{random_markov_sequence, RandomChainSpec};
 use transmark_markov::numeric::approx_eq;
@@ -129,7 +130,7 @@ proptest! {
         // Full-length window ≡ prefix acceptance (nothing ever evicted).
         let q = SlidingWindowQuery::new(nfa.clone(), n).unwrap();
         let windowed = q.series(&m).unwrap();
-        let prefix = transmark_core::prefix_acceptance_probabilities(&nfa, &m).unwrap();
+        let prefix = PreparedEventQuery::new(nfa.clone()).series(&m).unwrap();
         for (a, b) in windowed.iter().zip(&prefix) {
             prop_assert!(approx_eq(*a, *b, 1e-12, 1e-9));
         }
@@ -181,7 +182,7 @@ proptest! {
 
         // The answers (plus one arbitrary probe output) this query can
         // produce on this sequence.
-        let mut outputs: Vec<Vec<SymbolId>> = transmark_core::enumerate::enumerate_unranked(&t, &m)
+        let mut outputs: Vec<Vec<SymbolId>> = prepare(&t).bind(&m).unwrap().unranked()
             .unwrap()
             .take(3)
             .collect();

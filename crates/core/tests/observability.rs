@@ -8,7 +8,6 @@ use std::sync::Mutex;
 
 use rand::{rngs::StdRng, SeedableRng};
 use transmark_automata::{Alphabet, SymbolId};
-use transmark_core::evaluate::Evaluation;
 use transmark_core::plan::prepare;
 use transmark_core::transducer::Transducer;
 use transmark_markov::{MarkovSequence, MarkovSequenceBuilder};
@@ -51,7 +50,7 @@ fn instrumentation_is_bit_neutral() {
     let t = transmark_workloads::hospital::room_tracker();
     let m = transmark_workloads::hospital::hospital_sequence();
 
-    // Two fully instrumented runs and the Evaluation facade agree
+    // Two fully instrumented runs and a reused bind agree
     // bit-for-bit on every score.
     let a = prepare(&t).bind(&m).unwrap().top_k_scored(8).unwrap();
     let b = prepare(&t).bind(&m).unwrap().top_k_scored(8).unwrap();
@@ -62,7 +61,7 @@ fn instrumentation_is_bit_neutral() {
         assert_eq!(x.emax.to_bits(), y.emax.to_bits());
         assert_eq!(x.confidence.to_bits(), y.confidence.to_bits());
     }
-    let ev = Evaluation::new(&t, &m).unwrap();
+    let ev = prepare(&t).bind(&m).unwrap();
     for x in &a {
         assert_eq!(
             ev.confidence(&x.output).unwrap().to_bits(),
@@ -77,8 +76,16 @@ fn instrumentation_is_bit_neutral() {
     let o = vec![sym(0)];
     let mut r1 = StdRng::seed_from_u64(42);
     let mut r2 = StdRng::seed_from_u64(42);
-    let e1 = transmark_core::montecarlo::estimate_confidence(&t2, &m2, &o, 2_000, &mut r1).unwrap();
-    let e2 = transmark_core::montecarlo::estimate_confidence(&t2, &m2, &o, 2_000, &mut r2).unwrap();
+    let e1 = prepare(&t2)
+        .bind(&m2)
+        .unwrap()
+        .estimate_confidence(&o, 2_000, &mut r1)
+        .unwrap();
+    let e2 = prepare(&t2)
+        .bind(&m2)
+        .unwrap()
+        .estimate_confidence(&o, 2_000, &mut r2)
+        .unwrap();
     assert_eq!(e1.estimate.to_bits(), e2.estimate.to_bits());
     assert_eq!(e1.std_error.to_bits(), e2.std_error.to_bits());
 }
@@ -348,11 +355,19 @@ fn profiled_execution_is_bit_neutral() {
     let m = uniform_chain(4);
     let o = vec![sym(0)];
     let mut r1 = StdRng::seed_from_u64(7);
-    let e1 = transmark_core::montecarlo::estimate_confidence(&t, &m, &o, 1_000, &mut r1).unwrap();
+    let e1 = prepare(&t)
+        .bind(&m)
+        .unwrap()
+        .estimate_confidence(&o, 1_000, &mut r1)
+        .unwrap();
     let rec = std::sync::Arc::new(transmark_obs::Recorder::new());
     let e2 = rec.scope(|| {
         let mut r2 = StdRng::seed_from_u64(7);
-        transmark_core::montecarlo::estimate_confidence(&t, &m, &o, 1_000, &mut r2).unwrap()
+        prepare(&t)
+            .bind(&m)
+            .unwrap()
+            .estimate_confidence(&o, 1_000, &mut r2)
+            .unwrap()
     });
     assert_eq!(e1.estimate.to_bits(), e2.estimate.to_bits());
     assert_eq!(e1.std_error.to_bits(), e2.std_error.to_bits());

@@ -17,14 +17,12 @@
 use rand::{rngs::StdRng, SeedableRng};
 use transmark_core::brute;
 use transmark_core::confidence::{
-    acceptance_probability, answer_exists, confidence, confidence_deterministic,
-    confidence_general, confidence_uniform_nfa, is_answer,
+    confidence_deterministic, confidence_general, confidence_uniform_nfa,
 };
-use transmark_core::emax::{emax_of_output, top_by_emax};
-use transmark_core::enumerate::{enumerate_by_emax, enumerate_unranked};
 use transmark_core::generate::{random_transducer, RandomTransducerSpec, TransducerClass};
 use transmark_core::transducer::Transducer;
 use transmark_core::SymbolId;
+use transmark_core::{prepare, PreparedEventQuery};
 use transmark_markov::generate::{random_markov_sequence, RandomChainSpec};
 use transmark_markov::numeric::approx_eq;
 use transmark_markov::support::support;
@@ -79,6 +77,7 @@ fn some_outputs(n_symbols: usize, max_len: usize) -> Vec<Vec<SymbolId>> {
 
 fn check_instance(t: &Transducer, m: &MarkovSequence, ctx: &str) {
     let truth = brute::evaluate(t, m).expect("brute evaluation");
+    let bound = prepare(t).bind(m).expect("bind");
 
     // --- Confidence algorithms on every true answer -----------------------
     for (o, &conf_true) in &truth {
@@ -87,7 +86,7 @@ fn check_instance(t: &Transducer, m: &MarkovSequence, ctx: &str) {
             approx_eq(general, conf_true, TOL_ABS, TOL_REL),
             "{ctx}: general confidence {general} != {conf_true} for {o:?}"
         );
-        let auto = confidence(t, m, o).expect("auto confidence");
+        let auto = bound.confidence(o).expect("auto confidence");
         assert!(
             approx_eq(auto, conf_true, TOL_ABS, TOL_REL),
             "{ctx}: auto confidence {auto} != {conf_true} for {o:?}"
@@ -109,7 +108,7 @@ fn check_instance(t: &Transducer, m: &MarkovSequence, ctx: &str) {
 
         // E_max of each answer matches brute force.
         let e_brute = brute::emax(t, m, o).expect("brute emax");
-        let e_dp = emax_of_output(t, m, o).expect("emax dp").exp();
+        let e_dp = bound.emax_of_output(o).expect("emax dp").exp();
         assert!(
             approx_eq(e_dp, e_brute, TOL_ABS, TOL_REL),
             "{ctx}: emax {e_dp} != {e_brute} for {o:?}"
@@ -117,7 +116,7 @@ fn check_instance(t: &Transducer, m: &MarkovSequence, ctx: &str) {
 
         // Membership.
         assert!(
-            is_answer(t, m, o).expect("is_answer"),
+            bound.is_answer(o).expect("is_answer"),
             "{ctx}: {o:?} should be an answer"
         );
     }
@@ -126,10 +125,10 @@ fn check_instance(t: &Transducer, m: &MarkovSequence, ctx: &str) {
     for o in some_outputs(t.n_output_symbols(), 3) {
         if !truth.contains_key(&o) {
             assert!(
-                !is_answer(t, m, &o).expect("is_answer"),
+                !bound.is_answer(&o).expect("is_answer"),
                 "{ctx}: {o:?} should not be an answer"
             );
-            let c = confidence(t, m, &o).expect("confidence of non-answer");
+            let c = bound.confidence(&o).expect("confidence of non-answer");
             assert!(
                 approx_eq(c, 0.0, TOL_ABS, 0.0),
                 "{ctx}: non-answer {o:?} got confidence {c}"
@@ -139,7 +138,9 @@ fn check_instance(t: &Transducer, m: &MarkovSequence, ctx: &str) {
 
     // --- Acceptance probability -------------------------------------------
     let nfa = t.underlying_nfa();
-    let p_accept = acceptance_probability(&nfa, m).expect("acceptance probability");
+    let p_accept = PreparedEventQuery::new(nfa.clone())
+        .acceptance(m)
+        .expect("acceptance probability");
     let p_brute: f64 = support(m)
         .iter()
         .filter(|(s, _)| nfa.accepts(s))
@@ -150,18 +151,18 @@ fn check_instance(t: &Transducer, m: &MarkovSequence, ctx: &str) {
         "{ctx}: acceptance probability {p_accept} != {p_brute}"
     );
     assert_eq!(
-        answer_exists(t, m).expect("answer_exists"),
+        bound.answer_exists().expect("answer_exists"),
         !truth.is_empty(),
         "{ctx}: answer_exists disagrees with brute force"
     );
 
     // --- Theorem 4.1: unranked enumeration ---------------------------------
-    let unranked: Vec<_> = enumerate_unranked(t, m).expect("unranked").collect();
+    let unranked: Vec<_> = bound.unranked().expect("unranked").collect();
     let expected: Vec<_> = truth.keys().cloned().collect();
     assert_eq!(unranked, expected, "{ctx}: unranked enumeration mismatch");
 
     // --- Theorem 4.3: ranked by E_max --------------------------------------
-    let ranked: Vec<_> = enumerate_by_emax(t, m).expect("ranked").collect();
+    let ranked: Vec<_> = bound.ranked().expect("ranked").collect();
     assert_eq!(ranked.len(), truth.len(), "{ctx}: ranked enumeration count");
     let mut seen = std::collections::BTreeSet::new();
     let mut prev = f64::INFINITY;
@@ -191,7 +192,7 @@ fn check_instance(t: &Transducer, m: &MarkovSequence, ctx: &str) {
     }
 
     // --- Global E_max optimizer --------------------------------------------
-    match top_by_emax(t, m).expect("top_by_emax") {
+    match bound.top().expect("top_by_emax") {
         Some(top) => {
             let best_brute = truth
                 .keys()
@@ -342,9 +343,15 @@ fn mismatched_alphabets_are_rejected_everywhere() {
         },
         &mut rng,
     );
-    assert!(confidence(&t, &m, &[]).is_err());
-    assert!(is_answer(&t, &m, &[]).is_err());
-    assert!(top_by_emax(&t, &m).is_err());
-    assert!(enumerate_unranked(&t, &m).is_err());
-    assert!(enumerate_by_emax(&t, &m).is_err());
+    assert!(prepare(&t)
+        .bind(&m)
+        .and_then(|b| b.confidence(&[]))
+        .is_err());
+    assert!(prepare(&t).bind(&m).and_then(|b| b.is_answer(&[])).is_err());
+    assert!(prepare(&t).bind(&m).and_then(|b| b.top()).is_err());
+    assert!(prepare(&t)
+        .bind(&m)
+        .and_then(|b| b.unranked().map(|_| ()))
+        .is_err());
+    assert!(prepare(&t).bind(&m).and_then(|b| b.ranked()).is_err());
 }

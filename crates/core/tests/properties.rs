@@ -5,14 +5,13 @@
 use proptest::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
 use transmark_core::brute;
-use transmark_core::confidence::{confidence, confidence_general, is_answer};
+use transmark_core::confidence::confidence_general;
 use transmark_core::constraints::{constrain, PrefixConstraint};
-use transmark_core::emax::{emax_of_output, top_by_emax};
-use transmark_core::enumerate::{enumerate_by_emax, enumerate_unranked};
 use transmark_core::generate::{random_transducer, RandomTransducerSpec, TransducerClass};
 use transmark_core::montecarlo::transduces_to;
 use transmark_core::transducer::Transducer;
 use transmark_core::SymbolId;
+use transmark_core::{prepare, EventSession, PreparedEventQuery};
 use transmark_markov::generate::{random_markov_sequence, RandomChainSpec};
 use transmark_markov::numeric::approx_eq;
 use transmark_markov::MarkovSequence;
@@ -65,17 +64,17 @@ proptest! {
         // Nondeterministic machines may produce several answers per world.
         if t.is_deterministic() {
             let p_acc =
-                transmark_core::confidence::acceptance_probability(&t.underlying_nfa(), &m)
+                PreparedEventQuery::new(t.underlying_nfa()).acceptance(&m)
                     .unwrap();
             prop_assert!(approx_eq(total, p_acc, 1e-9, 1e-7));
             prop_assert!(total <= 1.0 + 1e-9);
         }
         // E_max never exceeds confidence; is_answer agrees with conf > 0.
         for (o, &conf_o) in &truth {
-            let e = emax_of_output(&t, &m, o).unwrap().exp();
+            let e = prepare(&t).bind(&m).unwrap().emax_of_output(o).unwrap().exp();
             prop_assert!(e <= conf_o + 1e-12);
             prop_assert!(e > 0.0);
-            prop_assert!(is_answer(&t, &m, o).unwrap());
+            prop_assert!(prepare(&t).bind(&m).unwrap().is_answer(o).unwrap());
         }
     }
 
@@ -83,9 +82,9 @@ proptest! {
     #[test]
     fn enumerations_are_consistent(class in arb_class(), seed in any::<u64>(), n in 1usize..4) {
         let (t, m) = instance(class, seed, n);
-        let mut unranked: Vec<_> = enumerate_unranked(&t, &m).unwrap().collect();
+        let mut unranked: Vec<_> = prepare(&t).bind(&m).unwrap().unranked().unwrap().collect();
         let mut ranked: Vec<_> =
-            enumerate_by_emax(&t, &m).unwrap().map(|r| r.output).collect();
+            prepare(&t).bind(&m).unwrap().ranked().unwrap().map(|r| r.output).collect();
         unranked.sort();
         ranked.sort();
         prop_assert_eq!(&unranked, &ranked);
@@ -97,7 +96,7 @@ proptest! {
     #[test]
     fn top_emax_is_witnessed(class in arb_class(), seed in any::<u64>(), n in 1usize..5) {
         let (t, m) = instance(class, seed, n);
-        if let Some(top) = top_by_emax(&t, &m).unwrap() {
+        if let Some(top) = prepare(&t).bind(&m).unwrap().top().unwrap() {
             let p = m.string_probability(&top.evidence).unwrap();
             prop_assert!(approx_eq(p, top.prob(), 1e-12, 1e-9));
             prop_assert!(transduces_to(&t, &top.evidence, &top.output));
@@ -142,7 +141,7 @@ proptest! {
         let (t, m) = instance(class, seed, n);
         for (o, conf_o) in brute::evaluate(&t, &m).unwrap() {
             let evs: Vec<_> =
-                transmark_core::evidence::enumerate_evidences(&t, &m, &o).unwrap().collect();
+                prepare(&t).bind(&m).unwrap().evidences(&o).unwrap().collect();
             let mut prev = f64::INFINITY;
             let mut seen = std::collections::BTreeSet::new();
             let mut total = 0.0;
@@ -156,7 +155,7 @@ proptest! {
                 "evidence mass {} vs confidence {} for {:?}", total, conf_o, o);
             // The first evidence realizes E_max.
             if let Some(first) = evs.first() {
-                let e = emax_of_output(&t, &m, &o).unwrap().exp();
+                let e = prepare(&t).bind(&m).unwrap().emax_of_output(&o).unwrap().exp();
                 prop_assert!(approx_eq(first.prob(), e, 1e-12, 1e-9));
             }
         }
@@ -208,7 +207,7 @@ proptest! {
         }
         // Confidences agree with brute force through the composite.
         for (o, want) in brute::evaluate(&composite, &m).unwrap() {
-            let got = confidence(&composite, &m, &o).unwrap();
+            let got = prepare(&composite).bind(&m).unwrap().confidence(&o).unwrap();
             prop_assert!(approx_eq(got, want, 1e-10, 1e-8));
         }
     }
@@ -219,7 +218,7 @@ proptest! {
     fn dispatcher_matches_general(class in arb_class(), seed in any::<u64>(), n in 1usize..4) {
         let (t, m) = instance(class, seed, n);
         for (o, _) in brute::evaluate(&t, &m).unwrap() {
-            let a = confidence(&t, &m, &o).unwrap();
+            let a = prepare(&t).bind(&m).unwrap().confidence(&o).unwrap();
             let b = confidence_general(&t, &m, &o).unwrap();
             prop_assert!(approx_eq(a, b, 1e-10, 1e-8), "{:?}: {} vs {}", o, a, b);
         }
@@ -228,20 +227,22 @@ proptest! {
 
 mod streaming_props {
     use super::*;
-    use transmark_core::confidence::prefix_acceptance_probabilities;
-    use transmark_core::streaming::EventMonitor;
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(40))]
 
-        /// Streaming replay equals the batch per-prefix series for random
-        /// queries and random chains.
+        /// A session fed one matrix at a time equals the batch per-prefix
+        /// series for random queries and random chains.
         #[test]
         fn monitor_replay_matches_batch(class in arb_class(), seed in any::<u64>(), n in 1usize..6) {
             let (t, m) = instance(class, seed, n);
             let nfa = t.underlying_nfa();
-            let batch = prefix_acceptance_probabilities(&nfa, &m).unwrap();
-            let streamed = EventMonitor::replay(nfa, &m).unwrap();
+            let batch = PreparedEventQuery::new(nfa.clone()).series(&m).unwrap();
+            let mut sess = EventSession::start(nfa, m.initial_dist()).unwrap();
+            let mut streamed = vec![sess.probability()];
+            for i in 0..m.len() - 1 {
+                streamed.push(sess.advance(m.transition_matrix(i)).unwrap());
+            }
             prop_assert_eq!(batch.len(), streamed.len());
             for (b, s) in batch.iter().zip(streamed.iter()) {
                 prop_assert!(approx_eq(*b, *s, 1e-12, 1e-10), "{} vs {}", b, s);

@@ -472,7 +472,9 @@ impl RawLayerReader {
     ///
     /// On a non-[`Interrupted`] I/O error the partial fill is kept; a
     /// subsequent call with a reader that continues the same byte stream
-    /// completes the layer. [`Interrupted`]: std::io::ErrorKind::Interrupted
+    /// completes the layer.
+    ///
+    /// [`Interrupted`]: std::io::ErrorKind::Interrupted
     pub fn next_layer<R: Read>(&mut self, reader: &mut R) -> Result<Option<&[f64]>, SourceError> {
         if self.pos + 1 >= self.n {
             return Ok(None);

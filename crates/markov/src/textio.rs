@@ -199,7 +199,7 @@ pub fn from_text(text: &str) -> Result<MarkovSequence, TextIoError> {
 }
 
 /// A chunked, incremental reader of the v1 text format: a
-/// [`StepSource`](crate::source::StepSource) that parses one `step` block
+/// [`StepSource`] that parses one `step` block
 /// at a time from any [`BufRead`], holding O(|Σ|²) state regardless of
 /// sequence length. Feeding it the output of [`to_text`] yields exactly
 /// the matrices [`from_text`] would materialize (same `f64::from_str`

@@ -18,8 +18,8 @@
 //! unavoidable: the problem is FP^#P-hard even with trivial `B` and `A`).
 
 use transmark_automata::{ops, Dfa, Nfa, SymbolId};
-use transmark_core::confidence::acceptance_probability;
 use transmark_core::error::EngineError;
+use transmark_core::plan::PreparedEventQuery;
 use transmark_markov::MarkovSequence;
 
 use crate::projector::SProjector;
@@ -73,5 +73,5 @@ pub fn sproj_confidence(
     if !p.pattern_dfa().accepts(o) {
         return Ok(0.0);
     }
-    acceptance_probability(&concat_nfa_for(p, o), m)
+    PreparedEventQuery::new(concat_nfa_for(p, o)).acceptance(m)
 }

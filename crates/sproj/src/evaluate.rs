@@ -2,15 +2,13 @@
 //!
 //! [`SprojEvaluation`] validates a `(projector, Markov sequence)` pair
 //! once (building the Theorem 5.8 tables) and exposes §5's evaluation
-//! modes as methods, mirroring [`transmark_core::evaluate::Evaluation`]
-//! for plain transducers.
+//! modes as methods, mirroring [`transmark_core::plan::BoundQuery`] for
+//! plain transducers.
 //!
-//! Since the prepared-query refactor this facade is a bind of a
-//! [`PreparedProjector`]: construction compiles (or adopts) the plan,
-//! builds the per-sequence Theorem 5.8 tables over the plan's precompiled
-//! B-graph, and every method executes over those shared artifacts —
-//! bit-identical to the legacy free functions, but without re-deriving
-//! machine-side work per call.
+//! It is the bind of a [`PreparedProjector`]: construction compiles (or
+//! adopts) the plan, builds the per-sequence Theorem 5.8 tables over the
+//! plan's precompiled B-graph, and every method executes over those
+//! shared artifacts without re-deriving machine-side work per call.
 
 use std::collections::HashSet;
 use std::sync::Arc;

@@ -15,18 +15,17 @@
 //! Everything cached is machine-side; the per-sequence Theorem 5.8 tables
 //! are built at bind time by [`crate::SprojEvaluation`]. As in the core
 //! plan layer, the on-the-fly determinization inside
-//! `acceptance_probability` is deliberately *not* shared — a fresh
-//! determinizer per evaluation keeps reduction order, and therefore float
-//! output, bit-identical to the legacy path.
+//! [`PreparedEventQuery::acceptance`] is deliberately *not* shared — a
+//! fresh determinizer per evaluation keeps reduction order, and therefore
+//! float output, bit-identical across evaluations.
 
 use std::fmt;
 use std::sync::{Arc, Mutex, OnceLock};
 
-use transmark_automata::{ops, Fingerprinter, Nfa, SymbolId};
-use transmark_core::confidence::acceptance_probability;
+use transmark_automata::{ops, Fingerprinter, SymbolId};
 use transmark_core::constraints::PrefixConstraint;
 use transmark_core::error::EngineError;
-use transmark_core::plan::{BoundedCache, PlanKind};
+use transmark_core::plan::{BoundedCache, PlanKind, PreparedEventQuery};
 use transmark_core::transducer::Transducer;
 use transmark_kernel::StepGraph;
 use transmark_markov::MarkovSequence;
@@ -52,7 +51,7 @@ pub struct PreparedProjector {
     /// The §5 "easy observation" transducer, compiled on first use.
     compiled: OnceLock<Transducer>,
     /// Theorem 5.5 concatenation NFAs `B·o·E`, per answer.
-    concat_nfas: Mutex<BoundedCache<Vec<SymbolId>, Nfa>>,
+    concat_nfas: Mutex<BoundedCache<Vec<SymbolId>, PreparedEventQuery>>,
     /// Lemma 5.10 constraint products (pattern ∩ constraint DFA).
     constraint_products: Mutex<BoundedCache<PrefixConstraint, SProjector>>,
 }
@@ -117,10 +116,13 @@ impl PreparedProjector {
         })
     }
 
-    /// The memoized Theorem 5.5 concatenation NFA `B·o·E`.
-    pub(crate) fn concat_nfa(&self, o: &[SymbolId]) -> Arc<Nfa> {
+    /// The memoized Theorem 5.5 concatenation NFA `B·o·E`, as an event
+    /// query.
+    pub(crate) fn concat_query(&self, o: &[SymbolId]) -> Arc<PreparedEventQuery> {
         let mut cache = self.concat_nfas.lock().expect("plan cache poisoned");
-        cache.get_or_insert_with(&o.to_vec(), || concat_nfa_for(&self.p, o))
+        cache.get_or_insert_with(&o.to_vec(), || {
+            PreparedEventQuery::new(concat_nfa_for(&self.p, o))
+        })
     }
 
     /// The memoized Lemma 5.10 constraint product: the projector whose
@@ -154,7 +156,7 @@ impl PreparedProjector {
         if !self.p.pattern_dfa().accepts(o) {
             return Ok(0.0);
         }
-        acceptance_probability(&self.concat_nfa(o), m)
+        self.concat_query(o).acceptance(m)
     }
 
     /// Binds one sequence: builds the Theorem 5.8 tables over the

@@ -35,14 +35,11 @@ pub use monitor::{Monitor, MonitorConfig, StreamReport, DEFAULT_TICK_BATCH};
 pub use pool::{resolve_threads, scoped_map, PoolError, WorkerPool};
 
 use transmark_automata::{Alphabet, Nfa, SymbolId};
-use transmark_core::confidence::{
-    acceptance_probability, acceptance_probability_source, prefix_acceptance_probabilities,
-};
 use transmark_core::error::EngineError;
-use transmark_core::evaluate::{Evaluation, ScoredAnswer};
-use transmark_core::plan::{PreparedEventQuery, PreparedQuery};
+use transmark_core::incremental::{EventSession, StreamSession};
+use transmark_core::plan::{PreparedEventQuery, PreparedQuery, ScoredAnswer};
 use transmark_core::transducer::Transducer;
-use transmark_markov::MarkovSequence;
+use transmark_markov::{MarkovSequence, StepSource};
 use transmark_obs::log::RecordKind;
 use transmark_sproj::{PreparedProjector, SProjector, SprojEvaluation};
 
@@ -350,9 +347,10 @@ impl SequenceStore {
 
     /// `Pr(stream ∈ L(query))` for every stream.
     pub fn event_probability(&self, query: &Nfa) -> Result<BTreeMap<String, f64>, StoreError> {
+        let q = PreparedEventQuery::new(query.clone());
         self.streams
             .iter()
-            .map(|(n, m)| Ok((n.clone(), acceptance_probability(query, m)?)))
+            .map(|(n, m)| Ok((n.clone(), q.acceptance(m)?)))
             .collect()
     }
 
@@ -360,9 +358,10 @@ impl SequenceStore {
     /// (Lahar's query mode: `series[i]` is the probability that the
     /// prefix up to time `i+1` satisfies the query).
     pub fn event_series(&self, query: &Nfa) -> Result<BTreeMap<String, Vec<f64>>, StoreError> {
+        let q = PreparedEventQuery::new(query.clone());
         self.streams
             .iter()
-            .map(|(n, m)| Ok((n.clone(), prefix_acceptance_probabilities(query, m)?)))
+            .map(|(n, m)| Ok((n.clone(), q.series(m)?)))
             .collect()
     }
 
@@ -412,7 +411,7 @@ impl SequenceStore {
             if !seen.insert(*name) {
                 return Err(StoreError::DuplicateStream((*name).to_string()));
             }
-            p *= acceptance_probability(q, self.get(name)?)?;
+            p *= PreparedEventQuery::new((*q).clone()).acceptance(self.get(name)?)?;
         }
         Ok(p)
     }
@@ -463,7 +462,8 @@ impl SequenceStore {
         query: &Nfa,
         n_threads: usize,
     ) -> Result<BTreeMap<String, f64>, StoreError> {
-        self.par_map_streams(n_threads, |_, m| Ok(acceptance_probability(query, m)?))
+        let q = PreparedEventQuery::new(query.clone());
+        self.par_map_streams(n_threads, |_, m| Ok(q.acceptance(m)?))
     }
 
     /// Parallel [`SequenceStore::top_k`]. All workers bind the same
@@ -476,10 +476,7 @@ impl SequenceStore {
         n_threads: usize,
     ) -> Result<BTreeMap<String, Vec<ScoredAnswer>>, StoreError> {
         let plan = self.plans.get_or_prepare(query);
-        self.par_map_streams(n_threads, |_, m| {
-            let ev = Evaluation::with_plan(&plan, m)?;
-            Ok(ev.top_k_scored(k)?)
-        })
+        self.par_map_streams(n_threads, |_, m| Ok(plan.bind(m)?.top_k_scored(k)?))
     }
 
     // ---- Persistence ------------------------------------------------------
@@ -561,10 +558,7 @@ impl SequenceStore {
         let plan = self.plans.get_or_prepare(query);
         self.streams
             .iter()
-            .map(|(n, m)| {
-                let ev = Evaluation::with_plan(&plan, m)?;
-                Ok((n.clone(), ev.top_k_scored(k)?))
-            })
+            .map(|(n, m)| Ok((n.clone(), plan.bind(m)?.top_k_scored(k)?)))
             .collect()
     }
 
@@ -656,7 +650,8 @@ pub fn event_probability_files(
 ) -> Result<BTreeMap<String, f64>, StoreError> {
     par_map_paths(paths, n_threads, |path| {
         let mut src = open_source(path)?;
-        Ok(acceptance_probability_source(query, &mut src)?)
+        let sess = EventSession::start(query.clone(), src.initial())?;
+        Ok(StreamSession::Event(sess).drain(&mut src, false)?[0])
     })
 }
 
@@ -1038,6 +1033,7 @@ mod parallel_tests {
 mod plan_cache_tests {
     use super::*;
     use rand::{rngs::StdRng, SeedableRng};
+    use transmark_core::prepare;
     use transmark_markov::generate::{random_markov_sequence, RandomChainSpec};
 
     fn store_with_streams(k: usize) -> SequenceStore {
@@ -1186,7 +1182,7 @@ mod plan_cache_tests {
         assert_eq!(batch, batch_par);
         for (name, c) in &batch {
             let m = store.get(name).unwrap();
-            let want = transmark_core::confidence(&t, m, &o).unwrap();
+            let want = prepare(&t).bind(m).unwrap().confidence(&o).unwrap();
             assert_eq!(c.to_bits(), want.to_bits(), "stream {name}");
         }
     }
@@ -1196,6 +1192,7 @@ mod plan_cache_tests {
 mod file_fleet_tests {
     use super::*;
     use rand::{rngs::StdRng, SeedableRng};
+    use transmark_core::prepare;
     use transmark_markov::generate::{random_markov_sequence, RandomChainSpec};
 
     fn store_with_streams(k: usize) -> SequenceStore {
@@ -1266,7 +1263,9 @@ mod file_fleet_tests {
         let q = has_b();
         let streamed = event_probability_files(&q, &paths, 2).unwrap();
         for (name, path) in store.names().zip(paths.iter()) {
-            let want = acceptance_probability(&q, store.get(name).unwrap()).unwrap();
+            let want = PreparedEventQuery::new(q.clone())
+                .acceptance(store.get(name).unwrap())
+                .unwrap();
             let got = streamed[&path.display().to_string()];
             assert_eq!(got.to_bits(), want.to_bits(), "stream {name}");
         }
@@ -1283,7 +1282,11 @@ mod file_fleet_tests {
         let o = [SymbolId(0), SymbolId(1)];
         let streamed = confidence_files(&t, &o, &paths, 0).unwrap();
         for (name, path) in store.names().zip(paths.iter()) {
-            let want = transmark_core::confidence(&t, store.get(name).unwrap(), &o).unwrap();
+            let want = prepare(&t)
+                .bind(store.get(name).unwrap())
+                .unwrap()
+                .confidence(&o)
+                .unwrap();
             let got = streamed[&path.display().to_string()];
             assert_eq!(got.to_bits(), want.to_bits(), "stream {name}");
         }

@@ -261,7 +261,7 @@ mod tests {
     use super::*;
     use rand::{rngs::StdRng, SeedableRng};
     use transmark_automata::SymbolId;
-    use transmark_core::streaming::EventMonitor;
+    use transmark_core::PreparedEventQuery;
     use transmark_markov::generate::{random_markov_sequence, RandomChainSpec};
 
     /// NFA over 3 symbols: has seen symbol 2.
@@ -303,7 +303,7 @@ mod tests {
             streams.iter().map(|(n, m)| (n.clone(), m)).collect();
         let sequential: Vec<Vec<f64>> = streams
             .iter()
-            .map(|(_, m)| EventMonitor::replay(has_two(), m).unwrap())
+            .map(|(_, m)| PreparedEventQuery::new(has_two()).series(m).unwrap())
             .collect();
         for threads in [1usize, 2, 4, 7] {
             for batch in [1usize, 3, 64] {

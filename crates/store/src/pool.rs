@@ -114,8 +114,8 @@ impl Drop for FleetWorker<'_> {
 /// (`0` = auto, see [`resolve_threads`]), preserving item order in the
 /// result; the first error wins. Items are chunked contiguously, one
 /// chunk per worker; each worker propagates the caller's profiler into
-/// its own `worker-N` lane and accounts through [`FleetRun`] /
-/// [`FleetWorker`] (`store.fleet.*`).
+/// its own `worker-N` lane and accounts through `FleetRun` /
+/// `FleetWorker` (`store.fleet.*`).
 ///
 /// This is the single fan-out body behind
 /// [`SequenceStore::par_map_streams`](crate::SequenceStore::par_map_streams)

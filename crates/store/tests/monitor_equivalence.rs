@@ -7,6 +7,7 @@ use rand::{rngs::StdRng, SeedableRng};
 
 use transmark_core::generate::{random_transducer, RandomTransducerSpec, TransducerClass};
 use transmark_core::incremental::SlidingWindowQuery;
+use transmark_core::PreparedEventQuery;
 use transmark_markov::generate::{random_markov_sequence, RandomChainSpec};
 use transmark_markov::MarkovSequence;
 use transmark_store::{Monitor, MonitorConfig};
@@ -67,7 +68,7 @@ proptest! {
             None => seqs
                 .iter()
                 .map(|(_, m)| {
-                    transmark_core::prefix_acceptance_probabilities(&nfa, m).unwrap()
+                    PreparedEventQuery::new(nfa.clone()).series(m).unwrap()
                 })
                 .collect(),
         };

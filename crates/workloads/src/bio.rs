@@ -154,7 +154,7 @@ pub fn random_reference<R: Rng + ?Sized>(len: usize, gc_bias: f64, rng: &mut R) 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use transmark_core::confidence::acceptance_probability;
+    use transmark_core::PreparedEventQuery;
     use transmark_markov::numeric::approx_eq;
     use transmark_markov::support::support;
     use transmark_sproj::indexed::enumerate_indexed;
@@ -235,8 +235,12 @@ mod tests {
         let rich = uncertain_read("GCGCGC", &ReadSpec::default());
         let poor = uncertain_read("ATATAT", &ReadSpec::default());
         let q = gc_run_query(3);
-        let p_rich = acceptance_probability(&q, &rich.sequence).unwrap();
-        let p_poor = acceptance_probability(&q, &poor.sequence).unwrap();
+        let p_rich = PreparedEventQuery::new(q.clone())
+            .acceptance(&rich.sequence)
+            .unwrap();
+        let p_poor = PreparedEventQuery::new(q.clone())
+            .acceptance(&poor.sequence)
+            .unwrap();
         assert!(p_rich > 0.9, "p_rich = {p_rich}");
         assert!(p_poor < 0.1, "p_poor = {p_poor}");
     }

@@ -175,7 +175,7 @@ pub fn confidence_blowup(
 mod tests {
     use super::*;
     use transmark_core::brute;
-    use transmark_core::emax::top_by_emax;
+    use transmark_core::prepare;
     use transmark_markov::numeric::approx_eq;
     use transmark_sproj::enumerate::imax_of_output;
     use transmark_sproj::sproj_confidence;
@@ -185,11 +185,11 @@ mod tests {
         for n in [2usize, 4, 6] {
             let (t, m) = emax_gap(n);
             // E_max-top answer.
-            let top_e = top_by_emax(&t, &m).unwrap().expect("answers exist");
+            let bound = prepare(&t).bind(&m).unwrap();
+            let top_e = bound.top().unwrap().expect("answers exist");
             // Confidence-top answer (brute force).
             let (top_c, conf_c) = brute::top_by_confidence(&t, &m).unwrap().expect("answers");
-            let conf_of_top_e =
-                transmark_core::confidence::confidence(&t, &m, &top_e.output).unwrap();
+            let conf_of_top_e = bound.confidence(&top_e.output).unwrap();
             let ratio = conf_c / conf_of_top_e;
             assert!(
                 approx_eq(ratio, emax_gap_expected_ratio(n), 1e-9, 1e-7),
@@ -205,9 +205,10 @@ mod tests {
     #[test]
     fn projector_gap_is_valid_and_diverges() {
         let (t, m) = projector_gap(5);
-        let top_e = top_by_emax(&t, &m).unwrap().expect("answers exist");
+        let bound = prepare(&t).bind(&m).unwrap();
+        let top_e = bound.top().unwrap().expect("answers exist");
         let (_, conf_c) = brute::top_by_confidence(&t, &m).unwrap().expect("answers");
-        let conf_of_top_e = transmark_core::confidence::confidence(&t, &m, &top_e.output).unwrap();
+        let conf_of_top_e = bound.confidence(&top_e.output).unwrap();
         assert!(conf_c > conf_of_top_e, "confidence top must beat E_max top");
     }
 
@@ -346,8 +347,7 @@ pub fn amplified_emax_gap(base_n: usize, copies: usize) -> (Transducer, MarkovSe
 #[cfg(test)]
 mod amplification_tests {
     use super::*;
-    use transmark_core::confidence::confidence;
-    use transmark_core::emax::top_by_emax;
+    use transmark_core::prepare;
     use transmark_markov::numeric::approx_eq;
 
     #[test]
@@ -356,8 +356,9 @@ mod amplification_tests {
         for copies in [1usize, 2, 3] {
             let (t, m) = amplified_emax_gap(base_n, copies);
             assert_eq!(m.len(), base_n * copies);
-            let top_e = top_by_emax(&t, &m).unwrap().expect("answers exist");
-            let conf_e = confidence(&t, &m, &top_e.output).unwrap();
+            let bound = prepare(&t).bind(&m).unwrap();
+            let top_e = bound.top().unwrap().expect("answers exist");
+            let conf_e = bound.confidence(&top_e.output).unwrap();
             // The glued chain is still i.i.d. with the same marginals, so
             // the analytic ratio formula applies at length n·copies.
             let conf_best = 0.6f64.powi((base_n * copies) as i32);

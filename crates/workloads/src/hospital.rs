@@ -206,7 +206,8 @@ pub fn places(names: &[&str]) -> Vec<SymbolId> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use transmark_core::confidence::{confidence, confidence_deterministic};
+    use transmark_core::confidence::confidence_deterministic;
+    use transmark_core::prepare;
     use transmark_markov::numeric::approx_eq;
 
     #[test]
@@ -249,7 +250,11 @@ mod tests {
             "conf(12) = {c}, paper says {CONF_12}"
         );
         // And via the auto-dispatcher.
-        let c2 = confidence(&t, &m, &o).expect("confidence");
+        let c2 = prepare(&t)
+            .bind(&m)
+            .unwrap()
+            .confidence(&o)
+            .expect("confidence");
         assert!(approx_eq(c2, CONF_12, 1e-12, 1e-10));
     }
 
@@ -275,7 +280,10 @@ mod tests {
         let m = hospital_sequence();
         let t = room_tracker();
         let o = places(&["1", "2"]);
-        let e = transmark_core::emax::emax_of_output(&t, &m, &o)
+        let e = prepare(&t)
+            .bind(&m)
+            .unwrap()
+            .emax_of_output(&o)
             .expect("emax")
             .exp();
         assert!(approx_eq(e, 0.3969, 1e-12, 1e-10), "E_max(12) = {e}");

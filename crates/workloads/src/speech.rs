@@ -234,7 +234,7 @@ pub fn demo_lexicon() -> Lexicon {
 mod tests {
     use super::*;
     use rand::{rngs::StdRng, SeedableRng};
-    use transmark_core::enumerate::top_k_by_emax;
+    use transmark_core::{prepare, PreparedEventQuery};
 
     #[test]
     fn lexicon_transducer_segments_words() {
@@ -272,7 +272,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(8);
         let (spoken, posterior) = lex.sample_utterance(2, 0.0, &mut rng);
         // Noise-free: the top word sequence is exactly what was spoken.
-        let top = top_k_by_emax(&t, &posterior, 1).unwrap();
+        let top = prepare(&t).bind(&posterior).unwrap().top_k(1).unwrap();
         assert_eq!(top[0].output, spoken);
     }
 
@@ -282,11 +282,12 @@ mod tests {
         let t = lex.transducer().unwrap();
         let mut rng = StdRng::seed_from_u64(10);
         let (_, posterior) = lex.sample_utterance(2, 0.15, &mut rng);
-        let hyps = top_k_by_emax(&t, &posterior, 5).unwrap();
+        let bound = prepare(&t).bind(&posterior).unwrap();
+        let hyps = bound.top_k(5).unwrap();
         assert!(!hyps.is_empty());
         // Hypotheses are valid word sequences with positive confidence.
         for h in &hyps {
-            let conf = transmark_core::confidence::confidence(&t, &posterior, &h.output).unwrap();
+            let conf = bound.confidence(&h.output).unwrap();
             assert!(conf > 0.0);
             assert!(h.score() <= conf + 1e-12);
         }
@@ -304,7 +305,8 @@ mod tests {
         let t = lex.transducer().unwrap();
         let mut rng = StdRng::seed_from_u64(21);
         let (_, posterior) = lex.sample_utterance(2, 0.2, &mut rng);
-        let p = transmark_core::confidence::acceptance_probability(&t.underlying_nfa(), &posterior)
+        let p = PreparedEventQuery::new(t.underlying_nfa())
+            .acceptance(&posterior)
             .unwrap();
         assert!((0.0..=1.0 + 1e-12).contains(&p));
         // It must equal the total confidence mass over all answers

@@ -48,9 +48,9 @@ fn main() -> Result<(), EngineError> {
     println!("\nPr(read contains {motif}) = {anywhere:.4}  (Theorem 5.5, union over occurrences)");
 
     // Composition signal: G/C run of length ≥ 4, streamed per position.
-    let q = gc_run_query(4);
-    let total = acceptance_probability(&q, &read.sequence)?;
-    let series = prefix_acceptance_probabilities(&q, &read.sequence)?;
+    let q = PreparedEventQuery::new(gc_run_query(4));
+    let total = q.acceptance(&read.sequence)?;
+    let series = q.series(&read.sequence)?;
     println!("\nPr(G/C run ≥ 4 anywhere) = {total:.4}");
     println!("cumulative by position:");
     let rendered: Vec<String> = series.iter().map(|v| format!("{v:.3}")).collect();

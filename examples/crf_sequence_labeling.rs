@@ -60,8 +60,9 @@ fn main() -> Result<(), EngineError> {
     }
     let identity = b.build()?;
     println!("top 5 labelings with exact confidence:");
-    for a in top_k_by_emax(&identity, &posterior, 5)? {
-        let conf = confidence(&identity, &posterior, &a.output)?;
+    let bound = prepare(&identity).bind(&posterior)?;
+    for a in bound.top_k(5)? {
+        let conf = bound.confidence(&a.output)?;
         println!("  {}  conf = {conf:.4}", labels.render(&a.output, " "));
     }
 
@@ -80,12 +81,13 @@ fn main() -> Result<(), EngineError> {
     nfa.add_transition(q0, det, q1);
     nfa.add_transition(q1, noun, q2);
     nfa.add_transition(q2, verb, acc);
-    let p_dnv = acceptance_probability(&nfa, &posterior)?;
+    let event = PreparedEventQuery::new(nfa);
+    let p_dnv = event.acceptance(&posterior)?;
     println!("\nPr(labels contain \"Det Noun Verb\") = {p_dnv:.4}");
 
     // Streaming version: the probability the pattern has appeared by each
     // prefix (Lahar's per-time-period Boolean query).
-    let series = transmark::engine::confidence::prefix_acceptance_probabilities(&nfa, &posterior)?;
+    let series = event.series(&posterior)?;
     println!("by position: {series:.4?}");
     Ok(())
 }

@@ -56,18 +56,19 @@ fn main() -> Result<(), EngineError> {
 
     // ---- Example 3.4: conf(12) -------------------------------------------
     let twelve = places(&["1", "2"]);
-    let conf = confidence(&t, &mu, &twelve)?;
+    let bound = prepare(&t).bind(&mu)?;
+    let conf = bound.confidence(&twelve)?;
     println!("\nExample 3.4: conf(12) = {conf:.4} (paper: {CONF_12})");
     assert!((conf - CONF_12).abs() < 1e-9);
 
     // ---- Example 4.2: E_max(12) -------------------------------------------
-    let emax = emax_of_output(&t, &mu, &twelve)?.exp();
+    let emax = bound.emax_of_output(&twelve)?.exp();
     println!("Example 4.2: E_max(12) = {emax:.4} (paper: 0.3969)");
 
     // ---- Full evaluation, both orders --------------------------------------
     println!("\nAll answers, ranked by E_max (Theorem 4.3):");
-    for a in enumerate_by_emax(&t, &mu)? {
-        let c = confidence(&t, &mu, &a.output)?;
+    for a in bound.ranked()? {
+        let c = bound.confidence(&a.output)?;
         let rendered = if a.output.is_empty() {
             "ε".into()
         } else {

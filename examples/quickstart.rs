@@ -47,9 +47,12 @@ fn main() -> Result<(), EngineError> {
 
     // ---- Evaluate: all answers, ranked by best evidence, with exact
     //      confidences (polynomial: the machine is deterministic) --------
+    //      Compile the query once and bind it to the chain; every
+    //      evaluation below runs on that one bind.
+    let bound = prepare(&t).bind(&chain)?;
     println!("\nanswers in decreasing E_max (with exact confidence):");
-    for answer in enumerate_by_emax(&t, &chain)? {
-        let conf = confidence(&t, &chain, &answer.output)?;
+    for answer in bound.ranked()? {
+        let conf = bound.confidence(&answer.output)?;
         println!(
             "  {:<6}  E_max = {:.4}   confidence = {:.4}",
             t.render_output(&answer.output, ""),
@@ -59,7 +62,7 @@ fn main() -> Result<(), EngineError> {
     }
 
     // ---- Top-k is just early stopping -----------------------------------
-    let top2 = top_k_by_emax(&t, &chain, 2)?;
+    let top2 = bound.top_k(2)?;
     println!(
         "\ntop-2 by E_max: {:?}",
         top2.iter()
@@ -68,7 +71,7 @@ fn main() -> Result<(), EngineError> {
     );
 
     // ---- The most likely world behind the top answer --------------------
-    let best = top_by_emax(&t, &chain)?.expect("answers exist");
+    let best = bound.top()?.expect("answers exist");
     println!(
         "\nbest evidence: {}  (p = {:.4}) producing output {:?}",
         chain.alphabet().render(&best.evidence, " "),

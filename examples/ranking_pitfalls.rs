@@ -20,9 +20,10 @@ fn main() -> Result<(), EngineError> {
     println!("(confidence of the true top answer / confidence of the E_max-top answer)");
     for n in [2usize, 4, 6, 8, 10] {
         let (t, m) = emax_gap(n);
-        let emax_top = top_by_emax(&t, &m)?.expect("answers exist");
+        let bound = prepare(&t).bind(&m)?;
+        let emax_top = bound.top()?.expect("answers exist");
         let (conf_top, conf_best) = brute::top_by_confidence(&t, &m)?.expect("answers exist");
-        let conf_of_emax_top = confidence(&t, &m, &emax_top.output)?;
+        let conf_of_emax_top = bound.confidence(&emax_top.output)?;
         let ratio = conf_best / conf_of_emax_top;
         println!(
             "  n = {n:>2}: E_max picks {:?} (conf {:.5}), truth is {:?} (conf {:.5}) — ratio {:>9.2} (analytic {:.2})",

@@ -42,8 +42,9 @@ fn main() -> Result<(), EngineError> {
     // Query 1: room-entry sequence (non-selective Mealy-style tracker).
     let tracker = dep.room_tracker(None);
     println!("room-visit sequences, ranked by E_max (top 5):");
-    for a in top_k_by_emax(&tracker, &posterior, 5)? {
-        let conf = confidence(&tracker, &posterior, &a.output)?;
+    let bound = prepare(&tracker).bind(&posterior)?;
+    for a in bound.top_k(5)? {
+        let conf = bound.confidence(&a.output)?;
         println!(
             "  rooms {:<12} E_max = {:.4}  confidence = {:.4}",
             tracker.render_output(&a.output, "→"),
@@ -56,11 +57,12 @@ fn main() -> Result<(), EngineError> {
     // (say, the lab). Selective: trajectories that never reach room 2 are
     // rejected, so the total answer mass can be < 1.
     let after_lab = dep.room_tracker(Some(2));
-    let reach = acceptance_probability(&after_lab.underlying_nfa(), &posterior)?;
+    let reach = PreparedEventQuery::new(after_lab.underlying_nfa()).acceptance(&posterior)?;
     println!("\nPr(cart ever enters room 2) = {reach:.4}");
     println!("post-room-2 visit sequences (top 3):");
-    for a in top_k_by_emax(&after_lab, &posterior, 3)? {
-        let conf = confidence(&after_lab, &posterior, &a.output)?;
+    let bound = prepare(&after_lab).bind(&posterior)?;
+    for a in bound.top_k(3)? {
+        let conf = bound.confidence(&a.output)?;
         let rendered = if a.output.is_empty() {
             "ε".to_string()
         } else {

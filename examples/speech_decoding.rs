@@ -33,12 +33,12 @@ fn main() -> Result<(), EngineError> {
     );
 
     // Probability that the audio decodes to ANY word sequence at all.
-    let p_parse = acceptance_probability(&decoder.underlying_nfa(), &posterior)?;
+    let p_parse = PreparedEventQuery::new(decoder.underlying_nfa()).acceptance(&posterior)?;
     println!("Pr(phonemes segment into vocabulary words) = {p_parse:.4}\n");
 
     println!("n-best word hypotheses (E_max-ranked, exact confidences):");
-    let ev = Evaluation::new(&decoder, &posterior)?;
-    for (rank, h) in ev.top_k_scored(5)?.iter().enumerate() {
+    let bound = prepare(&decoder).bind(&posterior)?;
+    for (rank, h) in bound.top_k_scored(5)?.iter().enumerate() {
         println!(
             "  #{:<2} {:<16} E_max = {:.4}  confidence = {:.4}",
             rank + 1,
@@ -49,13 +49,12 @@ fn main() -> Result<(), EngineError> {
     }
 
     // Provenance: the most likely phoneme strings behind the top hypothesis.
-    if let Some(top) = ev.top()? {
+    if let Some(top) = bound.top()? {
         println!(
             "\nwhy: most likely phoneme evidence for {:?}:",
             lex.words().render(&top.output, " ")
         );
-        for e in transmark::engine::evidence::top_k_evidences(&decoder, &posterior, &top.output, 3)?
-        {
+        for e in bound.top_evidences(&top.output, 3)? {
             println!(
                 "  {}  (p = {:.4})",
                 posterior.alphabet().render(&e.world, ""),

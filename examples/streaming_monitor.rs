@@ -2,7 +2,7 @@
 //! is never stored (the CLARO-style high-volume regime of §6).
 //!
 //! The sensor fusion layer pushes one transition matrix per tick; the
-//! [`EventMonitor`] folds it in and reports the up-to-date probability
+//! [`EventSession`] folds it in and reports the up-to-date probability
 //! that the query has become true, in memory independent of stream
 //! length.
 //!
@@ -33,7 +33,7 @@ fn main() -> Result<(), EngineError> {
     }
 
     // Tick 1: the system starts healthy (but not certainly).
-    let mut monitor = EventMonitor::start(query, &[0.95, 0.05, 0.0])?;
+    let mut monitor = EventSession::start(query, &[0.95, 0.05, 0.0])?;
     println!("t = 1: Pr(alert condition) = {:.5}", monitor.probability());
 
     // The stream: mostly-healthy dynamics, degrading mid-stream.
@@ -60,7 +60,7 @@ fn main() -> Result<(), EngineError> {
     }
     println!(
         "\nmonitor consumed {} ticks with O(1) memory per tick",
-        monitor.len()
+        monitor.positions()
     );
     Ok(())
 }

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# The full pre-submit gate: formatting, lints, release build, tests
-# (default and obs-off features), and the metrics-overhead guard.
+# The full pre-submit gate: formatting, lints, rustdoc links, release
+# build, tests (default and obs-off features), and the metrics-overhead
+# guard.
 # Run from anywhere inside the repository.
 #
 # Also: `scripts/check.sh --bench-diff BASE.json NEW.json` compares two
@@ -223,6 +224,11 @@ cargo fmt --check
 
 echo "==> cargo clippy --workspace (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
+
+# Intra-doc links name items across crates; a removed or renamed item
+# must not leave a dangling link behind.
+echo "==> cargo doc --workspace (deny warnings)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 echo "==> cargo build --release"
 cargo build --release

@@ -290,7 +290,7 @@ impl<T> Strategy for Union<T> {
 pub mod collection {
     use super::{Strategy, TestRng};
 
-    /// Sizes accepted by [`vec`]: an exact `usize` or a `Range<usize>`.
+    /// Sizes accepted by [`vec()`]: an exact `usize` or a `Range<usize>`.
     pub trait SizeRange {
         fn pick(&self, rng: &mut TestRng) -> usize;
     }

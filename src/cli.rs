@@ -54,8 +54,7 @@
 use std::fmt::Write as _;
 use std::path::Path;
 
-use transmark_core::evaluate::Evaluation;
-use transmark_core::evidence::top_k_evidences;
+use transmark_core::plan::{prepare, PreparedEventQuery};
 use transmark_core::transducer::Transducer;
 use transmark_core::Strategy;
 use transmark_markov::MarkovSequence;
@@ -801,11 +800,11 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
                 let [seq_path, query_path] = positional::<2>(args)?;
                 let m = load_sequence(&seq_path)?;
                 let t = load_transducer(&query_path)?;
-                let ev = Evaluation::with_strategy(&t, &m, opts.strategy)?;
+                let bound = prepare(&t).bind_with_strategy(&m, opts.strategy)?;
                 if opts.explain {
-                    let _ = writeln!(out, "{}", ev.explain());
+                    let _ = writeln!(out, "{}", bound.explain());
                 }
-                let answers = ev.top_k_scored(k)?;
+                let answers = bound.top_k_scored(k)?;
                 if answers.is_empty() {
                     let _ = writeln!(out, "(no answers)");
                 }
@@ -828,11 +827,11 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
             let [seq_path, query_path] = positional::<2>(args)?;
             let m = load_sequence(&seq_path)?;
             let t = load_transducer(&query_path)?;
-            let ev = Evaluation::with_strategy(&t, &m, opts.strategy)?;
+            let bound = prepare(&t).bind_with_strategy(&m, opts.strategy)?;
             if opts.explain {
-                let _ = writeln!(out, "{}", ev.explain());
+                let _ = writeln!(out, "{}", bound.explain());
             }
-            for o in ev.unranked()?.take(limit) {
+            for o in bound.unranked()?.take(limit) {
                 let _ = writeln!(out, "{}", render(&t, &o));
             }
         }
@@ -845,11 +844,11 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
             let m = load_sequence(&seq_path)?;
             let t = load_transducer(&query_path)?;
             let o = parse_output(&t, &args)?;
-            let ev = Evaluation::with_strategy(&t, &m, opts.strategy)?;
+            let bound = prepare(&t).bind_with_strategy(&m, opts.strategy)?;
             if opts.explain {
-                let _ = writeln!(out, "{}", ev.explain());
+                let _ = writeln!(out, "{}", bound.explain());
             }
-            let c = ev.confidence(&o)?;
+            let c = bound.confidence(&o)?;
             let _ = writeln!(out, "{c}");
         }
         "batch" => {
@@ -864,7 +863,7 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
             let query_path = args.remove(0);
             let t = load_transducer(&query_path)?;
             // Compile once; every sequence file binds the same plan.
-            let plan = transmark_core::prepare(&t);
+            let plan = prepare(&t);
             if opts.explain {
                 let _ = writeln!(out, "{}", plan.explain());
             }
@@ -908,8 +907,8 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
                         let m = transmark_markov::fsio::read_sequence_path(path).map_err(|e| {
                             transmark_store::StoreError::Io(format!("{}: {e}", path.display()))
                         })?;
-                        let ev = Evaluation::with_plan_strategy(&plan, &m, opts.strategy)?;
-                        Ok(ev.top_k_scored(k)?)
+                        let bound = plan.bind_with_strategy(&m, opts.strategy)?;
+                        Ok(bound.top_k_scored(k)?)
                     })?;
                     for seq_path in &args {
                         let _ = writeln!(out, "== {seq_path}");
@@ -1010,8 +1009,11 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
                 let series = match (args.first().map(String::as_str), opts.strategy) {
                     (Some(path), Some(Strategy::Scan)) if path != "-" => {
                         let m = load_sequence(path)?;
-                        let q = transmark_core::PreparedEventQuery::new(nfa);
-                        q.series_with(&m, opts.threads, Some(Strategy::Scan))?
+                        PreparedEventQuery::new(nfa).series_with(
+                            &m,
+                            opts.threads,
+                            Some(Strategy::Scan),
+                        )?
                     }
                     (_, Some(s)) if s != Strategy::Sparse => {
                         return Err(run_err(format!(
@@ -1022,13 +1024,13 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
                     (Some(path), _) if path != "-" => {
                         let mut src = transmark_markov::fsio::open_step_source(Path::new(path))
                             .map_err(|e| run_err(format!("{path}: {e}")))?;
-                        transmark_core::prefix_acceptance_probabilities_source(&nfa, &mut src)?
+                        PreparedEventQuery::new(nfa).series_source(&mut src)?
                     }
                     _ => {
                         let stdin = std::io::stdin();
                         let mut src = transmark_markov::textio::TmsTextSource::new(stdin.lock())
                             .map_err(|e| run_err(format!("stdin: {e}")))?;
-                        transmark_core::prefix_acceptance_probabilities_source(&nfa, &mut src)?
+                        PreparedEventQuery::new(nfa).series_source(&mut src)?
                     }
                 };
                 for (i, p) in series.iter().enumerate() {
@@ -1166,7 +1168,7 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
             let m = load_sequence(&seq_path)?;
             let t = load_transducer(&query_path)?;
             let o = parse_output(&t, &args)?;
-            for e in top_k_evidences(&t, &m, &o, k)? {
+            for e in prepare(&t).bind(&m)?.top_evidences(&o, k)? {
                 let _ = writeln!(
                     out,
                     "{}  (p = {:.6})",

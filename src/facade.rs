@@ -1,9 +1,9 @@
 //! The [`Engine`] facade: one front door for prepared queries and
 //! observability.
 //!
-//! The layered crates each expose their own entry points (free functions
-//! in `transmark-core`, the plan layer's `prepare`/`bind`, the store's
-//! fleets). The facade ties the blessed path together:
+//! The layered crates each expose their own entry points (the plan
+//! layer's `prepare`/`bind`, the store's fleets). The facade ties the
+//! blessed path together:
 //!
 //! 1. [`Engine::new`] — construct once per application;
 //! 2. [`Engine::prepare`] — compile a [`Transducer`] into a shared
@@ -194,7 +194,7 @@ mod tests {
     }
 
     #[test]
-    fn facade_matches_legacy_free_function() {
+    fn facade_matches_brute_force_oracle() {
         let m = MarkovSequenceBuilder::new(Alphabet::of_chars("ab"), 4)
             .uniform_all()
             .build()
@@ -203,8 +203,10 @@ mod tests {
         let o = [SymbolId(0), SymbolId(1), SymbolId(0), SymbolId(1)];
         let engine = Engine::new();
         let via_facade = engine.prepare(&t).bind(&m).unwrap().confidence(&o).unwrap();
-        let via_legacy = transmark_core::confidence(&t, &m, &o).unwrap();
-        assert_eq!(via_facade.to_bits(), via_legacy.to_bits());
+        let via_oracle = transmark_core::brute::evaluate(&t, &m).unwrap()[&o[..]];
+        // Identity over a uniform 4-step chain: every string has mass 1/16.
+        assert_eq!(via_oracle, 0.0625);
+        assert!((via_facade - via_oracle).abs() < 1e-15);
     }
 
     #[cfg(not(feature = "obs-off"))]

@@ -60,11 +60,13 @@
 //! b.add_transition(qr, s, qs, &flip).unwrap();
 //! let t = b.build().unwrap();
 //!
-//! // Top-2 answers by best evidence, with exact confidences.
-//! let top = top_k_by_emax(&t, &weather, 2).unwrap();
+//! // Compile the query once, bind it to the sequence, then evaluate:
+//! // the top-2 answers by best evidence, with exact confidences.
+//! let bound = prepare(&t).bind(&weather).unwrap();
+//! let top = bound.top_k(2).unwrap();
 //! assert_eq!(top.len(), 2);
 //! for answer in &top {
-//!     let conf = confidence(&t, &weather, &answer.output).unwrap();
+//!     let conf = bound.confidence(&answer.output).unwrap();
 //!     assert!(conf >= answer.score() - 1e-12); // E_max lower-bounds confidence
 //! }
 //! ```
@@ -94,13 +96,13 @@ pub use transmark_workloads as workloads;
 
 /// The most common imports in one place.
 ///
-/// The blessed query path is the prepared-plan flow surfaced by the
-/// [`Engine`](crate::Engine) facade: `Engine::new()` →
-/// [`prepare`](crate::Engine::prepare) → `bind`/`bind_source` → execute,
-/// with [`metrics`](crate::Engine::metrics) for the observability
-/// snapshot. The free functions (`confidence`, `top_k_by_emax`, …) remain
-/// as one-shot conveniences; they route through the same plans
-/// internally.
+/// Every query has one front door. Transducer queries compile to a plan
+/// ([`prepare`](prelude::prepare), or [`Engine::prepare`] for a cached
+/// one), bind it with `bind`/`bind_source`, and call the evaluation
+/// method on the bind. Boolean event queries run through
+/// [`PreparedEventQuery`](prelude::PreparedEventQuery), or an
+/// [`EventSession`](prelude::EventSession) fed one matrix at a time.
+/// [`Engine::metrics`] gives the observability snapshot.
 pub mod prelude {
     pub use crate::facade::Engine;
     pub use transmark_automata::{Alphabet, Dfa, Nfa, SymbolId};
@@ -109,21 +111,15 @@ pub mod prelude {
     };
     pub use transmark_core::compose::compose;
     pub use transmark_core::confidence::{
-        acceptance_probability, confidence, confidence_deterministic, confidence_general,
-        confidence_uniform_nfa, is_answer, prefix_acceptance_probabilities,
+        confidence_deterministic, confidence_general, confidence_uniform_nfa,
     };
-    pub use transmark_core::emax::{emax_of_output, top_by_emax};
-    pub use transmark_core::enumerate::{
-        enumerate_by_emax, enumerate_unranked, top_k_by_emax, RankedAnswer,
-    };
+    pub use transmark_core::enumerate::RankedAnswer;
     pub use transmark_core::error::{EngineError, TmkError};
-    pub use transmark_core::evaluate::{ConfidenceCost, Evaluation, ScoredAnswer};
-    pub use transmark_core::evidence::{enumerate_evidences, top_k_evidences};
+    pub use transmark_core::incremental::EventSession;
     pub use transmark_core::plan::{
-        prepare, BoundQuery, PlanExplain, PlanKind, PreparedEventQuery, PreparedQuery,
-        SourceBoundQuery,
+        prepare, BoundQuery, ConfidenceCost, PlanExplain, PlanKind, PreparedEventQuery,
+        PreparedQuery, ScoredAnswer, SourceBoundQuery,
     };
-    pub use transmark_core::streaming::EventMonitor;
     pub use transmark_core::transducer::{Transducer, TransducerBuilder};
     pub use transmark_markov::info::{entropy, kl_divergence, perplexity};
     pub use transmark_markov::seqops::{condition, evidence_probability, window, Evidence};

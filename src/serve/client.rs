@@ -108,8 +108,8 @@ pub struct Response<T> {
     /// The decoded result value.
     pub value: T,
     /// The server-side profile ([`Engine::profiled`](crate::Engine::profiled)
-    /// rendering: text, or [`ExecutionProfile::to_json`]
-    /// (transmark_obs::ExecutionProfile::to_json) when the request
+    /// rendering: text, or
+    /// [`ExecutionProfile::to_json`](transmark_obs::ExecutionProfile::to_json) when the request
     /// carried a trace id), when the query asked for one.
     pub profile: Option<String>,
     /// Nanoseconds since the *client* profiler's epoch at which the

@@ -5,19 +5,19 @@
 //!
 //! * **process** — the [`Engine`] (and its LRU
 //!   [`PlanCache`](transmark_store::PlanCache)), the
-//!   [`WorkerPool`](transmark_store::WorkerPool) draining connections,
+//!   [`WorkerPool`] draining connections,
 //!   the obs registry, and the metrics baseline;
 //! * **per connection** — one pool worker running the frame loop, the
 //!   tenant identity from HELLO, stream buffers;
 //! * **per query** — bound plans, layer buffers, the optional
-//!   query-scoped profiler [`Recorder`](transmark_obs::Recorder).
+//!   query-scoped profiler [`Recorder`].
 //!
 //! The wire format is the length-prefixed `tmkp` protocol
 //! ([`protocol`]); a connection whose first bytes are `GET ` is served
 //! as a plain HTTP/1.1 metrics scrape instead (`/metrics`,
 //! `/metrics.json`, `/metrics.prom`). Admission control is the pool's
 //! bounded queue
-//! (typed [`ERR_SATURATED`](protocol::ERR_SATURATED) at the door);
+//! (typed [`protocol::ERR_SATURATED`] at the door);
 //! per-tenant fairness is an in-flight quota keyed by the HELLO tenant
 //! name. Streamed `.tmsb` sessions drive an incremental core
 //! [`StreamSession`] (confidence, event series or sliding window) layer
@@ -38,7 +38,6 @@ use std::sync::{Arc, Mutex};
 
 use transmark_automata::SymbolId;
 use transmark_core::error::EngineError;
-use transmark_core::evaluate::Evaluation;
 use transmark_core::incremental::{EventSession, SlidingWindowQuery, StreamSession};
 use transmark_core::transducer::Transducer;
 use transmark_markov::binio::{read_prelude, RawLayerReader};
@@ -601,9 +600,9 @@ fn execute_query(
             }
             KIND_TOP_K => {
                 let plan = engine.prepare(&t);
-                let ev = Evaluation::with_plan(&plan, &m).map_err(query_err)?;
-                *explain.borrow_mut() = ev.explain().to_string();
-                let answers = ev.top_k_scored(k as usize).map_err(query_err)?;
+                let bound = plan.bind(&m).map_err(query_err)?;
+                *explain.borrow_mut() = bound.explain().to_string();
+                let answers = bound.top_k_scored(k as usize).map_err(query_err)?;
                 let mut b = PayloadBuilder::new().u32(answers.len() as u32);
                 for a in &answers {
                     b = b.u32(a.output.len() as u32);

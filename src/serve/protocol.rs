@@ -9,8 +9,8 @@
 //! Results are binary, not decimal text: confidences, series, and
 //! `E_max` scores travel as little-endian IEEE-754 bit patterns, so a
 //! served answer is **bit-identical** to the in-process engine path —
-//! the property the serve test suite pins per [`PlanKind`]
-//! (transmark_core::plan::PlanKind).
+//! the property the serve test suite pins per
+//! [`PlanKind`](transmark_core::plan::PlanKind).
 //!
 //! Streamed sessions ([`OP_STREAM_BEGIN`] → [`OP_STREAM_DATA`]* →
 //! [`OP_STREAM_END`]) carry a raw `.tmsb` byte stream, chunked however
@@ -20,7 +20,7 @@
 //! flight, so a slow query propagates to a slow sender instead of an
 //! unbounded server buffer). See `PROTOCOL.md` for the normative spec.
 
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
 
 /// Leading bytes of the [`OP_HELLO`] payload.
 pub const WIRE_MAGIC: [u8; 4] = *b"TMKP";
@@ -226,11 +226,29 @@ pub fn read_frame_after_len(
     }
     let mut op = [0u8; 1];
     r.read_exact(&mut op).map_err(|e| truncated("opcode", e))?;
-    let mut payload = vec![0u8; len];
+    // Past its first `PAYLOAD_PREALLOC` bytes the buffer grows as payload
+    // bytes arrive: a header that merely claims a large frame costs at
+    // most that much.
+    let mut payload = vec![0u8; len.min(PAYLOAD_PREALLOC)];
     r.read_exact(&mut payload)
         .map_err(|e| truncated("payload", e))?;
+    let rest = len - payload.len();
+    if rest > 0 {
+        let got = r
+            .take(rest as u64)
+            .read_to_end(&mut payload)
+            .map_err(|e| truncated("payload", e))?;
+        if got < rest {
+            return Err(truncated("payload", ErrorKind::UnexpectedEof.into()));
+        }
+    }
     Ok(Some(Frame { op: op[0], payload }))
 }
+
+/// Payload bytes allocated before any arrive (see
+/// [`read_frame_after_len`]): a frame up to this size is read with one
+/// `read_exact`, a larger one grows its buffer as the bytes come in.
+const PAYLOAD_PREALLOC: usize = 64 << 10;
 
 enum Eof {
     Clean,
@@ -465,6 +483,24 @@ mod tests {
         wire.push(OP_QUERY);
         let mut r = std::io::Cursor::new(&wire);
         assert!(matches!(read_frame(&mut r), Err(WireError::Malformed(_))));
+    }
+
+    #[test]
+    fn ceiling_sized_header_with_a_short_payload_is_malformed() {
+        let mut wire = Vec::new();
+        wire.extend_from_slice(&(MAX_FRAME as u32).to_le_bytes());
+        wire.push(OP_STREAM_DATA);
+        wire.extend_from_slice(b"abc");
+        let mut r = std::io::Cursor::new(&wire);
+        assert!(matches!(read_frame(&mut r), Err(WireError::Malformed(_))));
+        // A normal frame still round-trips through the growing buffer.
+        let payload = vec![7u8; 3 * PAYLOAD_PREALLOC + 5];
+        let mut wire = Vec::new();
+        write_frame(&mut wire, OP_STREAM_DATA, &payload).unwrap();
+        let f = read_frame(&mut std::io::Cursor::new(&wire))
+            .unwrap()
+            .unwrap();
+        assert_eq!((f.op, f.payload), (OP_STREAM_DATA, payload));
     }
 
     #[test]

@@ -65,25 +65,33 @@ fn composed_pipeline_equals_staged_pipeline() {
     for (o, want) in staged {
         assert!((direct[&o] - want).abs() < 1e-12, "output {o:?}");
         // And the engine's polynomial algorithm agrees.
-        let got = confidence(&composite, &posterior, &o).unwrap();
+        let got = prepare(&composite)
+            .bind(&posterior)
+            .unwrap()
+            .confidence(&o)
+            .unwrap();
         assert!((got - want).abs() < 1e-12);
     }
 }
 
-/// The evaluation facade is consistent with the underlying functions.
+/// A bound query's scored top-k agrees with the brute-force oracle.
 #[test]
-fn evaluation_facade_consistency() {
+fn bound_query_scores_match_brute_force() {
     use rand::{rngs::StdRng, SeedableRng};
     let dep = deployment(&RfidSpec::default());
     let mut rng = StdRng::seed_from_u64(17);
     let (posterior, _) = dep.sample_posterior(5, &mut rng);
     let t = dep.room_tracker(Some(2));
-    let ev = Evaluation::new(&t, &posterior).unwrap();
-    assert_eq!(ev.confidence_cost(), ConfidenceCost::Polynomial);
-    let scored = ev.top_k_scored(4).unwrap();
+    let bound = prepare(&t).bind(&posterior).unwrap();
+    assert_eq!(
+        bound.plan().kind().confidence_cost(),
+        ConfidenceCost::Polynomial
+    );
+    let answers = brute::evaluate(&t, &posterior).unwrap();
+    let scored = bound.top_k_scored(4).unwrap();
     for s in &scored {
         assert!(s.emax <= s.confidence + 1e-12);
-        assert!((ev.confidence(&s.output).unwrap() - s.confidence).abs() < 1e-15);
+        assert!((answers[&s.output] - s.confidence).abs() < 1e-12);
     }
     // Scored list is E_max-ordered.
     for w in scored.windows(2) {
@@ -119,7 +127,7 @@ fn condition_window_and_stream() {
     let t = dep.room_tracker(None);
     let truth_map = brute::evaluate(&t, &w).unwrap();
     for (o, want) in truth_map {
-        assert!((confidence(&t, &w, &o).unwrap() - want).abs() < 1e-10);
+        assert!((prepare(&t).bind(&w).unwrap().confidence(&o).unwrap() - want).abs() < 1e-10);
     }
 
     // Streaming Boolean query on the full chain: P(visited room 2 by time i)
@@ -136,11 +144,15 @@ fn condition_window_and_stream() {
         nfa.add_transition(acc, r2, acc);
         nfa
     };
-    let series = prefix_acceptance_probabilities(&visit2, &posterior).unwrap();
+    let series = PreparedEventQuery::new(visit2.clone())
+        .series(&posterior)
+        .unwrap();
     for w in series.windows(2) {
         assert!(w[0] <= w[1] + 1e-12);
     }
-    let total = acceptance_probability(&visit2, &posterior).unwrap();
+    let total = PreparedEventQuery::new(visit2.clone())
+        .acceptance(&posterior)
+        .unwrap();
     assert!((series.last().unwrap() - total).abs() < 1e-12);
 }
 

@@ -13,6 +13,7 @@
 
 use proptest::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
+use transmark::engine::prepare;
 use transmark_core::generate::{random_transducer, RandomTransducerSpec, TransducerClass};
 use transmark_core::kernelize::{output_step_graph, state_step_graph};
 use transmark_core::transducer::Transducer;
@@ -138,7 +139,7 @@ fn check_output_query(t: &Transducer, m: &MarkovSequence, o: &[SymbolId]) {
     // accept one world through several runs, so the path mass only
     // upper-bounds the (run-deduplicated) confidence. The Bool reduction
     // is exactly `is_answer` either way.
-    let conf = transmark_core::confidence::confidence(t, m, o).unwrap();
+    let conf = prepare(t).bind(m).unwrap().confidence(o).unwrap();
     if t.is_deterministic() {
         assert!(
             (total - conf).abs() <= 1e-9 * conf.max(1.0),
@@ -151,9 +152,9 @@ fn check_output_query(t: &Transducer, m: &MarkovSequence, o: &[SymbolId]) {
         );
         assert_eq!(total > 0.0, conf > 0.0);
     }
-    assert_eq!(any, transmark_core::confidence::is_answer(t, m, o).unwrap());
+    assert_eq!(any, prepare(t).bind(m).unwrap().is_answer(o).unwrap());
     if any {
-        let emax = transmark_core::emax_of_output(t, m, o).unwrap();
+        let emax = prepare(t).bind(m).unwrap().emax_of_output(o).unwrap();
         assert!(
             (best - emax).abs() <= 1e-9,
             "kernel best {best} vs engine E_max {emax}"

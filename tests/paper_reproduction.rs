@@ -16,7 +16,11 @@ fn hospital_example_full_evaluation() {
     let truth = brute::evaluate(&t, &mu).expect("brute force");
     assert!(truth.len() >= 5, "the running example has several answers");
     for (o, want) in &truth {
-        let got = confidence(&t, &mu, o).expect("confidence");
+        let got = prepare(&t)
+            .bind(&mu)
+            .unwrap()
+            .confidence(o)
+            .expect("confidence");
         assert!((got - want).abs() < 1e-12, "answer {o:?}");
     }
 
@@ -24,14 +28,24 @@ fn hospital_example_full_evaluation() {
     assert!((truth[&places(&["1", "2"])] - CONF_12).abs() < 1e-12);
 
     // Unranked enumeration finds exactly the answers.
-    let unranked: Vec<_> = enumerate_unranked(&t, &mu).expect("unranked").collect();
+    let unranked: Vec<_> = prepare(&t)
+        .bind(&mu)
+        .unwrap()
+        .unranked()
+        .expect("unranked")
+        .collect();
     assert_eq!(unranked.len(), truth.len());
     for o in &unranked {
         assert!(truth.contains_key(o));
     }
 
     // Ranked enumeration: complete, ordered, correct scores.
-    let ranked: Vec<_> = enumerate_by_emax(&t, &mu).expect("ranked").collect();
+    let ranked: Vec<_> = prepare(&t)
+        .bind(&mu)
+        .unwrap()
+        .ranked()
+        .expect("ranked")
+        .collect();
     assert_eq!(ranked.len(), truth.len());
     for w in ranked.windows(2) {
         assert!(w[0].log_score >= w[1].log_score - 1e-12);
@@ -70,10 +84,19 @@ fn hmm_pipeline_to_ranked_answers() {
 
     // Ranked answers are valid, scored correctly, and complete.
     let truth = brute::evaluate(&t, &posterior).expect("brute");
-    let ranked: Vec<_> = enumerate_by_emax(&t, &posterior).expect("ranked").collect();
+    let ranked: Vec<_> = prepare(&t)
+        .bind(&posterior)
+        .unwrap()
+        .ranked()
+        .expect("ranked")
+        .collect();
     assert_eq!(ranked.len(), truth.len());
     for a in &ranked {
-        let conf = confidence(&t, &posterior, &a.output).expect("confidence");
+        let conf = prepare(&t)
+            .bind(&posterior)
+            .unwrap()
+            .confidence(&a.output)
+            .expect("confidence");
         assert!((conf - truth[&a.output]).abs() < 1e-9);
         // E_max never exceeds confidence.
         assert!(a.score() <= conf + 1e-12);

@@ -42,10 +42,17 @@ fn deterministic_confidence_scales_to_thousands() {
         &mut rng,
     );
     let start = Instant::now();
-    let top = top_by_emax(&t, &m)
+    let top = prepare(&t)
+        .bind(&m)
+        .unwrap()
+        .top()
         .unwrap()
         .expect("non-selective machine has answers");
-    let conf = confidence(&t, &m, &top.output).unwrap();
+    let conf = prepare(&t)
+        .bind(&m)
+        .unwrap()
+        .confidence(&top.output)
+        .unwrap();
     assert!(conf > 0.0 || top.output.len() == 2000);
     assert!(start.elapsed() < BUDGET, "took {:?}", start.elapsed());
 }
@@ -101,9 +108,13 @@ fn acceptance_probability_scales_with_subsets() {
         &mut rng,
     );
     let start = Instant::now();
-    let p = acceptance_probability(&t.underlying_nfa(), &m).unwrap();
+    let p = PreparedEventQuery::new(t.underlying_nfa())
+        .acceptance(&m)
+        .unwrap();
     assert!((0.0..=1.0 + 1e-9).contains(&p));
-    let series = prefix_acceptance_probabilities(&t.underlying_nfa(), &m).unwrap();
+    let series = PreparedEventQuery::new(t.underlying_nfa())
+        .series(&m)
+        .unwrap();
     assert_eq!(series.len(), 2000);
     assert!(start.elapsed() < BUDGET, "took {:?}", start.elapsed());
 }

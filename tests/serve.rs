@@ -11,7 +11,6 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::OnceLock;
 
-use transmark::engine::evaluate::Evaluation;
 use transmark::engine::generate::{random_transducer, RandomTransducerSpec, TransducerClass};
 use transmark::engine::transducer::Transducer;
 use transmark::markov::binio::{to_tmsb_bytes, TmsbReader};
@@ -103,8 +102,8 @@ proptest! {
 
         let local = Engine::new();
         let plan = local.prepare(&t);
-        let answers = Evaluation::with_plan(&plan, &m)
-            .and_then(|ev| ev.top_k_scored(5))
+        let answers = plan.bind(&m)
+            .and_then(|b| b.top_k_scored(5))
             .expect("local top-k");
 
         let mut client = Client::connect(&addr(), "prop").expect("connect");
@@ -241,8 +240,9 @@ fn stream_checkpoints_resume_bit_identically() {
 
     // Confidence: same drill against the local source-bound value.
     let plan = local.prepare(&t);
-    let answers = Evaluation::with_plan(&plan, &m)
-        .and_then(|ev| ev.top_k_scored(1))
+    let answers = plan
+        .bind(&m)
+        .and_then(|b| b.top_k_scored(1))
         .expect("local top-k");
     if let Some(a) = answers.first() {
         let names = output_names(&t, &a.output);
@@ -504,8 +504,9 @@ fn bad_resume_blobs_are_typed_errors() {
     // tag in the envelope catches it.
     let local = Engine::new();
     let plan = local.prepare(&t);
-    let answers = Evaluation::with_plan(&plan, &m)
-        .and_then(|ev| ev.top_k_scored(1))
+    let answers = plan
+        .bind(&m)
+        .and_then(|b| b.top_k_scored(1))
         .expect("local top-k");
     if let Some(a) = answers.first() {
         let names = output_names(&t, &a.output);

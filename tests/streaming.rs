@@ -10,17 +10,11 @@ use std::io::Cursor;
 use proptest::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
 
-use transmark_core::confidence::{
-    acceptance_probability, acceptance_probability_source, confidence, confidence_source,
-    prefix_acceptance_probabilities, prefix_acceptance_probabilities_source,
-};
-use transmark_core::emax::{emax_of_output, emax_of_output_source};
-use transmark_core::enumerate::enumerate_unranked;
 use transmark_core::generate::{random_transducer, RandomTransducerSpec, TransducerClass};
+use transmark_core::incremental::{EventSession, StreamSession};
 use transmark_core::montecarlo::{estimate_confidence_source, McEstimate};
-use transmark_core::plan::prepare;
+use transmark_core::plan::{prepare, PreparedEventQuery};
 use transmark_core::transducer::Transducer;
-use transmark_core::EventMonitor;
 use transmark_markov::binio::{from_tmsb_bytes, to_tmsb_bytes, TmsbReader, TmsbSlice};
 use transmark_markov::generate::{random_markov_sequence, RandomChainSpec};
 use transmark_markov::textio::{to_text, TmsTextSource};
@@ -82,11 +76,15 @@ fn instance(class: TransducerClass, seed: u64, n: usize) -> (Transducer, MarkovS
 /// through the prepared-plan `bind_source` path, all bitwise equal to the
 /// in-memory result.
 fn assert_output_passes_stream_identically(t: &Transducer, m: &MarkovSequence, o: &[SymbolId]) {
-    let want_c = confidence(t, m, o).unwrap();
-    let want_e = emax_of_output(t, m, o).unwrap();
+    let want_c = prepare(t).bind(m).unwrap().confidence(o).unwrap();
+    let want_e = prepare(t).bind(m).unwrap().emax_of_output(o).unwrap();
     let plan = prepare(t);
     for (kind, mut src) in sources(m) {
-        let got = confidence_source(t, &mut src, o).unwrap();
+        let got = prepare(t)
+            .bind_source(&mut src)
+            .unwrap()
+            .confidence(o)
+            .unwrap();
         assert_eq!(
             got.to_bits(),
             want_c.to_bits(),
@@ -104,7 +102,11 @@ fn assert_output_passes_stream_identically(t: &Transducer, m: &MarkovSequence, o
         );
     }
     for (kind, mut src) in sources(m) {
-        let got = emax_of_output_source(t, &mut src, o).unwrap();
+        let got = prepare(t)
+            .bind_source(&mut src)
+            .unwrap()
+            .emax_of_output(o)
+            .unwrap();
         assert_eq!(
             got.to_bits(),
             want_e.to_bits(),
@@ -113,25 +115,32 @@ fn assert_output_passes_stream_identically(t: &Transducer, m: &MarkovSequence, o
     }
 }
 
-/// Acceptance, the per-prefix series, and the event monitor, streamed
-/// over every source kind, bitwise equal to the in-memory passes.
+/// Acceptance, the per-prefix series, and an event session fed matrix by
+/// matrix, streamed over every source kind, bitwise equal to the
+/// in-memory passes.
 fn assert_boolean_passes_stream_identically(nfa: &transmark_core::Nfa, m: &MarkovSequence) {
-    let want_p = acceptance_probability(nfa, m).unwrap();
-    let want_series = prefix_acceptance_probabilities(nfa, m).unwrap();
+    let q = PreparedEventQuery::new(nfa.clone());
+    let want_p = q.acceptance(m).unwrap();
+    let want_series = q.series(m).unwrap();
     for (kind, mut src) in sources(m) {
-        let got = acceptance_probability_source(nfa, &mut src).unwrap();
+        let sess = EventSession::start(nfa.clone(), src.initial()).unwrap();
+        let got = StreamSession::Event(sess).drain(&mut src, false).unwrap()[0];
         assert_eq!(got.to_bits(), want_p.to_bits(), "acceptance over {kind}");
     }
     for (kind, mut src) in sources(m) {
-        let got = prefix_acceptance_probabilities_source(nfa, &mut src).unwrap();
+        let got = q.series_source(&mut src).unwrap();
         assert_eq!(got.len(), want_series.len());
         for (i, (g, w)) in got.iter().zip(want_series.iter()).enumerate() {
             assert_eq!(g.to_bits(), w.to_bits(), "series[{i}] over {kind}");
         }
     }
-    // The monitor is the same fold again, fed matrix by matrix.
+    // The session is the same fold again, fed matrix by matrix.
     for (kind, mut src) in sources(m) {
-        let got = EventMonitor::series_source(nfa.clone(), &mut src).unwrap();
+        let mut sess = EventSession::start(nfa.clone(), src.initial()).unwrap();
+        let mut got = vec![sess.probability()];
+        while let Some(matrix) = src.next_step().unwrap() {
+            got.push(sess.advance(matrix).unwrap());
+        }
         for (i, (g, w)) in got.iter().zip(want_series.iter()).enumerate() {
             assert_eq!(g.to_bits(), w.to_bits(), "monitor[{i}] over {kind}");
         }
@@ -147,7 +156,7 @@ proptest! {
     fn confidence_streams_bit_identical(class in arb_class(), seed in any::<u64>(), n in 1usize..5) {
         let (t, m) = instance(class, seed, n);
         let outputs: Vec<Vec<SymbolId>> =
-            enumerate_unranked(&t, &m).unwrap().take(3).collect();
+            prepare(&t).bind(&m).unwrap().unranked().unwrap().take(3).collect();
         for o in &outputs {
             assert_output_passes_stream_identically(&t, &m, o);
         }
@@ -170,7 +179,7 @@ proptest! {
     #[test]
     fn monte_carlo_streams_deterministically(class in arb_class(), seed in any::<u64>(), n in 1usize..5) {
         let (t, m) = instance(class, seed, n);
-        let o: Vec<Vec<SymbolId>> = enumerate_unranked(&t, &m).unwrap().take(1).collect();
+        let o: Vec<Vec<SymbolId>> = prepare(&t).bind(&m).unwrap().unranked().unwrap().take(1).collect();
         let o = o.first().cloned().unwrap_or_default();
         let mut estimates: Vec<(&str, McEstimate)> = Vec::new();
         for (kind, mut src) in sources(&m) {
@@ -242,7 +251,7 @@ proptest! {
 fn hospital_workload_streams_bit_identical() {
     let m = transmark_workloads::hospital::hospital_sequence();
     let t = transmark_workloads::hospital::room_tracker();
-    let outputs: Vec<Vec<SymbolId>> = enumerate_unranked(&t, &m).unwrap().collect();
+    let outputs: Vec<Vec<SymbolId>> = prepare(&t).bind(&m).unwrap().unranked().unwrap().collect();
     assert!(!outputs.is_empty());
     for o in &outputs {
         assert_output_passes_stream_identically(&t, &m, o);
@@ -261,7 +270,13 @@ fn rfid_workload_streams_bit_identical() {
     for lab in [None, Some(2)] {
         let t = dep.room_tracker(lab);
         let (m, _) = dep.sample_posterior(6, &mut rng);
-        let outputs: Vec<Vec<SymbolId>> = enumerate_unranked(&t, &m).unwrap().take(2).collect();
+        let outputs: Vec<Vec<SymbolId>> = prepare(&t)
+            .bind(&m)
+            .unwrap()
+            .unranked()
+            .unwrap()
+            .take(2)
+            .collect();
         for o in &outputs {
             assert_output_passes_stream_identically(&t, &m, o);
         }
