@@ -8,11 +8,14 @@
 //! * `cargo run -p transmark-bench --bin table2` — the empirical version
 //!   of Table 2: measured runtimes for every confidence algorithm /
 //!   transducer-class cell, measured per-answer delays for every ranked
-//!   evaluation mode, and measured inapproximability ratios.
+//!   evaluation mode, and measured inapproximability ratios; then the
+//!   BASELINE (two-step vs ranked), ABLATION (design choices) and
+//!   STREAMING (materialized vs streamed length sweep) experiments.
 //! * `cargo run -p transmark-bench --bin approx_ratios` — the row-3
 //!   ratio curves on the gadget families.
-//! * `cargo bench -p transmark-bench` — Criterion microbenchmarks behind
-//!   the same cells.
+//!
+//! Every timing here goes through [`time_median`]. The regression-gated
+//! per-case suite is `tmk bench`, not this crate.
 
 use rand::{rngs::StdRng, SeedableRng};
 use transmark_automata::{Dfa, StateId, SymbolId};

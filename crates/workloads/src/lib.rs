@@ -19,8 +19,13 @@
 //!   `E_max` (resp. `I_max`) order diverges from the true confidence
 //!   order by a measurable factor — exponential for general transducers,
 //!   linear for s-projectors. These drive the Table 2 row-3 experiments.
+//! * [`cyclic`] — an unbounded synthetic [`StepSource`] cycling a donor
+//!   sequence's layers, for length sweeps of the streaming data plane.
+//!
+//! [`StepSource`]: transmark_markov::StepSource
 
 pub mod bio;
+pub mod cyclic;
 pub mod gadgets;
 pub mod hospital;
 pub mod rfid;

@@ -6,14 +6,15 @@
 //! active query-scoped [`Recorder`](transmark_obs::Recorder), so the
 //! timeline-event path (span begin/end, layer progress) is also priced.
 //! The check script builds this example twice — default features and
-//! `--features obs-off` — and fails if either instrumented figure is
-//! more than ~5% above the `obs-off` baseline, which keeps every
+//! `--features obs-off` — runs the two back to back over many rounds,
+//! and fails if the median paired ratio of either instrumented figure
+//! is more than ~5% above the `obs-off` baseline, which keeps every
 //! counter/histogram/span/timeline event on the hot paths honest about
 //! its cost.
 //!
-//! Min-of-N is the standard trick for a noisy shared machine: the
-//! minimum is the run least disturbed by scheduling, so it estimates the
-//! true cost floor of each configuration.
+//! Within one run, min-of-N is the standard trick for a noisy shared
+//! machine: the minimum is the repetition least disturbed by
+//! scheduling, so it estimates the cost floor of the run.
 //!
 //! The example doubles as a regression guard for span-path interning:
 //! after warm-up, repeated traversals of the same span paths must not

@@ -182,12 +182,13 @@ monitor_smoke() {
   fi
 
   # The O(k²) window slide must hold its ≥5× per-tick floor over the
-  # from-scratch recompute (window_recompute samples 1 tick in 128, so
-  # per-tick costs are min_ns/256 vs min_ns/32768).
+  # from-scratch recompute. Each case declares the ticks one execution
+  # times as `units` (the recompute samples 1 tick in 128), so per-tick
+  # cost is min_ns / units.
   "$tmk" bench --runs 2 --iters 3 --json "$dir/bench.json" >/dev/null
   jq -e '
-    (.cases["window_recompute/2e15"].min_ns / 256) as $rec
-    | (.cases["window_slide/2e15"].min_ns / 32768) as $slide
+    (.cases["window_recompute/2e15"] | .min_ns / .units) as $rec
+    | (.cases["window_slide/2e15"] | .min_ns / .units) as $slide
     | ($rec / $slide) as $speedup
     | if $speedup >= 5 then
         "    window slide \($speedup | floor)x faster per tick than recompute"
@@ -256,37 +257,45 @@ cargo test -q -p transmark-core --features obs-off
 echo "==> metrics overhead guard (examples/obs_overhead)"
 # Build both configurations first (the second build overwrites the
 # example path, so the instrumented binary is copied aside), then run
-# them interleaved and compare minima: back-to-back build-then-run
-# measurements are contaminated by the build's own machine load, which
-# dwarfs the ~2% effect this guard polices.
+# them interleaved: back-to-back build-then-run measurements are
+# contaminated by the build's own machine load, which dwarfs the ~2%
+# effect this guard polices.
 #
 # The example prints two figures — `ns_per_iter` (counters + spans) and
 # `ns_per_iter_recorded` (the same workload inside an active profiler
 # Recorder) — and both must stay within the 5% budget relative to the
 # obs-off baseline.
+#
+# Each round runs the two binaries back to back (alternating which goes
+# first) and takes their ratio; the guard reads the median over all
+# rounds. On a shared 2-vCPU machine the speed of a whole process can
+# shift by ~1.7x between runs, so a ratio of two separately taken minima
+# swings whenever only one side catches a fast spell. Adjacent runs
+# nearly always share one, and the median drops the rounds that do not.
 tmpdir=$(mktemp -d)
 trap 'rm -rf "$tmpdir"' EXIT
 cargo build -q --release --example obs_overhead
 cp target/release/examples/obs_overhead "$tmpdir/obs_on"
 cargo build -q --release --example obs_overhead --features obs-off
 cp target/release/examples/obs_overhead "$tmpdir/obs_off"
-on=""
-rec=""
-off=""
-for _ in 1 2 3; do
-  out=$("$tmpdir/obs_on")
-  r=$(echo "$out" | awk '/^ns_per_iter /{print $2}')
-  if [ -z "$on" ] || [ "$r" -lt "$on" ]; then on=$r; fi
-  r=$(echo "$out" | awk '/^ns_per_iter_recorded /{print $2}')
-  if [ -z "$rec" ] || [ "$r" -lt "$rec" ]; then rec=$r; fi
-  r=$("$tmpdir/obs_off" | awk '/^ns_per_iter /{print $2}')
-  if [ -z "$off" ] || [ "$r" -lt "$off" ]; then off=$r; fi
-done
-echo "    instrumented ${on} ns/iter, recorded ${rec} ns/iter vs obs-off ${off} ns/iter (min of 3 interleaved)"
-awk -v on="$on" -v rec="$rec" -v off="$off" 'BEGIN {
-  ratio = on / off
-  rratio = rec / off
-  printf "    ratio %.3f, recorded ratio %.3f (budget 1.05)\n", ratio, rratio
+rounds=51
+for i in $(seq 1 "$rounds"); do
+  if [ $((i % 2)) -eq 0 ]; then
+    off=$("$tmpdir/obs_off")
+    on=$("$tmpdir/obs_on")
+  else
+    on=$("$tmpdir/obs_on")
+    off=$("$tmpdir/obs_off")
+  fi
+  # One line per round: instrumented, recorded, obs-off (ns/iter).
+  echo "$on" | awk '/^ns_per_iter /{a=$2} /^ns_per_iter_recorded /{b=$2} END{printf "%s %s ", a, b}'
+  echo "$off" | awk '/^ns_per_iter /{print $2}'
+done >"$tmpdir/rounds"
+median() { sort -g | awk '{v[NR] = $1} END {print v[int((NR + 1) / 2)]}'; }
+ratio=$(awk '{print $1 / $3}' "$tmpdir/rounds" | median)
+rratio=$(awk '{print $2 / $3}' "$tmpdir/rounds" | median)
+awk -v ratio="$ratio" -v rratio="$rratio" -v rounds="$rounds" 'BEGIN {
+  printf "    ratio %.3f, recorded ratio %.3f (median of %d interleaved rounds; budget 1.05)\n", ratio, rratio, rounds
   if (ratio > 1.05) { print "metrics overhead exceeds the ~5% budget"; exit 1 }
   if (rratio > 1.05) { print "profiler recording overhead exceeds the ~5% budget"; exit 1 }
 }'

@@ -51,6 +51,10 @@ pub struct CaseResult {
     /// The execution strategy the case ran under (`sparse`, `dense`,
     /// `scan`); `None` in snapshots written before strategies existed.
     pub strategy: Option<String>,
+    /// Work units (e.g. ticks) one execution performs, so
+    /// `min_ns / units` is the per-unit cost; `None` where the case does
+    /// not declare one, and in snapshots written before units existed.
+    pub units: Option<u64>,
     /// 99th-percentile per-request nanoseconds; only the sustained-load
     /// `serve/*` cases record one.
     pub p99_ns: Option<u64>,
@@ -80,7 +84,11 @@ fn time_case(runs: usize, iters: usize, mut f: impl FnMut()) -> (u64, u64) {
 /// invocations measure the same computation.
 pub fn run_suite(runs: usize, iters: usize) -> Result<Vec<CaseResult>, CliError> {
     let mut results = Vec::new();
-    let mut push = |name: &str, seed: u64, strategy: &str, (min_ns, median_ns): (u64, u64)| {
+    let mut push = |name: &str,
+                    seed: u64,
+                    strategy: &str,
+                    units: Option<u64>,
+                    (min_ns, median_ns): (u64, u64)| {
         results.push(CaseResult {
             name: name.to_string(),
             seed,
@@ -89,6 +97,7 @@ pub fn run_suite(runs: usize, iters: usize) -> Result<Vec<CaseResult>, CliError>
             min_ns,
             median_ns,
             strategy: (!strategy.is_empty()).then(|| strategy.to_string()),
+            units,
             p99_ns: None,
             qps: None,
         });
@@ -111,6 +120,7 @@ pub fn run_suite(runs: usize, iters: usize) -> Result<Vec<CaseResult>, CliError>
         "confidence/hospital",
         0,
         bound.strategy().label(),
+        None,
         time_case(runs, iters, || {
             std::hint::black_box(bound.confidence(std::hint::black_box(&o)).expect("valid"));
         }),
@@ -121,6 +131,7 @@ pub fn run_suite(runs: usize, iters: usize) -> Result<Vec<CaseResult>, CliError>
         "enumerate/hospital",
         0,
         bound.strategy().label(),
+        None,
         time_case(runs, iters, || {
             std::hint::black_box(bound.top_k_scored(4).expect("valid"));
         }),
@@ -133,6 +144,7 @@ pub fn run_suite(runs: usize, iters: usize) -> Result<Vec<CaseResult>, CliError>
         "streaming/hospital",
         0,
         "sparse",
+        None,
         time_case(runs, iters, || {
             let src = transmark_markov::binio::TmsbSlice::new(&tmsb).expect("valid tmsb");
             let mut bound = plan.bind_source(src).expect("alphabets match");
@@ -160,6 +172,7 @@ pub fn run_suite(runs: usize, iters: usize) -> Result<Vec<CaseResult>, CliError>
         "confidence/rfid",
         RFID_SEED,
         rfid_bound.strategy().label(),
+        None,
         time_case(runs, iters, || {
             std::hint::black_box(
                 rfid_bound
@@ -180,6 +193,7 @@ pub fn run_suite(runs: usize, iters: usize) -> Result<Vec<CaseResult>, CliError>
         "fleet/rfid",
         RFID_SEED,
         transmark_core::choose_strategy(&posterior).label(),
+        None,
         time_case(runs, iters.div_ceil(4), || {
             std::hint::black_box(
                 store
@@ -229,6 +243,7 @@ pub fn run_suite(runs: usize, iters: usize) -> Result<Vec<CaseResult>, CliError>
                 &format!("sweep_{}/2e{exp}", strategy.label()),
                 SWEEP_SEED,
                 strategy.label(),
+                None,
                 time_case(runs, sweep_iters, || {
                     let bound = sweep_plan
                         .bind_with_strategy(&m, Some(strategy))
@@ -273,6 +288,7 @@ pub fn run_suite(runs: usize, iters: usize) -> Result<Vec<CaseResult>, CliError>
         "series_fold/2e17",
         SERIES_SEED,
         "sparse",
+        None,
         time_case(runs, series_iters, || {
             std::hint::black_box(
                 event
@@ -285,6 +301,7 @@ pub fn run_suite(runs: usize, iters: usize) -> Result<Vec<CaseResult>, CliError>
         "series_scan4/2e17",
         SERIES_SEED,
         "scan",
+        None,
         time_case(runs, series_iters, || {
             std::hint::black_box(
                 event
@@ -298,9 +315,10 @@ pub fn run_suite(runs: usize, iters: usize) -> Result<Vec<CaseResult>, CliError>
     // incremental sliding window pays amortized one operator composition
     // per tick; the recompute case prices the old scheme (re-fold the
     // whole 256-step window from its start marginal) on a 1-in-128 tick
-    // sample so the micro-suite stays micro. Per-tick speedup =
-    // (recompute_min/256) / (slide_min/32768) — held ≥ 5× by the
-    // monitor smoke in scripts/check.sh.
+    // sample so the micro-suite stays micro. Each case declares its
+    // timed ticks as `units`, so per-tick speedup = (recompute min/units)
+    // / (slide min/units) — held ≥ 5× by the monitor smoke in
+    // scripts/check.sh.
     const WINDOW_SEED: u64 = 17;
     const WINDOW_LEN: usize = 1 << 15;
     const WINDOW_W: usize = 256;
@@ -321,6 +339,7 @@ pub fn run_suite(runs: usize, iters: usize) -> Result<Vec<CaseResult>, CliError>
         "window_slide/2e15",
         WINDOW_SEED,
         "window",
+        Some(WINDOW_LEN as u64),
         time_case(runs, window_iters, || {
             std::hint::black_box(wq.series(&wchain).expect("valid"));
         }),
@@ -330,6 +349,7 @@ pub fn run_suite(runs: usize, iters: usize) -> Result<Vec<CaseResult>, CliError>
         "window_recompute/2e15",
         WINDOW_SEED,
         "window",
+        Some(WINDOW_LEN.div_ceil(WINDOW_STRIDE) as u64),
         time_case(runs, window_iters, || {
             for p in (0..WINDOW_LEN).step_by(WINDOW_STRIDE) {
                 let start = (p + 1).saturating_sub(WINDOW_W);
@@ -372,6 +392,7 @@ pub fn run_suite(runs: usize, iters: usize) -> Result<Vec<CaseResult>, CliError>
         "monitor/16x4096",
         MONITOR_SEED,
         "sparse",
+        None,
         time_case(runs, window_iters, || {
             std::hint::black_box(monitor.run_sequences(&monitor_refs).expect("valid"));
         }),
@@ -403,6 +424,7 @@ pub fn run_suite(runs: usize, iters: usize) -> Result<Vec<CaseResult>, CliError>
         min_ns: hot.min_ns,
         median_ns: hot.median_ns,
         strategy: None,
+        units: None,
         p99_ns: Some(hot.p99_ns),
         qps: Some(hot.qps),
     });
@@ -446,6 +468,7 @@ pub fn run_suite(runs: usize, iters: usize) -> Result<Vec<CaseResult>, CliError>
         min_ns: cold.min_ns,
         median_ns: cold.median_ns,
         strategy: None,
+        units: None,
         p99_ns: Some(cold.p99_ns),
         qps: Some(cold.qps),
     });
@@ -536,6 +559,9 @@ pub fn to_json(results: &[CaseResult]) -> String {
         if let Some(s) = &r.strategy {
             case.insert("strategy".to_string(), Value::Str(s.clone()));
         }
+        if let Some(units) = r.units {
+            case.insert("units".to_string(), Value::Int(units));
+        }
         if let Some(p99) = r.p99_ns {
             case.insert("p99_ns".to_string(), Value::Int(p99));
         }
@@ -592,6 +618,8 @@ pub fn from_json(text: &str) -> Result<Vec<CaseResult>, String> {
             min_ns: field("min_ns")?,
             median_ns: field("median_ns")?,
             strategy,
+            // Snapshots written before work units simply lack the key.
+            units: case.get("units").and_then(Value::as_int),
             // Sustained-load keys only exist on serve/* cases (and not
             // in snapshots written before the service layer).
             p99_ns: case.get("p99_ns").and_then(Value::as_int),
@@ -778,6 +806,7 @@ mod tests {
             min_ns,
             median_ns: min_ns + 1,
             strategy: Some("sparse".to_string()),
+            units: None,
             p99_ns: None,
             qps: None,
         }
@@ -801,11 +830,13 @@ mod tests {
 
     #[test]
     fn from_json_tolerates_missing_strategy() {
-        // Snapshots written before the strategy layer have no key.
+        // Snapshots written before the strategy layer (or work units)
+        // have no key.
         let text = r#"{"suite":"tmk-bench","schema":1,"cases":{"a":{"seed":1,"runs":5,"iters":10,"min_ns":100,"median_ns":110}}}"#;
         let back = from_json(text).unwrap();
         assert_eq!(back.len(), 1);
         assert_eq!(back[0].strategy, None);
+        assert_eq!(back[0].units, None);
     }
 
     #[test]
@@ -824,6 +855,14 @@ mod tests {
         let back = from_json(&to_json(&[r])).unwrap();
         assert_eq!(back[0].p99_ns, Some(900));
         assert!((back[0].qps.unwrap() - 1234.5).abs() < 1e-6);
+    }
+
+    #[test]
+    fn work_units_round_trip() {
+        let mut r = case("window_slide/2e15", 65536);
+        r.units = Some(32768);
+        let back = from_json(&to_json(&[r])).unwrap();
+        assert_eq!(back[0].units, Some(32768));
     }
 
     #[test]

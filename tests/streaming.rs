@@ -17,8 +17,10 @@ use transmark_core::plan::{prepare, PreparedEventQuery};
 use transmark_core::transducer::Transducer;
 use transmark_markov::binio::{from_tmsb_bytes, to_tmsb_bytes, TmsbReader, TmsbSlice};
 use transmark_markov::generate::{random_markov_sequence, RandomChainSpec};
+use transmark_markov::source::materialize;
 use transmark_markov::textio::{to_text, TmsTextSource};
 use transmark_markov::{MarkovSequence, SourceError, StepSource, SymbolId};
+use transmark_workloads::cyclic::CyclicSource;
 
 /// The three source kinds over one sequence. Each call returns fresh
 /// cursors (sources are single-pass).
@@ -282,4 +284,68 @@ fn rfid_workload_streams_bit_identical() {
         }
         assert_boolean_passes_stream_identically(&t.underlying_nfa(), &m);
     }
+}
+
+/// Thousands of layers: the property suites stop at n < 9, so drift in
+/// accumulation order that only shows over a long fold would slip past
+/// them. A cycling-pool source streams 2^12 positions; acceptance and
+/// confidence still match the materialized passes bit for bit.
+#[test]
+fn long_cyclic_stream_bit_identical() {
+    const N: usize = 1 << 12;
+    const SYMBOLS: u32 = 4;
+    let donor = random_markov_sequence(
+        &RandomChainSpec {
+            len: 17,
+            n_symbols: SYMBOLS as usize,
+            zero_prob: 0.3,
+        },
+        &mut StdRng::seed_from_u64(42),
+    );
+    let m = materialize(&mut CyclicSource::new(&donor, N)).unwrap();
+    assert_eq!(m.len(), N);
+
+    // Parity of the symbol-0 count: its probability stays away from 0
+    // and 1 at any length, so the fold never saturates.
+    let mut nfa = transmark_core::Nfa::new(SYMBOLS as usize);
+    let even = nfa.add_state(true);
+    let odd = nfa.add_state(false);
+    for s in 0..SYMBOLS {
+        let flip = s == 0;
+        nfa.add_transition(even, SymbolId(s), if flip { odd } else { even });
+        nfa.add_transition(odd, SymbolId(s), if flip { even } else { odd });
+    }
+    let want = PreparedEventQuery::new(nfa.clone()).acceptance(&m).unwrap();
+    let mut src = CyclicSource::new(&donor, N);
+    let sess = EventSession::start(nfa, src.initial()).unwrap();
+    let got = StreamSession::Event(sess).drain(&mut src, false).unwrap()[0];
+    assert!(0.0 < want && want < 1.0, "acceptance {want} saturated");
+    assert_eq!(got.to_bits(), want.to_bits(), "acceptance: {got} vs {want}");
+
+    // Deterministic, non-uniform: emits the first symbol's class, then
+    // nothing, accepting only after an even-class symbol. `conf([0])` is
+    // Pr(first and last symbols both even-class) — every layer counts.
+    let alphabet = m.alphabet_arc();
+    let mut b = Transducer::builder(alphabet.clone(), alphabet);
+    let start = b.add_state(false);
+    let last_even = b.add_state(true);
+    let last_odd = b.add_state(false);
+    for s in 0..SYMBOLS {
+        let (sym, class) = (SymbolId(s), SymbolId(s % 2));
+        let target = if s % 2 == 0 { last_even } else { last_odd };
+        b.add_transition(start, sym, target, &[class]).unwrap();
+        b.add_transition(last_even, sym, target, &[]).unwrap();
+        b.add_transition(last_odd, sym, target, &[]).unwrap();
+    }
+    let t = b.build().unwrap();
+    assert_eq!(t.uniform_emission(), None);
+    let o = [SymbolId(0)];
+    let want = prepare(&t).bind(&m).unwrap().confidence(&o).unwrap();
+    let got = prepare(&t)
+        .bind_source(CyclicSource::new(&donor, N))
+        .unwrap()
+        .confidence(&o)
+        .unwrap();
+    assert!(0.0 < want && want < 1.0, "confidence {want} saturated");
+    assert_eq!(got.to_bits(), want.to_bits(), "confidence: {got} vs {want}");
 }
