@@ -26,7 +26,7 @@ pub fn evaluate(
     t: &Transducer,
     m: &MarkovSequence,
 ) -> Result<BTreeMap<Vec<SymbolId>, f64>, EngineError> {
-    check_inputs(t, m, None)?;
+    check_inputs(t, m.n_symbols(), None)?;
     let mut acc: BTreeMap<Vec<SymbolId>, KahanSum> = BTreeMap::new();
     for (s, p) in support(m) {
         for o in t.transduce_all(&s) {
@@ -62,7 +62,7 @@ pub fn top_by_confidence(
 
 /// `E_max(o)` by brute force: the max-probability world transduced to `o`.
 pub fn emax(t: &Transducer, m: &MarkovSequence, o: &[SymbolId]) -> Result<f64, EngineError> {
-    check_inputs(t, m, Some(o))?;
+    check_inputs(t, m.n_symbols(), Some(o))?;
     let mut best = 0.0f64;
     for (s, p) in support(m) {
         if p > best && t.transduce_all(&s).iter().any(|out| out == o) {

@@ -30,17 +30,16 @@
 //! cross-route references the Table 2 harness and the oracle suites
 //! compare against.
 //!
-//! Each route is written once, as a seed/step/finish forward pass fed by
-//! either layer kind — a bind's steps or a pulled source matrix (see
-//! `crate::forward`). The Thm 4.6 routes advance a flat `(node, machine
-//! row)` layer on the `transmark-kernel` drivers over step graphs
-//! precompiled by [`crate::kernelize`]; the dynamic-state routes fold
-//! their layers through [`SubsetLayer`]; acceptance runs the
+//! Each route is written once, as a seed/step/finish forward pass fed
+//! one pulled transition matrix at a time (see `crate::forward`). The
+//! Thm 4.6 routes advance a flat `(node, machine row)` layer on the
+//! `transmark-kernel` drivers over step graphs precompiled by
+//! [`crate::kernelize`]; the dynamic-state routes fold their layers
+//! through [`SubsetLayer`]; acceptance runs the
 //! [`EventSession`](crate::incremental::EventSession) fold through the one
 //! series driver. All sums use compensated accumulation at the final
-//! reduction; per-cell
-//! accumulation is plain `f64` (additions of nonnegative numbers — no
-//! cancellation).
+//! reduction; per-cell accumulation is plain `f64` (additions of
+//! nonnegative numbers — no cancellation).
 
 use std::borrow::BorrowMut;
 use std::cell::Cell;
@@ -51,26 +50,27 @@ use transmark_kernel::{count_layers, Neumaier, Prob, StepGraph, Strategy, Subset
 use transmark_markov::{MarkovSequence, StepSource};
 
 use crate::error::EngineError;
-use crate::forward::{FlatPass, ForwardPass, Layer};
+use crate::forward::{FlatPass, ForwardPass, PulledLayer};
 use crate::plan::{PlanKind, PreparedQuery};
 use crate::transducer::Transducer;
 
-// Every confidence route is one `ConfidencePass`: `BoundQuery` drives it
-// over a bind's steps, `SourceBoundQuery` over pulled layers, and the
-// checkpointable `ConfidenceSession` one pulled matrix at a time — so
-// in-memory, streamed and suspended evaluations agree bit for bit.
+// Every confidence route is one `ConfidencePass`: both binds drive it
+// over pulled layers (`BoundQuery` from its sequence, `SourceBoundQuery`
+// from its source), and the checkpointable `ConfidenceSession` one
+// pulled matrix at a time — so in-memory, streamed and suspended
+// evaluations agree bit for bit.
 
-/// Validates that the transducer and sequence share an input alphabet and
-/// that `o` is over the output alphabet.
+/// Validates that the transducer's input alphabet is the sequence's
+/// `n_symbols` nodes and that `o` is over the output alphabet.
 pub(crate) fn check_inputs(
     t: &Transducer,
-    m: &MarkovSequence,
+    n_symbols: usize,
     o: Option<&[SymbolId]>,
 ) -> Result<(), EngineError> {
-    if t.n_input_symbols() != m.n_symbols() {
+    if t.n_input_symbols() != n_symbols {
         return Err(EngineError::AlphabetMismatch {
             transducer: t.n_input_symbols(),
-            sequence: m.n_symbols(),
+            sequence: n_symbols,
         });
     }
     if let Some(o) = o {
@@ -93,24 +93,14 @@ pub(crate) fn check_output(t: &Transducer, o: &[SymbolId]) -> Result<(), EngineE
     Ok(())
 }
 
-/// The [`check_inputs`] counterpart for streamed passes: validates the
-/// output symbols and that the source's node alphabet matches the
-/// machine's input alphabet, and that the source's step cursor has not
-/// already been advanced (every streamed pass is single left-to-right).
+/// [`check_inputs`] for a pass over `src`, which must also not have been
+/// advanced yet (every pass is a single left-to-right scan).
 pub(crate) fn check_source_inputs<S: StepSource>(
     t: &Transducer,
     src: &S,
     o: Option<&[SymbolId]>,
 ) -> Result<(), EngineError> {
-    if t.n_input_symbols() != src.alphabet().len() {
-        return Err(EngineError::AlphabetMismatch {
-            transducer: t.n_input_symbols(),
-            sequence: src.alphabet().len(),
-        });
-    }
-    if let Some(o) = o {
-        check_output(t, o)?;
-    }
+    check_inputs(t, src.alphabet().len(), o)?;
     check_source_fresh(src)
 }
 
@@ -141,7 +131,7 @@ pub fn confidence_deterministic(
     m: &MarkovSequence,
     o: &[SymbolId],
 ) -> Result<f64, EngineError> {
-    check_inputs(t, m, Some(o))?;
+    check_inputs(t, m.n_symbols(), Some(o))?;
     if !t.is_deterministic() {
         return Err(EngineError::NotDeterministic);
     }
@@ -163,7 +153,7 @@ pub fn confidence_uniform_nfa(
     m: &MarkovSequence,
     o: &[SymbolId],
 ) -> Result<f64, EngineError> {
-    check_inputs(t, m, Some(o))?;
+    check_inputs(t, m.n_symbols(), Some(o))?;
     let Some(k) = t.uniform_emission() else {
         return Err(EngineError::NotUniform);
     };
@@ -184,13 +174,13 @@ pub fn confidence_general(
     m: &MarkovSequence,
     o: &[SymbolId],
 ) -> Result<f64, EngineError> {
-    check_inputs(t, m, Some(o))?;
+    check_inputs(t, m.n_symbols(), Some(o))?;
     confidence_via(t, m, o, PlanKind::General)
 }
 
 /// Runs one subset route regardless of the machine's own plan kind. The
 /// subset routes read each step's dense matrix, so a dense bind (no CSR
-/// build) serves them.
+/// compaction) serves them.
 fn confidence_via(
     t: &Transducer,
     m: &MarkovSequence,
@@ -502,14 +492,7 @@ impl<W: BorrowMut<Workspace<f64>>> ConfidencePass<W> {
 impl<W: BorrowMut<Workspace<f64>>> ForwardPass for ConfidencePass<W> {
     type Output = f64;
 
-    fn flat(&self) -> bool {
-        matches!(
-            self.state,
-            ConfState::DetUniform { .. } | ConfState::Det { .. }
-        )
-    }
-
-    fn step<L: Layer>(&mut self, step: &L) {
+    fn step(&mut self, step: &mut PulledLayer<'_>) {
         let i = self.consumed as usize;
         self.consumed += 1;
         let gate = match self.state {

@@ -30,6 +30,7 @@ use transmark_markov::MarkovSequence;
 
 use crate::confidence::check_nfa_alphabet;
 use crate::error::EngineError;
+use crate::incremental::WINDOW_STATE_CAP;
 
 /// Below this sequence length the auto-picker never chooses scan: the
 /// fold's one pass is too cheap to be worth worker startup.
@@ -381,7 +382,9 @@ pub(crate) fn run_scan(dfa: &ScanDfa, m: &MarkovSequence, threads: usize) -> Vec
 /// sequential fold within a relative `1e-12` (not bitwise; see the module
 /// docs), deterministic for a fixed `(input, n_threads)`. `n_threads ≤ 1`
 /// runs the flat sequential replay over the same upfront-determinized
-/// state space.
+/// state space. The determinization stops at the sliding window's
+/// lifted-state budget, with the same typed
+/// [`EngineError::UnsupportedStrategy`] the window returns.
 pub(crate) fn prefix_acceptance_probabilities_scan(
     nfa: &Nfa,
     m: &MarkovSequence,
@@ -391,7 +394,10 @@ pub(crate) fn prefix_acceptance_probabilities_scan(
     let _span = transmark_obs::span::enter("scan");
     let dfa = {
         let _span = transmark_obs::span::enter("scan.determinize");
-        ScanDfa::build(nfa, usize::MAX).expect("uncapped build cannot decline")
+        ScanDfa::build(nfa, WINDOW_STATE_CAP).ok_or(EngineError::UnsupportedStrategy {
+            strategy: "scan",
+            query: "prefix series (lifted state space exceeds the composition budget)",
+        })?
     };
     Ok(run_scan(&dfa, m, n_threads.max(1)))
 }
@@ -513,6 +519,38 @@ mod tests {
         assert!(ScanDfa::build(&n, 1).is_none());
         let dfa = ScanDfa::build(&n, usize::MAX).unwrap();
         assert!(dfa.m_dim() >= 2);
+    }
+
+    #[test]
+    fn forced_scan_stops_at_the_state_budget() {
+        // "The 13th symbol from the end is s0": 2^13 reachable subsets,
+        // past the budget long before determinization finishes.
+        let mut n = Nfa::new(2);
+        let states: Vec<StateId> = (0..14).map(|i| n.add_state(i == 13)).collect();
+        for s in 0..2 {
+            n.add_transition(states[0], SymbolId(s), states[0]);
+        }
+        n.add_transition(states[0], SymbolId(0), states[1]);
+        for w in states[1..].windows(2) {
+            for s in 0..2 {
+                n.add_transition(w[0], SymbolId(s), w[1]);
+            }
+        }
+        let m = chain(64, 4);
+        for threads in [1, 2] {
+            assert!(matches!(
+                prefix_acceptance_probabilities_scan(&n, &m, threads),
+                Err(EngineError::UnsupportedStrategy {
+                    strategy: "scan",
+                    ..
+                })
+            ));
+        }
+        let forced = PreparedEventQuery::new(n).series_with(&m, 2, Some(crate::Strategy::Scan));
+        assert!(matches!(
+            forced,
+            Err(EngineError::UnsupportedStrategy { .. })
+        ));
     }
 
     #[test]

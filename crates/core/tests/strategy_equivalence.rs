@@ -72,8 +72,8 @@ fn representations(m: &MarkovSequence) -> Vec<(&'static str, MarkovSequence)> {
 }
 
 /// Every evaluation mode under a forced-dense bind, compared bitwise
-/// against a forced-sparse bind of the same `(t, m)`; the Boolean passes
-/// also against a streamed (`bind_source`) bind.
+/// against a forced-sparse bind of the same `(t, m)`; the single-pass
+/// methods also against a streamed (`bind_source`) bind.
 fn assert_dense_matches_sparse_bitwise(t: &Transducer, m: &MarkovSequence, ctx: &str) {
     let plan = prepare(t);
     let sparse = plan
@@ -87,8 +87,8 @@ fn assert_dense_matches_sparse_bitwise(t: &Transducer, m: &MarkovSequence, ctx: 
     assert_eq!(sparse.explain().strategy, Some(Strategy::Sparse), "{ctx}");
     assert_eq!(dense.explain().strategy, Some(Strategy::Dense), "{ctx}");
 
-    // The streamed Boolean passes are the third input: a `bind_source`
-    // over the same sequence, rewound between passes.
+    // The streamed single-pass methods are the third input: a
+    // `bind_source` over the same sequence, rewound between passes.
     let mut streamed = plan.bind_source(m.step_source()).expect("source bind");
 
     assert_eq!(
@@ -118,6 +118,18 @@ fn assert_dense_matches_sparse_bitwise(t: &Transducer, m: &MarkovSequence, ctx: 
             sparse.emax_of_output(o).unwrap().to_bits(),
             dense.emax_of_output(o).unwrap().to_bits(),
             "{ctx}: emax of {o:?}"
+        );
+        streamed.rewind().unwrap();
+        assert_eq!(
+            sparse.confidence(o).unwrap().to_bits(),
+            streamed.confidence(o).unwrap().to_bits(),
+            "{ctx}: streamed confidence of {o:?}"
+        );
+        streamed.rewind().unwrap();
+        assert_eq!(
+            sparse.emax_of_output(o).unwrap().to_bits(),
+            streamed.emax_of_output(o).unwrap().to_bits(),
+            "{ctx}: streamed emax of {o:?}"
         );
         assert_eq!(
             sparse.is_answer(o).unwrap(),

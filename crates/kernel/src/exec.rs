@@ -3,13 +3,15 @@
 //! Every DP pass used to run one hard-coded CSR loop regardless of layer
 //! shape. This module names the alternatives and dispatches between them:
 //!
-//! * [`Strategy::Sparse`] — the original CSR walk ([`crate::dp`] over
-//!   [`crate::SparseSteps`]): zero transitions dropped at build time,
-//!   per-row `(target, prob)` pairs decoded per visit.
+//! * [`Strategy::Sparse`] — the CSR walk ([`crate::dp`] over any
+//!   [`crate::StepRows`]): zero transitions dropped, per-row
+//!   `(target, prob)` pairs decoded per visit. A single pass compacts
+//!   each pulled matrix into a reused [`crate::LayerCsr`]; only the
+//!   multi-pass enumerations flatten the whole sequence into a
+//!   [`crate::SparseSteps`].
 //! * [`Strategy::Dense`] — the blocked dense path ([`crate::dense`]):
 //!   raw row-major `|Σ|²` matrices read in place, the per-row multiply
-//!   staged through a SIMD lane loop. No CSR is built at all, which is
-//!   also what makes tiny binds cheap.
+//!   staged through a SIMD lane loop; nothing is compacted.
 //! * [`Strategy::Scan`] — the associative parallel-prefix schedule for
 //!   whole prefix-series evaluations; the operator algebra lives in the
 //!   engine crate (it needs the determinized query automaton), but the
@@ -23,18 +25,18 @@
 //! The scan strategy instead carries a documented summation-order
 //! tolerance (see [`crate::dp`] module docs).
 //!
-//! [`ExecSteps`] is the dispatch handle the passes actually loop over: a
-//! thin enum over the two bound storages, monomorphized per semiring at
-//! each call site, so the branch is one predictable jump per layer — not
-//! per cell.
+//! [`ExecSteps`] is the dispatch handle of the tracked (Viterbi) passes,
+//! which run over a whole materialized sequence: a thin enum over the two
+//! storages, so the branch is one predictable jump per layer — not per
+//! cell. The single-pass routes pick the dense or the CSR driver per
+//! pulled layer instead (`transmark-core`'s `forward` module).
 
 use std::fmt;
 use std::str::FromStr;
 use std::sync::OnceLock;
 
-use crate::dense::{advance_dense, advance_dense_filtered, advance_dense_tracked, DenseSteps};
-use crate::dp::{advance, advance_filtered, advance_tracked, BackEdge};
-use crate::semiring::Semiring;
+use crate::dense::{advance_dense_tracked, DenseSteps};
+use crate::dp::{advance_tracked, BackEdge};
 use crate::step_graph::StepGraph;
 use crate::steps::SparseSteps;
 
@@ -116,9 +118,10 @@ pub fn simd_enabled() -> bool {
     })
 }
 
-/// One bound step storage, ready to drive a pass: either the CSR or the
-/// dense matrices. The variant is chosen once at bind time; the drivers
-/// branch on it once per layer.
+/// A whole-sequence step storage for the tracked (Viterbi) passes, which
+/// keep every layer's back-pointers and so run over the materialized
+/// sequence: either its CSR or its dense matrices. The drivers branch on
+/// the variant once per layer.
 #[derive(Clone, Copy)]
 pub enum ExecSteps<'a> {
     /// CSR rows (the [`Strategy::Sparse`] storage).
@@ -128,14 +131,6 @@ pub enum ExecSteps<'a> {
 }
 
 impl<'a> ExecSteps<'a> {
-    /// The strategy this storage executes.
-    pub fn strategy(self) -> Strategy {
-        match self {
-            ExecSteps::Sparse(_) => Strategy::Sparse,
-            ExecSteps::Dense(_) => Strategy::Dense,
-        }
-    }
-
     /// `|Σ|` of the bound sequence.
     pub fn n_nodes(self) -> usize {
         match self {
@@ -157,41 +152,6 @@ impl<'a> ExecSteps<'a> {
         match self {
             ExecSteps::Sparse(s) => s.initial(),
             ExecSteps::Dense(d) => d.initial(),
-        }
-    }
-
-    /// One layer advance at step `i` — [`advance`] or [`advance_dense`],
-    /// bit-identical either way.
-    #[inline]
-    pub fn advance<S: Semiring>(
-        self,
-        i: usize,
-        graph: &StepGraph,
-        cur: &[S::Elem],
-        next: &mut [S::Elem],
-    ) {
-        match self {
-            ExecSteps::Sparse(s) => advance::<S, _>(&s.at(i), graph, cur, next),
-            ExecSteps::Dense(d) => advance_dense::<S>(&d.layer(i), graph, cur, next),
-        }
-    }
-
-    /// Payload-gated advance at step `i` ([`advance_filtered`] /
-    /// [`advance_dense_filtered`]).
-    #[inline]
-    pub fn advance_filtered<S: Semiring>(
-        self,
-        i: usize,
-        graph: &StepGraph,
-        expected: u32,
-        cur: &[S::Elem],
-        next: &mut [S::Elem],
-    ) {
-        match self {
-            ExecSteps::Sparse(s) => advance_filtered::<S, _>(&s.at(i), graph, expected, cur, next),
-            ExecSteps::Dense(d) => {
-                advance_dense_filtered::<S>(&d.layer(i), graph, expected, cur, next)
-            }
         }
     }
 

@@ -14,11 +14,12 @@
 //!   [`MaxLog`], and [`Bool`] — uninhabited type-parameter enums, so every
 //!   driver compiles to straight-line `f64`/`bool` code with no dynamic
 //!   dispatch;
-//! * [`SparseSteps`] — the Markov side, flattened once into CSR with zero
-//!   transitions dropped at build time; the [`StepRows`] trait abstracts
-//!   one step's rows so the same drivers also run against a [`LayerCsr`]
-//!   rebuilt per layer from a pulled dense matrix (the streaming data
-//!   plane: O(|Σ|²) data-side memory regardless of sequence length);
+//! * [`LayerCsr`] — the Markov side of a single pass: one pulled dense
+//!   matrix compacted into CSR with zero transitions dropped, rebuilt in
+//!   place per layer (O(|Σ|²) data-side memory regardless of sequence
+//!   length); [`SparseSteps`] flattens the whole sequence the same way
+//!   for the multi-pass enumerations, and the [`StepRows`] trait lets one
+//!   set of drivers run against either;
 //! * [`StepGraph`] — the machine side, the product transitions
 //!   precompiled once per query into CSR buckets keyed by
 //!   `(input symbol, machine row)`;
@@ -28,10 +29,11 @@
 //!   `advance_tracked` (Viterbi back-pointers), `advance_string`;
 //! * the [`exec`] strategy layer — [`Strategy`] names how a bound
 //!   query's layers advance (sparse CSR, blocked dense, parallel-prefix
-//!   scan) and [`ExecSteps`] dispatches the drivers over either bound
-//!   storage; [`DenseSteps`] in [`dense`] is the no-CSR storage with the
-//!   SIMD multiply stage (AVX2 with a runtime-chosen scalar fallback —
-//!   see [`exec::simd_enabled`] / `TRANSMARK_FORCE_SCALAR`);
+//!   scan) and [`ExecSteps`] dispatches the tracked driver over either
+//!   whole-sequence storage; [`DenseSteps`] in [`dense`] is the no-CSR
+//!   storage with the SIMD multiply stage (AVX2 with a runtime-chosen
+//!   scalar fallback — see [`exec::simd_enabled`] /
+//!   `TRANSMARK_FORCE_SCALAR`);
 //! * [`incremental`] — dense semiring [`StepOperator`]s with
 //!   compose/apply plus the two-stack [`SlidingProduct`], the
 //!   window-eviction primitive behind sliding-window queries (amortized
@@ -49,10 +51,11 @@
 //!   tables, subset seeds. Compiled once per *query*, immutable
 //!   afterwards, `Send + Sync`, and shared across binds and threads as
 //!   [`SharedStepGraph`] (`Arc<StepGraph>`).
-//! * **Data-side** (per-sequence): [`SparseSteps`] and [`Workspace`]s.
-//!   Built once per *bind* of a sequence; `SparseSteps` is immutable and
-//!   shareable as [`SharedSparseSteps`], while workspaces are mutable
-//!   scratch and stay thread-local.
+//! * **Data-side** (per-sequence): [`LayerCsr`], [`SparseSteps`] and
+//!   [`Workspace`]s. A bind owns its workspaces (mutable scratch,
+//!   thread-local) and builds its `SparseSteps` at most once, when an
+//!   enumeration first asks; it is immutable and shareable as
+//!   [`SharedSparseSteps`].
 //!
 //! Migrated passes promise **bit-identical** results to their hand-rolled
 //! predecessors: same cell linearization, same visit order (node, then

@@ -74,21 +74,29 @@ impl LayerCsr {
     }
 
     /// Rebuilds the CSR from a dense row-major `k×k` matrix
-    /// (`matrix[from * k + to]`). Panics if `matrix.len() != k * k`.
-    pub fn load_dense(&mut self, k: usize, matrix: &[f64]) {
+    /// (`matrix[from * k + to]`), compacting only the rows `from` for
+    /// which `live(from)` holds; the others read as empty. A driver whose
+    /// live cells all sit on live rows reads exactly what a full
+    /// compaction would give it. Panics if `matrix.len() != k * k`.
+    pub fn load_dense(&mut self, k: usize, matrix: &[f64], live: impl Fn(usize) -> bool) {
         assert_eq!(matrix.len(), k * k, "dense layer must be k×k");
         self.n_nodes = k;
         self.offsets.clear();
-        self.entries.clear();
         self.offsets.push(0);
-        for from in 0..k {
-            let row = &matrix[from * k..(from + 1) * k];
-            for (to, &p) in row.iter().enumerate() {
-                if p != 0.0 {
-                    self.entries.push((to as u32, p));
+        // Every entry is written, but the cursor moves past nonzeros only,
+        // so a zero is overwritten by its successor: no data-dependent
+        // branch, which a random sparsity pattern would mispredict.
+        // Entries past the last offset are stale and never read.
+        self.entries.resize(k * k, (0, 0.0));
+        let mut len = 0;
+        for (from, row) in matrix.chunks_exact(k.max(1)).enumerate() {
+            if live(from) {
+                for (to, &p) in row.iter().enumerate() {
+                    self.entries[len] = (to as u32, p);
+                    len += usize::from(p != 0.0);
                 }
             }
-            self.offsets.push(self.entries.len() as u32);
+            self.offsets.push(len as u32);
         }
     }
 }
@@ -305,12 +313,16 @@ mod tests {
         let s = b.build();
         let mut csr = LayerCsr::new();
         for (step, m) in layers.iter().enumerate() {
-            csr.load_dense(2, m);
+            csr.load_dense(2, m, |_| true);
             let view = s.at(step);
             assert_eq!(csr.n_nodes(), view.n_nodes());
             for from in 0..2 {
                 assert_eq!(csr.row(from), view.row(from));
             }
+            // Rows left out read as empty; the live ones are unchanged.
+            csr.load_dense(2, m, |from| from == 1);
+            assert!(csr.row(0).is_empty());
+            assert_eq!(csr.row(1), view.row(1));
         }
     }
 }

@@ -488,14 +488,19 @@ pub struct MarkovSequenceBuilder {
 }
 
 impl MarkovSequenceBuilder {
-    /// Starts building a sequence of length `n` over `alphabet`.
+    /// Starts building a sequence of length `n` over `alphabet`. Panics
+    /// if the `(n−1)·|Σ|²` transition cells overflow `usize`.
     pub fn new(alphabet: impl Into<Arc<Alphabet>>, n: usize) -> Self {
         let alphabet = alphabet.into();
         let k = alphabet.len();
+        let cells = k
+            .checked_mul(k)
+            .and_then(|kk| kk.checked_mul(n.saturating_sub(1)))
+            .unwrap_or_else(|| panic!("a length-{n} sequence over {k} symbols overflows"));
         Self {
             n,
             initial: vec![0.0; k],
-            transitions: vec![0.0; n.saturating_sub(1) * k * k],
+            transitions: vec![0.0; cells],
             alphabet,
         }
     }
@@ -620,6 +625,12 @@ pub(crate) fn from_validated_parts(
 mod tests {
     use super::*;
     use rand::{rngs::StdRng, SeedableRng};
+
+    #[test]
+    #[should_panic(expected = "overflows")]
+    fn builder_rejects_an_overflowing_size() {
+        let _ = MarkovSequenceBuilder::new(Alphabet::from_names(["x", "y", "z"]), usize::MAX);
+    }
 
     fn two_step() -> MarkovSequence {
         let alphabet = Alphabet::from_names(["x", "y"]);

@@ -153,6 +153,16 @@ pub fn from_text(text: &str) -> Result<MarkovSequence, TextIoError> {
         .ok_or_else(|| err(ln, "expected \"length <n>\""))?
         .parse()
         .map_err(|e| err(ln, format!("bad length: {e}")))?;
+    // Every transition entry takes at least two bytes of the text (a
+    // number and its separator), so a length whose (n−1)·k² entries the
+    // text cannot hold is rejected before it sizes the builder's buffer.
+    let entries = n.saturating_sub(1).saturating_mul(k).saturating_mul(k);
+    if entries > text.len().div_ceil(2) {
+        return Err(err(
+            ln,
+            format!("length {n} needs {entries} transition entries; the text cannot hold them"),
+        ));
+    }
 
     let parse_row = |ln: usize, line: &str, what: &str| -> Result<Vec<f64>, TextIoError> {
         let vals: Result<Vec<f64>, _> = line.split_whitespace().map(str::parse).collect();
@@ -411,6 +421,28 @@ mod tests {
     use crate::generate::{random_markov_sequence, RandomChainSpec};
     use crate::numeric::approx_eq;
     use rand::{rngs::StdRng, SeedableRng};
+
+    #[test]
+    fn length_the_text_cannot_hold_is_rejected() {
+        // 67 bytes claiming 10^14 positions: rejected before the builder
+        // sizes an n·k² buffer from the claim.
+        let text = "markov-sequence v1\nalphabet a b\nlength 100000000000000\ninitial 1 0\n";
+        let line = |text: &str| match from_text(text) {
+            Err(TextIoError::Parse(e)) => e.line,
+            other => panic!("expected a parse error, got {other:?}"),
+        };
+        assert_eq!(line(text), 3);
+        // A wide alphabet with every row line present but one number
+        // long: 2000² claimed entries in ~18 KB are rejected up front too.
+        let names: Vec<String> = (0..2000).map(|i| format!("s{i}")).collect();
+        let mut wide = format!(
+            "markov-sequence v1\nalphabet {}\nlength 2\ninitial 1{}\nstep 0\n",
+            names.join(" "),
+            " 0".repeat(1999)
+        );
+        wide.push_str(&"1\n".repeat(2000));
+        assert_eq!(line(&wide), 3);
+    }
 
     #[test]
     fn round_trip_preserves_everything() {
