@@ -157,6 +157,70 @@ impl Dfa {
         Ok(())
     }
 
+    /// Which states a run from the initial state can reach, indexed by
+    /// state. `O(|Q|·|Σ|)`.
+    pub(crate) fn reachable(&self) -> Vec<bool> {
+        let mut seen = vec![false; self.n_states()];
+        let mut stack = vec![self.initial];
+        seen[self.initial.index()] = true;
+        while let Some(q) = stack.pop() {
+            for s in 0..self.n_symbols {
+                let to = self.step(q, SymbolId(s as u32));
+                if !seen[to.index()] {
+                    seen[to.index()] = true;
+                    stack.push(to);
+                }
+            }
+        }
+        seen
+    }
+
+    /// Which states can reach an accepting state, indexed by state.
+    /// `O(|Q|·|Σ|)`.
+    fn coreachable(&self) -> Vec<bool> {
+        let n = self.n_states();
+        let mut preds: Vec<Vec<StateId>> = vec![Vec::new(); n];
+        for q in 0..n {
+            for s in 0..self.n_symbols {
+                preds[self.step(StateId(q as u32), SymbolId(s as u32)).index()]
+                    .push(StateId(q as u32));
+            }
+        }
+        let mut seen = self.accepting.clone();
+        let mut stack: Vec<usize> = (0..n).filter(|&q| seen[q]).collect();
+        while let Some(q) = stack.pop() {
+            for p in &preds[q] {
+                if !seen[p.index()] {
+                    seen[p.index()] = true;
+                    stack.push(p.index());
+                }
+            }
+        }
+        seen
+    }
+
+    /// The *live slots*: the pairs `(c, q)` such that `q` is entered by
+    /// reading `c` from a state reachable from the initial state, and `q`
+    /// can reach an accepting state. These are exactly the
+    /// (last symbol, state) pairs that a run on a nonempty accepted
+    /// string passes through. Sorted by symbol, then state.
+    /// `O(|Q|·|Σ|)`.
+    pub fn live_slots(&self) -> Vec<(SymbolId, StateId)> {
+        let (reach, coreach) = (self.reachable(), self.coreachable());
+        let n = self.n_states();
+        let mut live = vec![false; self.n_symbols * n];
+        for p in (0..n).filter(|&p| reach[p]) {
+            for c in 0..self.n_symbols {
+                let q = self.step(StateId(p as u32), SymbolId(c as u32)).index();
+                live[c * n + q] |= coreach[q];
+            }
+        }
+        (0..live.len())
+            .filter(|&i| live[i])
+            .map(|i| (SymbolId((i / n) as u32), StateId((i % n) as u32)))
+            .collect()
+    }
+
     /// Views this DFA as an [`Nfa`] (singleton transition sets).
     pub fn to_nfa(&self) -> Nfa {
         let mut n = Nfa::new(self.n_symbols);
@@ -287,6 +351,35 @@ mod tests {
         assert!(!d.accepts(&[SymbolId(1), SymbolId(0), SymbolId(1), SymbolId(0)]));
         assert!(!d.accepts(&[SymbolId(0), SymbolId(0), SymbolId(1)]));
         assert!(d.validate().is_ok());
+    }
+
+    #[test]
+    fn live_slots_skip_dead_and_unentered_states() {
+        let (a, b) = (SymbolId(0), SymbolId(1));
+        // "ab": states 0 -a-> 1 -b-> 2 (accepting), 3 = dead sink. State 0
+        // is never entered and the sink never reaches acceptance.
+        let d = Dfa::word(2, &[a, b]);
+        assert_eq!(d.reachable(), vec![true; 4]);
+        assert_eq!(d.coreachable(), vec![true, true, true, false]);
+        assert_eq!(d.live_slots(), vec![(a, StateId(1)), (b, StateId(2))]);
+        // Every state of `even_as` is live; each is entered by both
+        // symbols from some reachable state.
+        let e = even_as();
+        assert_eq!(
+            e.live_slots(),
+            vec![
+                (a, StateId(0)),
+                (a, StateId(1)),
+                (b, StateId(0)),
+                (b, StateId(1))
+            ]
+        );
+        // An unreachable accepting state contributes no slot.
+        let mut u = Dfa::word(2, &[a]);
+        let island = u.add_sink_state(true);
+        assert!(!u.reachable()[island.index()]);
+        assert_eq!(u.live_slots(), vec![(a, StateId(1))]);
+        assert!(Dfa::empty_language(2).live_slots().is_empty());
     }
 
     #[test]

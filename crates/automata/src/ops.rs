@@ -283,23 +283,8 @@ pub fn equivalent(left: &Dfa, right: &Dfa) -> Result<bool, AutomataError> {
 
 /// Whether `L(dfa)` is empty.
 pub fn is_empty_dfa(dfa: &Dfa) -> bool {
-    // BFS from the initial state looking for an accepting state.
-    let mut seen = vec![false; dfa.n_states()];
-    let mut stack = vec![dfa.initial()];
-    seen[dfa.initial().index()] = true;
-    while let Some(q) = stack.pop() {
-        if dfa.is_accepting(q) {
-            return false;
-        }
-        for s in 0..dfa.n_symbols() {
-            let to = dfa.step(q, SymbolId(s as u32));
-            if !seen[to.index()] {
-                seen[to.index()] = true;
-                stack.push(to);
-            }
-        }
-    }
-    true
+    let reach = dfa.reachable();
+    !(0..dfa.n_states()).any(|q| reach[q] && dfa.is_accepting(StateId(q as u32)))
 }
 
 /// Whether `L(nfa)` is empty.
@@ -433,18 +418,7 @@ pub fn union_nfa(first: &Nfa, second: &Nfa) -> Result<Nfa, AutomataError> {
 /// automata this engine deals with (constraint DFAs are small).
 pub fn minimize(dfa: &Dfa) -> Dfa {
     // 1. Keep only reachable states.
-    let mut reach = vec![false; dfa.n_states()];
-    let mut stack = vec![dfa.initial()];
-    reach[dfa.initial().index()] = true;
-    while let Some(q) = stack.pop() {
-        for s in 0..dfa.n_symbols() {
-            let to = dfa.step(q, SymbolId(s as u32));
-            if !reach[to.index()] {
-                reach[to.index()] = true;
-                stack.push(to);
-            }
-        }
-    }
+    let reach = dfa.reachable();
     let reachable: Vec<usize> = (0..dfa.n_states()).filter(|&q| reach[q]).collect();
     let dense: HashMap<usize, usize> = reachable.iter().enumerate().map(|(i, &q)| (q, i)).collect();
 

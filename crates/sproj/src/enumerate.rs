@@ -25,19 +25,20 @@
 //!   whose pattern is intersected with the constraint DFA. Each `best`
 //!   call is one Theorem 5.7 DAG search on a machine of size
 //!   `|Q_A|·(|prefix|+3)`, so the delay is polynomial regardless of how
-//!   many occurrences each output has.
+//!   many occurrences each output has. The Theorem 5.8 tables under every
+//!   probe are built once per enumeration (they do not depend on the
+//!   pattern), and each probe's DAG covers only the product's live slots.
 
 use std::collections::HashSet;
 use std::sync::Arc;
 
-use transmark_automata::ops;
 use transmark_core::constraints::PrefixConstraint;
 use transmark_core::enumerate::RankedAnswer;
 use transmark_core::error::EngineError;
 use transmark_kbest::{LawlerMurty, PartitionSpace};
 use transmark_markov::MarkovSequence;
 
-use crate::indexed::{enumerate_indexed, enumerate_indexed_with, IndexedEvaluator};
+use crate::indexed::{enumerate_indexed, enumerate_indexed_from, IndexedEvaluator};
 use crate::plan::PreparedProjector;
 use crate::projector::SProjector;
 
@@ -71,11 +72,14 @@ pub fn top_k_by_imax(
 
 /// The [`PartitionSpace`] behind the polynomial-delay version of
 /// Lemma 5.10: subspaces are output-prefix constraints; the constrained
-/// optimizer intersects the projector's pattern DFA with the constraint
-/// DFA (both over `Σ_P`) and takes the top indexed answer.
+/// optimizer takes the top indexed answer of the projector whose pattern
+/// is intersected with the constraint DFA. The products come from the
+/// plan's cache (shared across subspace probes and across binds). The
+/// Theorem 5.8 tables depend only on `B`, `E` and `μ`, never on the
+/// pattern, so every probe runs over the one build in `tables`.
 struct ImaxSpace<'a> {
-    p: &'a SProjector,
-    m: &'a MarkovSequence,
+    plan: Arc<PreparedProjector>,
+    tables: Arc<IndexedEvaluator<'a>>,
 }
 
 impl PartitionSpace for ImaxSpace<'_> {
@@ -87,61 +91,12 @@ impl PartitionSpace for ImaxSpace<'_> {
     }
 
     fn best(&mut self, constraint: &PrefixConstraint) -> Option<(Self::Answer, f64)> {
-        let k = self.p.alphabet().len();
-        let pattern = ops::product(
-            self.p.pattern_dfa(),
-            &constraint.to_dfa(k),
-            ops::BoolOp::And,
-        )
-        .expect("pattern and constraint share the alphabet");
-        let constrained = SProjector::new(
-            self.p.alphabet_arc(),
-            self.p.prefix_dfa().clone(),
-            pattern,
-            self.p.suffix_dfa().clone(),
-        )
-        .expect("constrained projector is valid");
         // The top indexed answer of the constrained projector: its output
         // maximizes I_max within the constraint, and its confidence *is*
         // that I_max (every occurrence of the output is in the subspace,
         // since the constraint restricts only the output).
-        enumerate_indexed(&constrained, self.m)
-            .expect("alphabets validated at construction")
-            .next()
-            .map(|ia| (ia.output, ia.log_confidence))
-    }
-
-    fn split(
-        &mut self,
-        constraint: &PrefixConstraint,
-        answer: &Self::Answer,
-    ) -> Vec<PrefixConstraint> {
-        constraint.split_around(answer)
-    }
-}
-
-/// The prepared counterpart of [`ImaxSpace`]: constrained projectors come
-/// from the plan's constraint-product cache (shared across subspace probes
-/// and across binds), and every probe's Theorem 5.8 tables reuse the
-/// plan's precompiled B-DFA step graph. Probe results are bit-identical to
-/// [`ImaxSpace`]'s, so the emission order is too.
-struct PlanImaxSpace<'m> {
-    plan: Arc<PreparedProjector>,
-    m: &'m MarkovSequence,
-}
-
-impl PartitionSpace for PlanImaxSpace<'_> {
-    type Answer = Vec<transmark_automata::SymbolId>;
-    type Constraint = PrefixConstraint;
-
-    fn root(&self) -> PrefixConstraint {
-        PrefixConstraint::all()
-    }
-
-    fn best(&mut self, constraint: &PrefixConstraint) -> Option<(Self::Answer, f64)> {
-        let constrained = self.plan.constrained(constraint);
-        enumerate_indexed_with(&constrained, self.m, self.plan.bgraph())
-            .expect("alphabets validated at construction")
+        let pattern = self.plan.constrained(constraint);
+        enumerate_indexed_from(&self.tables, &pattern)
             .next()
             .map(|ia| (ia.output, ia.log_confidence))
     }
@@ -164,20 +119,19 @@ pub fn enumerate_by_imax_lawler<'a>(
     p: &'a SProjector,
     m: &'a MarkovSequence,
 ) -> Result<impl Iterator<Item = RankedAnswer> + 'a, EngineError> {
-    // Validate alphabets eagerly (the space's `best` would only panic).
-    crate::indexed::IndexedEvaluator::new(p, m)?;
-    Ok(LawlerMurty::new(ImaxSpace { p, m })
-        .map(|(output, log_score)| RankedAnswer { output, log_score }))
+    let plan = Arc::new(PreparedProjector::new(p));
+    let tables = IndexedEvaluator::with_graph(p, m, plan.bgraph())?;
+    Ok(enumerate_by_imax_lawler_planned(plan, Arc::new(tables)))
 }
 
-/// [`enumerate_by_imax_lawler`] over a prepared projector: same sequence,
-/// but constraint products are served from the plan's cache. Inputs must
-/// already be validated (the bind did).
-pub(crate) fn enumerate_by_imax_lawler_planned<'m>(
+/// [`enumerate_by_imax_lawler`] over a prepared projector and Theorem 5.8
+/// tables already built from its projector: same sequence, with
+/// constraint products served from the plan's cache.
+pub(crate) fn enumerate_by_imax_lawler_planned(
     plan: Arc<PreparedProjector>,
-    m: &'m MarkovSequence,
-) -> impl Iterator<Item = RankedAnswer> + 'm {
-    LawlerMurty::new(PlanImaxSpace { plan, m })
+    tables: Arc<IndexedEvaluator<'_>>,
+) -> impl Iterator<Item = RankedAnswer> + '_ {
+    LawlerMurty::new(ImaxSpace { plan, tables })
         .map(|(output, log_score)| RankedAnswer { output, log_score })
 }
 
@@ -208,6 +162,6 @@ pub fn imax_of_output(
     m: &MarkovSequence,
     o: &[transmark_automata::SymbolId],
 ) -> Result<f64, EngineError> {
-    let ev = crate::indexed::IndexedEvaluator::new(p, m)?;
+    let ev = IndexedEvaluator::new(p, m)?;
     Ok(imax_of_output_from(&ev, o))
 }

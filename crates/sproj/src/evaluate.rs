@@ -13,7 +13,7 @@
 use std::collections::HashSet;
 use std::sync::Arc;
 
-use transmark_automata::SymbolId;
+use transmark_automata::{Dfa, SymbolId};
 use transmark_core::enumerate::RankedAnswer;
 use transmark_core::error::EngineError;
 use transmark_markov::MarkovSequence;
@@ -28,7 +28,8 @@ use crate::projector::SProjector;
 pub struct SprojEvaluation<'a> {
     m: &'a MarkovSequence,
     plan: Arc<PreparedProjector>,
-    tables: IndexedEvaluator<'a>,
+    /// The Theorem 5.8 tables, shared with Lemma 5.10 enumerations.
+    tables: Arc<IndexedEvaluator<'a>>,
 }
 
 impl<'a> SprojEvaluation<'a> {
@@ -36,7 +37,7 @@ impl<'a> SprojEvaluation<'a> {
     /// Theorem 5.8 tables.
     pub fn new(p: &'a SProjector, m: &'a MarkovSequence) -> Result<Self, EngineError> {
         let plan = Arc::new(PreparedProjector::new(p));
-        let tables = IndexedEvaluator::with_graph(p, m, plan.bgraph())?;
+        let tables = Arc::new(IndexedEvaluator::with_graph(p, m, plan.bgraph())?);
         Ok(Self { m, plan, tables })
     }
 
@@ -46,12 +47,21 @@ impl<'a> SprojEvaluation<'a> {
         plan: &'a Arc<PreparedProjector>,
         m: &'a MarkovSequence,
     ) -> Result<Self, EngineError> {
-        let tables = IndexedEvaluator::with_graph(plan.projector(), m, plan.bgraph())?;
+        let tables = Arc::new(IndexedEvaluator::with_graph(
+            plan.projector(),
+            m,
+            plan.bgraph(),
+        )?);
         Ok(Self {
             m,
             plan: Arc::clone(plan),
             tables,
         })
+    }
+
+    /// The pattern DFA `A` of the bound projector.
+    fn pattern(&self) -> &Dfa {
+        self.plan.projector().pattern_dfa()
     }
 
     /// The compiled plan behind this evaluation.
@@ -86,7 +96,7 @@ impl<'a> SprojEvaluation<'a> {
     /// All indexed answers in exact decreasing confidence — Theorem 5.7,
     /// derived from this bind's tables.
     pub fn occurrences(&self) -> Result<IndexedEnumeration, EngineError> {
-        Ok(enumerate_indexed_from(&self.tables))
+        Ok(enumerate_indexed_from(&self.tables, self.pattern()))
     }
 
     /// The top-k occurrences.
@@ -97,7 +107,7 @@ impl<'a> SprojEvaluation<'a> {
     /// Distinct output strings in decreasing `I_max` — Theorem 5.2
     /// (the dedup implementation; incremental polynomial time).
     pub fn strings(&self) -> Result<impl Iterator<Item = RankedAnswer> + 'a, EngineError> {
-        let inner = enumerate_indexed_from(&self.tables);
+        let inner = enumerate_indexed_from(&self.tables, self.pattern());
         let mut seen: HashSet<Vec<SymbolId>> = HashSet::new();
         Ok(inner.filter_map(move |ia| {
             seen.insert(ia.output.clone()).then_some(RankedAnswer {
@@ -109,13 +119,13 @@ impl<'a> SprojEvaluation<'a> {
 
     /// Distinct output strings in decreasing `I_max` with guaranteed
     /// polynomial delay — Lemma 5.10's Lawler variant, over the plan's
-    /// constraint-product cache.
+    /// constraint-product cache and this bind's tables.
     pub fn strings_poly_delay(
         &self,
     ) -> Result<impl Iterator<Item = RankedAnswer> + 'a, EngineError> {
         Ok(enumerate_by_imax_lawler_planned(
             Arc::clone(&self.plan),
-            self.m,
+            Arc::clone(&self.tables),
         ))
     }
 

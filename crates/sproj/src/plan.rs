@@ -22,7 +22,7 @@
 use std::fmt;
 use std::sync::{Arc, Mutex, OnceLock};
 
-use transmark_automata::{ops, Fingerprinter, SymbolId};
+use transmark_automata::{ops, Dfa, Fingerprinter, SymbolId};
 use transmark_core::constraints::PrefixConstraint;
 use transmark_core::error::EngineError;
 use transmark_core::plan::{BoundedCache, PlanKind, PreparedEventQuery};
@@ -53,7 +53,7 @@ pub struct PreparedProjector {
     /// Theorem 5.5 concatenation NFAs `B·o·E`, per answer.
     concat_nfas: Mutex<BoundedCache<Vec<SymbolId>, PreparedEventQuery>>,
     /// Lemma 5.10 constraint products (pattern ∩ constraint DFA).
-    constraint_products: Mutex<BoundedCache<PrefixConstraint, SProjector>>,
+    constraint_products: Mutex<BoundedCache<PrefixConstraint, Dfa>>,
 }
 
 impl PreparedProjector {
@@ -125,27 +125,20 @@ impl PreparedProjector {
         })
     }
 
-    /// The memoized Lemma 5.10 constraint product: the projector whose
-    /// pattern is `pattern ∩ constraint`.
-    pub(crate) fn constrained(&self, c: &PrefixConstraint) -> Arc<SProjector> {
+    /// The memoized Lemma 5.10 constraint product: the pattern DFA
+    /// `pattern ∩ constraint`. `B` and `E` stay the projector's own.
+    pub(crate) fn constrained(&self, c: &PrefixConstraint) -> Arc<Dfa> {
         let mut cache = self
             .constraint_products
             .lock()
             .expect("plan cache poisoned");
         cache.get_or_insert_with(c, || {
-            let pattern = ops::product(
+            ops::product(
                 self.p.pattern_dfa(),
                 &c.to_dfa(self.p.alphabet().len()),
                 ops::BoolOp::And,
             )
-            .expect("pattern and constraint share the alphabet");
-            SProjector::new(
-                self.p.alphabet_arc(),
-                self.p.prefix_dfa().clone(),
-                pattern,
-                self.p.suffix_dfa().clone(),
-            )
-            .expect("constrained projector is valid")
+            .expect("pattern and constraint share the alphabet")
         })
     }
 

@@ -241,6 +241,11 @@ cargo build --release
 echo "==> cargo build --release (examples/benchmark)"
 cargo build --release --offline --manifest-path examples/benchmark/Cargo.toml
 
+# The benchmark's own unit tests: its statistics, its compare rule and
+# the check that BENCHMARK.json names exactly the metrics it reports.
+echo "==> cargo test --release (examples/benchmark)"
+cargo test --release --offline --manifest-path examples/benchmark/Cargo.toml
+
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 

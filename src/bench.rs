@@ -1,7 +1,7 @@
 //! `tmk bench`: the built-in perf micro-suite.
 //!
-//! Four fixed-seed workload cases (confidence, enumeration, streaming,
-//! fleet) over the generated hospital and RFID workloads, timed
+//! Fixed-seed workload cases (confidence, enumeration, streaming, fleet,
+//! sweeps) over the generated hospital, RFID and DNA-read workloads, timed
 //! min-of-N. The minimum over repetitions is the run least disturbed by
 //! scheduling, so it estimates each case's true cost floor; the median
 //! is reported alongside as a noise indicator. Results serialize to a
@@ -17,7 +17,7 @@ use std::time::Instant;
 
 use rand::{rngs::StdRng, SeedableRng};
 use transmark_obs::json::{self, Value};
-use transmark_workloads::{hospital, rfid};
+use transmark_workloads::{bio, hospital, rfid};
 
 use crate::cli::{run_err, usage_err, CliError};
 
@@ -135,6 +135,32 @@ pub fn run_suite(runs: usize, iters: usize) -> Result<Vec<CaseResult>, CliError>
         None,
         time_case(runs, iters, || {
             std::hint::black_box(bound.top_k_scored(4).expect("valid"));
+        }),
+    );
+
+    // enumerate/indexed_dna: Theorem 5.7 ranking — the top 4 occurrences
+    // of a GATTACA extractor over an n = 4096 uncertain read, tables and
+    // DAG included. Declares its n layers as `units`.
+    const DNA_SEED: u64 = 23;
+    const DNA_LEN: usize = 4096;
+    let mut rng = StdRng::seed_from_u64(DNA_SEED);
+    let read = bio::uncertain_read(
+        &bio::random_reference(DNA_LEN, 0.5, &mut rng),
+        &bio::ReadSpec::default(),
+    );
+    let motif = read.motif_extractor("GATTACA").map_err(run_err)?;
+    push(
+        "enumerate/indexed_dna",
+        DNA_SEED,
+        "",
+        Some(DNA_LEN as u64),
+        time_case(runs, iters, || {
+            std::hint::black_box(
+                transmark_sproj::enumerate_indexed(&motif, &read.sequence)
+                    .expect("valid")
+                    .take(4)
+                    .count(),
+            );
         }),
     );
 

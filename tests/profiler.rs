@@ -217,6 +217,7 @@ fn bench_json_snapshot_is_schema_stable() {
     for name in [
         "confidence/hospital",
         "enumerate/hospital",
+        "enumerate/indexed_dna",
         "streaming/hospital",
         "confidence/rfid",
         "fleet/rfid",
