@@ -28,6 +28,7 @@
 use std::sync::Arc;
 
 use transmark_automata::{Dfa, StateId, SymbolId};
+use transmark_kernel::StepGraph;
 
 use crate::error::EngineError;
 use crate::transducer::{TEdge, Transducer, TransducerBuilder};
@@ -153,6 +154,136 @@ impl PrefixConstraint {
             allow_exact: false,
         });
         out
+    }
+}
+
+/// The output automaton of one Lawler–Murty split: the children of
+/// `parent.split_around(answer)` run side by side, so one product (and
+/// one Viterbi pass over it) serves them all. The product is compiled
+/// straight to a step graph ([`SplitDfa::step_graph`]): a split is
+/// probed once, so building the product transducer first would only add
+/// cost.
+///
+/// States are `pos_0..=pos_|a|` — "emitted exactly `answer[..c]`" — then
+/// one accept-all sink `free_i` per child, in `split_around` order. Child
+/// `i` requires the prefix `answer[..j]` with `j = |p| + i` and forbids
+/// `answer[j]` next (plus the parent's forbidden set when `i = 0`); its
+/// accepting states are `free_i`, which `pos_j` enters on any permitted
+/// deviation, and `pos_j` itself when the child admits its prefix
+/// exactly. There is no dead state: an emission that leaves every child
+/// has no successor, and the product drops its edge.
+///
+/// Restricted to child `i`'s states, the automaton is that child's own
+/// [`PrefixConstraint::to_dfa`] with `free_i` as its accept sink and the
+/// dead sink removed, in the same relative state order.
+pub(crate) struct SplitDfa {
+    n_symbols: usize,
+    /// `δ(c, d)` at `c * n_symbols + d`; `None` drops the edge.
+    delta: Vec<Option<StateId>>,
+    /// Per child, its accepting states, ascending.
+    classes: Vec<Vec<StateId>>,
+}
+
+impl SplitDfa {
+    /// Builds the automaton of `parent.split_around(answer)` over
+    /// `n_output_symbols` symbols (`answer` must satisfy `parent`).
+    pub(crate) fn new(
+        parent: &PrefixConstraint,
+        answer: &[SymbolId],
+        n_output_symbols: usize,
+    ) -> Self {
+        debug_assert!(parent.matches(answer), "answer must satisfy the constraint");
+        let (p, a) = (parent.prefix.len(), answer.len());
+        let n_states = 2 * (a + 1) - p;
+        let pos = |c: usize| StateId(c as u32);
+        let free = |j: usize| StateId((a + 1 + j - p) as u32);
+        let mut delta = vec![None; n_states * n_output_symbols];
+        for c in 0..=a {
+            for d in 0..n_output_symbols {
+                let sym = SymbolId(d as u32);
+                delta[c * n_output_symbols + d] = if answer.get(c) == Some(&sym) {
+                    Some(pos(c + 1))
+                } else if c < p || (c == p && parent.forbidden_next.contains(&sym)) {
+                    None
+                } else {
+                    Some(free(c))
+                };
+            }
+        }
+        for j in p..=a {
+            let f = free(j).index();
+            delta[f * n_output_symbols..(f + 1) * n_output_symbols].fill(Some(free(j)));
+        }
+        let classes = (p..=a)
+            .map(|j| {
+                let exact = j < a && (j > p || parent.allow_exact);
+                exact
+                    .then_some(pos(j))
+                    .into_iter()
+                    .chain([free(j)])
+                    .collect()
+            })
+            .collect();
+        Self {
+            n_symbols: n_output_symbols,
+            delta,
+            classes,
+        }
+    }
+
+    /// The product of `t` with this automaton as a step graph, built
+    /// straight from `t` rather than through [`constrain`] and
+    /// `state_step_graph`. Row `(q, c)` is `q · |states| + c`. A row's
+    /// edges come in `t`'s edge order, which is the order the product
+    /// transducer's edges would take, and carry `t`'s emission ids. Also
+    /// returns the initial row and, per child, its accepting rows in
+    /// ascending order (`q` accepting, `c` in the child's class).
+    pub(crate) fn step_graph(&self, t: &Transducer) -> (StepGraph, u32, Vec<Vec<StateId>>) {
+        let nc = self.delta.len() / self.n_symbols;
+        let nq = t.n_states();
+        // Where each interned emission drives each automaton state.
+        let mut em_step = vec![None; t.n_emissions() * nc];
+        for em in 0..t.n_emissions() {
+            let string = t.emission(crate::transducer::EmissionId(em as u32));
+            for c in 0..nc {
+                em_step[em * nc + c] = string.iter().try_fold(c, |cur, d| {
+                    self.delta[cur * self.n_symbols + d.index()].map(StateId::index)
+                });
+            }
+        }
+        let mut b = StepGraph::builder(t.n_input_symbols(), nq * nc);
+        for sym in 0..t.n_input_symbols() {
+            for q in 0..nq {
+                let edges = t.edges(StateId(q as u32), SymbolId(sym as u32));
+                for c in 0..nc {
+                    for e in edges {
+                        if let Some(c2) = em_step[e.emission.index() * nc + c] {
+                            b.add_edge(
+                                sym as u32,
+                                (q * nc + c) as u32,
+                                (e.target.index() * nc + c2) as u32,
+                                e.emission.0,
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        let classes = self
+            .classes
+            .iter()
+            .map(|class| {
+                (0..nq)
+                    .filter(|&q| t.is_accepting(StateId(q as u32)))
+                    .flat_map(|q| {
+                        class
+                            .iter()
+                            .map(move |c| StateId((q * nc + c.index()) as u32))
+                    })
+                    .collect()
+            })
+            .collect();
+        (b.build(), (t.initial().index() * nc) as u32, classes)
     }
 }
 
@@ -314,6 +445,46 @@ mod tests {
             let in_parent = c.matches(&o) && o != answer;
             let count = parts.iter().filter(|p| p.matches(&o)).count();
             assert_eq!(count, usize::from(in_parent), "output {o:?}");
+        }
+    }
+
+    /// Class `i` of the split automaton accepts exactly the outputs of
+    /// child `i` of `split_around`, and every output of the parent other
+    /// than the answer lands in exactly one class.
+    #[test]
+    fn split_dfa_classes_recognize_the_split_children() {
+        let parents = [
+            PrefixConstraint::all(),
+            PrefixConstraint::with_prefix(vec![sym(0)]),
+            PrefixConstraint {
+                prefix: vec![sym(1)],
+                forbidden_next: vec![sym(0)],
+                allow_exact: false,
+            },
+            PrefixConstraint {
+                prefix: vec![],
+                forbidden_next: vec![sym(2)],
+                allow_exact: true,
+            },
+        ];
+        for parent in &parents {
+            for answer in all_outputs(3, 3).into_iter().filter(|o| parent.matches(o)) {
+                let children = parent.split_around(&answer);
+                let split = SplitDfa::new(parent, &answer, 3);
+                assert_eq!(split.classes.len(), children.len());
+                for o in all_outputs(3, 5) {
+                    let end = o
+                        .iter()
+                        .try_fold(StateId(0), |c, &d| split.delta[c.index() * 3 + d.index()]);
+                    for (child, class) in children.iter().zip(&split.classes) {
+                        assert_eq!(
+                            end.is_some_and(|c| class.contains(&c)),
+                            child.matches(&o),
+                            "parent {parent:?}, answer {answer:?}, output {o:?}"
+                        );
+                    }
+                }
+            }
         }
     }
 

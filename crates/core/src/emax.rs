@@ -14,8 +14,15 @@
 //! Because every evidence of the returned output lives in the same search
 //! space, the returned score *is* `E_max` of the returned output, and it
 //! is maximal among all answers. Prefix constraints are enforced upstream
-//! by [`crate::constraints::constrain`], which is what Theorem 4.3's
-//! Lawler–Murty instantiation does.
+//! by a product with the constraint's automaton, which is what Theorem
+//! 4.3's Lawler–Murty instantiation does.
+//!
+//! The driver takes a list of *acceptance classes* and reads off the best
+//! cell of each from one pass. `top()` and the root probe pass one class
+//! (every accepting state of [`crate::constraints::constrain`]'s
+//! product); a Lawler–Murty split passes one class per child of the
+//! split, so all of an answer's subspaces are probed by a single Viterbi
+//! pass over the split product.
 
 use transmark_automata::{StateId, SymbolId};
 use transmark_kernel::{count_layers, BackEdge, ExecSteps};
@@ -44,22 +51,52 @@ impl EmaxResult {
 /// `run` accepting, and returns the run's output (Theorem 4.3's
 /// constrained optimizer, with constraints pre-applied via
 /// [`crate::constraints::constrain`]). `None` when the (possibly
-/// constrained) query has no answer.
-///
-/// A tracked (back-pointered) Viterbi pass of the kernel over the
-/// state-only step graph; edge payloads carry the interned emission ids
-/// the traceback concatenates into the output. `O(n·|Σ|²·|Q|·b)` time,
-/// `O(n·|Σ|·|Q|)` space for the back-pointers. `graph` must be
-/// `state_step_graph(t)` and `steps` the bound execution view of the
-/// sequence (sparse and dense advance bit-identically).
-pub(crate) fn top_by_emax_impl(
+/// constrained) query has no answer. One acceptance class — every
+/// accepting state of `t` — run through [`top_by_emax_impl`].
+pub(crate) fn top_by_emax(
     t: &Transducer,
     steps: ExecSteps<'_>,
     graph: &transmark_kernel::StepGraph,
 ) -> Option<EmaxResult> {
+    let accepting: Vec<StateId> = (0..t.n_states() as u32)
+        .map(StateId)
+        .filter(|&q| t.is_accepting(q))
+        .collect();
+    top_by_emax_impl(t, steps, graph, t.initial().0, &[accepting])
+        .pop()
+        .flatten()
+}
+
+/// The top answer by `E_max` of each acceptance class of one machine: the
+/// best `(s, run)` whose run ends in a row of the class, for every class,
+/// from one Viterbi pass.
+///
+/// A tracked (back-pointered) Viterbi pass of the kernel over a machine
+/// step graph whose runs start in row `initial`; edge payloads are
+/// emission ids of `t`, which the traceback concatenates into the output.
+/// `O(n·|Σ|²·|Q|·b)` time, `O(n·|Σ|·|Q|)` space for the back-pointers,
+/// with `|Q|` the graph's rows. `steps` is the bound execution view of
+/// the sequence (sparse and dense advance bit-identically). Each class
+/// lists rows in ascending order; its best cell is the first strict
+/// maximum in (node, row) order, then one traceback recovers its output.
+/// A class whose rows are all unreachable yields `None`.
+///
+/// `top()` and the root probe pass `state_step_graph` of their machine
+/// and one class. A Lawler–Murty split passes its split product
+/// ([`crate::constraints::SplitDfa`]) and one class per child: a child's
+/// cells receive the same candidates, in the same order, as in that
+/// child's own product, so its result is bit-identical to probing it
+/// alone.
+pub(crate) fn top_by_emax_impl(
+    t: &Transducer,
+    steps: ExecSteps<'_>,
+    graph: &transmark_kernel::StepGraph,
+    initial: u32,
+    classes: &[Vec<StateId>],
+) -> Vec<Option<EmaxResult>> {
     let n = steps.n_steps() + 1;
     let n_nodes = steps.n_nodes();
-    let nq = t.n_states();
+    let nq = graph.n_rows();
     let sz = n_nodes * nq;
     let idx = |node: usize, q: usize| node * nq + q;
 
@@ -72,7 +109,7 @@ pub(crate) fn top_by_emax_impl(
 
     for &(node, p) in steps.initial() {
         let lp = p.ln();
-        for e in graph.edges(node, t.initial().0) {
+        for e in graph.edges(node, initial) {
             let cell = idx(node as usize, e.to as usize);
             if lp > score[cell] {
                 score[cell] = lp;
@@ -91,25 +128,43 @@ pub(crate) fn top_by_emax_impl(
     }
     count_layers((n - 1) as u64);
 
-    // Best accepting cell in the last layer.
-    let mut best_cell = None;
-    let mut best = f64::NEG_INFINITY;
-    for node in 0..n_nodes {
-        for q in 0..nq {
-            if t.is_accepting(StateId(q as u32)) && score[idx(node, q)] > best {
-                best = score[idx(node, q)];
-                best_cell = Some((node, q));
+    classes
+        .iter()
+        .map(|class| {
+            // Best cell of the class in the last layer.
+            let mut best_cell = None;
+            let mut best = f64::NEG_INFINITY;
+            for node in 0..n_nodes {
+                for &q in class {
+                    if score[idx(node, q.index())] > best {
+                        best = score[idx(node, q.index())];
+                        best_cell = Some((node, q.index()));
+                    }
+                }
             }
-        }
-    }
-    let (mut node, mut q) = best_cell?;
+            let (node, q) = best_cell?;
+            Some(trace_back(t, &backs, nq, sz, (node, q), best))
+        })
+        .collect()
+}
 
-    // Traceback: recover the evidence string and the emission sequence.
-    // A back-pointer's `prev` is the flat source cell `node * nq + q`.
+/// Traceback from last-layer cell `(node, q)` of a pass over `nq` rows
+/// (`sz` cells a layer): recovers the evidence string and the emission
+/// sequence. A back-pointer's `prev` is the flat source cell
+/// `node * nq + q`.
+fn trace_back(
+    t: &Transducer,
+    backs: &[BackEdge],
+    nq: usize,
+    sz: usize,
+    (mut node, mut q): (usize, usize),
+    log_prob: f64,
+) -> EmaxResult {
+    let n = backs.len() / sz;
     let mut evidence_rev: Vec<SymbolId> = Vec::with_capacity(n);
     let mut emissions_rev: Vec<u32> = Vec::with_capacity(n);
     for layer in backs.chunks_exact(sz).rev() {
-        let b = layer[idx(node, q)];
+        let b = layer[node * nq + q];
         evidence_rev.push(SymbolId(node as u32));
         emissions_rev.push(b.payload);
         if b.prev == u32::MAX {
@@ -124,11 +179,11 @@ pub(crate) fn top_by_emax_impl(
     for em in emissions_rev {
         output.extend_from_slice(t.emission(crate::transducer::EmissionId(em)));
     }
-    Some(EmaxResult {
+    EmaxResult {
         output,
         evidence: evidence_rev,
-        log_prob: best,
-    })
+        log_prob,
+    }
 }
 
 #[cfg(test)]

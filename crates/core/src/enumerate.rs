@@ -24,18 +24,25 @@
 //! [`PrefixConstraint`] subspaces: the constrained optimizer is the
 //! `E_max` Viterbi ([`crate::emax`]) run on the constraint-product
 //! machine, and splitting partitions the subspace by longest common
-//! prefix with the emitted answer. Polynomial delay; space grows with the
-//! number of answers emitted, exactly as the paper notes.
+//! prefix with the emitted answer. The children of one split all share
+//! a prefix of that answer, so they are probed together: one product
+//! over the answer's prefixes with an accept sink per child (the split
+//! automaton of `constraints`) and one Viterbi pass that reads off every
+//! child's best answer, bit-identical to probing each child alone. A
+//! split of answer `a` costs about `2|a|·|Q|` product rows instead of
+//! `Σⱼ(|pⱼ|+3)·|Q|`, and `top_k(k)` runs `k` passes in all. Polynomial
+//! delay; space grows with the number of answers emitted, exactly as the
+//! paper notes.
 
 use std::sync::Arc;
 
 use transmark_automata::{StateId, SymbolId};
 use transmark_kbest::{LawlerMurty, PartitionSpace};
-use transmark_kernel::{advance, count_layers, Bool, SharedSparseSteps, Workspace};
+use transmark_kernel::{advance, count_layers, Bool, ExecSteps, SharedSparseSteps, Workspace};
 use transmark_markov::MarkovSequence;
 
-use crate::constraints::PrefixConstraint;
-use crate::emax::top_by_emax_impl;
+use crate::constraints::{PrefixConstraint, SplitDfa};
+use crate::emax::{top_by_emax, top_by_emax_impl};
 use crate::plan::PreparedQuery;
 use crate::transducer::Transducer;
 
@@ -222,10 +229,11 @@ impl RankedAnswer {
 }
 
 /// The [`PartitionSpace`] behind Theorem 4.3: the Lawler–Murty framework
-/// with the constraint-product machines served from the plan's memo cache
-/// (shared across subspace probes *and* across binds) and the Viterbi
-/// probes running over a shared CSR instead of re-flattening the sequence
-/// per subspace.
+/// with the Viterbi probes running over a shared CSR instead of
+/// re-flattening the sequence per probe. The root product comes from the
+/// plan's memo cache (shared across binds); each split is probed in one
+/// pass over its own [`SplitDfa`] product, built per split and dropped
+/// after it, since a split belongs to one posterior's answers.
 struct PlanEmaxSpace {
     plan: Arc<PreparedQuery>,
     steps: SharedSparseSteps,
@@ -241,12 +249,8 @@ impl PartitionSpace for PlanEmaxSpace {
 
     fn best(&mut self, constraint: &PrefixConstraint) -> Option<(Vec<SymbolId>, f64)> {
         let cm = self.plan.constrained(constraint);
-        top_by_emax_impl(
-            &cm.t,
-            transmark_kernel::ExecSteps::Sparse(&self.steps),
-            &cm.graph,
-        )
-        .map(|r| (r.output, r.log_prob))
+        top_by_emax(&cm.t, ExecSteps::Sparse(&self.steps), &cm.graph)
+            .map(|r| (r.output, r.log_prob))
     }
 
     fn split(
@@ -255,6 +259,22 @@ impl PartitionSpace for PlanEmaxSpace {
         answer: &Vec<SymbolId>,
     ) -> Vec<PrefixConstraint> {
         constraint.split_around(answer)
+    }
+
+    fn best_of_split(
+        &mut self,
+        parent: &PrefixConstraint,
+        answer: &Vec<SymbolId>,
+        children: &[PrefixConstraint],
+    ) -> Vec<Option<(Vec<SymbolId>, f64)>> {
+        let t = self.plan.transducer();
+        let split = SplitDfa::new(parent, answer, t.n_output_symbols());
+        let (graph, initial, classes) = split.step_graph(t);
+        debug_assert_eq!(classes.len(), children.len());
+        top_by_emax_impl(t, ExecSteps::Sparse(&self.steps), &graph, initial, &classes)
+            .into_iter()
+            .map(|r| r.map(|r| (r.output, r.log_prob)))
+            .collect()
     }
 }
 
@@ -381,6 +401,165 @@ mod tests {
         let t = tb.build().unwrap();
         assert_eq!(prepare(&t).bind(&m).unwrap().unranked().unwrap().count(), 0);
         assert_eq!(prepare(&t).bind(&m).unwrap().ranked().unwrap().count(), 0);
+    }
+
+    use std::cell::Cell;
+    use std::rc::Rc;
+
+    /// The per-child reference: probes every child of a split with the
+    /// plain `best` (one constraint product and one Viterbi pass each),
+    /// after asserting that the batched split pass returns the same
+    /// outputs and the same score bits for every child, in split order.
+    struct PerChildChecked {
+        inner: PlanEmaxSpace,
+        /// Split children probed so far, shared with the test.
+        children: Rc<Cell<usize>>,
+    }
+
+    type Probe = Option<(Vec<SymbolId>, u64)>;
+
+    fn probe_bits(v: &[Option<(Vec<SymbolId>, f64)>]) -> Vec<Probe> {
+        v.iter()
+            .map(|r| r.as_ref().map(|(o, s)| (o.clone(), s.to_bits())))
+            .collect()
+    }
+
+    impl PartitionSpace for PerChildChecked {
+        type Answer = Vec<SymbolId>;
+        type Constraint = PrefixConstraint;
+
+        fn root(&self) -> PrefixConstraint {
+            self.inner.root()
+        }
+
+        fn best(&mut self, c: &PrefixConstraint) -> Option<(Vec<SymbolId>, f64)> {
+            self.inner.best(c)
+        }
+
+        fn split(&mut self, c: &PrefixConstraint, a: &Vec<SymbolId>) -> Vec<PrefixConstraint> {
+            self.inner.split(c, a)
+        }
+
+        fn best_of_split(
+            &mut self,
+            parent: &PrefixConstraint,
+            answer: &Vec<SymbolId>,
+            children: &[PrefixConstraint],
+        ) -> Vec<Option<(Vec<SymbolId>, f64)>> {
+            let batched = self.inner.best_of_split(parent, answer, children);
+            let per_child: Vec<_> = children.iter().map(|c| self.inner.best(c)).collect();
+            assert_eq!(
+                probe_bits(&batched),
+                probe_bits(&per_child),
+                "split of {answer:?} under {parent:?}"
+            );
+            self.children.set(self.children.get() + children.len());
+            per_child
+        }
+    }
+
+    /// Ranks `(t, m)` to depth `k` twice — batched split passes, and the
+    /// per-child reference — and asserts the same outputs, score bits and
+    /// order. Returns how many split children the reference probed.
+    fn assert_batched_matches_per_child(t: &Transducer, m: &MarkovSequence, k: usize) -> usize {
+        let plan = prepare(t);
+        let batched: Vec<_> = plan.bind(m).unwrap().ranked().unwrap().take(k).collect();
+        let children = Rc::new(Cell::new(0));
+        let want: Vec<_> = LawlerMurty::new(PerChildChecked {
+            inner: PlanEmaxSpace {
+                plan: Arc::clone(&plan),
+                steps: m.sparse_steps().into_shared(),
+            },
+            children: Rc::clone(&children),
+        })
+        .take(k)
+        .collect();
+        let bits = |v: Vec<(Vec<SymbolId>, f64)>| -> Vec<(Vec<SymbolId>, u64)> {
+            v.into_iter().map(|(o, s)| (o, s.to_bits())).collect()
+        };
+        assert_eq!(
+            bits(
+                batched
+                    .into_iter()
+                    .map(|r| (r.output, r.log_score))
+                    .collect()
+            ),
+            bits(want)
+        );
+        children.get()
+    }
+
+    /// One Viterbi pass per split returns, for every child, exactly what
+    /// probing that child alone returns: same outputs, same `E_max` bits,
+    /// same ranked order, over every transducer class (nondeterministic
+    /// machines, ε and multi-symbol emissions) to depth 40.
+    #[test]
+    fn batched_split_pass_matches_per_child_probes_bitwise() {
+        use crate::generate::{random_transducer, RandomTransducerSpec, TransducerClass};
+        use rand::{rngs::StdRng, RngExt, SeedableRng};
+        use transmark_markov::generate::{random_markov_sequence, RandomChainSpec};
+
+        let classes = [
+            TransducerClass::General,
+            TransducerClass::Deterministic,
+            TransducerClass::Mealy,
+            TransducerClass::Uniform(1),
+            TransducerClass::Uniform(2),
+            TransducerClass::Projector,
+        ];
+        let mut rng = StdRng::seed_from_u64(0x5e11_7a55);
+        let mut children = 0;
+        for case in 0..240 {
+            let n_symbols = rng.random_range(2..4usize);
+            let m = random_markov_sequence(
+                &RandomChainSpec {
+                    len: rng.random_range(1..7usize),
+                    n_symbols,
+                    zero_prob: 0.3,
+                },
+                &mut rng,
+            );
+            let t = random_transducer(
+                &RandomTransducerSpec {
+                    n_states: rng.random_range(1..5usize),
+                    n_input_symbols: n_symbols,
+                    n_output_symbols: rng.random_range(1..4usize),
+                    class: classes[case % classes.len()],
+                    branching: 1.6,
+                },
+                &mut rng,
+            );
+            children += assert_batched_matches_per_child(&t, &m, 40);
+        }
+        assert!(children > 5_000, "only {children} split children probed");
+    }
+
+    /// The same pin on the benchmark's hardest E_max instances: n = 192
+    /// RFID posteriors under the tracker that waits for the lab.
+    #[test]
+    fn batched_split_pass_matches_per_child_probes_on_lab_posteriors() {
+        use rand::{rngs::StdRng, SeedableRng};
+        use transmark_workloads::rfid;
+
+        let dep = rfid::deployment(&rfid::RfidSpec::default());
+        // `transmark-workloads` links its own build of this crate, so its
+        // machine is rebuilt here transition by transition.
+        let lab = dep.room_tracker(Some(2));
+        let mut b = Transducer::builder(lab.input_alphabet_arc(), lab.output_alphabet_arc());
+        for q in 0..lab.n_states() as u32 {
+            b.add_state(lab.is_accepting(StateId(q)));
+        }
+        b.set_initial(lab.initial());
+        for (from, symbol, e) in lab.transitions() {
+            b.add_transition(from, symbol, e.target, lab.emission(e.emission))
+                .unwrap();
+        }
+        let t = b.build().unwrap();
+        let mut rng = StdRng::seed_from_u64(192);
+        for _ in 0..3 {
+            let (m, _) = dep.sample_posterior(192, &mut rng);
+            assert!(assert_batched_matches_per_child(&t, &m, 4) > 0);
+        }
     }
 
     #[test]

@@ -306,9 +306,10 @@ impl<K: Eq + std::hash::Hash + Clone, V> BoundedCache<K, V> {
 }
 
 /// A constraint product compiled once per [`PrefixConstraint`]: the
-/// constrained machine and its state step graph, shared across every
-/// Lawler–Murty subspace probe (and across binds — the product is purely
-/// machine-side).
+/// constrained machine and its state step graph, shared across binds (the
+/// product is purely machine-side). The Theorem 4.3 enumeration asks only
+/// for the root product; its split products are built per split and
+/// never cached.
 pub(crate) struct ConstrainedMachine {
     pub(crate) t: Transducer,
     pub(crate) graph: StepGraph,
@@ -479,7 +480,7 @@ impl PreparedQuery {
         cache.get_or_insert_with(&prefix.to_vec(), || prefix_step_graph(&self.t, prefix))
     }
 
-    /// The memoized constraint product for a Lawler–Murty subspace.
+    /// The memoized constraint product of one prefix constraint.
     pub(crate) fn constrained(&self, c: &PrefixConstraint) -> Arc<ConstrainedMachine> {
         let mut cache = self
             .constraint_products
@@ -813,9 +814,9 @@ impl<'m> BoundQuery<'m> {
         let graph = plan.state_graph();
         Ok(match self.core.strategy {
             Strategy::Dense => {
-                emax::top_by_emax_impl(&plan.t, ExecSteps::Dense(&self.m.dense_steps()), graph)
+                emax::top_by_emax(&plan.t, ExecSteps::Dense(&self.m.dense_steps()), graph)
             }
-            _ => emax::top_by_emax_impl(&plan.t, ExecSteps::Sparse(self.csr()), graph),
+            _ => emax::top_by_emax(&plan.t, ExecSteps::Sparse(self.csr()), graph),
         })
     }
 
@@ -887,8 +888,9 @@ impl<'m> BoundQuery<'m> {
     }
 
     /// Theorem 4.3 enumeration in decreasing `E_max` with polynomial
-    /// delay; constraint products come from the plan's memo cache and the
-    /// Viterbi probes share this bind's CSR.
+    /// delay: the root probe's product comes from the plan's memo cache,
+    /// each later answer costs one Viterbi pass over its split's product,
+    /// and every pass shares this bind's CSR.
     pub fn ranked(&self) -> Result<EmaxEnumeration, EngineError> {
         Ok(enumerate_by_emax_planned(
             Arc::clone(&self.core.plan),

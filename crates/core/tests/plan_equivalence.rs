@@ -307,23 +307,35 @@ fn concurrent_binds_agree_bitwise() {
     }
 }
 
-/// The Theorem 4.3 enumeration probes a subspace only when the next
-/// answer is asked for: the top-1 compiles the root constraint product
-/// and nothing else, and each further answer adds the products of the
-/// previous answer's subspaces.
+/// The Theorem 4.3 enumeration probes a split only when the next answer
+/// is asked for, and probes all of its subspaces in one Viterbi pass:
+/// the top-1 runs the root pass alone, and each further answer adds
+/// exactly one pass over the sequence's n − 1 layers. Only the root
+/// constraint product is memoized; split products are built per split.
 #[test]
 fn top_1_probes_only_the_root_subspace() {
     use transmark_workloads::hospital::{hospital_sequence, places, room_tracker};
     let t = room_tracker();
     let m = hospital_sequence();
+    let layers = (m.len() - 1) as u64;
 
-    let plan = prepare(&t);
-    let top = plan.bind(&m).unwrap().top_k_scored(1).unwrap();
+    let ranked = |k: usize| {
+        let plan = prepare(&t);
+        let bound = plan.bind(&m).unwrap();
+        let rec = Arc::new(transmark_obs::Recorder::new());
+        let top = rec.scope(|| bound.top_k(k).unwrap());
+        (top, rec.finish().layers, plan)
+    };
+    let (top, layers_1, plan) = ranked(1);
     assert_eq!(top[0].output, places(&["1", "2"]));
     assert_eq!(plan.explain().cached_constraint_products, 1);
 
-    let plan = prepare(&t);
-    let top3 = plan.bind(&m).unwrap().top_k_scored(3).unwrap();
+    let (top3, layers_3, plan) = ranked(3);
+    assert_eq!(top3.len(), 3);
     assert_eq!(top3[0], top[0]);
-    assert!(plan.explain().cached_constraint_products > 1);
+    assert_eq!(plan.explain().cached_constraint_products, 1);
+    if transmark_obs::enabled() {
+        assert_eq!(layers_1, layers, "top-1 is the root pass alone");
+        assert_eq!(layers_3, 3 * layers, "root pass + one pass per split");
+    }
 }

@@ -16,22 +16,27 @@
 //!
 //! 1. `split(c, a)` partitions `{answers of c} ∖ {a}` into *disjoint*
 //!    subspaces (no duplicates, nothing lost);
-//! 2. `best(c)` returns an answer of maximal score within `c`.
+//! 2. `best(c)` returns an answer of maximal score within `c`, and
+//!    `best_of_split` returns exactly what `best` would for each child.
 //!
 //! Under these, the iterator yields every answer exactly once, in
-//! non-increasing score, with delay `O(cost(best) · |split|)` plus heap
-//! maintenance. Space grows with the number of emitted answers — exactly
-//! the trade-off the paper notes for Theorem 4.3.
+//! non-increasing score, with delay one split probe
+//! ([`PartitionSpace::best_of_split`]) plus heap maintenance. By default
+//! that probe is `|split|` calls to `best`; a space whose children share
+//! work may answer the whole split at once (Theorem 4.3 does, in one
+//! Viterbi pass). Space grows with the number of emitted answers —
+//! exactly the trade-off the paper notes for Theorem 4.3.
 //!
 //! Probing is lazy. Emitting answer `i` splits its subspace right away
-//! (constraint arithmetic, no optimizer call) but keeps the pieces
-//! *pending*; their `best` probes run at the start of the call that asks
-//! for answer `i+1`, before its pop. The heap sees the same pushes and
-//! pops in the same order as an eager driver, so emission order, ties
-//! and scores are unchanged, and the delay bound is the same with answer
-//! `i`'s probes charged to answer `i+1`. A caller that stops after `k`
-//! answers pays for `k−1` probe rounds plus the root probe: the top-1
-//! costs exactly one `best`.
+//! (constraint arithmetic, no optimizer call) but keeps the split
+//! *pending*; its probe runs at the start of the call that asks for
+//! answer `i+1`, before its pop. The children's results are pushed in
+//! split order, so the heap sees the same pushes and pops in the same
+//! order as an eager driver: emission order, ties and scores are
+//! unchanged, and the delay bound is the same with answer `i`'s probe
+//! charged to answer `i+1`. A caller that stops after `k` answers pays
+//! for `k−1` split probes plus the root probe: the top-1 costs exactly
+//! one `best`.
 
 use std::collections::BinaryHeap;
 
@@ -39,8 +44,10 @@ use crate::Score;
 
 /// A constraint-partitionable answer space with a constrained optimizer.
 pub trait PartitionSpace {
-    /// The answer type (e.g. an output string of a transducer).
-    type Answer;
+    /// The answer type (e.g. an output string of a transducer). The
+    /// driver keeps a copy of each emitted answer until its split is
+    /// probed.
+    type Answer: Clone;
     /// A description of a subspace of answers.
     type Constraint;
 
@@ -58,6 +65,20 @@ pub trait PartitionSpace {
         constraint: &Self::Constraint,
         answer: &Self::Answer,
     ) -> Vec<Self::Constraint>;
+
+    /// The best answer of every child of one split, in `children` order:
+    /// `children` is `split(parent, answer)`. Each result must equal what
+    /// `best(child)` returns. The default makes those calls one by one; a
+    /// space whose children share work (Theorem 4.3's share the answer's
+    /// prefixes) may probe them all at once.
+    fn best_of_split(
+        &mut self,
+        _parent: &Self::Constraint,
+        _answer: &Self::Answer,
+        children: &[Self::Constraint],
+    ) -> Vec<Option<(Self::Answer, f64)>> {
+        children.iter().map(|c| self.best(c)).collect()
+    }
 }
 
 struct Entry<S: PartitionSpace> {
@@ -83,13 +104,19 @@ impl<S: PartitionSpace> Ord for Entry<S> {
     }
 }
 
+/// The split of the last emitted answer, not yet probed.
+struct Split<S: PartitionSpace> {
+    parent: S::Constraint,
+    answer: S::Answer,
+    children: Vec<S::Constraint>,
+}
+
 /// Iterator produced by the Lawler–Murty procedure: yields
 /// `(answer, log-score)` in non-increasing score.
 pub struct LawlerMurty<S: PartitionSpace> {
     space: S,
     frontier: BinaryHeap<Entry<S>>,
-    /// The subspaces split off the last emitted answer, not yet probed.
-    pending: Vec<S::Constraint>,
+    pending: Option<Split<S>>,
 }
 
 impl<S: PartitionSpace> LawlerMurty<S> {
@@ -98,10 +125,11 @@ impl<S: PartitionSpace> LawlerMurty<S> {
         let mut it = Self {
             space,
             frontier: BinaryHeap::new(),
-            pending: Vec::new(),
+            pending: None,
         };
         let root = it.space.root();
-        it.probe(root);
+        let best = it.space.best(&root);
+        it.push(root, best);
         it
     }
 
@@ -113,10 +141,10 @@ impl<S: PartitionSpace> LawlerMurty<S> {
         self.frontier.len()
     }
 
-    /// Finds the best answer of `constraint` and queues it, unless the
-    /// subspace is empty.
-    fn probe(&mut self, constraint: S::Constraint) {
-        if let Some((answer, score)) = self.space.best(&constraint) {
+    /// Queues the probed best answer of `constraint`, unless the subspace
+    /// is empty.
+    fn push(&mut self, constraint: S::Constraint, best: Option<(S::Answer, f64)>) {
+        if let Some((answer, score)) = best {
             if score > f64::NEG_INFINITY {
                 self.frontier.push(Entry {
                     score: Score::new(score),
@@ -132,15 +160,31 @@ impl<S: PartitionSpace> Iterator for LawlerMurty<S> {
     type Item = (S::Answer, f64);
 
     fn next(&mut self) -> Option<Self::Item> {
-        for sub in std::mem::take(&mut self.pending) {
-            self.probe(sub);
+        if let Some(Split {
+            parent,
+            answer,
+            children,
+        }) = self.pending.take()
+        {
+            let bests = self.space.best_of_split(&parent, &answer, &children);
+            assert_eq!(bests.len(), children.len(), "one result per child");
+            for (child, best) in children.into_iter().zip(bests) {
+                self.push(child, best);
+            }
         }
         let Entry {
             score,
             answer,
             constraint,
         } = self.frontier.pop()?;
-        self.pending = self.space.split(&constraint, &answer);
+        let children = self.space.split(&constraint, &answer);
+        if !children.is_empty() {
+            self.pending = Some(Split {
+                parent: constraint,
+                answer: answer.clone(),
+                children,
+            });
+        }
         Some((answer, score.0))
     }
 }

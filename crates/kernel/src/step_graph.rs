@@ -38,7 +38,8 @@ impl StepGraph {
         StepGraphBuilder {
             n_symbols,
             n_rows,
-            buckets: vec![Vec::new(); n_symbols * n_rows],
+            counts: vec![0; n_symbols * n_rows],
+            added: Vec::new(),
         }
     }
 
@@ -95,29 +96,47 @@ const _: fn() = || {
     assert_send_sync::<StepGraph>();
 };
 
-/// Accumulates edges into per-`(symbol, row)` buckets, then flattens.
+/// Collects edges tagged with their `(symbol, row)` bucket, then places
+/// them with one stable counting sort: a handful of allocations however
+/// many buckets there are.
 pub struct StepGraphBuilder {
     n_symbols: usize,
     n_rows: usize,
-    buckets: Vec<Vec<MachineEdge>>,
+    /// Edges per bucket.
+    counts: Vec<u32>,
+    /// `(bucket, edge)` in insertion order.
+    added: Vec<(u32, MachineEdge)>,
 }
 
 impl StepGraphBuilder {
     #[inline]
     pub fn add_edge(&mut self, symbol: u32, from_row: u32, to_row: u32, payload: u32) {
-        self.buckets[symbol as usize * self.n_rows + from_row as usize].push(MachineEdge {
-            to: to_row,
-            payload,
-        });
+        let bucket = symbol as usize * self.n_rows + from_row as usize;
+        self.counts[bucket] += 1;
+        self.added.push((
+            bucket as u32,
+            MachineEdge {
+                to: to_row,
+                payload,
+            },
+        ));
     }
 
     pub fn build(self) -> StepGraph {
-        let mut offsets = Vec::with_capacity(self.buckets.len() + 1);
-        let mut edges = Vec::with_capacity(self.buckets.iter().map(Vec::len).sum());
+        let mut offsets = Vec::with_capacity(self.counts.len() + 1);
         offsets.push(0);
-        for bucket in &self.buckets {
-            edges.extend_from_slice(bucket);
-            offsets.push(edges.len() as u32);
+        let mut total = 0;
+        for &c in &self.counts {
+            total += c;
+            offsets.push(total);
+        }
+        // Each bucket's next free slot; insertion order is kept within it.
+        let mut next = offsets[..self.counts.len()].to_vec();
+        let mut edges = vec![MachineEdge { to: 0, payload: 0 }; self.added.len()];
+        for (bucket, e) in self.added {
+            let slot = &mut next[bucket as usize];
+            edges[*slot as usize] = e;
+            *slot += 1;
         }
         StepGraph {
             n_symbols: self.n_symbols,

@@ -297,10 +297,24 @@ for i in $(seq 1 "$rounds"); do
   echo "$off" | awk '/^ns_per_iter /{print $2}'
 done >"$tmpdir/rounds"
 median() { sort -g | awk '{v[NR] = $1} END {print v[int((NR + 1) / 2)]}'; }
+# The per-round ratios' quartiles (nearest rank) and their distance, the
+# interquartile range, printed next to each median: a median near the
+# budget reads as noise when the budget lies inside its own quartiles.
+quartiles() {
+  sort -g | awk '{v[NR] = $1} END {
+    q1 = v[int((NR + 3) / 4)]; q3 = v[int((3 * NR + 3) / 4)]
+    printf "quartiles %.3f..%.3f, IQR %.3f", q1, q3, q3 - q1
+  }'
+}
 ratio=$(awk '{print $1 / $3}' "$tmpdir/rounds" | median)
 rratio=$(awk '{print $2 / $3}' "$tmpdir/rounds" | median)
-awk -v ratio="$ratio" -v rratio="$rratio" -v rounds="$rounds" 'BEGIN {
-  printf "    ratio %.3f, recorded ratio %.3f (median of %d interleaved rounds; budget 1.05)\n", ratio, rratio, rounds
+spread=$(awk '{print $1 / $3}' "$tmpdir/rounds" | quartiles)
+rspread=$(awk '{print $2 / $3}' "$tmpdir/rounds" | quartiles)
+awk -v ratio="$ratio" -v rratio="$rratio" -v rounds="$rounds" \
+  -v spread="$spread" -v rspread="$rspread" 'BEGIN {
+  printf "    ratio %.3f (%s)\n", ratio, spread
+  printf "    recorded ratio %.3f (%s)\n", rratio, rspread
+  printf "    medians of %d interleaved rounds; budget 1.05\n", rounds
   if (ratio > 1.05) { print "metrics overhead exceeds the ~5% budget"; exit 1 }
   if (rratio > 1.05) { print "profiler recording overhead exceeds the ~5% budget"; exit 1 }
 }'

@@ -230,6 +230,28 @@ pub fn run_suite(runs: usize, iters: usize) -> Result<Vec<CaseResult>, CliError>
         }),
     );
 
+    // enumerate/rfid_lab: Theorem 4.3 ranking where the answers are long —
+    // top 4 by E_max, with confidences, of an n = 192 posterior under the
+    // tracker that waits for the lab. Every iteration binds afresh, so
+    // the whole-sequence CSR is rebuilt as a new request would. Declares
+    // its n layers as `units`.
+    const LAB_SEED: u64 = 192;
+    const LAB_LEN: usize = 192;
+    let mut rng = StdRng::seed_from_u64(LAB_SEED);
+    let (lab_posterior, _) = dep.sample_posterior(LAB_LEN, &mut rng);
+    let lab_plan = transmark_core::prepare(&dep.room_tracker(Some(2)));
+    let lab_strategy = lab_plan.bind(&lab_posterior).map_err(run_err)?.strategy();
+    push(
+        "enumerate/rfid_lab",
+        LAB_SEED,
+        lab_strategy.label(),
+        Some(LAB_LEN as u64),
+        time_case(runs, iters, || {
+            let bound = lab_plan.bind(&lab_posterior).expect("alphabets match");
+            std::hint::black_box(bound.top_k_scored(4).expect("valid"));
+        }),
+    );
+
     // sweep/*: dense vs sparse one-shot evaluations (bind + confidence,
     // what one `tmk confidence` invocation does) on fully dense layers
     // across lengths 2^10..2^17 — an identity (Mealy) tracker over a

@@ -218,6 +218,7 @@ fn bench_json_snapshot_is_schema_stable() {
         "confidence/hospital",
         "enumerate/hospital",
         "enumerate/indexed_dna",
+        "enumerate/rfid_lab",
         "streaming/hospital",
         "confidence/rfid",
         "fleet/rfid",
