@@ -36,16 +36,18 @@
 //! `transmark-kernel` drivers over step graphs precompiled by
 //! [`crate::kernelize`]; the dynamic-state routes fold their layers
 //! through [`SubsetLayer`]; acceptance runs the
-//! [`EventSession`](crate::incremental::EventSession) fold through the one
-//! series driver. All sums use compensated accumulation at the final
+//! [`EventSession`](crate::incremental::EventSession) fold — a dense
+//! vector over a lazily determinized table — through the one series
+//! driver. All sums use compensated accumulation at the final
 //! reduction; per-cell accumulation is plain `f64` (additions of
 //! nonnegative numbers — no cancellation).
 
 use std::borrow::BorrowMut;
 use std::cell::Cell;
+use std::collections::HashMap;
 use std::sync::Arc;
 
-use transmark_automata::{ops::DetCore, BitSet, Nfa, StateId, SymbolId};
+use transmark_automata::{BitSet, Nfa, StateId, SymbolId};
 use transmark_kernel::{count_layers, Neumaier, Prob, StepGraph, Strategy, SubsetLayer, Workspace};
 use transmark_markov::{MarkovSequence, StepSource};
 
@@ -537,101 +539,435 @@ impl<W: BorrowMut<Workspace<f64>>> ForwardPass for ConfidencePass<W> {
 // Acceptance probability
 // ---------------------------------------------------------------------------
 
+/// A [`LiftedDfa`] successor slot not determinized yet.
+const UNKNOWN: u32 = u32::MAX;
+/// A [`LiftedDfa`] successor slot that leads to the dead (empty) subset.
+pub(crate) const DEAD: u32 = u32::MAX - 1;
+
+/// A lifted cell no mass has reached. The sign bit is the cell's presence
+/// mark: every reached cell holds `+0.0` or more (a sum of products of
+/// nonnegative numbers), and `-0.0 + x` is bitwise `0.0 + x` for any
+/// `x ≥ +0.0`, so accumulating onto an absent cell is exactly
+/// accumulating onto a fresh zero. A reached cell whose mass underflowed
+/// to `+0.0` stays present and keeps driving discovery.
+const ABSENT: f64 = -0.0;
+
+/// The query NFA determinized into a flat successor table over the lifted
+/// `(subset, node)` cells `d·|Σ| + node` — the state space of the
+/// acceptance DP. Subsets are interned densely in discovery order, `{q0}`
+/// first, exactly as `transmark_automata::ops::DetCore` interns them;
+/// `succ[d·|Σ| + σ]` caches each successor (or [`DEAD`]), so a step costs
+/// one table lookup and one multiply-add per positive transition.
+///
+/// The fold grows the table lazily, in the order its steps ask
+/// ([`LiftedDfa::lazy`]); the sliding window builds it whole, breadth
+/// first, under a cell budget ([`LiftedDfa::eager`]).
+pub(crate) struct LiftedDfa {
+    k: usize,
+    /// The NFA's accepting states.
+    finals: BitSet,
+    /// Every subset found so far, by id (the dead one included, once
+    /// found), and the id of each.
+    subsets: Vec<BitSet>,
+    ids: HashMap<BitSet, u32>,
+    succ: Vec<u32>,
+    accepting: Vec<bool>,
+}
+
+impl LiftedDfa {
+    /// A table holding only `{q0}`; every successor is found on demand.
+    pub(crate) fn lazy(nfa: &Nfa) -> Self {
+        let mut table = LiftedDfa {
+            k: nfa.n_symbols(),
+            finals: nfa.accepting_set(),
+            subsets: Vec::new(),
+            ids: HashMap::new(),
+            succ: Vec::new(),
+            accepting: Vec::new(),
+        };
+        table.intern(BitSet::singleton(
+            nfa.n_states().max(1),
+            nfa.initial().index(),
+        ));
+        table
+    }
+
+    /// The complete table, subsets in breadth-first order; `None` as soon
+    /// as the cell count `subsets · |Σ|` would exceed `cap`.
+    pub(crate) fn eager(nfa: &Nfa, cap: usize) -> Option<Self> {
+        let mut table = LiftedDfa::lazy(nfa);
+        let mut d = 0;
+        while d < table.n_subsets() {
+            if table.n_cells() > cap {
+                return None;
+            }
+            for s in 0..table.k {
+                table.successor(nfa, d * table.k + s);
+            }
+            d += 1;
+        }
+        Some(table)
+    }
+
+    /// Subsets materialized so far (the dead one included, once found).
+    pub(crate) fn n_subsets(&self) -> usize {
+        self.subsets.len()
+    }
+
+    /// The lifted cell count `subsets · |Σ|`.
+    pub(crate) fn n_cells(&self) -> usize {
+        self.n_subsets() * self.k
+    }
+
+    /// The successors of subset `d`, one per symbol; only complete for a
+    /// [`LiftedDfa::eager`] table.
+    pub(crate) fn successors(&self, d: usize) -> &[u32] {
+        &self.succ[d * self.k..(d + 1) * self.k]
+    }
+
+    /// The id of `set`, interning it as the next id if it is new.
+    fn intern(&mut self, set: BitSet) -> usize {
+        if let Some(&d) = self.ids.get(&set) {
+            return d as usize;
+        }
+        let d = self.subsets.len();
+        self.accepting.push(set.intersects(&self.finals));
+        self.succ.resize(self.succ.len() + self.k, UNKNOWN);
+        self.ids.insert(set.clone(), d as u32);
+        self.subsets.push(set);
+        d
+    }
+
+    /// The successor in `slot = d·|Σ| + σ`, determinizing it on a miss.
+    #[inline]
+    fn successor(&mut self, nfa: &Nfa, slot: usize) -> u32 {
+        match self.succ[slot] {
+            UNKNOWN => self.discover(nfa, slot),
+            d => d,
+        }
+    }
+
+    #[cold]
+    fn discover(&mut self, nfa: &Nfa, slot: usize) -> u32 {
+        let set = nfa.step_set(
+            &self.subsets[slot / self.k],
+            SymbolId((slot % self.k) as u32),
+        );
+        let dead = set.is_empty();
+        let d = self.intern(set);
+        let next = if dead { DEAD } else { d as u32 };
+        self.succ[slot] = next;
+        next
+    }
+
+    /// `μ₀→` (dense, length `|Σ|`) lifted: the first symbol read moves
+    /// `{q0}`. `nfa` must be the automaton the table was built from.
+    pub(crate) fn seed(&mut self, nfa: &Nfa, initial: &[f64]) -> LiftedVec {
+        let cells = self.n_cells();
+        lifted_seed(self.k, cells, initial, |slot| self.successor(nfa, slot))
+    }
+
+    /// [`LiftedDfa::seed`] over a complete table.
+    pub(crate) fn seed_complete(&self, initial: &[f64]) -> LiftedVec {
+        lifted_seed(self.k, self.n_cells(), initial, |slot| self.known(slot))
+    }
+
+    /// Folds one dense row-major `|Σ|²` matrix into `cur`, writing `next`.
+    pub(crate) fn step(
+        &mut self,
+        nfa: &Nfa,
+        matrix: &[f64],
+        cur: &LiftedVec,
+        next: &mut LiftedVec,
+    ) {
+        let cells = self.n_cells();
+        lifted_step(self.k, cells, matrix, cur, next, |slot| {
+            self.successor(nfa, slot)
+        });
+    }
+
+    /// [`LiftedDfa::step`] over a complete table.
+    pub(crate) fn step_complete(&self, matrix: &[f64], cur: &LiftedVec, next: &mut LiftedVec) {
+        lifted_step(self.k, self.n_cells(), matrix, cur, next, |slot| {
+            self.known(slot)
+        });
+    }
+
+    #[inline]
+    fn known(&self, slot: usize) -> u32 {
+        let d = self.succ[slot];
+        debug_assert_ne!(d, UNKNOWN, "complete tables have every successor");
+        d
+    }
+
+    /// `Pr(prefix ∈ L(A))` of a lifted vector: the Neumaier sum of its
+    /// present cells in accepting subsets, in ascending cell order.
+    pub(crate) fn probability(&self, v: &LiftedVec) -> f64 {
+        let mut total = Neumaier::new();
+        v.for_each_present(self.k, |d, _, p| {
+            if self.accepting[d] {
+                total.add(p);
+            }
+        });
+        total.total()
+    }
+}
+
+/// A lifted vector with at most one cell in this many present is sparse:
+/// it lists its present cells, sorted, and steps, reductions and resets
+/// walk that list; a denser one is scanned whole. Every value from 4 to
+/// 64 timed alike on the `tmk bench` `series_*` cases; scanning every
+/// vector made `series_nth13_sparse` about 120× slower, and listing
+/// every vector made `series_rand30_dense` 20–30% slower (EXPERIMENTS.md
+/// STRATEGIES).
+const SPARSE_FRACTION: usize = 16;
+
+/// A vector over the lifted cells: one mass per cell ([`ABSENT`] where
+/// nothing arrived) and, when sparse (see [`SPARSE_FRACTION`]), the
+/// sorted list of its present cells.
+pub(crate) struct LiftedVec {
+    mass: Vec<f64>,
+    /// The present cells, ascending once built; empty unless `sparse`.
+    live: Vec<u32>,
+    /// How many cells are present, counted once the vector is built.
+    present: usize,
+    sparse: bool,
+}
+
+impl LiftedVec {
+    pub(crate) fn new() -> Self {
+        LiftedVec::dense(Vec::new())
+    }
+
+    /// Wraps dense cells: every cell whose sign bit is clear is present.
+    pub(crate) fn dense(mass: Vec<f64>) -> Self {
+        LiftedVec {
+            present: count_present(&mass),
+            mass,
+            live: Vec::new(),
+            sparse: false,
+        }
+    }
+
+    /// The cells, [`ABSENT`] where nothing arrived.
+    pub(crate) fn cells(&self) -> &[f64] {
+        &self.mass
+    }
+
+    /// Whether the vector a step builds from this one should be sparse.
+    fn next_sparse(&self) -> bool {
+        self.present * SPARSE_FRACTION <= self.mass.len()
+    }
+
+    /// Makes every cell absent and sizes the vector to at least `cells`;
+    /// the deposits that follow list the cells they reach if `sparse`.
+    fn reset(&mut self, cells: usize, sparse: bool) {
+        if self.sparse {
+            for &c in &self.live {
+                self.mass[c as usize] = ABSENT;
+            }
+            self.live.clear();
+        } else {
+            self.mass.fill(ABSENT);
+        }
+        if self.mass.len() < cells {
+            self.mass.resize(cells, ABSENT);
+        }
+        self.sparse = sparse;
+    }
+
+    /// Adds `x` to cell `i`, growing the vector by whole subsets. A
+    /// step inlines the same accumulation (see `lifted_step`).
+    fn deposit(&mut self, k: usize, i: usize, x: f64) {
+        if i >= self.mass.len() {
+            self.mass.resize((i / k + 1) * k, ABSENT);
+        }
+        let cell = &mut self.mass[i];
+        if self.sparse && cell.is_sign_negative() {
+            self.live.push(i as u32);
+        }
+        *cell += x;
+    }
+
+    /// Sorts the present cells of a sparse vector once it is built, and
+    /// counts them.
+    fn settle(&mut self) {
+        if self.sparse {
+            self.live.sort_unstable();
+            self.present = self.live.len();
+        } else {
+            self.present = count_present(&self.mass);
+        }
+    }
+
+    /// Calls `f(subset, node, mass)` for every present cell, in ascending
+    /// cell order.
+    #[inline]
+    fn for_each_present(&self, k: usize, mut f: impl FnMut(usize, usize, f64)) {
+        if self.sparse {
+            for &c in &self.live {
+                let c = c as usize;
+                f(c / k, c % k, self.mass[c]);
+            }
+        } else {
+            // An empty alphabet has no cells; `max(1)` only keeps
+            // `chunks_exact` from panicking on it.
+            for (d, cells) in self.mass.chunks_exact(k.max(1)).enumerate() {
+                for (node, &p) in cells.iter().enumerate() {
+                    if !p.is_sign_negative() {
+                        f(d, node, p);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The cells whose sign bit is clear, counted as a sum of sign bits so
+/// the loop vectorizes.
+fn count_present(mass: &[f64]) -> usize {
+    mass.len()
+        - mass
+            .iter()
+            .map(|p| (p.to_bits() >> 63) as usize)
+            .sum::<usize>()
+}
+
+/// The lifted seed: `initial[node]` into cell `(succ(q0, node), node)`
+/// for every positive node, skipping dead successors. `cells` sizes the
+/// vector; a lazy table's discoveries grow it.
+fn lifted_seed(
+    k: usize,
+    cells: usize,
+    initial: &[f64],
+    mut succ: impl FnMut(usize) -> u32,
+) -> LiftedVec {
+    let mut v = LiftedVec::new();
+    v.reset(cells, true);
+    for (node, &p) in initial.iter().enumerate() {
+        if p == 0.0 {
+            continue;
+        }
+        let d = succ(node);
+        if d != DEAD {
+            v.deposit(k, d as usize * k + node, p);
+        }
+    }
+    v.settle();
+    v
+}
+
+/// One lifted step: present cells in ascending `(subset, node)` order,
+/// targets ascending, zero transitions and dead successors skipped. This
+/// order fixes the subsets' discovery ids and each cell's summation
+/// order, which the checkpoint blobs and every result's bits depend on
+/// (`tests/event_fold_pin.rs` pins them).
+fn lifted_step(
+    k: usize,
+    cells: usize,
+    matrix: &[f64],
+    cur: &LiftedVec,
+    next: &mut LiftedVec,
+    mut succ: impl FnMut(usize) -> u32,
+) {
+    debug_assert_eq!(matrix.len(), k * k, "step matrix must be |Σ|²");
+    next.reset(cells, cur.next_sparse());
+    // `LiftedVec::deposit`, inlined over borrowed fields so the layout
+    // flag and the length stay in registers across the stores.
+    let sparse = next.sparse;
+    let LiftedVec { mass, live, .. } = &mut *next;
+    cur.for_each_present(k, |d, node, p| {
+        let row = &matrix[node * k..(node + 1) * k];
+        for (to, &pt) in row.iter().enumerate() {
+            if pt <= 0.0 {
+                continue;
+            }
+            let d2 = succ(d * k + to);
+            if d2 == DEAD {
+                continue;
+            }
+            let cell = d2 as usize * k + to;
+            if cell >= mass.len() {
+                mass.resize((d2 as usize + 1) * k, ABSENT);
+            }
+            let m = &mut mass[cell];
+            if sparse && m.is_sign_negative() {
+                live.push(cell as u32);
+            }
+            *m += p * pt;
+        }
+    });
+    next.settle();
+}
+
 /// The single acceptance-DP engine behind
 /// [`EventSession`](crate::incremental::EventSession) — and so behind
 /// [`PreparedEventQuery`](crate::plan::PreparedEventQuery)'s acceptance
 /// and prefix series, the server's streams and the store's monitor:
-/// a distribution over `(determinized subset, current node)` advanced one
-/// dense row-major `|Σ|²` matrix at a time.
+/// a dense vector over the lifted `(determinized subset, current node)`
+/// cells of a lazily grown [`LiftedDfa`], advanced one dense row-major
+/// `|Σ|²` matrix at a time.
 ///
-/// The determinization is a fresh [`DetCore`] per fold — subset ids are
-/// interned in discovery order and the reduction orders by id, so sharing
-/// one across evaluations would perturb float accumulation order (see
-/// `crate::plan`'s module docs). The dead (empty) subset can never accept
-/// again, so its mass is dropped eagerly; memory is bounded by reachable
-/// subsets × `|Σ|`, independent of how many steps are folded in.
+/// The determinization is fresh per fold — subset ids are interned in
+/// discovery order and the reduction orders by id, so sharing one across
+/// evaluations would perturb float accumulation order (see `crate::plan`'s
+/// module docs). The dead (empty) subset can never accept again, so its
+/// mass is dropped eagerly; memory is bounded by reachable subsets × `|Σ|`,
+/// independent of how many steps are folded in.
 pub(crate) struct AcceptanceFold {
-    det: DetCore,
-    layer: SubsetLayer<(usize, u32)>,
-    n_sym: usize,
+    table: LiftedDfa,
+    cur: LiftedVec,
+    next: LiftedVec,
 }
 
 impl AcceptanceFold {
     /// Seeds the fold from `μ₀→` (dense, length `|Σ|`). The caller has
     /// already checked `initial.len() == nfa.n_symbols()`.
     pub(crate) fn start(nfa: &Nfa, initial: &[f64]) -> Self {
-        let mut det = DetCore::new(nfa);
-        let mut layer: SubsetLayer<(usize, u32)> = SubsetLayer::new();
-        for (node, &p) in initial.iter().enumerate() {
-            if p == 0.0 {
-                continue;
-            }
-            let d = det.step(nfa, det.initial(), SymbolId(node as u32));
-            if !det.is_dead(d) {
-                layer.add((d, node as u32), p);
-            }
-        }
+        let mut table = LiftedDfa::lazy(nfa);
+        let cur = table.seed(nfa, initial);
         AcceptanceFold {
-            det,
-            layer,
-            n_sym: initial.len(),
+            table,
+            cur,
+            next: LiftedVec::new(),
         }
     }
 
     /// Folds in one dense row-major `|Σ|²` transition matrix. `nfa` must
-    /// be the automaton this fold was started with. The dense scan skips
-    /// zeros in ascending target order — the exact pairs (and order) the
-    /// historical `transitions_from` walk yielded.
+    /// be the automaton this fold was started with.
     pub(crate) fn step(&mut self, nfa: &Nfa, matrix: &[f64]) {
-        let k = self.n_sym;
-        debug_assert_eq!(matrix.len(), k * k, "step matrix must be |Σ|²");
-        let mut next: SubsetLayer<(usize, u32)> = SubsetLayer::with_capacity(self.layer.len());
-        for ((d, node), p) in self.layer.sorted() {
-            let row = &matrix[node as usize * k..(node as usize + 1) * k];
-            for (to, &pt) in row.iter().enumerate() {
-                if pt <= 0.0 {
-                    continue;
-                }
-                let d2 = self.det.step(nfa, d, SymbolId(to as u32));
-                if !self.det.is_dead(d2) {
-                    next.add((d2, to as u32), p * pt);
-                }
-            }
-        }
-        self.layer = next;
+        self.table.step(nfa, matrix, &self.cur, &mut self.next);
+        std::mem::swap(&mut self.cur, &mut self.next);
     }
 
-    /// The current `Pr(S[1..t] ∈ L(A))`. Reduces in ascending key order,
-    /// so the result is independent of HashMap iteration order.
+    /// The current `Pr(S[1..t] ∈ L(A))`.
     pub(crate) fn probability(&self) -> f64 {
-        self.layer.reduce(|&(d, _)| self.det.is_accepting(d))
+        self.table.probability(&self.cur)
     }
 
     /// Serializes the fold's exact state: every materialized subset in id
-    /// (discovery) order plus the layer's `(subset id, node) → p` entries.
-    /// Restoring re-interns the subsets in the same order, so ids — and
-    /// therefore every id-ordered reduction downstream — are reproduced
-    /// bit for bit. The transition cache is deliberately not saved: it
-    /// refills deterministically on demand.
+    /// (discovery) order plus the present cells as `(subset id, node) → p`
+    /// entries, ascending. Restoring re-interns the subsets in the same
+    /// order, so ids — and therefore every id-ordered reduction downstream
+    /// — are reproduced bit for bit. The successor table is deliberately
+    /// not saved: it refills deterministically on demand.
     pub(crate) fn save(&self, w: &mut crate::incremental::ByteWriter) {
-        w.put_u32(self.n_sym as u32);
-        w.put_u64(self.det.n_materialized() as u64);
-        for id in 0..self.det.n_materialized() {
-            let set = self.det.subset(id);
+        let k = self.table.k;
+        w.put_u32(k as u32);
+        w.put_u64(self.table.n_subsets() as u64);
+        for set in &self.table.subsets {
             w.put_u32(set.capacity() as u32);
-            let bits: Vec<usize> = set.iter().collect();
-            w.put_u32(bits.len() as u32);
-            for b in bits {
+            w.put_u32(set.len() as u32);
+            for b in set.iter() {
                 w.put_u32(b as u32);
             }
         }
-        let entries = self.layer.sorted();
-        w.put_u64(entries.len() as u64);
-        for ((d, node), p) in entries {
+        w.put_u64(self.cur.present as u64);
+        self.cur.for_each_present(k, |d, node, p| {
             w.put_u64(d as u64);
-            w.put_u32(node);
+            w.put_u32(node as u32);
             w.put_f64(p);
-        }
+        });
     }
 
     /// Rebuilds a fold from [`AcceptanceFold::save`] output. `nfa` must be
@@ -642,15 +978,15 @@ impl AcceptanceFold {
         nfa: &Nfa,
         r: &mut crate::incremental::ByteReader<'_>,
     ) -> Result<Self, EngineError> {
-        let n_sym = r.get_u32()? as usize;
-        if n_sym != nfa.n_symbols() {
+        let k = r.get_u32()? as usize;
+        if k != nfa.n_symbols() {
             return Err(EngineError::BadCheckpoint(format!(
                 "fold alphabet {} does not match query alphabet {}",
-                n_sym,
+                k,
                 nfa.n_symbols()
             )));
         }
-        let mut det = DetCore::new(nfa);
+        let mut table = LiftedDfa::lazy(nfa);
         let n_subsets = r.get_u64()? as usize;
         if n_subsets == 0 {
             return Err(EngineError::BadCheckpoint(
@@ -671,38 +1007,39 @@ impl AcceptanceFold {
                 bits.push(b);
             }
             let set = BitSet::from_iter_with_capacity(cap.max(1), bits);
-            let got = det.intern(set);
+            let got = table.intern(set);
             if got != id {
                 return Err(EngineError::BadCheckpoint(format!(
                     "subset {id} re-interned as {got}; checkpoint does not match this query"
                 )));
             }
         }
-        let mut layer: SubsetLayer<(usize, u32)> = SubsetLayer::new();
+        let mut cur = LiftedVec::new();
+        cur.reset(table.n_cells(), true);
         let n_entries = r.get_u64()? as usize;
         for _ in 0..n_entries {
             let d = r.get_u64()? as usize;
-            let node = r.get_u32()?;
+            let node = r.get_u32()? as usize;
             let p = r.get_f64()?;
-            if d >= n_subsets || node as usize >= n_sym {
+            if d >= n_subsets || node >= k {
                 return Err(EngineError::BadCheckpoint(format!(
                     "layer entry ({d}, {node}) out of range"
                 )));
             }
-            layer.add((d, node), p);
+            if p.is_nan() || p.is_sign_negative() {
+                return Err(EngineError::BadCheckpoint(format!(
+                    "layer entry ({d}, {node}) holds {p}, not a probability mass"
+                )));
+            }
+            cur.deposit(k, d * k + node, p);
         }
-        Ok(AcceptanceFold { det, layer, n_sym })
+        cur.settle();
+        Ok(AcceptanceFold {
+            table,
+            cur,
+            next: LiftedVec::new(),
+        })
     }
-}
-
-pub(crate) fn check_nfa_alphabet(nfa: &Nfa, n_symbols: usize) -> Result<(), EngineError> {
-    if nfa.n_symbols() != n_symbols {
-        return Err(EngineError::AlphabetMismatch {
-            transducer: nfa.n_symbols(),
-            sequence: n_symbols,
-        });
-    }
-    Ok(())
 }
 
 /// The accepting states of a transducer as a [`BitSet`].

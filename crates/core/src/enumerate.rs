@@ -230,8 +230,8 @@ impl RankedAnswer {
 
 /// The [`PartitionSpace`] behind Theorem 4.3: the Lawler–Murty framework
 /// with the Viterbi probes running over a shared CSR instead of
-/// re-flattening the sequence per probe. The root product comes from the
-/// plan's memo cache (shared across binds); each split is probed in one
+/// re-flattening the sequence per probe. The root product is the plan's,
+/// built once and shared across binds; each split is probed in one
 /// pass over its own [`SplitDfa`] product, built per split and dropped
 /// after it, since a split belongs to one posterior's answers.
 struct PlanEmaxSpace {

@@ -62,8 +62,8 @@ pub enum EngineError {
         position: usize,
     },
     /// An explicitly requested execution strategy cannot run the query
-    /// shape it was asked to (e.g. the parallel-prefix scan outside
-    /// prefix-series evaluation).
+    /// shape it was asked to (e.g. a sliding window whose lifted state
+    /// space exceeds the composition budget).
     UnsupportedStrategy {
         /// The requested strategy's label.
         strategy: &'static str,

@@ -21,7 +21,8 @@
 //!   round-trips bit-identically on all four routes.
 //! * [`SlidingWindowQuery`] — `Pr(window of the last w positions ∈ L(A))`
 //!   at every tick. Each step's `|Σ|²` matrix lifts to an `m × m` operator
-//!   on the scan state space (see [`crate::scan`]); a two-stack
+//!   on the acceptance fold's lifted `(subset, node)` cells, determinized
+//!   upfront; a two-stack
 //!   [`SlidingProduct`] keeps the product of the operators inside the
 //!   window with amortized **one composition per tick**, so sliding the
 //!   window never rewinds the source — the `dataplane.rewinds_avoided`
@@ -38,10 +39,10 @@
 //! Checkpoint/resume of [`EventSession`] and [`ConfidenceSession`] is
 //! bit-identical to the uninterrupted run: the serialized state *is* the
 //! fold state, and subset re-interning reproduces id order. The sliding
-//! window inherits the scan path's documented tolerance instead: operator
-//! composition reassociates the per-step sums, so a window probability
-//! agrees with a from-scratch recompute of the same window to a relative
-//! `1e-12`, not bitwise (same contract as `Strategy::Scan` vs. the fold).
+//! window carries a documented tolerance instead: operator composition
+//! reassociates the per-step sums, so a window probability agrees with a
+//! from-scratch recompute of the same window (the fold's step over the
+//! window's table) to a relative `1e-12`, not bitwise.
 //!
 //! # Checkpoint wire format
 //!
@@ -62,22 +63,23 @@ use transmark_kernel::{
 };
 use transmark_markov::{MarkovSequence, StepSource};
 
-use crate::confidence::{self, AcceptanceFold, ConfState, ConfidencePass};
+use crate::confidence::{
+    self, AcceptanceFold, ConfState, ConfidencePass, LiftedDfa, LiftedVec, DEAD,
+};
 use crate::error::EngineError;
 use crate::forward::{FlatPass, ForwardPass, PulledLayer};
 use crate::plan::{PlanKind, PreparedQuery};
-use crate::scan::ScanDfa;
 
 /// Magic prefix of every checkpoint blob.
 pub const CHECKPOINT_MAGIC: [u8; 4] = *b"TMKC";
 /// Current checkpoint wire version.
 pub const CHECKPOINT_VERSION: u16 = 1;
 
-/// Lifted-state budget for the sliding window's upfront determinization
-/// (same cap family as the scan strategy's `MATRIX_STATE_CAP`; the window
-/// keeps `O(w)` suffix-product operators of `m²` cells each). A forced
-/// [`Strategy::Scan`](crate::Strategy::Scan) series stops at it too.
-pub(crate) const WINDOW_STATE_CAP: usize = 4096;
+/// Lifted-cell budget for the sliding window's upfront determinization:
+/// the window keeps `O(w)` suffix-product operators of `m²` cells each,
+/// so [`SlidingWindowQuery::new`] refuses a query whose `m = subsets ·
+/// |Σ|` would exceed it.
+const WINDOW_STATE_CAP: usize = 4096;
 
 /// Which session a checkpoint blob suspends.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -731,8 +733,9 @@ impl StreamSession<'_> {
 /// of the window seen as a fresh sequence whose initial distribution is
 /// the chain's marginal at the window start.
 ///
-/// Built on the scan state space: the query NFA is BFS-determinized
-/// upfront, each step's matrix lifts to an `m × m` [`StepOperator`], and
+/// Built on the acceptance fold's lifted cells: the query NFA is
+/// determinized upfront, breadth first, into the fold's table; each
+/// step's matrix lifts to an `m × m` [`StepOperator`], and
 /// a [`SlidingProduct`] two-stack holds the product of the operators
 /// inside the window — evicting the oldest step is amortized one operator
 /// composition, **not** a rewind of the source (compare the old scheme:
@@ -741,7 +744,7 @@ impl StreamSession<'_> {
 pub struct SlidingWindowQuery {
     nfa: Nfa,
     window: usize,
-    dfa: ScanDfa,
+    table: LiftedDfa,
 }
 
 impl SlidingWindowQuery {
@@ -757,12 +760,12 @@ impl SlidingWindowQuery {
                 query: "zero-length window",
             });
         }
-        let dfa =
-            ScanDfa::build(&nfa, WINDOW_STATE_CAP).ok_or(EngineError::UnsupportedStrategy {
+        let table =
+            LiftedDfa::eager(&nfa, WINDOW_STATE_CAP).ok_or(EngineError::UnsupportedStrategy {
                 strategy: "window",
                 query: "sliding window (lifted state space exceeds the composition budget)",
             })?;
-        Ok(SlidingWindowQuery { nfa, window, dfa })
+        Ok(SlidingWindowQuery { nfa, window, table })
     }
 
     /// The query automaton.
@@ -796,7 +799,7 @@ impl SlidingWindowQuery {
         Ok(WindowSession {
             query: self,
             marginals,
-            swag: SlidingProduct::new(self.dfa.m_dim()),
+            swag: SlidingProduct::new(self.table.n_cells()),
             consumed: 0,
         })
     }
@@ -805,7 +808,7 @@ impl SlidingWindowQuery {
     pub fn resume(&self, blob: &[u8]) -> Result<WindowSession<'_>, EngineError> {
         let (mut r, position) = open_envelope(blob, CheckpointKind::Window, self.fingerprint())?;
         let k = self.nfa.n_symbols();
-        let md = self.dfa.m_dim();
+        let md = self.table.n_cells();
         let n_marg = r.get_count(8 * k)?;
         if n_marg == 0 || n_marg > self.window {
             return Err(EngineError::BadCheckpoint(format!(
@@ -861,16 +864,42 @@ impl SlidingWindowQuery {
 
     /// The from-scratch oracle a slid window is compared against (tests,
     /// benches): seed from the window-start marginal and replay the
-    /// window's matrices. O(w·m·|Σ|) per call where the incremental path
-    /// pays amortized one `m³` composition.
+    /// window's matrices through the acceptance fold's step and reduction.
+    /// O(w·m·|Σ|) per call where the incremental path pays amortized one
+    /// `m³` composition.
     pub fn recompute(&self, start_marginal: &[f64], matrices: &[&[f64]]) -> f64 {
-        let mut cur = self.dfa.lift_initial(start_marginal);
-        let mut next = vec![0.0; cur.len()];
+        let mut cur = self.table.seed_complete(start_marginal);
+        let mut next = LiftedVec::new();
         for m in matrices {
-            self.dfa.step_vector(m, &cur, &mut next);
+            self.table.step_complete(m, &cur, &mut next);
             std::mem::swap(&mut cur, &mut next);
         }
-        self.dfa.probability_of(&cur)
+        self.table.probability(&cur)
+    }
+
+    /// Lifts one dense `|Σ|²` matrix to an `m × m` [`StepOperator`] over
+    /// the lifted cells: cell `(d·k+node, d2·k+to) = pt` for every positive
+    /// transition `node→to`, where `d2` is `d`'s successor under `to`;
+    /// dead successors are dropped. Applying it to a lifted vector visits
+    /// the products one fold step would, in a different summation order.
+    fn lift_operator(&self, matrix: &[f64]) -> StepOperator<Prob> {
+        let k = self.nfa.n_symbols();
+        debug_assert_eq!(matrix.len(), k * k, "step matrix must be |Σ|²");
+        let md = self.table.n_cells();
+        let mut cells = vec![0.0; md * md];
+        for d in 0..self.table.n_subsets() {
+            let successors = self.table.successors(d);
+            for node in 0..k {
+                let row = &matrix[node * k..(node + 1) * k];
+                let from = (d * k + node) * md;
+                for (to, (&pt, &d2)) in row.iter().zip(successors).enumerate() {
+                    if pt > 0.0 && d2 != DEAD {
+                        cells[from + d2 as usize * k + to] = pt;
+                    }
+                }
+            }
+        }
+        StepOperator::from_cells(md, cells)
     }
 }
 
@@ -904,9 +933,9 @@ impl WindowSession<'_> {
 
     /// The current windowed probability.
     pub fn probability(&self) -> f64 {
-        let v0 = self.query.dfa.lift_initial(self.start_marginal());
-        let v = self.swag.apply_to(&v0);
-        self.query.dfa.probability_of(&v)
+        let v0 = self.query.table.seed_complete(self.start_marginal());
+        let v = self.swag.apply_to(v0.cells());
+        self.query.table.probability(&LiftedVec::dense(v))
     }
 
     /// Slides the window by one tick: evict the oldest step (amortized
@@ -931,7 +960,7 @@ impl WindowSession<'_> {
             if self.swag.len() == w - 1 {
                 self.swag.evict();
             }
-            self.swag.push(self.query.dfa.lift_operator(matrix));
+            self.swag.push(self.query.lift_operator(matrix));
         }
         let cur = self.marginals.back().expect("window ring never empty");
         let mut next = vec![0.0; k];
@@ -1065,6 +1094,32 @@ mod tests {
         }
     }
 
+    /// A cell's sign bit marks it present, so a blob entry holding a
+    /// negative or NaN mass must be refused, never restored.
+    #[test]
+    fn event_resume_rejects_a_mass_that_is_not_a_probability() {
+        let m = chain(6, 6);
+        let mut s = EventSession::start(has_two(), m.initial_dist()).unwrap();
+        for i in 0..3 {
+            s.advance(m.transition_matrix(i)).unwrap();
+        }
+        let blob = s.checkpoint();
+        assert!(EventSession::resume(has_two(), &blob).is_ok());
+        // The payload ends with the last layer entry's mass.
+        let at = blob.len() - 8;
+        for bad in [-1.0, -0.0, f64::NAN] {
+            let mut edited = blob.clone();
+            edited[at..].copy_from_slice(&bad.to_bits().to_le_bytes());
+            assert!(
+                matches!(
+                    EventSession::resume(has_two(), &edited),
+                    Err(EngineError::BadCheckpoint(_))
+                ),
+                "mass {bad} was restored"
+            );
+        }
+    }
+
     #[test]
     fn window_series_matches_recompute_oracle() {
         let m = chain(20, 7);
@@ -1121,6 +1176,30 @@ mod tests {
                 assert_eq!(a.to_bits(), b.to_bits(), "window drift at split {split}");
             }
         }
+    }
+
+    #[test]
+    fn window_stops_at_the_state_budget() {
+        // "The 13th symbol from the end is s0": 2^13 reachable subsets,
+        // past the budget long before determinization finishes.
+        let mut n = Nfa::new(2);
+        let states: Vec<_> = (0..14).map(|i| n.add_state(i == 13)).collect();
+        for s in 0..2 {
+            n.add_transition(states[0], SymbolId(s), states[0]);
+        }
+        n.add_transition(states[0], SymbolId(0), states[1]);
+        for w in states[1..].windows(2) {
+            for s in 0..2 {
+                n.add_transition(w[0], SymbolId(s), w[1]);
+            }
+        }
+        assert!(matches!(
+            SlidingWindowQuery::new(n, 8),
+            Err(EngineError::UnsupportedStrategy {
+                strategy: "window",
+                ..
+            })
+        ));
     }
 
     #[test]

@@ -53,7 +53,6 @@ pub mod incremental;
 pub mod kernelize;
 pub mod montecarlo;
 pub mod plan;
-pub mod scan;
 pub mod textio;
 pub mod transducer;
 

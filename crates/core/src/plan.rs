@@ -12,8 +12,9 @@
 //!    accepting-state bitset, and an emission index (a hash lookup
 //!    replacing the linear scans of `emission_id_for` — interning is
 //!    injective, so lookups are equivalent); output-dependent artifacts
-//!    (output/prefix step graphs, Lawler–Murty constraint products) are
-//!    compiled on first use and memoized in bounded caches.
+//!    (output/prefix step graphs) are compiled on first use and memoized
+//!    in bounded caches, and the Lawler–Murty root constraint product is
+//!    built once, on first use.
 //! 2. **bind** ([`PreparedQuery::bind`]): validate one sequence, pick
 //!    its execution strategy ([`choose_strategy`]) and allocate reusable
 //!    workspaces — O(|Σ|), nothing the size of the sequence.
@@ -36,15 +37,20 @@
 //! parallel evaluation binds the same plan per stream per thread).
 //!
 //! What is deliberately **not** cached: the on-the-fly determinizations
-//! behind [`PreparedEventQuery`] and the streaming sessions. Their subset
-//! ids are interned in discovery order and the reduction order follows
-//! those ids, so sharing a determinizer across sequences (or even across
+//! behind [`PreparedEventQuery`] and the streaming sessions. The prefix
+//! series has one evaluator, the acceptance fold, whose lifted table's
+//! subset ids are interned in discovery order; the reduction order
+//! follows those ids, so sharing a table across sequences (or even across
 //! repeated evaluations) would perturb float accumulation order and break
-//! bit-reproducibility. Each evaluation gets a fresh determinizer.
+//! bit-reproducibility. Each evaluation grows a fresh table. (A
+//! [`SlidingWindowQuery`](crate::SlidingWindowQuery) builds its table
+//! whole, breadth first, so its ids do not depend on the data and one
+//! table serves all of its sessions.)
 
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use rand::Rng;
@@ -207,9 +213,7 @@ const TINY_QUERY_CELLS: usize = 4096;
 
 /// The planner's bind-time choice between the sparse CSR walk and the
 /// dense in-place advance for a materialized sequence, from the density
-/// tallied at sequence construction and the bind size. Never returns
-/// [`Strategy::Scan`] — the scan schedule applies only to prefix-series
-/// evaluation and is selected in [`PreparedEventQuery`].
+/// tallied at sequence construction and the bind size.
 pub fn choose_strategy(m: &MarkovSequence) -> Strategy {
     let k = m.n_symbols();
     let cells = m.len().saturating_sub(1).saturating_mul(k * k);
@@ -222,11 +226,10 @@ pub fn choose_strategy(m: &MarkovSequence) -> Strategy {
 
 /// Bumps the per-strategy planner counter and drops a profiler instant,
 /// so `--metrics` and traces show which inner loop ran.
-pub(crate) fn record_strategy(s: Strategy) {
+fn record_strategy(s: Strategy) {
     match s {
         Strategy::Sparse => transmark_obs::counter!("planner.strategy.sparse").inc(),
         Strategy::Dense => transmark_obs::counter!("planner.strategy.dense").inc(),
-        Strategy::Scan => transmark_obs::counter!("planner.strategy.scan").inc(),
     }
     transmark_obs::profile::instant_detail("planner.strategy", s.label());
 }
@@ -305,11 +308,12 @@ impl<K: Eq + std::hash::Hash + Clone, V> BoundedCache<K, V> {
     }
 }
 
-/// A constraint product compiled once per [`PrefixConstraint`]: the
-/// constrained machine and its state step graph, shared across binds (the
-/// product is purely machine-side). The Theorem 4.3 enumeration asks only
-/// for the root product; its split products are built per split and
-/// never cached.
+/// A constraint product: the machine constrained by a
+/// [`PrefixConstraint`] and its state step graph. The plan keeps the root
+/// product ([`PrefixConstraint::all`]), shared across binds (the product
+/// is purely machine-side); it is the only one the Theorem 4.3
+/// enumeration asks for, since its split products are built per split
+/// and never cached.
 pub(crate) struct ConstrainedMachine {
     pub(crate) t: Transducer,
     pub(crate) graph: StepGraph,
@@ -330,7 +334,11 @@ pub struct PreparedQuery {
     emission_index: HashMap<Box<[SymbolId]>, u32>,
     output_graphs: Mutex<BoundedCache<Vec<SymbolId>, StepGraph>>,
     prefix_graphs: Mutex<BoundedCache<Vec<SymbolId>, StepGraph>>,
-    constraint_products: Mutex<BoundedCache<PrefixConstraint, ConstrainedMachine>>,
+    root_product: OnceLock<Arc<ConstrainedMachine>>,
+    /// Root lookups of [`PreparedQuery::constrained`] that found it built
+    /// (hits) or built it (misses), reported with the caches' counts.
+    root_product_hits: AtomicU64,
+    root_product_misses: AtomicU64,
     /// Per-kind phase histograms, resolved once at compile time so the
     /// bind/execute paths record through a plain `Arc` (no registry
     /// lookup on the hot path).
@@ -391,7 +399,6 @@ impl Drop for ExecGuard {
 /// prefixes) fit comfortably; unbounded growth over adversarial output
 /// streams does not happen.
 const GRAPH_CACHE_CAP: usize = 64;
-const CONSTRAINT_CACHE_CAP: usize = 256;
 
 /// Compiles `t` into a shareable plan (convenience for
 /// `Arc::new(PreparedQuery::new(t))`).
@@ -429,7 +436,9 @@ impl PreparedQuery {
             emission_index,
             output_graphs: Mutex::new(BoundedCache::new(GRAPH_CACHE_CAP)),
             prefix_graphs: Mutex::new(BoundedCache::new(GRAPH_CACHE_CAP)),
-            constraint_products: Mutex::new(BoundedCache::new(CONSTRAINT_CACHE_CAP)),
+            root_product: OnceLock::new(),
+            root_product_hits: AtomicU64::new(0),
+            root_product_misses: AtomicU64::new(0),
             bind_ns: obs.histogram_dyn(&format!("planner.bind_ns.{}", kind.label())),
             execute_ns: obs.histogram_dyn(&format!("planner.execute_ns.{}", kind.label())),
         };
@@ -480,18 +489,31 @@ impl PreparedQuery {
         cache.get_or_insert_with(&prefix.to_vec(), || prefix_step_graph(&self.t, prefix))
     }
 
-    /// The memoized constraint product of one prefix constraint.
+    /// The constraint product of `c`. The root product
+    /// ([`PrefixConstraint::all`]) is built on first use and kept; any
+    /// other constraint's is built per call.
     pub(crate) fn constrained(&self, c: &PrefixConstraint) -> Arc<ConstrainedMachine> {
-        let mut cache = self
-            .constraint_products
-            .lock()
-            .expect("plan cache poisoned");
-        cache.get_or_insert_with(c, || {
+        let build = || {
             let ct = constrain(&self.t, &c.to_dfa(self.t.n_output_symbols()))
                 .expect("constraint DFA is over the output alphabet by construction");
             let graph = state_step_graph(&ct);
-            ConstrainedMachine { t: ct, graph }
-        })
+            Arc::new(ConstrainedMachine { t: ct, graph })
+        };
+        if *c != PrefixConstraint::all() {
+            return build();
+        }
+        let mut built = false;
+        let cm = self.root_product.get_or_init(|| {
+            built = true;
+            build()
+        });
+        let lookups = if built {
+            &self.root_product_misses
+        } else {
+            &self.root_product_hits
+        };
+        lookups.fetch_add(1, Ordering::Relaxed);
+        Arc::clone(cm)
     }
 
     /// EXPLAIN-style introspection: the selected route, machine shape, and
@@ -505,13 +527,9 @@ impl PreparedQuery {
             let c = self.prefix_graphs.lock().expect("plan cache poisoned");
             (c.len(), c.hits(), c.misses())
         };
-        let (cp_len, cp_hits, cp_misses) = {
-            let c = self
-                .constraint_products
-                .lock()
-                .expect("plan cache poisoned");
-            (c.len(), c.hits(), c.misses())
-        };
+        let cp_len = self.root_product.get().is_some() as usize;
+        let cp_hits = self.root_product_hits.load(Ordering::Relaxed);
+        let cp_misses = self.root_product_misses.load(Ordering::Relaxed);
         PlanExplain {
             kind: self.kind,
             n_states: self.t.n_states(),
@@ -549,8 +567,7 @@ impl PreparedQuery {
 
     /// [`PreparedQuery::bind`] with the execution strategy forced (`None`
     /// = planner choice via [`choose_strategy`]). Sparse and dense binds
-    /// produce bit-identical results; [`Strategy::Scan`] applies only to
-    /// prefix-series evaluation and is rejected here.
+    /// produce bit-identical results.
     pub fn bind_with_strategy<'m>(
         self: &Arc<Self>,
         m: &'m MarkovSequence,
@@ -559,16 +576,7 @@ impl PreparedQuery {
         let _span = transmark_obs::span::enter("bind");
         let timer = transmark_obs::Timer::start();
         check_inputs(&self.t, m.n_symbols(), None)?;
-        let chosen = match strategy {
-            None => choose_strategy(m),
-            Some(Strategy::Scan) => {
-                return Err(EngineError::UnsupportedStrategy {
-                    strategy: "scan",
-                    query: "bound transducer queries (scan schedules prefix-series evaluation)",
-                })
-            }
-            Some(s) => s,
-        };
+        let chosen = strategy.unwrap_or_else(|| choose_strategy(m));
         record_strategy(chosen);
         let bound = BoundQuery {
             core: BindCore::new(self, chosen),
@@ -1046,7 +1054,8 @@ pub struct PlanExplain {
     pub cached_output_graphs: usize,
     /// Prefix-keyed step graphs currently memoized.
     pub cached_prefix_graphs: usize,
-    /// Lawler–Murty constraint products currently memoized.
+    /// Lawler–Murty constraint products currently memoized: 1 once the
+    /// root product is built, 0 before.
     pub cached_constraint_products: usize,
     /// Total plan-cache hits so far.
     pub cache_hits: u64,
@@ -1138,51 +1147,7 @@ impl PreparedEventQuery {
     /// `Pr(S[1..i] ∈ L(A))` (§6). `result[i-1]` is the probability at time
     /// `i`, and `result[n-1]` equals [`PreparedEventQuery::acceptance`].
     pub fn series(&self, m: &MarkovSequence) -> Result<Vec<f64>, EngineError> {
-        self.series_with(m, 1, None)
-    }
-
-    /// [`PreparedEventQuery::series`] with an execution strategy and a
-    /// worker budget.
-    ///
-    /// * `None` — planner choice: the parallel-prefix scan when the
-    ///   sequence is long, `n_threads ≥ 2`, and the query's lifted state
-    ///   space is small enough for composition to pay off; otherwise the
-    ///   sequential fold (bit-identical to [`PreparedEventQuery::series`]).
-    /// * `Some(Strategy::Sparse)` — force the sequential fold.
-    /// * `Some(Strategy::Scan)` — force the parallel-prefix scan (see
-    ///   [`crate::scan`]); results agree with the fold within a relative
-    ///   `1e-12`, not bitwise.
-    /// * `Some(Strategy::Dense)` — rejected: dense kernels apply to bound
-    ///   transducer queries, not series evaluation.
-    pub fn series_with(
-        &self,
-        m: &MarkovSequence,
-        n_threads: usize,
-        strategy: Option<Strategy>,
-    ) -> Result<Vec<f64>, EngineError> {
-        match strategy {
-            Some(Strategy::Dense) => Err(EngineError::UnsupportedStrategy {
-                strategy: "dense",
-                query: "prefix-series evaluation (dense applies to bound transducer queries)",
-            }),
-            Some(Strategy::Sparse) => {
-                record_strategy(Strategy::Sparse);
-                self.series_source(&mut m.step_source())
-            }
-            Some(Strategy::Scan) => {
-                record_strategy(Strategy::Scan);
-                crate::scan::prefix_acceptance_probabilities_scan(&self.nfa, m, n_threads)
-            }
-            None => {
-                confidence::check_nfa_alphabet(&self.nfa, m.n_symbols())?;
-                if let Some(series) = crate::scan::try_auto_scan(&self.nfa, m, n_threads) {
-                    record_strategy(Strategy::Scan);
-                    return Ok(series);
-                }
-                record_strategy(Strategy::Sparse);
-                self.series_source(&mut m.step_source())
-            }
-        }
+        self.series_source(&mut m.step_source())
     }
 
     /// The per-prefix probability series over a streamed source

@@ -20,19 +20,15 @@
 //! the `p > 0` entries the CSR builder kept, and each lane product is the
 //! same single IEEE-754 multiply as the scalar path.
 //!
-//! The parallel-prefix **scan** strategy (the engine crate's prefix-series
-//! evaluator) is the one sanctioned exception to bit-identity. It
-//! composes per-step transfer operators associatively, which reorders the
-//! sum-product accumulation relative to the sequential fold — both
-//! because chunk boundaries split the fold and because the scan assigns
-//! determinized-subset ids by breadth-first discovery instead of the
-//! fold's data-dependent interning order. Reordering a correctly-rounded
-//! `f64` sum perturbs results by at most a few ULPs per term; the scan
-//! evaluator therefore asserts agreement with the sequential fold to a
-//! **relative tolerance of 1e-12** (orders of magnitude above observed
-//! drift, orders below any decision threshold). For a fixed input and
-//! worker count the scan result is itself deterministic — chunk shapes
-//! are a pure function of `(n, threads)`, never of scheduling.
+//! Operator composition ([`crate::incremental`], behind the engine
+//! crate's sliding windows) is the one sanctioned exception to
+//! bit-identity: composing per-step transfer operators associatively
+//! reorders the sum-product accumulation relative to folding the steps
+//! one by one. Reordering a correctly-rounded `f64` sum perturbs results
+//! by at most a few ULPs per term, so windows are checked against a
+//! from-scratch fold to a **relative tolerance of 1e-12** (orders of
+//! magnitude above observed drift, orders below any decision threshold).
+//! For a fixed input a composed result is itself deterministic.
 
 use crate::dense::STAGE_CAP;
 use crate::semiring::Semiring;

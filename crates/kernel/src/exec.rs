@@ -12,18 +12,13 @@
 //! * [`Strategy::Dense`] — the blocked dense path ([`crate::dense`]):
 //!   raw row-major `|Σ|²` matrices read in place, the per-row multiply
 //!   staged through a SIMD lane loop; nothing is compacted.
-//! * [`Strategy::Scan`] — the associative parallel-prefix schedule for
-//!   whole prefix-series evaluations; the operator algebra lives in the
-//!   engine crate (it needs the determinized query automaton), but the
-//!   strategy is named here so planners, CLIs, and reports share one
-//!   vocabulary.
 //!
 //! Sparse and dense advances are **bit-identical** for every semiring:
 //! a dense row visits targets in the same ascending order the CSR stores
 //! them, skips exactly the entries the CSR builder dropped (`p > 0`), and
 //! a lane-wise `v·p` is the same IEEE-754 operation as the scalar one.
-//! The scan strategy instead carries a documented summation-order
-//! tolerance (see [`crate::dp`] module docs).
+//! The strategies apply to bound transducer queries; the prefix series of
+//! an event query has one evaluator, the engine crate's acceptance fold.
 //!
 //! [`ExecSteps`] is the dispatch handle of the tracked (Viterbi) passes,
 //! which run over a whole materialized sequence: a thin enum over the two
@@ -48,9 +43,6 @@ pub enum Strategy {
     /// Blocked dense matrix–vector advance straight off the sequence's
     /// row-major transition buffer (no CSR build).
     Dense,
-    /// Parallel-prefix composition of per-step transfer operators
-    /// (prefix-series evaluations only).
-    Scan,
 }
 
 impl Strategy {
@@ -59,7 +51,6 @@ impl Strategy {
         match self {
             Strategy::Sparse => "sparse",
             Strategy::Dense => "dense",
-            Strategy::Scan => "scan",
         }
     }
 }
@@ -77,9 +68,8 @@ impl FromStr for Strategy {
         match s {
             "sparse" => Ok(Strategy::Sparse),
             "dense" => Ok(Strategy::Dense),
-            "scan" => Ok(Strategy::Scan),
             other => Err(format!(
-                "unknown strategy {other:?} (expected sparse, dense, or scan)"
+                "unknown strategy {other:?} (expected sparse or dense)"
             )),
         }
     }
@@ -179,7 +169,7 @@ mod tests {
 
     #[test]
     fn strategy_labels_round_trip() {
-        for s in [Strategy::Sparse, Strategy::Dense, Strategy::Scan] {
+        for s in [Strategy::Sparse, Strategy::Dense] {
             assert_eq!(s.label().parse::<Strategy>().unwrap(), s);
             assert_eq!(format!("{s}"), s.label());
         }

@@ -1,10 +1,9 @@
 //! Incremental operator composition for sliding-window evaluation.
 //!
 //! Every layered DP in this workspace advances a state vector through one
-//! linear operator per sequence position. The parallel-prefix scan
-//! (`transmark-core`'s scan module) already exploits associativity to
-//! *compose* those operators chunk-wise; this module exposes the same
-//! primitive for *windowed* evaluation: a [`SlidingProduct`] maintains the
+//! linear operator per sequence position. Those operators compose
+//! associatively, and this module uses that for *windowed* evaluation: a
+//! [`SlidingProduct`] maintains the
 //! product of the last `w` step operators under push (new step) and evict
 //! (window slide) in amortized O(1) compositions per tick — the two-stack
 //! sliding-window aggregation scheme — so sliding a window never replays
@@ -16,8 +15,8 @@
 //! Composition is associative but float addition is not: the product of a
 //! window is the same *mathematical* value as folding its steps one by
 //! one, with a different accumulation order. Callers that advertise
-//! bit-reproducibility must document the scan-style tolerance (see the
-//! numerics contract in [`crate::dp`]).
+//! bit-reproducibility must document that tolerance (see the numerics
+//! contract in [`crate::dp`]).
 
 use crate::semiring::Semiring;
 

@@ -28,8 +28,8 @@
 //! * the [`dp`] drivers — `advance`, `advance_filtered`,
 //!   `advance_tracked` (Viterbi back-pointers), `advance_string`;
 //! * the [`exec`] strategy layer — [`Strategy`] names how a bound
-//!   query's layers advance (sparse CSR, blocked dense, parallel-prefix
-//!   scan) and [`ExecSteps`] dispatches the tracked driver over either
+//!   query's layers advance (sparse CSR or blocked dense) and
+//!   [`ExecSteps`] dispatches the tracked driver over either
 //!   whole-sequence storage; [`DenseSteps`] in [`dense`] is the no-CSR
 //!   storage with the SIMD multiply stage (AVX2 with a runtime-chosen
 //!   scalar fallback — see [`exec::simd_enabled`] /

@@ -1,8 +1,8 @@
 //! Layer storage for the dynamic-state DPs (subset construction /
 //! exact-reachable-configuration passes).
 //!
-//! These DPs key cells by `(node, reachable set)` or `(det-state, node)` —
-//! unbounded, discovered on the fly — so they cannot use the flat
+//! These DPs key cells by `(node, reachable set)` — unbounded,
+//! discovered on the fly — so they cannot use the flat
 //! [`crate::Workspace`]. A [`SubsetLayer`] wraps the `HashMap`
 //! accumulation and the sorted iteration the hand-rolled passes used:
 //! entries are always folded in ascending key order, so float accumulation

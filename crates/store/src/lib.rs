@@ -365,28 +365,6 @@ impl SequenceStore {
             .collect()
     }
 
-    /// [`SequenceStore::event_series`] with the scan strategy available:
-    /// each stream's series runs under the planner's pick — the
-    /// parallel-prefix scan on `n_threads` workers when the stream is
-    /// long and the query small, the sequential fold otherwise
-    /// (`n_threads == 0` = one worker per core). Unlike the fleet maps,
-    /// the parallelism here is *within* each stream's evaluation, so the
-    /// speedup applies even to a store holding one long stream. Scan
-    /// results agree with [`SequenceStore::event_series`] within a
-    /// relative `1e-12` (see `transmark_core::scan`).
-    pub fn event_series_parallel(
-        &self,
-        query: &Nfa,
-        n_threads: usize,
-    ) -> Result<BTreeMap<String, Vec<f64>>, StoreError> {
-        let n_threads = resolve_threads(n_threads);
-        let q = PreparedEventQuery::new(query.clone());
-        self.streams
-            .iter()
-            .map(|(n, m)| Ok((n.clone(), q.series_with(m, n_threads, None)?)))
-            .collect()
-    }
-
     /// Streams whose event probability reaches `threshold`, most probable
     /// first — the "which carts were (probably) in the contaminated lab"
     /// detection query.
@@ -753,22 +731,6 @@ mod tests {
         // Series last element equals the total probability.
         for (name, series) in store.event_series(&q).unwrap() {
             assert!((series.last().unwrap() - probs[&name]).abs() < 1e-12);
-        }
-        // The scan-capable form agrees with the fold within its
-        // documented relative tolerance at every position.
-        let seq = store.event_series(&q).unwrap();
-        let par = store.event_series_parallel(&q, 4).unwrap();
-        assert_eq!(
-            seq.keys().collect::<Vec<_>>(),
-            par.keys().collect::<Vec<_>>()
-        );
-        for (name, series) in &seq {
-            for (i, (a, b)) in series.iter().zip(&par[name]).enumerate() {
-                assert!(
-                    (a - b).abs() <= 1e-12 * a.abs().max(1.0),
-                    "{name}[{i}]: {a} vs {b}"
-                );
-            }
         }
     }
 

@@ -144,7 +144,7 @@ impl Monitor {
         } else {
             self.cfg.batch
         };
-        // The window machinery compiles once (scan DFA over the query)
+        // The window machinery compiles once (the query's lifted table)
         // and is shared read-only by every worker's sessions.
         let window_query = match self.cfg.window {
             Some(w) => Some(SlidingWindowQuery::new(self.nfa.clone(), w)?),

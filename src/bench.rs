@@ -15,7 +15,7 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
 
-use rand::{rngs::StdRng, SeedableRng};
+use rand::{rngs::StdRng, RngExt, SeedableRng};
 use transmark_obs::json::{self, Value};
 use transmark_workloads::{bio, hospital, rfid};
 
@@ -49,7 +49,7 @@ pub struct CaseResult {
     /// Median per-execution nanoseconds across runs.
     pub median_ns: u64,
     /// The execution strategy the case ran under (`sparse`, `dense`,
-    /// `scan`); `None` in snapshots written before strategies existed.
+    /// `window`); `None` in snapshots written before strategies existed.
     pub strategy: Option<String>,
     /// Work units (e.g. ticks) one execution performs, so
     /// `min_ns / units` is the per-unit cost; `None` where the case does
@@ -305,10 +305,9 @@ pub fn run_suite(runs: usize, iters: usize) -> Result<Vec<CaseResult>, CliError>
         }
     }
 
-    // series/*: the prefix-acceptance series at length 2^17 — the
-    // sequential subset fold vs the parallel-prefix scan on 4 workers,
-    // over a 3-state pattern query ("contains s1 s2") with real subset
-    // growth.
+    // series_fold: the prefix-acceptance series at length 2^17 over a
+    // 3-state pattern query ("contains s1 s2") with real subset growth.
+    // Declares its 2^17 ticks (series positions) as `units`.
     const SERIES_SEED: u64 = 11;
     let mut rng = StdRng::seed_from_u64(SERIES_SEED);
     let long = transmark_markov::generate::random_markov_sequence(
@@ -337,28 +336,80 @@ pub fn run_suite(runs: usize, iters: usize) -> Result<Vec<CaseResult>, CliError>
         "series_fold/2e17",
         SERIES_SEED,
         "sparse",
-        None,
+        Some(long.len() as u64),
         time_case(runs, series_iters, || {
-            std::hint::black_box(
-                event
-                    .series_with(&long, 1, Some(transmark_core::Strategy::Sparse))
-                    .expect("valid"),
-            );
+            std::hint::black_box(event.series(&long).expect("valid"));
         }),
     );
-    push(
-        "series_scan4/2e17",
-        SERIES_SEED,
-        "scan",
-        None,
-        time_case(runs, series_iters, || {
-            std::hint::black_box(
-                event
-                    .series_with(&long, 4, Some(transmark_core::Strategy::Scan))
-                    .expect("valid"),
-            );
-        }),
-    );
+
+    // series_nth13_{dense,sparse}: the same series over a many-subset
+    // query, "the 13th symbol from the end is s1" (2^13 reachable subsets,
+    // 2^14 lifted cells). On a chain with no zero transitions every
+    // subset is live after 13 steps, so each step visits every cell; on a
+    // chain with nine in ten transitions zero few cells are live at once
+    // while the table keeps growing. series_rand30_dense: a random
+    // 30-state query over three symbols on a chain with no zero
+    // transitions, whose live subsets are reached in no particular order.
+    // Each declares its ticks as `units`.
+    const NTH_SEED: u64 = 13;
+    let mut nth = transmark_core::Nfa::new(2);
+    let mut from = nth.add_state(false);
+    nth.add_transition(from, s0, from);
+    nth.add_transition(from, s1, from);
+    for i in 0..13 {
+        let to = nth.add_state(i == 12);
+        for s in [s0, s1] {
+            if i > 0 || s == s1 {
+                nth.add_transition(from, s, to);
+            }
+        }
+        from = to;
+    }
+    const RAND_SEED: u64 = 7;
+    let mut rng = StdRng::seed_from_u64(RAND_SEED);
+    let mut rand30 = transmark_core::Nfa::new(3);
+    let states: Vec<_> = (0..30).map(|i| rand30.add_state(i % 3 == 1)).collect();
+    for &a in &states {
+        for s in 0..3 {
+            for &b in &states {
+                if rng.random_bool(0.06) {
+                    rand30.add_transition(a, transmark_core::SymbolId(s), b);
+                }
+            }
+        }
+    }
+    for (case, query, seed, len, n_symbols, zero_prob) in [
+        ("series_nth13_dense/2e10", &nth, NTH_SEED, 1 << 10, 2, 0.0),
+        ("series_nth13_sparse/2e14", &nth, NTH_SEED, 1 << 14, 2, 0.9),
+        (
+            "series_rand30_dense/2e9",
+            &rand30,
+            RAND_SEED,
+            1 << 9,
+            3,
+            0.0,
+        ),
+    ] {
+        let query = transmark_core::PreparedEventQuery::new(query.clone());
+        let mut rng = StdRng::seed_from_u64(seed);
+        let chain = transmark_markov::generate::random_markov_sequence(
+            &transmark_markov::generate::RandomChainSpec {
+                len,
+                n_symbols,
+                zero_prob,
+            },
+            &mut rng,
+        );
+        push(
+            case,
+            seed,
+            "sparse",
+            Some(chain.len() as u64),
+            time_case(runs, series_iters, || {
+                std::hint::black_box(query.series(&chain).expect("valid"));
+            }),
+        );
+    }
 
     // window_slide vs window_recompute at 2^15 ticks, window 256: the
     // incremental sliding window pays amortized one operator composition
@@ -414,7 +465,8 @@ pub fn run_suite(runs: usize, iters: usize) -> Result<Vec<CaseResult>, CliError>
 
     // monitor/16x4096: 16 streams of 4096 positions multiplexed over one
     // query on 4 workers — prices the monitor's scheduling layer
-    // (round-robin lanes, tick batching, report backfill).
+    // (round-robin lanes, tick batching, report backfill). Declares its
+    // 16·4096 ticks as `units`.
     const MONITOR_SEED: u64 = 19;
     let mut rng = StdRng::seed_from_u64(MONITOR_SEED);
     let monitor_seqs: Vec<(String, transmark_markov::MarkovSequence)> = (0..16)
@@ -440,11 +492,12 @@ pub fn run_suite(runs: usize, iters: usize) -> Result<Vec<CaseResult>, CliError>
             batch: 0,
         },
     );
+    let monitor_ticks = monitor_seqs.iter().map(|(_, m)| m.len() as u64).sum();
     push(
         "monitor/16x4096",
         MONITOR_SEED,
         "sparse",
-        None,
+        Some(monitor_ticks),
         time_case(runs, window_iters, || {
             std::hint::black_box(monitor.run_sequences(&monitor_refs).expect("valid"));
         }),

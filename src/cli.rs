@@ -197,12 +197,11 @@ COMMON OPTIONS (accepted by every command):
   --explain            print the compiled query plan — its Table 2 route, machine
                        shape, and precompile cost — before the results
   --threads N          (batch) evaluate the fleet on N OS threads; 0 = one per
-                       available core (default 1); also the worker count of
-                       the scan strategy (stream)
-  --strategy S         force the execution strategy: sparse (CSR layer walk),
-                       dense (blocked matrix rows, SIMD when available), or
-                       scan (parallel-prefix over the series; stream only).
-                       Default: planner choice from layer density and length
+                       available core (default 1)
+  --strategy S         force the execution strategy of a transducer query:
+                       sparse (CSR layer walk) or dense (blocked matrix rows,
+                       SIMD when available). Default: planner choice from
+                       layer density and length
   --metrics[=json]     append a metrics report for this invocation: plan kind,
                        cache hit rates, per-phase timings, kernel/data-plane
                        counters, and fleet statistics; =json emits the raw
@@ -267,7 +266,7 @@ pub enum MetricsFormat {
 pub struct CommonOpts {
     /// `--threads N` — fleet parallelism (`batch`); 0 = one per core.
     pub threads: usize,
-    /// `--strategy sparse|dense|scan` — force the execution strategy
+    /// `--strategy sparse|dense` — force the execution strategy
     /// instead of the planner's density/length heuristic.
     pub strategy: Option<Strategy>,
     /// `--explain` — print the compiled plan before the results.
@@ -584,7 +583,7 @@ fn metrics_report(s: &Snapshot) -> String {
 
     // Execution strategies the planner picked (or was forced into) in
     // this window.
-    let strategies: Vec<String> = ["sparse", "dense", "scan"]
+    let strategies: Vec<String> = ["sparse", "dense"]
         .iter()
         .filter_map(|name| {
             let n = s.counter(&format!("planner.strategy.{name}"));
@@ -954,23 +953,20 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
             let query_path = args.remove(0);
             let t = load_transducer(&query_path)?;
             // The running Boolean event query: Pr(S[1..t] ∈ L(A)) for the
-            // query's underlying input automaton. Default is the one-pass
-            // fold, one layer at a time (memory independent of stream
-            // length); `--strategy scan` materializes a file input and
-            // runs the parallel-prefix scan on `--threads` workers.
+            // query's underlying input automaton, folded one layer at a
+            // time (memory independent of stream length).
             let nfa = t.underlying_nfa();
+            if let Some(s) = opts.strategy {
+                if s != Strategy::Sparse {
+                    return Err(run_err(format!(
+                        "--strategy {s} cannot run stream: the series folds one layer \
+                         at a time (dense applies to transducer queries)"
+                    )));
+                }
+            }
             if window.is_some() || checkpoint_at.is_some() || resume_path.is_some() {
                 // Incremental session path: checkpointable, resumable,
-                // optionally windowed. Strictly one layer at a time, so
-                // only the sparse fold applies.
-                if let Some(s) = opts.strategy {
-                    if s != Strategy::Sparse {
-                        return Err(run_err(format!(
-                            "--strategy {s} cannot run the incremental stream path \
-                             (checkpoints and windows fold one layer at a time)"
-                        )));
-                    }
-                }
+                // optionally windowed.
                 let resume_blob = resume_path
                     .as_deref()
                     .map(std::fs::read)
@@ -1006,22 +1002,8 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
                     }
                 }
             } else {
-                let series = match (args.first().map(String::as_str), opts.strategy) {
-                    (Some(path), Some(Strategy::Scan)) if path != "-" => {
-                        let m = load_sequence(path)?;
-                        PreparedEventQuery::new(nfa).series_with(
-                            &m,
-                            opts.threads,
-                            Some(Strategy::Scan),
-                        )?
-                    }
-                    (_, Some(s)) if s != Strategy::Sparse => {
-                        return Err(run_err(format!(
-                            "--strategy {s} cannot run stream from stdin: the scan needs a \
-                         materialized file input (and dense applies to transducer queries)"
-                        )));
-                    }
-                    (Some(path), _) if path != "-" => {
+                let series = match args.first().map(String::as_str) {
+                    Some(path) if path != "-" => {
                         let mut src = transmark_markov::fsio::open_step_source(Path::new(path))
                             .map_err(|e| run_err(format!("{path}: {e}")))?;
                         PreparedEventQuery::new(nfa).series_source(&mut src)?

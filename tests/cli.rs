@@ -554,7 +554,7 @@ fn stream_checkpoint_resume_and_window() {
         "--window",
         "2",
         "--strategy",
-        "scan",
+        "dense",
     ]))
     .is_err());
 
