@@ -3,11 +3,15 @@
 //!
 //! Two pieces deserve a note:
 //!
-//! * [`Determinizer`] performs *on-the-fly* subset construction. The query
-//!   engine uses it for Theorem 5.5 (s-projector confidence), where only
-//!   the subsets actually reachable while scanning the Markov sequence are
-//!   materialized — this is what turns the naive `2^{|Q|}` blow-up into the
-//!   paper's `|Q_B|²·4^{|Q_E|}`-style bound without special-casing.
+//! * [`DetCore`] performs *on-the-fly* subset construction: a successor
+//!   is interned only when a caller asks for it, so only the subsets
+//!   actually reached are materialized. [`determinize`] drives it to
+//!   completion. The engine's Theorem 5.5 path and its event monitors
+//!   step their own flat lifted table instead (`LiftedDfa` in
+//!   `transmark_core::confidence`), which interns subsets in the same
+//!   order; reaching only the live subsets is what turns the naive
+//!   `2^{|Q|}` blow-up into the paper's `|Q_B|²·4^{|Q_E|}`-style bound
+//!   without special-casing.
 //! * [`concat_nfa`] builds the concatenation of two epsilon-free NFAs
 //!   without introducing epsilon transitions, which keeps the engine's DP
 //!   layers aligned with Markov-sequence positions.
@@ -24,16 +28,16 @@ use crate::nfa::{Nfa, StateId};
 // Determinization
 // ---------------------------------------------------------------------------
 
-/// The NFA-free state of an on-the-fly subset construction: interned
-/// subsets, their dense ids, and the cached transition table.
+/// On-the-fly subset construction over an [`Nfa`], holding no borrow of
+/// it: interned subsets, their dense ids, and the cached transition
+/// table.
 ///
-/// [`Determinizer`] wraps this with a borrowed NFA for the common case; a
-/// consumer that *owns* its NFA (e.g. a long-lived streaming monitor)
-/// holds a `DetCore` beside the automaton and passes `&Nfa` per call —
-/// avoiding the self-referential borrow a `Determinizer<'a>` field would
-/// force. Both produce identical subset ids: `{q0}` is id `0` and new
-/// subsets are interned densely in discovery order, so reductions that
-/// order by id are bit-reproducible across either form.
+/// [`DetCore::step`] computes (and caches) the successor of a
+/// subset-state under a symbol, taking the automaton per call, so a
+/// consumer that owns its NFA holds a `DetCore` beside it with no
+/// self-referential borrow. `{q0}` is id `0` and new subsets are interned
+/// densely in discovery order, so reductions that order by id are
+/// bit-reproducible.
 pub struct DetCore {
     accepting: BitSet,
     subsets: Vec<BitSet>,
@@ -108,93 +112,21 @@ impl DetCore {
         self.trans[slot] = next_id;
         next_id
     }
-
-    /// Interns `subset` exactly as [`DetCore::step`] would on first
-    /// discovery, returning its dense id (existing subsets return their
-    /// original id). Checkpoint resume uses this to replay a fold's
-    /// discovery order: re-interning the serialized subsets in id order
-    /// rebuilds identical ids, so reductions that order by id stay
-    /// bit-reproducible across suspend/resume. The transition cache is
-    /// left cold — it refills deterministically on demand.
-    pub fn intern(&mut self, subset: BitSet) -> usize {
-        match self.ids.get(&subset) {
-            Some(&i) => i,
-            None => {
-                let i = self.subsets.len();
-                self.ids.insert(subset.clone(), i);
-                self.subsets.push(subset);
-                self.trans.extend((0..self.n_symbols).map(|_| usize::MAX));
-                i
-            }
-        }
-    }
-}
-
-/// On-the-fly subset construction over an [`Nfa`].
-///
-/// Determinized states are interned lazily: [`Determinizer::step`] computes
-/// (and caches) the successor of a subset-state under a symbol. Subset
-/// states are identified by dense `usize` ids; id `0` is the initial subset
-/// `{q0}`. A thin borrow-carrying wrapper around [`DetCore`].
-pub struct Determinizer<'a> {
-    nfa: &'a Nfa,
-    core: DetCore,
-}
-
-impl<'a> Determinizer<'a> {
-    /// Starts determinizing `nfa`.
-    pub fn new(nfa: &'a Nfa) -> Self {
-        Self {
-            core: DetCore::new(nfa),
-            nfa,
-        }
-    }
-
-    /// The id of the initial subset `{q0}`.
-    pub fn initial(&self) -> usize {
-        self.core.initial()
-    }
-
-    /// Number of subset states materialized so far.
-    pub fn n_materialized(&self) -> usize {
-        self.core.n_materialized()
-    }
-
-    /// The subset of NFA states behind a determinized state.
-    pub fn subset(&self, id: usize) -> &BitSet {
-        self.core.subset(id)
-    }
-
-    /// Whether the determinized state is accepting (its subset contains an
-    /// accepting NFA state).
-    pub fn is_accepting(&self, id: usize) -> bool {
-        self.core.is_accepting(id)
-    }
-
-    /// Whether the determinized state is the dead (empty) subset.
-    pub fn is_dead(&self, id: usize) -> bool {
-        self.core.is_dead(id)
-    }
-
-    /// The successor of subset-state `id` under `symbol`.
-    pub fn step(&mut self, id: usize, symbol: SymbolId) -> usize {
-        self.core.step(self.nfa, id, symbol)
-    }
 }
 
 /// Eager subset construction: the complete DFA for `L(nfa)`.
 pub fn determinize(nfa: &Nfa) -> Dfa {
-    let mut det = Determinizer::new(nfa);
+    let mut det = DetCore::new(nfa);
     let mut dfa = Dfa::new(nfa.n_symbols());
     // Subset ids are discovered in BFS order and coincide with DFA state
-    // ids because Determinizer interns subsets densely.
+    // ids because DetCore interns subsets densely.
     let mut frontier = vec![0usize];
     dfa.add_state(det.is_accepting(0));
     let mut known = 1usize;
     while let Some(id) = frontier.pop() {
         for s in 0..nfa.n_symbols() {
             let sym = SymbolId(s as u32);
-            let to = det.step(id, sym);
+            let to = det.step(nfa, id, sym);
             while to >= known {
                 dfa.add_state(det.is_accepting(known));
                 frontier.push(known);
@@ -531,35 +463,14 @@ mod tests {
     fn on_the_fly_matches_eager() {
         let n = ends_ab();
         let d = determinize(&n);
-        let mut det = Determinizer::new(&n);
+        let mut det = DetCore::new(&n);
         for s in all_strings(2, 5) {
             let mut id = det.initial();
             for &c in &s {
-                id = det.step(id, c);
+                id = det.step(&n, id, c);
             }
             assert_eq!(det.is_accepting(id), d.accepts(&s), "mismatch on {s:?}");
         }
-    }
-
-    /// A `DetCore` driven directly must intern the exact same subset ids,
-    /// in the same discovery order, as the borrowing `Determinizer`.
-    #[test]
-    fn det_core_ids_match_determinizer() {
-        let n = ends_ab();
-        let mut wrapper = Determinizer::new(&n);
-        let mut core = DetCore::new(&n);
-        for s in all_strings(2, 5) {
-            let mut a = wrapper.initial();
-            let mut b = core.initial();
-            for &c in &s {
-                a = wrapper.step(a, c);
-                b = core.step(&n, b, c);
-                assert_eq!(a, b, "subset id diverged on {s:?}");
-            }
-            assert_eq!(wrapper.is_accepting(a), core.is_accepting(b));
-            assert_eq!(wrapper.is_dead(a), core.is_dead(b));
-        }
-        assert_eq!(wrapper.n_materialized(), core.n_materialized());
     }
 
     #[test]

@@ -219,7 +219,7 @@ fn word_dfa_language_is_singleton() {
 
 mod determinizer_props {
     use super::*;
-    use transmark_automata::ops::Determinizer;
+    use transmark_automata::ops::DetCore;
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
@@ -229,11 +229,11 @@ mod determinizer_props {
         #[test]
         fn determinizer_tracks_reach_sets(spec in super::nfa_spec()) {
             let nfa = super::build_nfa(&spec);
-            let mut det = Determinizer::new(&nfa);
+            let mut det = DetCore::new(&nfa);
             for s in super::all_strings(spec.n_symbols, 4) {
                 let mut id = det.initial();
                 for &c in &s {
-                    id = det.step(id, c);
+                    id = det.step(&nfa, id, c);
                 }
                 let reach = nfa.reachable_after(&s);
                 prop_assert_eq!(det.is_dead(id), reach.is_empty());

@@ -46,8 +46,8 @@ use std::sync::Arc;
 use transmark_automata::Alphabet;
 
 use crate::error::MarkovError;
-use crate::sequence::{from_validated_parts, validate_matrix, validate_vector, MarkovSequence};
-use crate::source::{RewindableStepSource, SourceError, StepSource};
+use crate::sequence::{validate_matrix, validate_vector, MarkovSequence};
+use crate::source::{materialize, RewindableStepSource, SourceError, StepSource};
 
 /// File magic: `"TMSB"`.
 pub const MAGIC: [u8; 4] = *b"TMSB";
@@ -205,42 +205,6 @@ fn decode_f64s(bytes: &[u8], out: &mut Vec<f64>) {
     }
 }
 
-/// `Read`-backed streaming `.tmsb` reader: pulls one fixed-stride layer
-/// per [`StepSource::next_step`], holding O(|Σ|²) memory. Rewindable when
-/// the underlying reader is seekable (files, in-memory cursors).
-pub struct TmsbReader<R> {
-    reader: R,
-    alphabet: Arc<Alphabet>,
-    n: usize,
-    initial: Vec<f64>,
-    pos: usize,
-    /// Byte offset of the first layer, for rewinding.
-    layers_start: u64,
-    /// `8·|Σ|²`, the byte span of one layer.
-    stride: usize,
-    raw: Vec<u8>,
-    buf: Vec<f64>,
-}
-
-impl<R: Read> TmsbReader<R> {
-    /// Reads and validates the header, names, and initial distribution.
-    pub fn new(mut reader: R) -> Result<Self, SourceError> {
-        let p = read_prelude(&mut reader)?;
-        let k = p.alphabet.len();
-        Ok(TmsbReader {
-            reader,
-            stride: layer_stride(k)?,
-            raw: Vec::new(),
-            buf: Vec::new(),
-            alphabet: p.alphabet,
-            n: p.n,
-            initial: p.initial,
-            pos: 0,
-            layers_start: p.layers_start,
-        })
-    }
-}
-
 /// `8·|Σ|²`, the byte span of one layer, with the multiplication checked
 /// so a hostile header cannot wrap the stride into a short buffer (and,
 /// downstream, a short `&[f64]` layer slice).
@@ -253,89 +217,6 @@ fn layer_stride(k: usize) -> Result<usize, SourceError> {
 /// The first size of a layer buffer; it doubles from here as bytes
 /// arrive, up to the layer's stride.
 const FILL_START: usize = 1 << 16;
-
-/// Reads the rest of one `stride`-byte layer into `raw`, resuming at
-/// `*filled`. `raw` grows only as bytes arrive (doubling from
-/// [`FILL_START`], never past `stride`), so a claimed `|Σ|` sizes no
-/// allocation on its own: a peer must send the bytes it claims. An I/O
-/// error keeps the partial fill. Counting the bytes that arrived before
-/// an end of input tells a payload that ends at a layer boundary (clean
-/// truncation) from one that ends mid-layer — the header's `|Σ|`
-/// disagrees with the actual stride, reported as the typed
-/// [`SourceError::Stride`] rather than a short decode.
-fn fill_layer<R: Read>(
-    reader: &mut R,
-    raw: &mut Vec<u8>,
-    filled: &mut usize,
-    stride: usize,
-    step: usize,
-) -> Result<(), SourceError> {
-    while *filled < stride {
-        if *filled == raw.len() {
-            raw.resize(stride.min(raw.len().saturating_mul(2).max(FILL_START)), 0);
-        }
-        match reader.read(&mut raw[*filled..]) {
-            Ok(0) => break,
-            Ok(nread) => *filled += nread,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(SourceError::Io(e)),
-        }
-    }
-    if *filled < stride {
-        return Err(if *filled == 0 {
-            ferr(format!("layer {step} truncated"))
-        } else {
-            SourceError::Stride {
-                step,
-                expected: stride,
-                actual: *filled,
-            }
-        });
-    }
-    Ok(())
-}
-
-impl<R: Read> StepSource for TmsbReader<R> {
-    fn alphabet(&self) -> &Arc<Alphabet> {
-        &self.alphabet
-    }
-
-    fn len(&self) -> usize {
-        self.n
-    }
-
-    fn initial(&self) -> &[f64] {
-        &self.initial
-    }
-
-    fn position(&self) -> usize {
-        self.pos
-    }
-
-    fn next_step(&mut self) -> Result<Option<&[f64]>, SourceError> {
-        if self.pos + 1 >= self.n {
-            return Ok(None);
-        }
-        let step = self.pos;
-        let t = transmark_obs::Timer::start();
-        fill_layer(&mut self.reader, &mut self.raw, &mut 0, self.stride, step)?;
-        decode_f64s(&self.raw, &mut self.buf);
-        validate_matrix(&self.buf, self.alphabet.len(), "transition", step)?;
-        self.pos += 1;
-        t.observe(transmark_obs::histogram!("dataplane.tmsb.decode_ns"));
-        crate::obs::record_step(self.buf.len());
-        Ok(Some(&self.buf))
-    }
-}
-
-impl<R: Read + Seek> RewindableStepSource for TmsbReader<R> {
-    fn rewind(&mut self) -> Result<(), SourceError> {
-        crate::obs::record_rewind();
-        self.reader.seek(SeekFrom::Start(self.layers_start))?;
-        self.pos = 0;
-        Ok(())
-    }
-}
 
 /// The `.tmsb` prelude — everything before the layer payload — parsed
 /// without consuming any layers.
@@ -432,10 +313,11 @@ pub fn read_prelude<R: Read>(reader: &mut R) -> Result<TmsbPrelude, SourceError>
 /// A layer puller with *persisted fill state*, for byte streams that can
 /// be interrupted mid-layer and retried.
 ///
-/// [`TmsbReader`] owns its reader and treats any I/O error as fatal. A
-/// serving loop multiplexing control frames into a data stream instead
-/// surfaces an out-of-band request as a marker `io::Error` from `read` —
-/// possibly in the middle of a layer. `RawLayerReader` keeps the bytes
+/// It is the one layer decoder of the streaming readers: [`TmsbReader`]
+/// pairs it with an owned reader, and a serving loop feeds it a socket. A
+/// loop multiplexing control frames into a data stream surfaces an
+/// out-of-band request as a marker `io::Error` from `read` — possibly in
+/// the middle of a layer. `RawLayerReader` keeps the bytes
 /// already filled across that error, so the caller can service the
 /// request (e.g. emit a checkpoint) and call
 /// [`RawLayerReader::next_layer`] again; the retried call resumes the
@@ -502,6 +384,43 @@ impl RawLayerReader {
         self.filled != 0
     }
 
+    /// Reads the rest of layer `step` into `raw`, resuming at `filled`.
+    /// `raw` grows only as bytes arrive (doubling from [`FILL_START`],
+    /// never past the stride), so a claimed `|Σ|` sizes no allocation on
+    /// its own: a peer must send the bytes it claims. An I/O error keeps
+    /// the partial fill. Counting the bytes that arrived before an end of
+    /// input tells a payload that ends at a layer boundary (clean
+    /// truncation) from one that ends mid-layer — the header's `|Σ|`
+    /// disagrees with the actual stride, reported as the typed
+    /// [`SourceError::Stride`] rather than a short decode.
+    fn fill<R: Read>(&mut self, reader: &mut R, step: usize) -> Result<(), SourceError> {
+        let stride = self.stride;
+        while self.filled < stride {
+            if self.filled == self.raw.len() {
+                let grown = self.raw.len().saturating_mul(2).max(FILL_START);
+                self.raw.resize(stride.min(grown), 0);
+            }
+            match reader.read(&mut self.raw[self.filled..]) {
+                Ok(0) => break,
+                Ok(nread) => self.filled += nread,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(SourceError::Io(e)),
+            }
+        }
+        if self.filled < stride {
+            return Err(if self.filled == 0 {
+                ferr(format!("layer {step} truncated"))
+            } else {
+                SourceError::Stride {
+                    step,
+                    expected: stride,
+                    actual: self.filled,
+                }
+            });
+        }
+        Ok(())
+    }
+
     /// Pulls the next validated layer from `reader`, or `None` when all
     /// `n − 1` layers have been consumed.
     ///
@@ -516,7 +435,7 @@ impl RawLayerReader {
         }
         let step = self.pos;
         let t = transmark_obs::Timer::start();
-        fill_layer(reader, &mut self.raw, &mut self.filled, self.stride, step)?;
+        self.fill(reader, step)?;
         self.filled = 0;
         decode_f64s(&self.raw, &mut self.buf);
         validate_matrix(&self.buf, self.k, "transition", step)?;
@@ -524,6 +443,62 @@ impl RawLayerReader {
         t.observe(transmark_obs::histogram!("dataplane.tmsb.decode_ns"));
         crate::obs::record_step(self.buf.len());
         Ok(Some(&self.buf))
+    }
+}
+
+/// `Read`-backed streaming `.tmsb` reader: a [`TmsbPrelude`] and a
+/// [`RawLayerReader`] over one owned reader, pulling one fixed-stride
+/// layer per [`StepSource::next_step`] and holding O(|Σ|²) memory.
+/// Rewindable when the underlying reader is seekable (files, in-memory
+/// cursors).
+pub struct TmsbReader<R> {
+    reader: R,
+    prelude: TmsbPrelude,
+    layers: RawLayerReader,
+}
+
+impl<R: Read> TmsbReader<R> {
+    /// Reads and validates the header, names, and initial distribution.
+    pub fn new(mut reader: R) -> Result<Self, SourceError> {
+        let prelude = read_prelude(&mut reader)?;
+        let layers = RawLayerReader::new(&prelude)?;
+        Ok(TmsbReader {
+            reader,
+            prelude,
+            layers,
+        })
+    }
+}
+
+impl<R: Read> StepSource for TmsbReader<R> {
+    fn alphabet(&self) -> &Arc<Alphabet> {
+        &self.prelude.alphabet
+    }
+
+    fn len(&self) -> usize {
+        self.prelude.n
+    }
+
+    fn initial(&self) -> &[f64] {
+        &self.prelude.initial
+    }
+
+    fn position(&self) -> usize {
+        self.layers.position()
+    }
+
+    fn next_step(&mut self) -> Result<Option<&[f64]>, SourceError> {
+        self.layers.next_layer(&mut self.reader)
+    }
+}
+
+impl<R: Read + Seek> RewindableStepSource for TmsbReader<R> {
+    fn rewind(&mut self) -> Result<(), SourceError> {
+        crate::obs::record_rewind();
+        self.reader
+            .seek(SeekFrom::Start(self.prelude.layers_start))?;
+        self.layers = RawLayerReader::new(&self.prelude)?;
+        Ok(())
     }
 }
 
@@ -679,18 +654,9 @@ impl RewindableStepSource for TmsbSlice<'_> {
 
 /// Materializes a `.tmsb` byte buffer into a [`MarkovSequence`],
 /// validating every distribution (the round-trip check of the
-/// `tms ↔ tmsb` converter).
+/// `tms ↔ tmsb` converter): [`materialize`] over a [`TmsbSlice`].
 pub fn from_tmsb_bytes(data: &[u8]) -> Result<MarkovSequence, SourceError> {
-    let mut slice = TmsbSlice::new(data)?;
-    let alphabet = Arc::clone(slice.alphabet());
-    let k = alphabet.len();
-    let n = slice.len();
-    let initial = slice.initial().to_vec();
-    let mut transitions = Vec::with_capacity((n - 1) * k * k);
-    while let Some(m) = slice.next_step()? {
-        transitions.extend_from_slice(m);
-    }
-    Ok(from_validated_parts(alphabet, initial, transitions))
+    materialize(&mut TmsbSlice::new(data)?)
 }
 
 #[cfg(test)]

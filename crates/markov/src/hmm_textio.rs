@@ -145,7 +145,9 @@ pub fn from_text(text: &str) -> Result<Hmm, TextIoError> {
         if line != header {
             return Err(err(ln, format!("expected \"{header}\", found {line:?}")));
         }
-        let mut out = Vec::with_capacity(k * cols);
+        // Grown row by row: `k` and `cols` are only claims until the rows
+        // arrive.
+        let mut out = Vec::new();
         for row in 0..k {
             let (ln, body) = lines
                 .next()
@@ -216,5 +218,22 @@ mod tests {
         // Rows that parse but are not distributions: a model error.
         let bad_dist = "hmm v1\nhidden a b\nobservations x\ninitial 0.7 0.7\ntransition\n1 0\n0 1\nemission\n1\n1\n";
         assert!(matches!(from_text(bad_dist), Err(TextIoError::Model(_))));
+    }
+
+    #[test]
+    fn wide_model_reserves_nothing_the_file_cannot_back() {
+        // 10^5 hidden symbols imply an 80 GB transition table; the file
+        // holds one number of it.
+        let k = 100_000;
+        let names: Vec<String> = (0..k).map(|i| format!("h{i}")).collect();
+        let text = format!(
+            "hmm v1\nhidden {}\nobservations x\ninitial 1{}\ntransition\n1\n",
+            names.join(" "),
+            " 0".repeat(k - 1)
+        );
+        match from_text(&text) {
+            Err(TextIoError::Parse(e)) => assert_eq!(e.line, 6, "{e}"),
+            other => panic!("expected a parse error on line 6, got {other:?}"),
+        }
     }
 }

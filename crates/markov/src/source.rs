@@ -301,21 +301,25 @@ impl RewindableStepSource for SequenceSource<'_> {
 
 /// Drains a source into a fully materialized [`MarkovSequence`] (the flat
 /// SoA buffer). The inverse of [`MarkovSequence::step_source`]; used by
-/// consumers that genuinely need random access.
+/// consumers that genuinely need random access, and the last step of
+/// every whole-sequence decoder.
+///
+/// The buffer grows as the layers arrive: a source claiming a length its
+/// data cannot back fails at its first missing layer, having sized
+/// nothing from the claim.
 pub fn materialize<S: StepSource>(src: &mut S) -> Result<MarkovSequence, SourceError> {
     let alphabet = Arc::clone(src.alphabet());
     let k = alphabet.len();
-    let n = src.len();
     let initial = src.initial().to_vec();
-    let mut transitions = Vec::with_capacity(n.saturating_sub(1) * k * k);
+    let mut transitions = Vec::new();
     while let Some(m) = src.next_step()? {
         transitions.extend_from_slice(m);
     }
-    if transitions.len() != n.saturating_sub(1) * k * k {
+    let expected = src.len().saturating_sub(1).saturating_mul(k * k);
+    if transitions.len() != expected {
         return Err(SourceError::Format(format!(
-            "source yielded {} step entries, expected {}",
-            transitions.len(),
-            n.saturating_sub(1) * k * k
+            "source yielded {} step entries, expected {expected}",
+            transitions.len()
         )));
     }
     Ok(crate::sequence::from_validated_parts(

@@ -24,16 +24,22 @@
 //!   (row = source node, in alphabet order);
 //! * probabilities accept anything `f64::from_str` does.
 //!
-//! Parsing validates through [`MarkovSequenceBuilder`], so a file that
-//! parses is a *valid* Markov sequence (rows summing to 1, etc.).
+//! The format has one decoder, the streaming [`TmsTextSource`];
+//! [`from_text`] drains it through [`crate::source::materialize`]. Every
+//! distribution is validated as its line or layer arrives, so a file that
+//! parses is a *valid* Markov sequence (rows summing to 1, etc.). No
+//! buffer is sized from a claimed `length` or `|Σ|`: each grows with the
+//! numbers actually read.
 
 use std::fmt::Write as _;
+use std::io::BufRead;
 use std::sync::Arc;
 
 use transmark_automata::{Alphabet, SymbolId};
 
 use crate::error::MarkovError;
-use crate::sequence::{MarkovSequence, MarkovSequenceBuilder};
+use crate::sequence::{validate_matrix, validate_vector, MarkovSequence};
+use crate::source::{materialize, SourceError, StepSource};
 
 /// A parse failure with its (1-based) line number.
 #[derive(Debug, Clone, PartialEq)]
@@ -78,13 +84,6 @@ impl From<MarkovError> for TextIoError {
     }
 }
 
-fn err(line: usize, message: impl Into<String>) -> TextIoError {
-    TextIoError::Parse(ParseError {
-        line,
-        message: message.into(),
-    })
-}
-
 /// Serializes a sequence to the v1 text format.
 pub fn to_text(m: &MarkovSequence) -> String {
     let k = m.n_symbols();
@@ -112,109 +111,38 @@ pub fn to_text(m: &MarkovSequence) -> String {
     out
 }
 
-/// Parses the v1 text format.
+/// Parses the v1 text format: a [`TmsTextSource`] over the text, drained
+/// into a [`MarkovSequence`].
+///
+/// Every transition entry takes at least two bytes of the text (a number
+/// and its separator), so a `length` whose `(n−1)·|Σ|²` entries the text
+/// cannot hold is rejected at the `length` line, before any row is read.
 pub fn from_text(text: &str) -> Result<MarkovSequence, TextIoError> {
-    // Meaningful lines with their 1-based numbers.
-    let mut lines = text
-        .lines()
-        .enumerate()
-        .map(|(i, l)| (i + 1, l.trim()))
-        .filter(|(_, l)| !l.is_empty() && !l.starts_with('#'));
-
-    let (ln, header) = lines.next().ok_or_else(|| err(0, "empty input"))?;
-    if header != "markov-sequence v1" {
-        return Err(err(
-            ln,
-            format!("expected \"markov-sequence v1\", found {header:?}"),
-        ));
-    }
-
-    let (ln, alpha_line) = lines
-        .next()
-        .ok_or_else(|| err(0, "missing alphabet line"))?;
-    let mut parts = alpha_line.split_whitespace();
-    if parts.next() != Some("alphabet") {
-        return Err(err(ln, "expected \"alphabet <names…>\""));
-    }
-    let names: Vec<&str> = parts.collect();
-    if names.is_empty() {
-        return Err(err(ln, "alphabet must have at least one symbol"));
-    }
-    let alphabet = Arc::new(Alphabet::from_names(names.iter().copied()));
-    if alphabet.len() != names.len() {
-        return Err(err(ln, "duplicate symbol names in alphabet"));
-    }
-    let k = alphabet.len();
-
-    let (ln, len_line) = lines.next().ok_or_else(|| err(0, "missing length line"))?;
-    let n: usize = len_line
-        .strip_prefix("length")
-        .map(str::trim)
-        .ok_or_else(|| err(ln, "expected \"length <n>\""))?
-        .parse()
-        .map_err(|e| err(ln, format!("bad length: {e}")))?;
-    // Every transition entry takes at least two bytes of the text (a
-    // number and its separator), so a length whose (n−1)·k² entries the
-    // text cannot hold is rejected before it sizes the builder's buffer.
-    let entries = n.saturating_sub(1).saturating_mul(k).saturating_mul(k);
-    if entries > text.len().div_ceil(2) {
-        return Err(err(
-            ln,
-            format!("length {n} needs {entries} transition entries; the text cannot hold them"),
-        ));
-    }
-
-    let parse_row = |ln: usize, line: &str, what: &str| -> Result<Vec<f64>, TextIoError> {
-        let vals: Result<Vec<f64>, _> = line.split_whitespace().map(str::parse).collect();
-        let vals = vals.map_err(|e| err(ln, format!("bad number in {what}: {e}")))?;
-        if vals.len() != k {
-            return Err(err(
-                ln,
-                format!("{what} has {} entries, expected {k}", vals.len()),
-            ));
-        }
-        Ok(vals)
-    };
-
-    let (ln, init_line) = lines.next().ok_or_else(|| err(0, "missing initial line"))?;
-    let init_body = init_line
-        .strip_prefix("initial")
-        .ok_or_else(|| err(ln, "expected \"initial <p…>\""))?;
-    let initial = parse_row(ln, init_body, "initial distribution")?;
-
-    let mut b = MarkovSequenceBuilder::new(Arc::clone(&alphabet), n).initial_dist(&initial);
-    for step in 0..n.saturating_sub(1) {
-        let (ln, step_line) = lines
-            .next()
-            .ok_or_else(|| err(0, format!("missing \"step {step}\" header")))?;
-        if step_line != format!("step {step}") {
-            return Err(err(
-                ln,
-                format!("expected \"step {step}\", found {step_line:?}"),
-            ));
-        }
-        let mut matrix = Vec::with_capacity(k * k);
-        for row in 0..k {
-            let (ln, row_line) = lines
-                .next()
-                .ok_or_else(|| err(0, format!("missing row {row} of step {step}")))?;
-            matrix.extend(parse_row(ln, row_line, &format!("step {step} row {row}"))?);
-        }
-        b = b.transition_matrix(step, &matrix);
-    }
-    if let Some((ln, extra)) = lines.next() {
-        return Err(err(ln, format!("unexpected trailing content: {extra:?}")));
-    }
-    Ok(b.build()?)
+    TmsTextSource::open(text.as_bytes(), Some(text.len()))
+        .and_then(|mut src| materialize(&mut src))
+        .map_err(|e| match e {
+            SourceError::Parse { line, message } => {
+                TextIoError::Parse(ParseError { line, message })
+            }
+            SourceError::Model(e) => TextIoError::Model(e),
+            // Reading a `&str` cannot fail, and text has no binary layout.
+            other => TextIoError::Parse(ParseError {
+                line: 0,
+                message: other.to_string(),
+            }),
+        })
 }
 
 /// A chunked, incremental reader of the v1 text format: a
-/// [`StepSource`] that parses one `step` block
-/// at a time from any [`BufRead`], holding O(|Σ|²) state regardless of
-/// sequence length. Feeding it the output of [`to_text`] yields exactly
-/// the matrices [`from_text`] would materialize (same `f64::from_str`
-/// parses), so streamed evaluation is bit-identical to the in-memory
-/// path.
+/// [`StepSource`] that parses one `step` block at a time from any
+/// [`BufRead`], holding one layer of state regardless of sequence length.
+/// It is the format's only decoder: [`from_text`] drains one, so streamed
+/// evaluation is bit-identical to the in-memory path (the same
+/// `f64::from_str` parses feed both).
+///
+/// Each row is parsed straight into the layer buffer, which grows with
+/// the numbers read and is reused across layers: a header claiming a
+/// huge `|Σ|` or `length` sizes nothing until its rows arrive.
 ///
 /// Forward-only: text readers (files, pipes, stdin) are consumed as they
 /// are parsed. Use the binary format ([`crate::binio`]) when a
@@ -228,15 +156,10 @@ pub struct TmsTextSource<R> {
     n: usize,
     initial: Vec<f64>,
     pos: usize,
-    /// Reused `|Σ|²` matrix buffer.
+    /// Reused layer buffer, grown as rows arrive.
     buf: Vec<f64>,
     trailing_checked: bool,
 }
-
-use std::io::BufRead;
-
-use crate::sequence::{validate_matrix, validate_vector};
-use crate::source::{SourceError, StepSource};
 
 fn serr(line: usize, message: impl Into<String>) -> SourceError {
     SourceError::Parse {
@@ -245,11 +168,70 @@ fn serr(line: usize, message: impl Into<String>) -> SourceError {
     }
 }
 
+/// The row a line of numbers fills, named only in error messages.
+#[derive(Clone, Copy)]
+enum Row {
+    Initial,
+    Step { step: usize, row: usize },
+}
+
+impl std::fmt::Display for Row {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Row::Initial => f.write_str("initial distribution"),
+            Row::Step { step, row } => write!(f, "step {step} row {row}"),
+        }
+    }
+}
+
+/// Appends the `k` numbers of `body` to `out`. A bad number anywhere in
+/// the line is reported before a wrong count, and at most `k` numbers are
+/// kept, so `out` grows only with numbers the line actually holds.
+fn parse_row(
+    ln: usize,
+    body: &str,
+    k: usize,
+    row: Row,
+    out: &mut Vec<f64>,
+) -> Result<(), SourceError> {
+    let mut count = 0usize;
+    for token in body.split_whitespace() {
+        let p: f64 = token
+            .parse()
+            .map_err(|e| serr(ln, format!("bad number in {row}: {e}")))?;
+        if count < k {
+            out.push(p);
+        }
+        count += 1;
+    }
+    if count != k {
+        return Err(serr(ln, format!("{row} has {count} entries, expected {k}")));
+    }
+    Ok(())
+}
+
+/// Whether `line` reads exactly `step {step}` (decimal, no sign or
+/// leading zero), checked without formatting the expected header.
+fn is_step_header(line: &str, step: usize) -> bool {
+    line.strip_prefix("step ").is_some_and(|d| {
+        d.bytes().all(|b| b.is_ascii_digit())
+            && (d.len() == 1 || !d.starts_with('0'))
+            && d.parse() == Ok(step)
+    })
+}
+
 impl<R: BufRead> TmsTextSource<R> {
     /// Parses the header (magic line, alphabet, length, initial
     /// distribution), leaving the reader positioned before the first
     /// `step` block.
     pub fn new(reader: R) -> Result<Self, SourceError> {
+        Self::open(reader, None)
+    }
+
+    /// [`TmsTextSource::new`] over an input known to hold `max_bytes`
+    /// bytes: a `length` line claiming more entries than that many bytes
+    /// can hold is rejected on the spot.
+    fn open(reader: R, max_bytes: Option<usize>) -> Result<Self, SourceError> {
         let mut src = TmsTextSource {
             reader,
             line_no: 0,
@@ -304,7 +286,15 @@ impl<R: BufRead> TmsTextSource<R> {
             .ok_or_else(|| serr(ln, "expected \"length <n>\""))?
             .parse()
             .map_err(|e| serr(ln, format!("bad length: {e}")))?;
-        if src.n == 0 {
+        let n = src.n;
+        let entries = n.saturating_sub(1).saturating_mul(k).saturating_mul(k);
+        if max_bytes.is_some_and(|bytes| entries > bytes.div_ceil(2)) {
+            return Err(serr(
+                ln,
+                format!("length {n} needs {entries} transition entries; the text cannot hold them"),
+            ));
+        }
+        if n == 0 {
             return Err(SourceError::Model(MarkovError::EmptySequence));
         }
 
@@ -315,12 +305,9 @@ impl<R: BufRead> TmsTextSource<R> {
             .line
             .trim()
             .strip_prefix("initial")
-            .ok_or_else(|| serr(ln, "expected \"initial <p…>\""))?
-            .to_string();
-        src.initial = parse_floats(ln, &body, k, "initial distribution")?;
+            .ok_or_else(|| serr(ln, "expected \"initial <p…>\""))?;
+        parse_row(ln, body, k, Row::Initial, &mut src.initial)?;
         validate_vector(&src.initial, "initial", 0)?;
-
-        src.buf.reserve(k * k);
         Ok(src)
     }
 
@@ -340,18 +327,6 @@ impl<R: BufRead> TmsTextSource<R> {
             }
         }
     }
-}
-
-fn parse_floats(ln: usize, body: &str, k: usize, what: &str) -> Result<Vec<f64>, SourceError> {
-    let vals: Result<Vec<f64>, _> = body.split_whitespace().map(str::parse).collect();
-    let vals = vals.map_err(|e| serr(ln, format!("bad number in {what}: {e}")))?;
-    if vals.len() != k {
-        return Err(serr(
-            ln,
-            format!("{what} has {} entries, expected {k}", vals.len()),
-        ));
-    }
-    Ok(vals)
 }
 
 impl<R: BufRead> StepSource for TmsTextSource<R> {
@@ -391,7 +366,7 @@ impl<R: BufRead> StepSource for TmsTextSource<R> {
         let ln = self
             .read_meaningful()?
             .ok_or_else(|| serr(0, format!("missing \"step {step}\" header")))?;
-        if self.line.trim() != format!("step {step}") {
+        if !is_step_header(self.line.trim(), step) {
             return Err(serr(
                 ln,
                 format!("expected \"step {step}\", found {:?}", self.line.trim()),
@@ -403,9 +378,13 @@ impl<R: BufRead> StepSource for TmsTextSource<R> {
             let ln = self
                 .read_meaningful()?
                 .ok_or_else(|| serr(0, format!("missing row {row} of step {step}")))?;
-            let body = self.line.trim().to_string();
-            let vals = parse_floats(ln, &body, k, &format!("step {step} row {row}"))?;
-            self.buf.extend_from_slice(&vals);
+            parse_row(
+                ln,
+                self.line.trim(),
+                k,
+                Row::Step { step, row },
+                &mut self.buf,
+            )?;
         }
         validate_matrix(&self.buf, k, "transition", step)?;
         self.pos += 1;
@@ -420,12 +399,13 @@ mod tests {
     use super::*;
     use crate::generate::{random_markov_sequence, RandomChainSpec};
     use crate::numeric::approx_eq;
+    use crate::sequence::MarkovSequenceBuilder;
     use rand::{rngs::StdRng, SeedableRng};
 
     #[test]
     fn length_the_text_cannot_hold_is_rejected() {
-        // 67 bytes claiming 10^14 positions: rejected before the builder
-        // sizes an n·k² buffer from the claim.
+        // 67 bytes claiming 10^14 positions: rejected at the length line,
+        // before any row is read.
         let text = "markov-sequence v1\nalphabet a b\nlength 100000000000000\ninitial 1 0\n";
         let line = |text: &str| match from_text(text) {
             Err(TextIoError::Parse(e)) => e.line,
@@ -442,6 +422,34 @@ mod tests {
         );
         wide.push_str(&"1\n".repeat(2000));
         assert_eq!(line(&wide), 3);
+    }
+
+    #[test]
+    fn text_source_reserves_nothing_the_file_cannot_back() {
+        // A header over 10^5 symbols implies 80 GB layers; the one step
+        // holds a single number. The short row is a typed error, and the
+        // layer buffer holds only the numbers read.
+        let k = 100_000;
+        let names: Vec<String> = (0..k).map(|i| format!("s{i}")).collect();
+        let text = format!(
+            "markov-sequence v1\nalphabet {}\nlength 2\ninitial 1{}\nstep 0\n1\n",
+            names.join(" "),
+            " 0".repeat(k - 1)
+        );
+        let mut src = TmsTextSource::new(text.as_bytes()).expect("a valid header");
+        assert_eq!(src.buf.capacity(), 0);
+        match src.next_step() {
+            Err(SourceError::Parse { line: 6, message }) => {
+                assert!(message.contains("has 1 entries"), "{message}")
+            }
+            other => panic!("expected a parse error on line 6, got {other:?}"),
+        }
+        assert!(src.buf.capacity() < k, "{}", src.buf.capacity());
+        let mut src = TmsTextSource::new(text.as_bytes()).expect("a valid header");
+        assert!(matches!(
+            materialize(&mut src),
+            Err(SourceError::Parse { line: 6, .. })
+        ));
     }
 
     #[test]

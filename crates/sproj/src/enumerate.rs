@@ -38,7 +38,9 @@ use transmark_core::error::EngineError;
 use transmark_kbest::{LawlerMurty, PartitionSpace};
 use transmark_markov::MarkovSequence;
 
-use crate::indexed::{enumerate_indexed, enumerate_indexed_from, IndexedEvaluator};
+use crate::indexed::{
+    enumerate_indexed, enumerate_indexed_from, IndexedEnumeration, IndexedEvaluator,
+};
 use crate::plan::PreparedProjector;
 use crate::projector::SProjector;
 
@@ -51,14 +53,22 @@ pub fn enumerate_by_imax<'a>(
     p: &'a SProjector,
     m: &'a MarkovSequence,
 ) -> Result<impl Iterator<Item = RankedAnswer> + 'a, EngineError> {
-    let inner = enumerate_indexed(p, m)?;
+    Ok(distinct_outputs(enumerate_indexed(p, m)?))
+}
+
+/// Theorem 5.2's dedup over a Theorem 5.7 enumeration: each output's
+/// first (most confident) occurrence, in the enumeration's order. That
+/// occurrence's confidence is the output's `I_max`.
+pub(crate) fn distinct_outputs(
+    occurrences: IndexedEnumeration,
+) -> impl Iterator<Item = RankedAnswer> {
     let mut seen: HashSet<Vec<transmark_automata::SymbolId>> = HashSet::new();
-    Ok(inner.filter_map(move |ia| {
+    occurrences.filter_map(move |ia| {
         seen.insert(ia.output.clone()).then_some(RankedAnswer {
             output: ia.output,
             log_score: ia.log_confidence,
         })
-    }))
+    })
 }
 
 /// The top-k distinct outputs by `I_max`.

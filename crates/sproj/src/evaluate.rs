@@ -10,7 +10,6 @@
 //! plan's precompiled B-graph, and every method executes over those
 //! shared artifacts without re-deriving machine-side work per call.
 
-use std::collections::HashSet;
 use std::sync::Arc;
 
 use transmark_automata::{Dfa, SymbolId};
@@ -18,7 +17,7 @@ use transmark_core::enumerate::RankedAnswer;
 use transmark_core::error::EngineError;
 use transmark_markov::MarkovSequence;
 
-use crate::enumerate::{enumerate_by_imax_lawler_planned, imax_of_output_from};
+use crate::enumerate::{distinct_outputs, enumerate_by_imax_lawler_planned, imax_of_output_from};
 use crate::indexed::{enumerate_indexed_from, IndexedAnswer, IndexedEnumeration, IndexedEvaluator};
 use crate::plan::{PreparedProjector, SprojExplain};
 use crate::projector::SProjector;
@@ -107,14 +106,10 @@ impl<'a> SprojEvaluation<'a> {
     /// Distinct output strings in decreasing `I_max` — Theorem 5.2
     /// (the dedup implementation; incremental polynomial time).
     pub fn strings(&self) -> Result<impl Iterator<Item = RankedAnswer> + 'a, EngineError> {
-        let inner = enumerate_indexed_from(&self.tables, self.pattern());
-        let mut seen: HashSet<Vec<SymbolId>> = HashSet::new();
-        Ok(inner.filter_map(move |ia| {
-            seen.insert(ia.output.clone()).then_some(RankedAnswer {
-                output: ia.output,
-                log_score: ia.log_confidence,
-            })
-        }))
+        Ok(distinct_outputs(enumerate_indexed_from(
+            &self.tables,
+            self.pattern(),
+        )))
     }
 
     /// Distinct output strings in decreasing `I_max` with guaranteed

@@ -892,6 +892,24 @@ mod persistence_tests {
     }
 
     #[test]
+    fn load_dir_rejects_sizes_the_files_cannot_back() {
+        let dir =
+            std::env::temp_dir().join(format!("transmark-store-claims-{}", std::process::id()));
+        for (file, bytes) in transmark_workloads::hostile::files() {
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir).unwrap();
+            let stem = file.split('.').next().expect("a file name");
+            std::fs::write(dir.join("store.manifest"), format!("{stem}\n")).unwrap();
+            std::fs::write(dir.join(file), bytes).unwrap();
+            assert!(
+                matches!(SequenceStore::load_dir(&dir), Err(StoreError::Io(_))),
+                "{file}"
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn loading_missing_dir_fails_cleanly() {
         let missing = std::path::Path::new("/nonexistent/transmark-store");
         assert!(matches!(

@@ -21,6 +21,8 @@
 //!   linear for s-projectors. These drive the Table 2 row-3 experiments.
 //! * [`cyclic`] — an unbounded synthetic [`StepSource`] cycling a donor
 //!   sequence's layers, for length sweeps of the streaming data plane.
+//! * [`hostile`] — small sequence files whose size fields claim far more
+//!   than they hold, for the decoders' regression tests.
 //!
 //! [`StepSource`]: transmark_markov::StepSource
 
@@ -28,6 +30,7 @@ pub mod bio;
 pub mod cyclic;
 pub mod gadgets;
 pub mod hospital;
+pub mod hostile;
 pub mod rfid;
 pub mod speech;
 pub mod text;

@@ -249,6 +249,31 @@ cargo test --release --offline --manifest-path examples/benchmark/Cargo.toml
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 
+# The decoders' size-claim regression tests (`*cannot_back`), run again
+# with each test binary started directly under a capped address space.
+# An allocation sized from a claimed length or |Σ| then aborts the gate
+# even on a host whose overcommit would grant it; under plain
+# `cargo test` such a reservation can pass unnoticed.
+echo "==> size-claim tests under a 2 GiB address-space cap"
+test_binaries() {
+  cargo test -q --no-run --message-format=json "$@" |
+    jq -r 'select(.reason == "compiler-artifact" and .profile.test) | .executable // empty'
+}
+for spec in "-p transmark-markov --lib" "-p transmark-store --lib" "-p transmark --test cli"; do
+  # A spec is a list of cargo arguments, split on purpose.
+  # shellcheck disable=SC2086
+  bin=$(test_binaries $spec)
+  out=""
+  if [ ! -x "$bin" ] ||
+    ! out=$(ulimit -v 2097152 && "$bin" cannot_back --test-threads=1 2>&1) ||
+    [[ "$out" != *"test result: ok. "[1-9]*" passed"* ]]; then
+    echo "size-claim tests failed under the cap: $spec ($bin)" >&2
+    printf '%s\n' "$out" >&2
+    exit 1
+  fi
+  echo "    $(basename "$bin"): $(grep -o 'ok\. [0-9]* passed' <<<"$out")"
+done
+
 serve_smoke
 monitor_smoke
 

@@ -187,6 +187,20 @@ fn runtime_errors_are_reported() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Files whose size fields claim far more than they hold get a one-line
+/// error, never an allocation abort.
+#[test]
+fn show_rejects_sizes_the_file_cannot_back() {
+    let dir = scratch("claims");
+    for (file, bytes) in transmark::workloads::hostile::files() {
+        let path = dir.join(file);
+        std::fs::write(&path, bytes).unwrap();
+        let e = run(&args(&["show", path.to_str().unwrap()])).unwrap_err();
+        assert_eq!(e.exit_code, 1, "{file}: {}", e.message);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn unknown_output_symbol_is_rejected() {
     let dir = scratch("symbols");
