@@ -664,12 +664,16 @@ impl LiftedDfa {
     /// `{q0}`. `nfa` must be the automaton the table was built from.
     pub(crate) fn seed(&mut self, nfa: &Nfa, initial: &[f64]) -> LiftedVec {
         let cells = self.n_cells();
-        lifted_seed(self.k, cells, initial, |slot| self.successor(nfa, slot))
+        let mut v = LiftedVec::new();
+        lifted_seed(self.k, cells, initial, &mut v, |slot| {
+            self.successor(nfa, slot)
+        });
+        v
     }
 
-    /// [`LiftedDfa::seed`] over a complete table.
-    pub(crate) fn seed_complete(&self, initial: &[f64]) -> LiftedVec {
-        lifted_seed(self.k, self.n_cells(), initial, |slot| self.known(slot))
+    /// [`LiftedDfa::seed`] over a complete table, into `v` (reused).
+    pub(crate) fn seed_complete(&self, initial: &[f64], v: &mut LiftedVec) {
+        lifted_seed(self.k, self.n_cells(), initial, v, |slot| self.known(slot));
     }
 
     /// Folds one dense row-major `|Σ|²` matrix into `cur`, writing `next`.
@@ -686,11 +690,26 @@ impl LiftedDfa {
         });
     }
 
-    /// [`LiftedDfa::step`] over a complete table.
-    pub(crate) fn step_complete(&self, matrix: &[f64], cur: &LiftedVec, next: &mut LiftedVec) {
-        lifted_step(self.k, self.n_cells(), matrix, cur, next, |slot| {
-            self.known(slot)
-        });
+    /// [`LiftedDfa::step`] over a complete table and plain dense cells
+    /// ([`ABSENT`] where nothing arrived; `next` is overwritten), with no
+    /// layout choice and no presence count: the same visit and summation
+    /// order as the fold's dense layout, so the same bits.
+    pub(crate) fn step_complete(&self, matrix: &[f64], cur: &[f64], next: &mut [f64]) {
+        let k = self.k;
+        debug_assert_eq!(matrix.len(), k * k, "step matrix must be |Σ|²");
+        next.fill(ABSENT);
+        for (c, &p) in cur.iter().enumerate() {
+            if p.is_sign_negative() {
+                continue;
+            }
+            let row = &matrix[(c % k) * k..(c % k + 1) * k];
+            for (to, (&pt, &d2)) in row.iter().zip(self.successors(c / k)).enumerate() {
+                if pt <= 0.0 || d2 == DEAD {
+                    continue;
+                }
+                next[d2 as usize * k + to] += p * pt;
+            }
+        }
     }
 
     #[inline]
@@ -734,6 +753,12 @@ pub(crate) struct LiftedVec {
     sparse: bool,
 }
 
+impl Default for LiftedVec {
+    fn default() -> Self {
+        LiftedVec::new()
+    }
+}
+
 impl LiftedVec {
     pub(crate) fn new() -> Self {
         LiftedVec::dense(Vec::new())
@@ -752,6 +777,11 @@ impl LiftedVec {
     /// The cells, [`ABSENT`] where nothing arrived.
     pub(crate) fn cells(&self) -> &[f64] {
         &self.mass
+    }
+
+    /// The cell buffer, for reuse.
+    pub(crate) fn into_cells(self) -> Vec<f64> {
+        self.mass
     }
 
     /// Whether the vector a step builds from this one should be sparse.
@@ -840,9 +870,9 @@ fn lifted_seed(
     k: usize,
     cells: usize,
     initial: &[f64],
+    v: &mut LiftedVec,
     mut succ: impl FnMut(usize) -> u32,
-) -> LiftedVec {
-    let mut v = LiftedVec::new();
+) {
     v.reset(cells, true);
     for (node, &p) in initial.iter().enumerate() {
         if p == 0.0 {
@@ -854,7 +884,6 @@ fn lifted_seed(
         }
     }
     v.settle();
-    v
 }
 
 /// One lifted step: present cells in ascending `(subset, node)` order,

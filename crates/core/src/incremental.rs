@@ -1,5 +1,5 @@
 //! Incremental streaming state: checkpointable query sessions and
-//! O(window²)-per-tick sliding windows.
+//! sliding windows at amortized one operator composition per tick.
 //!
 //! The streaming passes in this crate historically came in one shape:
 //! fold left-to-right, and if you need a different view of the stream
@@ -28,7 +28,9 @@
 //!   window never rewinds the source — the `dataplane.rewinds_avoided`
 //!   counter tallies every slide that would have been a rewind+recompute
 //!   under the old scheme. Window-start mass is a ring of node marginals
-//!   (O(w·|Σ|) memory, O(|Σ|²) advance per tick).
+//!   that grows as positions arrive (O(min(w, t)·|Σ|) memory, O(|Σ|²)
+//!   advance per tick), so the width sizes no allocation; once the
+//!   window has filled, a tick allocates nothing.
 //! * [`StreamSession`] — any of the three behind one `advance` /
 //!   `probability` / `position` / `checkpoint` interface, plus the one
 //!   series driver every acceptance, prefix-series, monitor and window
@@ -53,7 +55,7 @@
 //! from). Truncated or corrupted blobs decode to
 //! [`EngineError::BadCheckpoint`], never a panic.
 
-use std::collections::VecDeque;
+use std::cell::Cell;
 use std::sync::Arc;
 
 use transmark_automata::BitSet;
@@ -740,7 +742,9 @@ impl StreamSession<'_> {
 /// inside the window — evicting the oldest step is amortized one operator
 /// composition, **not** a rewind of the source (compare the old scheme:
 /// rewind + replay all `w` steps). `dataplane.rewinds_avoided` counts
-/// every such slide.
+/// every such slide; a recorded session summarises them in one
+/// `window.slide` profiler event per 64 slides (count, first and last
+/// tick) rather than one per tick.
 pub struct SlidingWindowQuery {
     nfa: Nfa,
     window: usize,
@@ -794,13 +798,13 @@ impl SlidingWindowQuery {
                 sequence: initial.len(),
             });
         }
-        let mut marginals = VecDeque::with_capacity(self.window);
-        marginals.push_back(initial.to_vec());
         Ok(WindowSession {
             query: self,
-            marginals,
+            marginals: MarginalRing::new(initial),
             swag: SlidingProduct::new(self.table.n_cells()),
             consumed: 0,
+            slides: SlideRun::default(),
+            scratch: Default::default(),
         })
     }
 
@@ -816,21 +820,32 @@ impl SlidingWindowQuery {
                 self.window
             )));
         }
-        let mut marginals = VecDeque::with_capacity(self.window);
-        for _ in 0..n_marg {
-            marginals.push_back(read_f64s(&mut r, k)?);
+        let mut marginals = MarginalRing::new(&read_f64s(&mut r, k)?);
+        for _ in 1..n_marg {
+            marginals.push(&read_f64s(&mut r, k)?, n_marg);
         }
+        // Composition skips no zero product, which leaves every cell's
+        // bits alone only for finite, non-negative weights; refuse others.
+        let read_op = |r: &mut ByteReader<'_>| -> Result<StepOperator<Prob>, EngineError> {
+            let cells = read_f64s(r, md * md)?;
+            if let Some(x) = cells.iter().find(|x| !(**x >= 0.0 && x.is_finite())) {
+                return Err(EngineError::BadCheckpoint(format!(
+                    "window operator cell holds {x}, not a probability weight"
+                )));
+            }
+            Ok(StepOperator::from_cells(md, cells))
+        };
         let read_ops = |r: &mut ByteReader<'_>| -> Result<Vec<StepOperator<Prob>>, EngineError> {
             let n = r.get_count(1)?;
             let mut ops = Vec::with_capacity(n);
             for _ in 0..n {
-                ops.push(StepOperator::from_cells(md, read_f64s(r, md * md)?));
+                ops.push(read_op(r)?);
             }
             Ok(ops)
         };
         let front = read_ops(&mut r)?;
         let back = read_ops(&mut r)?;
-        let back_agg = StepOperator::from_cells(md, read_f64s(&mut r, md * md)?);
+        let back_agg = read_op(&mut r)?;
         let swag = SlidingProduct::from_parts(md, front, back, back_agg);
         if swag.len() != n_marg - 1 {
             return Err(EngineError::BadCheckpoint(format!(
@@ -846,6 +861,8 @@ impl SlidingWindowQuery {
             marginals,
             swag,
             consumed: position,
+            slides: SlideRun::default(),
+            scratch: Default::default(),
         })
     }
 
@@ -868,25 +885,27 @@ impl SlidingWindowQuery {
     /// O(w·m·|Σ|) per call where the incremental path pays amortized one
     /// `m³` composition.
     pub fn recompute(&self, start_marginal: &[f64], matrices: &[&[f64]]) -> f64 {
-        let mut cur = self.table.seed_complete(start_marginal);
-        let mut next = LiftedVec::new();
+        let mut seed = LiftedVec::new();
+        self.table.seed_complete(start_marginal, &mut seed);
+        let mut cur = seed.into_cells();
+        let mut next = vec![0.0; cur.len()];
         for m in matrices {
             self.table.step_complete(m, &cur, &mut next);
             std::mem::swap(&mut cur, &mut next);
         }
-        self.table.probability(&cur)
+        self.table.probability(&LiftedVec::dense(cur))
     }
 
-    /// Lifts one dense `|Σ|²` matrix to an `m × m` [`StepOperator`] over
-    /// the lifted cells: cell `(d·k+node, d2·k+to) = pt` for every positive
-    /// transition `node→to`, where `d2` is `d`'s successor under `to`;
-    /// dead successors are dropped. Applying it to a lifted vector visits
-    /// the products one fold step would, in a different summation order.
-    fn lift_operator(&self, matrix: &[f64]) -> StepOperator<Prob> {
+    /// Lifts one dense `|Σ|²` matrix to an `m × m` operator over the
+    /// lifted cells, written into `cells` (`m²` zeros): cell
+    /// `(d·k+node, d2·k+to) = pt` for every positive transition
+    /// `node→to`, where `d2` is `d`'s successor under `to`; dead
+    /// successors are dropped. Applying it to a lifted vector visits the
+    /// products one fold step would, in a different summation order.
+    fn lift_into(&self, matrix: &[f64], cells: &mut [f64]) {
         let k = self.nfa.n_symbols();
         debug_assert_eq!(matrix.len(), k * k, "step matrix must be |Σ|²");
         let md = self.table.n_cells();
-        let mut cells = vec![0.0; md * md];
         for d in 0..self.table.n_subsets() {
             let successors = self.table.successors(d);
             for node in 0..k {
@@ -899,20 +918,125 @@ impl SlidingWindowQuery {
                 }
             }
         }
-        StepOperator::from_cells(md, cells)
     }
+}
+
+/// The node marginals of the positions inside a window, oldest first, in
+/// one flat buffer of `|Σ|`-wide slots. It grows by appending, so it never
+/// holds more than the positions seen; once it holds the window's `w`
+/// slots, each new marginal overwrites the oldest instead.
+struct MarginalRing {
+    k: usize,
+    cells: Vec<f64>,
+    /// Slots held (at least one).
+    len: usize,
+    /// The oldest slot; stays 0 while the ring is still growing.
+    head: usize,
+}
+
+impl MarginalRing {
+    fn new(first: &[f64]) -> Self {
+        MarginalRing {
+            k: first.len(),
+            cells: first.to_vec(),
+            len: 1,
+            head: 0,
+        }
+    }
+
+    fn slot(&self, i: usize) -> &[f64] {
+        let at = (self.head + i) % self.len * self.k;
+        &self.cells[at..at + self.k]
+    }
+
+    fn oldest(&self) -> &[f64] {
+        self.slot(0)
+    }
+
+    fn newest(&self) -> &[f64] {
+        self.slot(self.len - 1)
+    }
+
+    /// Appends `next` as the newest slot while fewer than `cap` are held,
+    /// else overwrites the oldest. Returns whether a slot was dropped.
+    fn push(&mut self, next: &[f64], cap: usize) -> bool {
+        if self.len < cap {
+            debug_assert_eq!(self.head, 0, "a growing ring has not wrapped");
+            self.cells.extend_from_slice(next);
+            self.len += 1;
+            return false;
+        }
+        let at = self.head * self.k;
+        self.cells[at..at + self.k].copy_from_slice(next);
+        self.head = (self.head + 1) % self.len;
+        true
+    }
+}
+
+/// Slides since the last summary: the first one's tick and how many.
+#[derive(Default)]
+struct SlideRun {
+    first: u64,
+    count: u64,
+}
+
+/// Slides per `window.slide` summary: a recorded window emits one
+/// profiler event per this many ticks (and one for the rest when the
+/// session drops), not one per tick.
+const SLIDES_PER_SUMMARY: u64 = 64;
+
+impl SlideRun {
+    fn add(&mut self, tick: u64) {
+        if self.count == 0 {
+            self.first = tick;
+        }
+        self.count += 1;
+        if self.count == SLIDES_PER_SUMMARY {
+            self.flush();
+        }
+    }
+
+    fn flush(&mut self) {
+        if self.count > 0 {
+            transmark_obs::profile::summary(
+                "window.slide",
+                self.count,
+                self.first + self.count - 1,
+            );
+            self.count = 0;
+        }
+    }
+}
+
+/// Per-session buffers the probability reduction reuses on every call.
+#[derive(Default)]
+struct WindowScratch {
+    seed: LiftedVec,
+    tmp: Vec<f64>,
+    out: Vec<f64>,
+    marginal: Vec<f64>,
 }
 
 /// A live sliding-window evaluation; see [`SlidingWindowQuery`].
 pub struct WindowSession<'q> {
     query: &'q SlidingWindowQuery,
     /// Node marginals for every position currently inside the window,
-    /// oldest first — `front()` is the window-start distribution.
-    marginals: VecDeque<Vec<f64>>,
+    /// oldest first — the oldest is the window-start distribution.
+    marginals: MarginalRing,
     /// Product of the lifted operators for the steps inside the window
-    /// (`marginals.len() − 1` of them).
+    /// (`marginals.len − 1` of them).
     swag: SlidingProduct<Prob>,
     consumed: u64,
+    slides: SlideRun,
+    /// Taken and put back by [`WindowSession::probability`] (a `&self`
+    /// call), so a steady-state tick allocates nothing.
+    scratch: Cell<WindowScratch>,
+}
+
+impl Drop for WindowSession<'_> {
+    fn drop(&mut self) {
+        self.slides.flush();
+    }
 }
 
 impl WindowSession<'_> {
@@ -923,19 +1047,25 @@ impl WindowSession<'_> {
 
     /// Stream positions currently covered by the window (`≤ w`).
     pub fn span(&self) -> usize {
-        self.marginals.len()
+        self.marginals.len
     }
 
     /// The chain's marginal distribution at the window start.
     pub fn start_marginal(&self) -> &[f64] {
-        self.marginals.front().expect("window ring never empty")
+        self.marginals.oldest()
     }
 
     /// The current windowed probability.
     pub fn probability(&self) -> f64 {
-        let v0 = self.query.table.seed_complete(self.start_marginal());
-        let v = self.swag.apply_to(v0.cells());
-        self.query.table.probability(&LiftedVec::dense(v))
+        let table = &self.query.table;
+        let mut s = self.scratch.take();
+        table.seed_complete(self.start_marginal(), &mut s.seed);
+        self.swag.apply_into(s.seed.cells(), &mut s.tmp, &mut s.out);
+        let v = LiftedVec::dense(std::mem::take(&mut s.out));
+        let p = table.probability(&v);
+        s.out = v.into_cells();
+        self.scratch.set(s);
+        p
     }
 
     /// Slides the window by one tick: evict the oldest step (amortized
@@ -960,10 +1090,13 @@ impl WindowSession<'_> {
             if self.swag.len() == w - 1 {
                 self.swag.evict();
             }
-            self.swag.push(self.query.lift_operator(matrix));
+            let query = self.query;
+            self.swag.push_with(|cells| query.lift_into(matrix, cells));
         }
-        let cur = self.marginals.back().expect("window ring never empty");
-        let mut next = vec![0.0; k];
+        let cur = self.marginals.newest();
+        let next = &mut self.scratch.get_mut().marginal;
+        next.clear();
+        next.resize(k, 0.0);
         for (node, &p) in cur.iter().enumerate() {
             if p == 0.0 {
                 continue;
@@ -975,13 +1108,11 @@ impl WindowSession<'_> {
                 }
             }
         }
-        self.marginals.push_back(next);
-        if self.marginals.len() > w {
-            self.marginals.pop_front();
-            transmark_obs::counter!("dataplane.rewinds_avoided").inc();
-            transmark_obs::profile::instant("window.slide");
-        }
         self.consumed += 1;
+        if self.marginals.push(next, w) {
+            transmark_obs::counter!("dataplane.rewinds_avoided").inc();
+            self.slides.add(self.consumed);
+        }
         Ok(())
     }
 
@@ -997,9 +1128,9 @@ impl WindowSession<'_> {
             self.query.fingerprint(),
             self.consumed,
         );
-        w.put_u64(self.marginals.len() as u64);
-        for m in &self.marginals {
-            write_f64s(&mut w, m);
+        w.put_u64(self.marginals.len as u64);
+        for i in 0..self.marginals.len {
+            write_f64s(&mut w, self.marginals.slot(i));
         }
         let (front, back, back_agg) = self.swag.parts();
         let write_ops = |w: &mut ByteWriter, ops: &[StepOperator<Prob>]| {
@@ -1178,6 +1309,32 @@ mod tests {
         }
     }
 
+    /// Composition adds every product, zero or not, which keeps each
+    /// cell's bits only for finite, non-negative weights: a blob whose
+    /// operator cell holds anything else is refused.
+    #[test]
+    fn window_resume_rejects_a_weight_that_is_not_a_probability() {
+        let m = chain(8, 8);
+        let q = SlidingWindowQuery::new(has_two(), 4).unwrap();
+        let mut s = q.start(m.initial_dist()).unwrap();
+        for i in 0..5 {
+            s.advance(m.transition_matrix(i)).unwrap();
+        }
+        let blob = s.checkpoint();
+        // The blob ends with the back product's last cell.
+        let last = blob.len() - 8;
+        for x in [f64::NAN, -1.0, f64::INFINITY, 0.5] {
+            let mut bad = blob.clone();
+            bad[last..].copy_from_slice(&x.to_le_bytes());
+            let r = q.resume(&bad);
+            if x == 0.5 {
+                assert!(r.is_ok());
+            } else {
+                assert!(matches!(r, Err(EngineError::BadCheckpoint(_))), "{x}");
+            }
+        }
+    }
+
     #[test]
     fn window_stops_at_the_state_budget() {
         // "The 13th symbol from the end is s0": 2^13 reachable subsets,
@@ -1200,6 +1357,29 @@ mod tests {
                 ..
             })
         ));
+    }
+
+    /// A window width sizes nothing up front: a width of 2^32 − 1 over a
+    /// 9-position chain holds nine marginals, gives the width-9 series bit
+    /// for bit, and checkpoints and resumes like any other width.
+    #[test]
+    fn window_reserves_nothing_the_stream_cannot_back() {
+        let m = chain(9, 8);
+        let wide = SlidingWindowQuery::new(has_two(), u32::MAX as usize).unwrap();
+        let exact = SlidingWindowQuery::new(has_two(), m.len()).unwrap();
+        let want = exact.series(&m).unwrap();
+        let mut s = wide.start(m.initial_dist()).unwrap();
+        let mut got = vec![s.probability()];
+        for i in 0..4 {
+            got.push(s.advance(m.transition_matrix(i)).unwrap());
+        }
+        let mut s = wide.resume(&s.checkpoint()).unwrap();
+        for i in 4..m.len() - 1 {
+            got.push(s.advance(m.transition_matrix(i)).unwrap());
+        }
+        assert_eq!(s.span(), m.len());
+        let bits = |v: &[f64]| v.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got), bits(&want));
     }
 
     #[test]

@@ -911,10 +911,11 @@ impl<'m> BoundQuery<'m> {
     /// This is the paper's recommended practical mode: the ranking is the
     /// provably-best polynomial heuristic, and the confidence attached to
     /// each reported answer is exact (polynomial when the plan's
-    /// [`PlanKind::confidence_cost`] is `Polynomial`).
+    /// [`PlanKind::confidence_cost`] is `Polynomial`). `k` only bounds
+    /// the answers taken; the result grows as they arrive.
     pub fn top_k_scored(&self, k: usize) -> Result<Vec<ScoredAnswer>, EngineError> {
         let _exec = ExecGuard::enter(&self.core.plan);
-        let mut out = Vec::with_capacity(k);
+        let mut out = Vec::new();
         for r in self.ranked()?.take(k) {
             let conf = self.confidence(&r.output)?;
             out.push(ScoredAnswer {
@@ -1188,6 +1189,23 @@ mod tests {
             .uniform_all()
             .build()
             .unwrap()
+    }
+
+    /// `k` bounds the answers taken and sizes nothing: a `k` of 2^32 − 1
+    /// returns all eight answers of a length-3 binary chain, as `k = 8`
+    /// does.
+    #[test]
+    fn top_k_scored_reserves_nothing_the_answers_cannot_back() {
+        let m = chain();
+        let bound = prepare(&identity()).bind(&m).unwrap();
+        let huge = bound.top_k_scored(u32::MAX as usize).unwrap();
+        let eight = bound.top_k_scored(8).unwrap();
+        assert_eq!(huge.len(), 8);
+        for (a, b) in huge.iter().zip(&eight) {
+            assert_eq!(a.output, b.output);
+            assert_eq!(a.emax.to_bits(), b.emax.to_bits());
+            assert_eq!(a.confidence.to_bits(), b.confidence.to_bits());
+        }
     }
 
     #[test]

@@ -65,7 +65,7 @@ fn matrices(m: &MarkovSequence) -> Vec<Vec<f64>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
-    /// The O(k²)-per-slide window equals the from-scratch window
+    /// The two-stack window equals the from-scratch window
     /// recompute at every tick, for every window size, within the scan
     /// path's documented reassociation tolerance.
     #[test]

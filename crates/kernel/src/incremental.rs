@@ -17,8 +17,57 @@
 //! one, with a different accumulation order. Callers that advertise
 //! bit-reproducibility must document that tolerance (see the numerics
 //! contract in [`crate::dp`]).
+//!
+//! ## Cost per tick
+//!
+//! A tick is one push plus, amortized, one evict: two `m³` compositions
+//! at most, of which the push is the dense one (the running product
+//! times the new step). [`StepOperator::compose`] and
+//! [`StepOperator::apply`] run one vector–matrix kernel: for each output
+//! row, a block of up to 16 columns is held in a local accumulator while
+//! the rows of the right operand stream past, so the inner loop is a
+//! straight run of multiply-adds with no test per product. Zero entries
+//! of the *left* operand still skip their whole row of products — a
+//! lifted step holds at most `|Σ|` nonzeros per row, so a flip's
+//! compositions cost `m²·|Σ|`, not `m³`.
+//!
+//! Skipping a zero product is only a speed choice, never a numerical
+//! one: for every value a semiring holds here — finite, non-negative
+//! probabilities for [`Prob`](crate::Prob), `ln` weights short of `+∞`
+//! for [`MaxLog`](crate::MaxLog) — `accum(o, mul(a, 0)) == o` bit for
+//! bit (`o + 0.0` is `o` for any `o` but `-0.0`, which no accumulator
+//! starting at `+0.0` reaches; `max(o, −∞)` is `o`; `o ∨ false` is `o`).
+//! Every cell therefore still adds exactly the products the old
+//! test-per-product loop added, in ascending `mid` order, and returns
+//! the same bits (`crates/kernel/tests/compose_pin.rs` pins it). On
+//! x86-64 with AVX2 the same kernel is compiled for 256-bit lanes
+//! behind [`crate::exec::simd_enabled`]; lanes are separate IEEE-754
+//! multiplies and adds (never fused), so both paths agree bitwise.
+//!
+//! ## Buffer recycling
+//!
+//! [`SlidingProduct`] keeps the `m²` cell buffers of the operators it
+//! evicts and of the running products it replaces, at most two of them,
+//! and builds every new operator and product in one of those
+//! ([`SlidingProduct::push_with`], [`StepOperator::compose_into`]). Once
+//! a window has filled, a tick allocates nothing.
 
 use crate::semiring::Semiring;
+
+/// Columns a vector–matrix product accumulates at once. Sixteen `f64`s
+/// are four AVX2 (eight SSE2) registers, four independent add chains per
+/// step of `mid`, which hides the add latency a narrower block stalls
+/// on: a `|Σ|` = 4 window (`m` = 16) ticked in about 1.0 µs with blocks
+/// of 16 against 1.8 µs with blocks of 8. Narrower tails run in blocks
+/// of eight, four, two and one.
+const BLOCK: usize = 16;
+
+/// Evicted cell buffers a [`SlidingProduct`] keeps for reuse. A
+/// steady-state tick takes two (the new step and the new running product)
+/// and gives two back (the evicted operator and the old running product);
+/// a flip takes one per composed suffix product and returns the raw
+/// operator it consumed.
+const SPARE_BUFFERS: usize = 2;
 
 /// One step's lifted `m × m` operator: `cells[r * dim + c]` is the weight
 /// carried from state `r` to state `c`. Vectors act on the left
@@ -58,11 +107,22 @@ impl<S: Semiring> PartialEq for StepOperator<S> {
 impl<S: Semiring> StepOperator<S> {
     /// The identity operator (one on the diagonal).
     pub fn identity(dim: usize) -> Self {
-        let mut cells = vec![S::zero(); dim * dim];
-        for r in 0..dim {
-            cells[r * dim + r] = S::one();
+        let mut op = StepOperator {
+            dim,
+            cells: Vec::new(),
+        };
+        op.set_identity();
+        op
+    }
+
+    /// Overwrites the operator with the identity, reusing its buffer.
+    fn set_identity(&mut self) {
+        let m = self.dim;
+        self.cells.clear();
+        self.cells.resize(m * m, S::zero());
+        for r in 0..m {
+            self.cells[r * m + r] = S::one();
         }
-        StepOperator { dim, cells }
     }
 
     /// Wraps a dense row-major `dim × dim` cell buffer.
@@ -85,27 +145,30 @@ impl<S: Semiring> StepOperator<S> {
     }
 
     /// `self` then `other`: the operator mapping `v ↦ (v · self) · other`.
-    /// O(m³) semiring work with zero rows/cells skipped.
+    /// O(m²) per nonzero column of `self`'s rows, O(m³) at most; see
+    /// [`StepOperator::compose_into`].
     pub fn compose(&self, other: &StepOperator<S>) -> StepOperator<S> {
+        let mut out = StepOperator {
+            dim: self.dim,
+            cells: Vec::new(),
+        };
+        self.compose_into(other, &mut out);
+        out
+    }
+
+    /// [`StepOperator::compose`] into `out`, reusing its buffer: every
+    /// cell of `out` is overwritten. Row `r` of the product is row `r` of
+    /// `self` pushed through `other`, each cell summing its products in
+    /// ascending `mid` order.
+    ///
+    /// # Panics
+    /// If the dimensions differ.
+    pub fn compose_into(&self, other: &StepOperator<S>, out: &mut StepOperator<S>) {
         assert_eq!(self.dim, other.dim, "operator dimension mismatch");
         let m = self.dim;
-        let mut out = vec![S::zero(); m * m];
-        for r in 0..m {
-            let a_row = &self.cells[r * m..(r + 1) * m];
-            let o_row = &mut out[r * m..(r + 1) * m];
-            for (mid, &a) in a_row.iter().enumerate() {
-                if S::is_zero(a) {
-                    continue;
-                }
-                let b_row = &other.cells[mid * m..(mid + 1) * m];
-                for (o, &b) in o_row.iter_mut().zip(b_row) {
-                    if !S::is_zero(b) {
-                        S::accum(o, S::mul(a, b));
-                    }
-                }
-            }
-        }
-        StepOperator { dim: m, cells: out }
+        out.dim = m;
+        out.cells.resize(m * m, S::zero());
+        rows_times::<S>(m, &self.cells, &other.cells, &mut out.cells);
     }
 
     /// `v · self` — pushes a state vector through the operator in O(m²).
@@ -113,22 +176,106 @@ impl<S: Semiring> StepOperator<S> {
     /// # Panics
     /// If `v.len() != dim`.
     pub fn apply(&self, v: &[S::Elem]) -> Vec<S::Elem> {
-        assert_eq!(v.len(), self.dim, "vector dimension mismatch");
-        let m = self.dim;
-        let mut out = vec![S::zero(); m];
-        for (r, &p) in v.iter().enumerate() {
-            if S::is_zero(p) {
-                continue;
-            }
-            let row = &self.cells[r * m..(r + 1) * m];
-            for (o, &w) in out.iter_mut().zip(row) {
-                if !S::is_zero(w) {
-                    S::accum(o, S::mul(p, w));
-                }
-            }
-        }
+        let mut out = Vec::new();
+        self.apply_into(v, &mut out);
         out
     }
+
+    /// [`StepOperator::apply`] into `out`, which is resized to `dim` and
+    /// overwritten. Each cell sums its products in ascending row order,
+    /// skipping the rows where `v` is zero.
+    ///
+    /// # Panics
+    /// If `v.len() != dim`.
+    pub fn apply_into(&self, v: &[S::Elem], out: &mut Vec<S::Elem>) {
+        assert_eq!(v.len(), self.dim, "vector dimension mismatch");
+        out.resize(self.dim, S::zero());
+        rows_times::<S>(self.dim, v, &self.cells, out);
+    }
+}
+
+/// `out = a · b` for the rows of `a` (`a.len() / m` of them) against the
+/// `m × m` matrix `b`. Dispatches once per call to the AVX2 build of the
+/// same kernel when [`crate::exec::simd_enabled`].
+fn rows_times<S: Semiring>(m: usize, a: &[S::Elem], b: &[S::Elem], out: &mut [S::Elem]) {
+    #[cfg(target_arch = "x86_64")]
+    if crate::exec::simd_enabled() {
+        // SAFETY: `simd_enabled` verified AVX2 support at runtime.
+        unsafe { rows_times_avx2::<S>(m, a, b, out) };
+        return;
+    }
+    rows_times_kernel::<S>(m, a, b, out);
+}
+
+/// [`rows_times_kernel`] compiled for AVX2: the block loops become 256-bit
+/// multiplies and adds (or compares and blends), lane for lane the
+/// scalar operations.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn rows_times_avx2<S: Semiring>(
+    m: usize,
+    a: &[S::Elem],
+    b: &[S::Elem],
+    out: &mut [S::Elem],
+) {
+    rows_times_kernel::<S>(m, a, b, out);
+}
+
+#[inline(always)]
+fn rows_times_kernel<S: Semiring>(m: usize, a: &[S::Elem], b: &[S::Elem], out: &mut [S::Elem]) {
+    debug_assert_eq!(a.len(), out.len());
+    debug_assert_eq!(b.len(), m * m);
+    if m == 0 {
+        return;
+    }
+    for (a_row, o_row) in a.chunks_exact(m).zip(out.chunks_exact_mut(m)) {
+        let mut c0 = 0;
+        while c0 + BLOCK <= m {
+            column_block::<S, BLOCK>(m, a_row, b, c0, o_row);
+            c0 += BLOCK;
+        }
+        if c0 + 8 <= m {
+            column_block::<S, 8>(m, a_row, b, c0, o_row);
+            c0 += 8;
+        }
+        if c0 + 4 <= m {
+            column_block::<S, 4>(m, a_row, b, c0, o_row);
+            c0 += 4;
+        }
+        if c0 + 2 <= m {
+            column_block::<S, 2>(m, a_row, b, c0, o_row);
+            c0 += 2;
+        }
+        if c0 < m {
+            column_block::<S, 1>(m, a_row, b, c0, o_row);
+        }
+    }
+}
+
+/// Columns `c0 .. c0 + W` of `a_row · b`: `W` accumulators start at zero
+/// and take `a_row[mid] · b[mid][c]` for every nonzero `a_row[mid]`, in
+/// ascending `mid`, with no test on the product.
+#[inline(always)]
+fn column_block<S: Semiring, const W: usize>(
+    m: usize,
+    a_row: &[S::Elem],
+    b: &[S::Elem],
+    c0: usize,
+    o_row: &mut [S::Elem],
+) {
+    let mut acc = [S::zero(); W];
+    for (mid, &x) in a_row.iter().enumerate() {
+        if S::is_zero(x) {
+            continue;
+        }
+        let b_blk: &[S::Elem; W] = b[mid * m + c0..mid * m + c0 + W]
+            .try_into()
+            .expect("block lies inside the row");
+        for (o, &y) in acc.iter_mut().zip(b_blk) {
+            S::accum(o, S::mul(x, y));
+        }
+    }
+    o_row[c0..c0 + W].copy_from_slice(&acc);
 }
 
 /// The product of a sliding window of step operators, maintained under
@@ -141,11 +288,13 @@ impl<S: Semiring> StepOperator<S> {
 /// * the **front** holds *suffix products* of the older operators, so an
 ///   evict is a stack pop; when the front runs dry the back flips into it,
 ///   computing one suffix product per moved operator — amortized one
-///   composition per tick.
+///   composition per tick. The newest operator moves over as it is: its
+///   suffix product is itself (composing it with the identity returns
+///   its bits).
 ///
-/// Querying never composes: [`SlidingProduct::apply_to`] pushes a vector
-/// through the front's top suffix product and then `back_agg`, two O(m²)
-/// applies.
+/// Querying never composes: [`SlidingProduct::apply_into`] pushes a
+/// vector through the front's top suffix product and then `back_agg`,
+/// two O(m²) applies. Evicted buffers are recycled (see the module docs).
 pub struct SlidingProduct<S: Semiring> {
     dim: usize,
     /// Suffix products of the older operators; `last()` covers every
@@ -155,6 +304,9 @@ pub struct SlidingProduct<S: Semiring> {
     back: Vec<StepOperator<S>>,
     /// Product of everything in `back` (identity when empty).
     back_agg: StepOperator<S>,
+    /// Up to [`SPARE_BUFFERS`] retired operators whose cells the next
+    /// push or composition overwrites.
+    spare: Vec<StepOperator<S>>,
 }
 
 impl<S: Semiring> Clone for SlidingProduct<S> {
@@ -164,6 +316,7 @@ impl<S: Semiring> Clone for SlidingProduct<S> {
             front: self.front.clone(),
             back: self.back.clone(),
             back_agg: self.back_agg.clone(),
+            spare: Vec::new(),
         }
     }
 }
@@ -181,12 +334,7 @@ impl<S: Semiring> std::fmt::Debug for SlidingProduct<S> {
 impl<S: Semiring> SlidingProduct<S> {
     /// An empty window over `dim`-dimensional operators.
     pub fn new(dim: usize) -> Self {
-        SlidingProduct {
-            dim,
-            front: Vec::new(),
-            back: Vec::new(),
-            back_agg: StepOperator::identity(dim),
-        }
+        SlidingProduct::from_parts(dim, Vec::new(), Vec::new(), StepOperator::identity(dim))
     }
 
     /// The operator dimension `m`.
@@ -204,11 +352,38 @@ impl<S: Semiring> SlidingProduct<S> {
         self.front.is_empty() && self.back.is_empty()
     }
 
+    /// A retired operator to overwrite, or an empty one when none is kept.
+    fn take_spare(&mut self) -> StepOperator<S> {
+        self.spare.pop().unwrap_or(StepOperator {
+            dim: self.dim,
+            cells: Vec::new(),
+        })
+    }
+
+    fn recycle(&mut self, op: StepOperator<S>) {
+        if self.spare.len() < SPARE_BUFFERS {
+            self.spare.push(op);
+        }
+    }
+
     /// Appends the newest step operator (one composition).
     pub fn push(&mut self, op: StepOperator<S>) {
         assert_eq!(op.dim, self.dim, "operator dimension mismatch");
-        self.back_agg = self.back_agg.compose(&op);
+        let mut agg = self.take_spare();
+        self.back_agg.compose_into(&op, &mut agg);
+        let old = std::mem::replace(&mut self.back_agg, agg);
+        self.recycle(old);
         self.back.push(op);
+    }
+
+    /// [`SlidingProduct::push`] of an operator that `fill` writes into a
+    /// recycled buffer, handed over as `m²` zero cells.
+    pub fn push_with(&mut self, fill: impl FnOnce(&mut [S::Elem])) {
+        let mut op = self.take_spare();
+        op.cells.clear();
+        op.cells.resize(self.dim * self.dim, S::zero());
+        fill(&mut op.cells);
+        self.push(op);
     }
 
     /// Drops the oldest operator. Returns `false` (and does nothing) when
@@ -221,28 +396,46 @@ impl<S: Semiring> SlidingProduct<S> {
             // Flip: move the back into the front as suffix products, newest
             // first, so the top of the stack covers the whole run and each
             // pop peels exactly the then-oldest operator.
-            let mut agg = StepOperator::identity(self.dim);
-            for op in self.back.drain(..).rev() {
-                agg = op.compose(&agg);
-                self.front.push(agg.clone());
+            while let Some(op) = self.back.pop() {
+                if self.front.is_empty() {
+                    self.front.push(op);
+                    continue;
+                }
+                let mut suffix = self.take_spare();
+                op.compose_into(self.front.last().expect("front is not empty"), &mut suffix);
+                self.front.push(suffix);
+                self.recycle(op);
             }
-            self.back_agg = StepOperator::identity(self.dim);
+            self.back_agg.set_identity();
         }
-        self.front.pop();
+        let oldest = self.front.pop().expect("front holds the oldest operator");
+        self.recycle(oldest);
         true
     }
 
     /// Pushes `v` through the window's product (front suffix product, then
-    /// back product): two O(m²) applies, no composition.
-    pub fn apply_to(&self, v: &[S::Elem]) -> Vec<S::Elem> {
+    /// back product) into `out`, with `tmp` as scratch: two O(m²) applies,
+    /// no composition, and no allocation once both buffers have held `m`
+    /// cells.
+    pub fn apply_into(&self, v: &[S::Elem], tmp: &mut Vec<S::Elem>, out: &mut Vec<S::Elem>) {
         match self.front.last() {
-            Some(f) => self.back_agg.apply(&f.apply(v)),
-            None => self.back_agg.apply(v),
+            Some(f) => {
+                f.apply_into(v, tmp);
+                self.back_agg.apply_into(tmp, out);
+            }
+            None => self.back_agg.apply_into(v, out),
         }
     }
 
+    /// [`SlidingProduct::apply_into`] into fresh buffers.
+    pub fn apply_to(&self, v: &[S::Elem]) -> Vec<S::Elem> {
+        let mut out = Vec::new();
+        self.apply_into(v, &mut Vec::new(), &mut out);
+        out
+    }
+
     /// The window's full product as one operator (one composition; prefer
-    /// [`SlidingProduct::apply_to`] on the hot path).
+    /// [`SlidingProduct::apply_into`] on the hot path).
     pub fn product(&self) -> StepOperator<S> {
         match self.front.last() {
             Some(f) => f.compose(&self.back_agg),
@@ -277,6 +470,7 @@ impl<S: Semiring> SlidingProduct<S> {
             front,
             back,
             back_agg,
+            spare: Vec::new(),
         }
     }
 }

@@ -65,8 +65,13 @@ pub struct TimelineEvent {
     pub name: &'static str,
     /// Secondary label (e.g. the plan-kind label on a decision event).
     pub detail: &'static str,
-    /// Payload for [`EventKind::Progress`]/[`EventKind::Bytes`]; 0 otherwise.
+    /// Payload for [`EventKind::Progress`]/[`EventKind::Bytes`]; for an
+    /// [`EventKind::Instant`], 0, or the number of repeated events a
+    /// [`summary`] stands for.
     pub value: u64,
+    /// The last tick a [`summary`] covers (its first is
+    /// `tick + 1 − value`); 0 for every other event.
+    pub tick: u64,
 }
 
 /// A finished lane: the events one scope captured, in order.
@@ -268,7 +273,7 @@ pub fn current() -> Option<Arc<Recorder>> {
 
 /// Records one event into the innermost scope on this thread, if any.
 #[inline]
-fn record(kind: EventKind, name: &'static str, detail: &'static str, value: u64) {
+fn record(kind: EventKind, name: &'static str, detail: &'static str, value: u64, tick: u64) {
     #[cfg(not(feature = "obs-off"))]
     {
         if ANY_ACTIVE.load(Ordering::Relaxed) == 0 {
@@ -284,51 +289,61 @@ fn record(kind: EventKind, name: &'static str, detail: &'static str, value: u64)
                     name,
                     detail,
                     value,
+                    tick,
                 });
             }
         });
     }
     #[cfg(feature = "obs-off")]
     {
-        let _ = (kind, name, detail, value);
+        let _ = (kind, name, detail, value, tick);
     }
 }
 
 /// Marks a span opening (called by [`span::enter`](crate::span::enter)).
 #[inline]
 pub fn span_begin(name: &'static str) {
-    record(EventKind::Begin, name, "", 0);
+    record(EventKind::Begin, name, "", 0, 0);
 }
 
 /// Marks the innermost open span closing.
 #[inline]
 pub fn span_end() {
-    record(EventKind::End, "", "", 0);
+    record(EventKind::End, "", "", 0, 0);
 }
 
 /// Records a point event (cache hit/miss, rewind, …).
 #[inline]
 pub fn instant(name: &'static str) {
-    record(EventKind::Instant, name, "", 0);
+    record(EventKind::Instant, name, "", 0, 0);
+}
+
+/// Records `count` repeated point events of one kind, over the
+/// consecutive ticks ending at `last_tick`, as one summary instant — for
+/// events that happen on every tick of a stream (window slides), where
+/// one event each would cost more than the tick.
+#[inline]
+pub fn summary(name: &'static str, count: u64, last_tick: u64) {
+    record(EventKind::Instant, name, "", count, last_tick);
 }
 
 /// Records a point event with a secondary label (e.g. the plan kind).
 #[inline]
 pub fn instant_detail(name: &'static str, detail: &'static str) {
-    record(EventKind::Instant, name, detail, 0);
+    record(EventKind::Instant, name, detail, 0, 0);
 }
 
 /// Records that `layers` DP layers were advanced (the kernel calls this
 /// once per batched sweep, so timelines sample layer progress for free).
 #[inline]
 pub fn progress(layers: u64) {
-    record(EventKind::Progress, "kernel.layers", "", layers);
+    record(EventKind::Progress, "kernel.layers", "", layers, 0);
 }
 
 /// Records that `n` data-plane bytes were consumed.
 #[inline]
 pub fn bytes(n: u64) {
-    record(EventKind::Bytes, "dataplane.bytes", "", n);
+    record(EventKind::Bytes, "dataplane.bytes", "", n, 0);
 }
 
 /// One lane of a finished profile.
@@ -398,7 +413,7 @@ impl ExecutionProfile {
                         } else {
                             format!("{}/{}", e.name, e.detail)
                         };
-                        *profile.instants.entry(key).or_insert(0) += 1;
+                        *profile.instants.entry(key).or_insert(0) += e.value.max(1);
                     }
                     EventKind::Begin | EventKind::End => {}
                 }
@@ -483,13 +498,18 @@ impl ExecutionProfile {
                                 lane.events
                                     .iter()
                                     .map(|e| {
-                                        Value::Array(vec![
+                                        let mut v = vec![
                                             Value::Int(e.t_ns),
                                             Value::Int(kind_code(e.kind)),
                                             Value::Str(e.name.to_string()),
                                             Value::Str(e.detail.to_string()),
                                             Value::Int(e.value),
-                                        ])
+                                        ];
+                                        // Only summaries carry a tick.
+                                        if e.tick != 0 {
+                                            v.push(Value::Int(e.tick));
+                                        }
+                                        Value::Array(v)
                                     })
                                     .collect(),
                             ),
@@ -588,8 +608,14 @@ impl ExecutionProfile {
                         let parts = e
                             .as_array()
                             .ok_or_else(|| bad("event entries must be arrays"))?;
-                        let [t_ns, kind, name, detail, value] = parts else {
-                            return Err(bad("events must be [t_ns, kind, name, detail, value]"));
+                        let ([t_ns, kind, name, detail, value], tick) = match parts {
+                            [a, b, c, d, e] => ([a, b, c, d, e], None),
+                            [a, b, c, d, e, f] => ([a, b, c, d, e], Some(f)),
+                            _ => {
+                                return Err(bad(
+                                    "events must be [t_ns, kind, name, detail, value(, tick)]",
+                                ))
+                            }
                         };
                         let kind = match kind.as_int() {
                             Some(0) => EventKind::Begin,
@@ -608,6 +634,10 @@ impl ExecutionProfile {
                             name: intern(name),
                             detail: intern(detail),
                             value: value.as_int().ok_or_else(|| bad("event value"))?,
+                            tick: match tick {
+                                Some(t) => t.as_int().ok_or_else(|| bad("event tick"))?,
+                                None => 0,
+                            },
                         });
                     }
                 }
@@ -707,6 +737,7 @@ impl ExecutionProfile {
                         name,
                         detail: "",
                         value: 0,
+                        tick: 0,
                     },
                     TimelineEvent {
                         t_ns: wait_ns,
@@ -714,6 +745,7 @@ impl ExecutionProfile {
                         name: "",
                         detail: "",
                         value: 0,
+                        tick: 0,
                     },
                 ],
                 busy_ns: wait_ns,
@@ -899,6 +931,7 @@ mod tests {
             name: "open",
             detail: "",
             value: 0,
+            tick: 0,
         }];
         let mut seen = Vec::new();
         walk_spans(&events, 100, |path, frame| {
@@ -915,6 +948,7 @@ mod tests {
             let _s = crate::span::enter("remote_phase_test");
             instant_detail("cache", "hit");
             progress(3);
+            summary("slides", 5, 9);
         });
         let remote = rec.finish();
         assert_eq!(remote.trace_id, 0xabcd);
@@ -924,6 +958,12 @@ mod tests {
         assert_eq!(back.lanes[0].events.len(), remote.lanes[0].events.len());
         assert_eq!(back.phases["remote_phase_test"].count, 1);
         assert_eq!((back.layers, back.instants["cache/hit"]), (3, 1));
+        assert_eq!(
+            back.instants["slides"], 5,
+            "a summary counts what it stands for"
+        );
+        let s = back.lanes[0].events.iter().find(|e| e.name == "slides");
+        assert_eq!(s.map(|e| (e.value, e.tick)), Some((5, 9)));
 
         let mut local = ExecutionProfile {
             wall_ns: 500,

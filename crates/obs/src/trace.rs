@@ -7,7 +7,9 @@
 //! `chrome://tracing` and Perfetto accept: one object per event, with
 //! `ph` (phase) `"M"` for lane metadata, `"B"`/`"E"` for span
 //! begin/end, `"i"` for instants (scope `"s":"t"` = thread), and `"C"`
-//! for cumulative layer/byte counters. All events share `pid` 1; each
+//! for cumulative layer/byte counters and for summaries of repeated
+//! instants ([`profile::summary`](crate::profile::summary): the running
+//! total plus each summary's first and last tick). All events share `pid` 1; each
 //! lane (recorder scope label — `"main"`, `"worker-0"`, …) gets its own
 //! `tid`, named via a `thread_name` metadata event, so fleet workers
 //! render as separate tracks. Timestamps are microseconds from the
@@ -59,6 +61,7 @@ pub fn chrome_trace(profile: &ExecutionProfile) -> String {
         push(&mut out, &mut first, meta);
         let mut layers: u64 = 0;
         let mut bytes: u64 = 0;
+        let mut summaries: BTreeMap<&str, u64> = BTreeMap::new();
         for e in &lane.events {
             let ts = micros(e.t_ns);
             let ev = match e.kind {
@@ -71,6 +74,21 @@ pub fn chrome_trace(profile: &ExecutionProfile) -> String {
                 }
                 EventKind::End => {
                     format!(r#"{{"ph":"E","pid":1,"tid":{tid},"ts":{ts}}}"#)
+                }
+                EventKind::Instant if e.value > 0 => {
+                    // A summary: a counter lane of the running total,
+                    // with the tick range this summary covers.
+                    let total = summaries.entry(e.name).or_insert(0);
+                    *total += e.value;
+                    let mut s = format!(r#"{{"ph":"C","pid":1,"tid":{tid},"ts":{ts},"name":"#);
+                    write_json_string(e.name, &mut s);
+                    let _ = write!(
+                        s,
+                        r#","args":{{"total":{total},"first_tick":{},"last_tick":{}}}}}"#,
+                        (e.tick + 1).saturating_sub(e.value),
+                        e.tick
+                    );
+                    s
                 }
                 EventKind::Instant => {
                     let mut s =

@@ -125,9 +125,10 @@ impl<'a> SprojEvaluation<'a> {
     }
 
     /// The top-k distinct strings with their exact Theorem 5.5
-    /// confidences attached (the recommended user-facing mode).
+    /// confidences attached (the recommended user-facing mode). `k` only
+    /// bounds the strings taken; the result grows as they arrive.
     pub fn top_k_scored(&self, k: usize) -> Result<Vec<(Vec<SymbolId>, f64, f64)>, EngineError> {
-        let mut out = Vec::with_capacity(k);
+        let mut out = Vec::new();
         for r in self.strings()?.take(k) {
             let conf = self.confidence(&r.output)?;
             let imax = r.score();
@@ -185,6 +186,17 @@ mod tests {
         let lawler: Vec<_> = ev.strings_poly_delay().unwrap().collect();
         assert_eq!(lawler.len(), 1);
         assert!((lawler[0].score() - strings[0].score()).abs() < 1e-12);
+    }
+
+    /// `k` bounds the strings taken and sizes nothing: a `k` of 2^32 − 1
+    /// returns the one string there is, as `k = 5` does.
+    #[test]
+    fn top_k_scored_reserves_nothing_the_strings_cannot_back() {
+        let (p, m) = setup();
+        let ev = SprojEvaluation::new(&p, &m).unwrap();
+        let huge = ev.top_k_scored(u32::MAX as usize).unwrap();
+        assert_eq!(huge, ev.top_k_scored(5).unwrap());
+        assert_eq!(huge.len(), 1);
     }
 
     #[test]

@@ -37,8 +37,9 @@ pub const DEFAULT_TICK_BATCH: usize = 64;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MonitorConfig {
     /// `Some(w)`: per-position sliding-window probability
-    /// `Pr(S[t−w+1..t] ∈ L(A))` via [`SlidingWindowQuery`] (O(k²) per
-    /// tick, no rewind). `None`: Lahar's native prefix series
+    /// `Pr(S[t−w+1..t] ∈ L(A))` via [`SlidingWindowQuery`] (amortized
+    /// one `m × m` operator composition per tick over the query's `m`
+    /// lifted cells, no rewind). `None`: Lahar's native prefix series
     /// `Pr(S[1..t] ∈ L(A))` via [`EventSession`].
     pub window: Option<usize>,
     /// Worker threads (`0` = one per core, [`resolve_threads`]).

@@ -106,3 +106,57 @@ proptest! {
         }
     }
 }
+
+/// FNV-1a over a windowed monitor run's reports: every name, position
+/// count and series value's bits, in report order.
+fn report_hash(reports: &[transmark_store::StreamReport]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut eat = |bytes: &[u8]| {
+        for &b in bytes {
+            h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    for r in reports {
+        eat(r.name.as_bytes());
+        eat(&(r.positions as u64).to_le_bytes());
+        for p in &r.series {
+            eat(&p.to_bits().to_le_bytes());
+        }
+    }
+    h
+}
+
+/// A windowed monitor's reports keep the bits they had before the window
+/// composition became a blocked, recycling kernel: the hashes were
+/// recorded with the branchy composition and the allocating two-stack.
+/// Streams run long enough for every window here to flip many times.
+#[test]
+fn windowed_monitor_reports_match_their_golden_hashes() {
+    let mut rng = StdRng::seed_from_u64(0x5eed);
+    let seqs: Vec<(String, MarkovSequence)> = (0..5)
+        .map(|i| {
+            let m = random_markov_sequence(
+                &RandomChainSpec {
+                    len: 150 + 37 * i,
+                    n_symbols: 2,
+                    zero_prob: 0.3,
+                },
+                &mut rng,
+            );
+            (format!("s{i}"), m)
+        })
+        .collect();
+    let refs: Vec<(String, &MarkovSequence)> = seqs.iter().map(|(n, m)| (n.clone(), m)).collect();
+    for (window, want) in [(4, 0xb7fb_e32d_7b94_a387u64), (33, 0xf97c_38da_5eb4_0ca2)] {
+        let monitor = Monitor::new(
+            query(9),
+            MonitorConfig {
+                window: Some(window),
+                threads: 2,
+                batch: 7,
+            },
+        );
+        let got = report_hash(&monitor.run_sequences(&refs).unwrap());
+        assert_eq!(got, want, "window {window}");
+    }
+}

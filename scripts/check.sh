@@ -249,17 +249,20 @@ cargo test --release --offline --manifest-path examples/benchmark/Cargo.toml
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 
-# The decoders' size-claim regression tests (`*cannot_back`), run again
-# with each test binary started directly under a capped address space.
-# An allocation sized from a claimed length or |Σ| then aborts the gate
-# even on a host whose overcommit would grant it; under plain
-# `cargo test` such a reservation can pass unnoticed.
+# The size-claim regression tests (`*cannot_back`), run again with each
+# test binary started directly under a capped address space: the
+# decoders' claimed lengths and |Σ|, and the request fields that must
+# size nothing up front (a window width, a top-k `k`) on the CLI, in
+# process and over the wire. An allocation sized from a claim or a field
+# then aborts the gate even on a host whose overcommit would grant it;
+# under plain `cargo test` such a reservation can pass unnoticed.
 echo "==> size-claim tests under a 2 GiB address-space cap"
 test_binaries() {
   cargo test -q --no-run --message-format=json "$@" |
     jq -r 'select(.reason == "compiler-artifact" and .profile.test) | .executable // empty'
 }
-for spec in "-p transmark-markov --lib" "-p transmark-store --lib" "-p transmark --test cli"; do
+for spec in "-p transmark-markov --lib" "-p transmark-store --lib" "-p transmark-core --lib" \
+  "-p transmark-sproj --lib" "-p transmark --test cli" "-p transmark --test serve"; do
   # A spec is a list of cargo arguments, split on purpose.
   # shellcheck disable=SC2086
   bin=$(test_binaries $spec)

@@ -146,7 +146,8 @@ USAGE:
   tmk stream <query.tmt> [steps|-]                      fold steps from file or stdin, printing the
                                                         running acceptance probability
         [--window W]                                    sliding window of width W: Pr over the last
-                                                        W symbols only (O(k^2) per slide)
+                                                        W symbols only (one m x m operator
+                                                        composition per slide)
         [--checkpoint-at N --checkpoint-out F]          suspend after folding N steps, session
                                                         state to F
         [--resume F]                                    continue a suspended session from F

@@ -353,8 +353,8 @@ impl Client {
 
     /// Streams a sliding-window acceptance query: the returned series
     /// holds, per position, the probability the last `window` symbols
-    /// land in the query's language (the server evaluates it with O(k²)
-    /// eviction, never rewinding).
+    /// land in the query's language (the server evaluates it with one
+    /// operator composition per tick, never rewinding).
     pub fn stream_window(
         &mut self,
         query: &str,

@@ -201,6 +201,52 @@ fn show_rejects_sizes_the_file_cannot_back() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A window width sizes nothing up front: `--window 4294967295` over the
+/// 5-position example prints what `--window 5` prints.
+#[test]
+fn stream_window_reserves_nothing_the_stream_cannot_back() {
+    let dir = scratch("wide-window");
+    run(&args(&["export-example", dir.to_str().unwrap()])).expect("export");
+    let seq = dir.join("hospital.tms");
+    let query = dir.join("room_tracker.tmt");
+    let stream = |w: &str| {
+        run(&args(&[
+            "stream",
+            query.to_str().unwrap(),
+            seq.to_str().unwrap(),
+            "--window",
+            w,
+        ]))
+        .expect("window stream")
+    };
+    assert_eq!(stream("4294967295"), stream("5"));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A top-k `k` sizes nothing up front: `--k 4294967295` prints every
+/// answer, as a `k` past their count does.
+#[test]
+fn top_k_reserves_nothing_the_answers_cannot_back() {
+    let dir = scratch("huge-k");
+    run(&args(&["export-example", dir.to_str().unwrap()])).expect("export");
+    let seq = dir.join("hospital.tms");
+    let query = dir.join("room_tracker.tmt");
+    let top = |k: &str| {
+        run(&args(&[
+            "top",
+            seq.to_str().unwrap(),
+            query.to_str().unwrap(),
+            "--k",
+            k,
+        ]))
+        .expect("top")
+    };
+    let all = top("4294967295");
+    assert!(all.lines().count() < 4096, "{all}");
+    assert_eq!(all, top("4096"));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn unknown_output_symbol_is_rejected() {
     let dir = scratch("symbols");

@@ -277,3 +277,72 @@ fn bench_diff_fails_on_synthetic_regression() {
     .expect("identical snapshots must pass");
     assert!(!out.contains("REGRESSED"), "{out}");
 }
+
+/// A recorded sliding window summarises its slides: one `window.slide`
+/// instant per 64 slides plus one for the rest when the session drops,
+/// each carrying its count and last tick, so the profile still counts
+/// every slide and the Chrome trace shows them as one counter lane
+/// whose tick ranges tile the slid ticks.
+#[test]
+fn window_slides_are_summarised_per_batch() {
+    use std::sync::Arc;
+    use transmark::automata::{Nfa, SymbolId};
+    use transmark::engine::incremental::SlidingWindowQuery;
+    use transmark::markov::generate::{random_markov_sequence, RandomChainSpec};
+    use transmark::obs::profile::{EventKind, Recorder};
+
+    let mut nfa = Nfa::new(2);
+    let (q0, q1) = (nfa.add_state(false), nfa.add_state(true));
+    for s in 0..2 {
+        nfa.add_transition(q0, SymbolId(s), if s == 1 { q1 } else { q0 });
+        nfa.add_transition(q1, SymbolId(s), q1);
+    }
+    let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(3);
+    let m = random_markov_sequence(
+        &RandomChainSpec {
+            len: 200,
+            n_symbols: 2,
+            zero_prob: 0.2,
+        },
+        &mut rng,
+    );
+    let q = SlidingWindowQuery::new(nfa, 4).unwrap();
+    let rec = Arc::new(Recorder::new());
+    rec.scope(|| q.series(&m).unwrap());
+    let profile = rec.finish();
+
+    // 199 matrices; the window of 4 positions first slides on the 4th.
+    let slides = 199 - 3;
+    assert_eq!(profile.instants["window.slide"], slides);
+    let summaries: Vec<_> = profile
+        .lanes
+        .iter()
+        .flat_map(|l| &l.events)
+        .filter(|e| e.kind == EventKind::Instant && e.name == "window.slide")
+        .collect();
+    assert_eq!(summaries.len(), 4, "three full batches of 64 and the rest");
+    let mut next_tick = 4;
+    for e in &summaries {
+        assert_eq!(e.tick + 1 - e.value, next_tick);
+        next_tick = e.tick + 1;
+    }
+    assert_eq!(next_tick, 200);
+
+    let trace = transmark::obs::trace::chrome_trace(&profile);
+    let events = match parse(&trace).expect("trace is valid JSON") {
+        Value::Array(events) => events,
+        other => panic!("trace_event export must be a JSON array, got {other:?}"),
+    };
+    let lane: Vec<_> = events
+        .iter()
+        .map(obj)
+        .filter(|o| matches!(o.get("name"), Some(Value::Str(n)) if n == "window.slide"))
+        .collect();
+    assert_eq!(lane.len(), 4);
+    for o in &lane {
+        assert!(matches!(o.get("ph"), Some(Value::Str(p)) if p == "C"));
+    }
+    let last = obj(lane[3].get("args").expect("summary args"));
+    assert!(matches!(last.get("total"), Some(Value::Int(n)) if *n == slides));
+    assert!(matches!(last.get("last_tick"), Some(Value::Int(199))));
+}

@@ -700,6 +700,61 @@ fn hostile_size_fields_are_typed_errors() {
         .expect("a healthy client is served after the hostile payloads");
 }
 
+/// A window width sent in STREAM_BEGIN sizes nothing on the server: a
+/// width of 2^32 − 1 over a 6-position stream returns the width-6 series
+/// bit for bit, and a client on another connection is still served.
+#[test]
+fn wide_window_stream_reserves_nothing_the_stream_cannot_back() {
+    use transmark::engine::incremental::SlidingWindowQuery;
+
+    let (t, m) = instance(TransducerClass::Mealy, 0xBEEF, 6);
+    let query_text = transmark::engine::textio::to_text(&t);
+    let tmsb = to_tmsb_bytes(&m);
+    let want = SlidingWindowQuery::new(t.underlying_nfa(), m.len())
+        .and_then(|q| q.series(&m))
+        .expect("local window series");
+    let mut wide = Client::connect(&addr(), "wide-window").expect("connect");
+    let served = wide
+        .stream_window(&query_text, &tmsb, u32::MAX, 4, StreamOptions::default())
+        .expect("a width of 2^32 - 1 is served");
+    assert_eq!(served.value.len(), want.len());
+    for (a, b) in served.value.iter().zip(&want) {
+        assert_eq!(a.to_bits(), b.to_bits());
+    }
+    let mut healthy = Client::connect(&addr(), "healthy").expect("connect");
+    healthy
+        .stream_series(&query_text, &tmsb, 16)
+        .expect("a healthy client is served after the wide window");
+}
+
+/// A top-k `k` sent in a QUERY sizes nothing on the server: `k` = 2^32 − 1
+/// returns every answer, as a `k` past their count does, and a client
+/// on another connection is still served.
+#[test]
+fn huge_top_k_query_reserves_nothing_the_answers_cannot_back() {
+    let (t, m) = instance(TransducerClass::General, 0xF00D, 4);
+    let query_text = transmark::engine::textio::to_text(&t);
+    let tmsb = to_tmsb_bytes(&m);
+    let seq = Sequence::Binary(&tmsb);
+    let mut huge = Client::connect(&addr(), "huge-k").expect("connect");
+    let all = huge
+        .top_k(&query_text, &seq, u32::MAX, false)
+        .expect("k = 2^32 - 1 is served")
+        .value;
+    let mut healthy = Client::connect(&addr(), "healthy").expect("connect");
+    let many = healthy
+        .top_k(&query_text, &seq, 4096, false)
+        .expect("a healthy client is served after the huge k")
+        .value;
+    assert!(!all.is_empty() && all.len() < 4096);
+    assert_eq!(all.len(), many.len());
+    for (a, b) in all.iter().zip(&many) {
+        assert_eq!(a.output, b.output);
+        assert_eq!(a.emax.to_bits(), b.emax.to_bits());
+        assert_eq!(a.confidence.to_bits(), b.confidence.to_bits());
+    }
+}
+
 /// A peer that dies mid-frame neither wedges the server nor poisons
 /// later connections.
 #[test]
