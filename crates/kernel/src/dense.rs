@@ -343,21 +343,8 @@ mod tests {
 
     /// The one-step CSR of a dense `k × k` layer (zeros dropped).
     fn csr(k: usize, initial: &[f64], matrix: &[f64]) -> SparseSteps {
-        let mut b = SparseSteps::builder(k, 1);
-        for (s, &p) in initial.iter().enumerate() {
-            if p > 0.0 {
-                b.push_initial(s as u32, p);
-            }
-        }
-        for from in 0..k {
-            for (to, &p) in matrix[from * k..(from + 1) * k].iter().enumerate() {
-                if p > 0.0 {
-                    b.push_transition(to as u32, p);
-                }
-            }
-            b.finish_row();
-        }
-        b.build()
+        let nnz = matrix.iter().filter(|&&p| p > 0.0).count();
+        SparseSteps::from_dense(k, initial, matrix, nnz)
     }
 
     fn seed(initial: &[f64], nr: usize) -> Vec<f64> {

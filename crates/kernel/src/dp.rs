@@ -229,15 +229,7 @@ mod tests {
     /// 2 nodes, machine = 1 row (identity over states), chain:
     /// initial [0.6, 0.4], one step [[0.5, 0.5], [1.0, 0.0]].
     fn tiny() -> (SparseSteps, StepGraph) {
-        let mut b = SparseSteps::builder(2, 1);
-        b.push_initial(0, 0.6);
-        b.push_initial(1, 0.4);
-        b.push_transition(0, 0.5);
-        b.push_transition(1, 0.5);
-        b.finish_row();
-        b.push_transition(0, 1.0);
-        b.finish_row();
-        let steps = b.build();
+        let steps = SparseSteps::from_dense(2, &[0.6, 0.4], &[0.5, 0.5, 1.0, 0.0], 3);
         let mut g = StepGraph::builder(2, 1);
         g.add_edge(0, 0, 0, 10);
         g.add_edge(1, 0, 0, 11);

@@ -85,6 +85,6 @@ pub use incremental::{SlidingProduct, StepOperator};
 pub use numeric::Neumaier;
 pub use semiring::{Bool, MaxLog, Prob, Semiring};
 pub use step_graph::{MachineEdge, SharedStepGraph, StepGraph, StepGraphBuilder};
-pub use steps::{LayerCsr, SharedSparseSteps, SparseSteps, SparseStepsBuilder, StepRows, StepView};
+pub use steps::{LayerCsr, SharedSparseSteps, SparseSteps, StepRows, StepView};
 pub use subset::SubsetLayer;
 pub use workspace::Workspace;

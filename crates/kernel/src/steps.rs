@@ -11,9 +11,9 @@
 //! unchanged.
 //!
 //! Built once per query (or once per session for the enumeration DFS,
-//! which runs hundreds of DPs over one chain) via [`SparseStepsBuilder`];
+//! which runs hundreds of DPs over one chain) by [`SparseSteps::from_dense`];
 //! the kernel has no dependency on `transmark-markov`, so the markov crate
-//! provides the conversion.
+//! hands it the dense buffers.
 
 /// One step's worth of transition rows — the minimal data-side view a
 /// layer advance consumes.
@@ -129,15 +129,50 @@ pub struct SparseSteps {
 }
 
 impl SparseSteps {
-    pub fn builder(n_nodes: usize, n_steps: usize) -> SparseStepsBuilder {
-        SparseStepsBuilder {
-            steps: SparseSteps {
-                n_nodes,
-                n_steps,
-                initial: Vec::new(),
-                offsets: vec![0],
-                entries: Vec::new(),
-            },
+    /// Compacts a dense chain: the initial distribution `initial` and the
+    /// row-major `k×k` transition matrices back to back in `transitions`.
+    /// Every row keeps its entries `p > 0.0` in ascending `to`; `nnz`,
+    /// the number of such entries in `transitions`, sizes the entry
+    /// array exactly. Panics if `transitions` is not whole matrices or
+    /// holds a different number of positive entries.
+    pub fn from_dense(k: usize, initial: &[f64], transitions: &[f64], nnz: usize) -> SparseSteps {
+        let kk = k * k;
+        assert!(
+            kk > 0 && transitions.len().is_multiple_of(kk),
+            "transitions must be whole k×k matrices"
+        );
+        let n_steps = transitions.len() / kk;
+        let initial = (0u32..)
+            .zip(initial)
+            .filter(|&(_, &p)| p > 0.0)
+            .map(|(s, &p)| (s, p))
+            .collect();
+        let mut offsets = Vec::with_capacity(n_steps * k + 1);
+        offsets.push(0);
+        // The cursor of `LayerCsr::load_dense`: every entry is written,
+        // but the cursor moves past positives only, so a zero is
+        // overwritten by its successor and no data-dependent branch is
+        // taken. One slot of slack takes the writes of zeros that follow
+        // the last positive entry.
+        let mut entries = vec![(0, 0.0); nnz + 1];
+        let mut len = 0;
+        for row in transitions.chunks_exact(k) {
+            for (to, &p) in (0u32..).zip(row) {
+                entries[len] = (to, p);
+                len += usize::from(p > 0.0);
+            }
+            offsets.push(len as u32);
+        }
+        assert_eq!(len, nnz, "nnz must count the positive transitions");
+        entries.truncate(nnz);
+        transmark_obs::counter!("kernel.csr.builds").inc();
+        transmark_obs::histogram!("kernel.csr.entries").record(nnz as u64);
+        SparseSteps {
+            n_nodes: k,
+            n_steps,
+            initial,
+            offsets,
+            entries,
         }
     }
 
@@ -198,56 +233,6 @@ const _: fn() = || {
     assert_send_sync::<SparseSteps>();
 };
 
-/// Row-by-row constructor for [`SparseSteps`]. Push rows in
-/// `(step, from)`-major order; each row's entries in ascending `to`.
-pub struct SparseStepsBuilder {
-    steps: SparseSteps,
-}
-
-impl SparseStepsBuilder {
-    /// Pre-sizes the entry array. `entries` may be an upper bound (e.g.
-    /// the dense transition count); the CSR build is append-only, so
-    /// reserving once avoids repeated reallocation on large chains.
-    #[inline]
-    pub fn reserve(&mut self, entries: usize) {
-        self.steps.entries.reserve(entries);
-        self.steps
-            .offsets
-            .reserve(self.steps.n_steps * self.steps.n_nodes);
-    }
-
-    /// Records a nonzero initial probability. Call in ascending node order.
-    #[inline]
-    pub fn push_initial(&mut self, node: u32, p: f64) {
-        debug_assert!(p != 0.0, "zero entries are skipped at build time");
-        self.steps.initial.push((node, p));
-    }
-
-    /// Records a nonzero transition in the current row.
-    #[inline]
-    pub fn push_transition(&mut self, to: u32, p: f64) {
-        debug_assert!(p != 0.0, "zero entries are skipped at build time");
-        self.steps.entries.push((to, p));
-    }
-
-    /// Closes the current `(step, from)` row.
-    #[inline]
-    pub fn finish_row(&mut self) {
-        self.steps.offsets.push(self.steps.entries.len() as u32);
-    }
-
-    pub fn build(self) -> SparseSteps {
-        assert_eq!(
-            self.steps.offsets.len(),
-            self.steps.n_steps * self.steps.n_nodes + 1,
-            "every (step, from) row must be finished exactly once"
-        );
-        transmark_obs::counter!("kernel.csr.builds").inc();
-        transmark_obs::histogram!("kernel.csr.entries").record(self.steps.entries.len() as u64);
-        self.steps
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -256,27 +241,10 @@ mod tests {
     fn rows_are_sparse_and_ordered() {
         // 2 nodes, 2 steps; step 0 matrix [[0.5, 0.5], [0, 1]],
         // step 1 matrix [[1, 0], [0.25, 0.75]].
-        let mut b = SparseSteps::builder(2, 2);
-        b.push_initial(0, 0.9);
-        b.push_initial(1, 0.1);
-        for (row, entries) in [
-            vec![(0, 0.5), (1, 0.5)],
-            vec![(1, 1.0)],
-            vec![(0, 1.0)],
-            vec![(0, 0.25), (1, 0.75)],
-        ]
-        .iter()
-        .enumerate()
-        {
-            let _ = row;
-            for &(to, p) in entries {
-                b.push_transition(to, p);
-            }
-            b.finish_row();
-        }
-        let s = b.build();
+        let s = SparseSteps::from_dense(2, &[0.9, 0.1], &LAYERS.concat(), 6);
         assert_eq!(s.n_nodes(), 2);
         assert_eq!(s.n_steps(), 2);
+        assert_eq!(s.n_entries(), 6);
         assert_eq!(s.initial(), &[(0, 0.9), (1, 0.1)]);
         assert_eq!(s.row(0, 0), &[(0, 0.5), (1, 0.5)]);
         assert_eq!(s.row(0, 1), &[(1, 1.0)]);
@@ -284,35 +252,21 @@ mod tests {
         assert_eq!(s.row(1, 1), &[(0, 0.25), (1, 0.75)]);
     }
 
+    const LAYERS: [[f64; 4]; 2] = [[0.5, 0.5, 0.0, 1.0], [1.0, 0.0, 0.25, 0.75]];
+
     #[test]
-    #[should_panic(expected = "finished exactly once")]
-    fn unfinished_rows_are_rejected() {
-        let b = SparseSteps::builder(2, 1);
-        let _ = b.build();
+    #[should_panic(expected = "nnz must count")]
+    fn a_wrong_nnz_is_rejected() {
+        let _ = SparseSteps::from_dense(2, &[0.9, 0.1], &LAYERS.concat(), 5);
     }
 
     #[test]
     fn layer_csr_matches_step_view() {
         // The same matrices as `rows_are_sparse_and_ordered`, loaded one
         // dense layer at a time, must present identical rows.
-        let mut b = SparseSteps::builder(2, 2);
-        b.push_initial(0, 0.9);
-        b.push_initial(1, 0.1);
-        let layers = [vec![0.5, 0.5, 0.0, 1.0], vec![1.0, 0.0, 0.25, 0.75]];
-        for m in &layers {
-            for from in 0..2 {
-                for to in 0..2 {
-                    let p = m[from * 2 + to];
-                    if p != 0.0 {
-                        b.push_transition(to as u32, p);
-                    }
-                }
-                b.finish_row();
-            }
-        }
-        let s = b.build();
+        let s = SparseSteps::from_dense(2, &[0.9, 0.1], &LAYERS.concat(), 6);
         let mut csr = LayerCsr::new();
-        for (step, m) in layers.iter().enumerate() {
+        for (step, m) in LAYERS.iter().enumerate() {
             csr.load_dense(2, m, |_| true);
             let view = s.at(step);
             assert_eq!(csr.n_nodes(), view.n_nodes());

@@ -176,32 +176,22 @@ impl MarkovSequence {
     }
 
     /// Flattens the chain into the kernel's CSR form: one sparse row per
-    /// `(step, node)` with zero-probability transitions dropped at build
-    /// time. Built once per query and fed to the `transmark_kernel::dp`
-    /// drivers; rows keep ascending target order, so DPs that previously
-    /// scanned dense rows (skipping zeros inline) accumulate in the exact
-    /// same sequence.
+    /// `(step, node)` holding its entries `p > 0.0` in ascending target
+    /// order, fed to the `transmark_kernel::dp` drivers. A bind builds it
+    /// at most once, when `top` on a sparse bind or an enumerating method
+    /// first asks. Rows keep the order of the dense rows, so a DP over
+    /// the CSR accumulates in the same sequence as one that scans the
+    /// dense rows and skips zeros. The entry array is sized from
+    /// [`MarkovSequence::transition_nnz`] and filled by a branch-free
+    /// cursor ([`transmark_kernel::SparseSteps::from_dense`]).
     pub fn sparse_steps(&self) -> transmark_kernel::SparseSteps {
         let t = transmark_obs::Timer::start();
-        let k = self.alphabet.len();
-        let mut b = transmark_kernel::SparseSteps::builder(k, self.n - 1);
-        b.reserve((self.n - 1) * k * k);
-        for (s, &p) in self.initial.iter().enumerate() {
-            if p > 0.0 {
-                b.push_initial(s as u32, p);
-            }
-        }
-        for m in self.transitions.chunks_exact(k * k) {
-            for from in 0..k {
-                for (to, &p) in m[from * k..(from + 1) * k].iter().enumerate() {
-                    if p > 0.0 {
-                        b.push_transition(to as u32, p);
-                    }
-                }
-                b.finish_row();
-            }
-        }
-        let steps = b.build();
+        let steps = transmark_kernel::SparseSteps::from_dense(
+            self.alphabet.len(),
+            &self.initial,
+            &self.transitions,
+            self.nnz,
+        );
         t.observe(transmark_obs::histogram!("kernel.csr.build_ns"));
         steps
     }
@@ -393,13 +383,50 @@ fn sample_index<R: Rng + ?Sized>(dist: &[f64], rng: &mut R) -> usize {
         .expect("distribution has positive mass")
 }
 
-pub(crate) fn validate_vector(
-    v: &[f64],
+/// Whether `row` is certainly a distribution, by one branch-free pass:
+/// every entry is a finite nonnegative number, and the entries' sum over
+/// 8 independent lanes lies within [`DIST_TOLERANCE`] of 1 by more than
+/// the rounding error any summation order can make.
+///
+/// For nonnegative entries with true sum `S`, both this sum and the
+/// Neumaier total of [`exact_row`] lie within about `(len + 1)·u·S` of
+/// `S` (`u = ε/2`), so they differ by less than `(len + 4)·ε·fast`. A row
+/// accepted here therefore has a Neumaier total within the tolerance,
+/// which [`exact_row`] accepts too. Any other row, invalid or merely near
+/// the tolerance's edge, is left to [`exact_row`], so every decision and
+/// every error value is the exact check's own. `-0.0` passes both tests;
+/// NaN and ±∞ fail the first.
+#[inline]
+fn certainly_distribution(row: &[f64]) -> bool {
+    let mut lanes = [0.0f64; 8];
+    let mut finite_nonneg = true;
+    let mut add = |chunk: &[f64]| {
+        for (lane, &p) in lanes.iter_mut().zip(chunk) {
+            finite_nonneg &= (0.0..=f64::MAX).contains(&p);
+            *lane += p;
+        }
+    };
+    let chunks = row.chunks_exact(8);
+    let tail = chunks.remainder();
+    chunks.for_each(&mut add);
+    add(tail);
+    let fast = ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3]))
+        + ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7]));
+    let margin = (row.len() + 4) as f64 * f64::EPSILON * fast;
+    finite_nonneg && (fast - 1.0).abs() <= DIST_TOLERANCE - margin
+}
+
+/// The exact row check: a serial Neumaier sum that stops at the first
+/// entry that is not a finite nonnegative number. The fallback of
+/// [`certainly_distribution`], and the definition of what a valid row is.
+fn exact_row(
+    row: &[f64],
     what: &'static str,
     position: usize,
+    index: usize,
 ) -> Result<(), MarkovError> {
     let mut sum = KahanSum::new();
-    for &p in v {
+    for &p in row {
         if !p.is_finite() || p < 0.0 {
             return Err(MarkovError::InvalidProbability {
                 what,
@@ -414,11 +441,31 @@ pub(crate) fn validate_vector(
         return Err(MarkovError::NotADistribution {
             what,
             position,
-            row: 0,
+            row: index,
             sum: total,
         });
     }
     Ok(())
+}
+
+/// Counts the rows that fell back to the exact check, once per call, so
+/// a slow hostile input is explainable while valid input pays no atomic.
+fn record_exact_rows(exact_rows: u64) {
+    if exact_rows > 0 {
+        transmark_obs::counter!("dataplane.validate.exact_rows").add(exact_rows);
+    }
+}
+
+pub(crate) fn validate_vector(
+    v: &[f64],
+    what: &'static str,
+    position: usize,
+) -> Result<(), MarkovError> {
+    if certainly_distribution(v) {
+        return Ok(());
+    }
+    record_exact_rows(1);
+    exact_row(v, what, position, 0)
 }
 
 pub(crate) fn validate_matrix(
@@ -427,30 +474,17 @@ pub(crate) fn validate_matrix(
     what: &'static str,
     position: usize,
 ) -> Result<(), MarkovError> {
-    for row in 0..k {
+    let mut exact_rows = 0;
+    let result = (0..k).try_for_each(|row| {
         let slice = &m[row * k..(row + 1) * k];
-        let mut sum = KahanSum::new();
-        for &p in slice {
-            if !p.is_finite() || p < 0.0 {
-                return Err(MarkovError::InvalidProbability {
-                    what,
-                    position,
-                    value: p,
-                });
-            }
-            sum.add(p);
+        if certainly_distribution(slice) {
+            return Ok(());
         }
-        let total = sum.total();
-        if !approx_eq(total, 1.0, DIST_TOLERANCE, DIST_TOLERANCE) {
-            return Err(MarkovError::NotADistribution {
-                what,
-                position,
-                row,
-                sum: total,
-            });
-        }
-    }
-    Ok(())
+        exact_rows += 1;
+        exact_row(slice, what, position, row)
+    });
+    record_exact_rows(exact_rows);
+    result
 }
 
 impl MarkovSequence {

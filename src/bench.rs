@@ -272,14 +272,7 @@ pub fn run_suite(runs: usize, iters: usize) -> Result<Vec<CaseResult>, CliError>
             },
             &mut rng,
         );
-        let mut b = transmark_core::Transducer::builder(m.alphabet().clone(), m.alphabet().clone());
-        let q = b.add_state(true);
-        for s in 0..SWEEP_SYMS as u32 {
-            let sym = transmark_core::SymbolId(s);
-            b.add_transition(q, sym, q, &[sym]).map_err(run_err)?;
-        }
-        let ident = b.build().map_err(run_err)?;
-        let sweep_plan = transmark_core::prepare(&ident);
+        let sweep_plan = transmark_core::prepare(&identity_tracker(&m)?);
         let (o, _) = m.most_likely_string();
         // Longer sequences get fewer executions per measurement so the
         // sweep stays a micro-suite, not a soak test.
@@ -304,6 +297,55 @@ pub fn run_suite(runs: usize, iters: usize) -> Result<Vec<CaseResult>, CliError>
             );
         }
     }
+
+    // source/tmsb_2e14 and top/sparse_2e14: the two data-side costs of a
+    // long chain, on n = 2^14, |Σ| = 16 chains under the identity tracker.
+    // source/tmsb_2e14 binds a zero-copy `.tmsb` slice of a dense chain
+    // and folds one confidence, so every row of every pulled layer is
+    // validated; it declares its layers as `units`. top/sparse_2e14 binds
+    // a density ≈ 0.3 chain in memory and runs `top()`, which builds the
+    // whole-sequence CSR; it declares its lifted edges (positive
+    // transitions × the tracker's one state) as `units`.
+    const LONG_SEED: u64 = 29;
+    const LONG_LEN: usize = 1 << 14;
+    let mut rng = StdRng::seed_from_u64(LONG_SEED);
+    let long_chain = |zero_prob: f64, rng: &mut StdRng| {
+        transmark_markov::generate::random_markov_sequence(
+            &transmark_markov::generate::RandomChainSpec {
+                len: LONG_LEN,
+                n_symbols: SWEEP_SYMS,
+                zero_prob,
+            },
+            rng,
+        )
+    };
+    let (dense, sparse) = (long_chain(0.0, &mut rng), long_chain(0.7, &mut rng));
+    let long_plan = transmark_core::prepare(&identity_tracker(&dense)?);
+    let dense_tmsb = transmark_markov::binio::to_tmsb_bytes(&dense);
+    let (dense_best, _) = dense.most_likely_string();
+    let long_iters = iters.div_ceil(4);
+    push(
+        "source/tmsb_2e14",
+        LONG_SEED,
+        "dense",
+        Some(LONG_LEN as u64 - 1),
+        time_case(runs, long_iters, || {
+            let src = transmark_markov::binio::TmsbSlice::new(&dense_tmsb).expect("valid tmsb");
+            let mut bound = long_plan.bind_source(src).expect("alphabets match");
+            std::hint::black_box(bound.confidence(&dense_best).expect("valid"));
+        }),
+    );
+    let sparse_strategy = long_plan.bind(&sparse).map_err(run_err)?.strategy();
+    push(
+        "top/sparse_2e14",
+        LONG_SEED,
+        sparse_strategy.label(),
+        Some(sparse.transition_nnz() as u64),
+        time_case(runs, long_iters, || {
+            let bound = long_plan.bind(&sparse).expect("alphabets match");
+            std::hint::black_box(bound.top().expect("valid"));
+        }),
+    );
 
     // series_fold: the prefix-acceptance series at length 2^17 over a
     // 3-state pattern query ("contains s1 s2") with real subset growth.
@@ -579,6 +621,19 @@ pub fn run_suite(runs: usize, iters: usize) -> Result<Vec<CaseResult>, CliError>
     });
 
     Ok(results)
+}
+
+/// The one-state Mealy tracker that emits each node of `m` as itself.
+fn identity_tracker(
+    m: &transmark_markov::MarkovSequence,
+) -> Result<transmark_core::Transducer, CliError> {
+    let mut b = transmark_core::Transducer::builder(m.alphabet_arc(), m.alphabet_arc());
+    let q = b.add_state(true);
+    for s in 0..m.n_symbols() as u32 {
+        let sym = transmark_core::SymbolId(s);
+        b.add_transition(q, sym, q, &[sym]).map_err(run_err)?;
+    }
+    b.build().map_err(run_err)
 }
 
 /// Latency/throughput summary of one sustained-load window.

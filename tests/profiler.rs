@@ -222,6 +222,8 @@ fn bench_json_snapshot_is_schema_stable() {
         "streaming/hospital",
         "confidence/rfid",
         "fleet/rfid",
+        "source/tmsb_2e14",
+        "top/sparse_2e14",
     ] {
         let case = obj(cases
             .get(name)
