@@ -34,13 +34,16 @@
 //! one pulled transition matrix at a time (see `crate::forward`). The
 //! Thm 4.6 routes advance a flat `(node, machine row)` layer on the
 //! `transmark-kernel` drivers over step graphs precompiled by
-//! [`crate::kernelize`]; the dynamic-state routes fold their layers
-//! through [`SubsetLayer`]; acceptance runs the
-//! [`EventSession`](crate::incremental::EventSession) fold — a dense
-//! vector over a lazily determinized table — through the one series
-//! driver. All sums use compensated accumulation at the final
-//! reduction; per-cell accumulation is plain `f64` (additions of
-//! nonnegative numbers — no cancellation).
+//! [`crate::kernelize`]. The dynamic-state routes (Thm 4.8, the general
+//! route) and acceptance step one engine: the lifted `(subset, node)`
+//! cells of a lazily determinized table (`LiftedDfa`), which interns
+//! each subset once and caches each successor once per pass. Acceptance
+//! runs it as the [`EventSession`](crate::incremental::EventSession)
+//! fold through the one series driver, the confidence routes as a
+//! `SubsetFold`, whose cells are kept in `(node, subset)` order so that
+//! no result depends on discovery ids. All sums use compensated
+//! accumulation at the final reduction; per-cell accumulation is plain
+//! `f64` (additions of nonnegative numbers — no cancellation).
 
 use std::borrow::BorrowMut;
 use std::cell::Cell;
@@ -48,11 +51,12 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use transmark_automata::{BitSet, Nfa, StateId, SymbolId};
-use transmark_kernel::{count_layers, Neumaier, Prob, StepGraph, Strategy, SubsetLayer, Workspace};
+use transmark_kernel::{count_layers, Neumaier, Prob, StepGraph, Strategy, Workspace};
 use transmark_markov::{MarkovSequence, StepSource};
 
 use crate::error::EngineError;
 use crate::forward::{FlatPass, ForwardPass, PulledLayer};
+use crate::incremental::{ByteReader, ByteWriter};
 use crate::plan::{PlanKind, PreparedQuery};
 use crate::transducer::Transducer;
 
@@ -194,125 +198,6 @@ fn confidence_via(
         .confidence_via(route, o)
 }
 
-/// Seeds the Thm 4.8 layer from a dense initial distribution: one
-/// reachable-state set per positive-probability node, gated by the seed
-/// emission id.
-fn uniform_nfa_seed(
-    t: &Transducer,
-    graph: &StepGraph,
-    initial: &[f64],
-    seed_id: u32,
-) -> SubsetLayer<(u32, BitSet)> {
-    let nq = t.n_states();
-    let mut layer: SubsetLayer<(u32, BitSet)> = SubsetLayer::new();
-    for (node, &p) in initial.iter().enumerate() {
-        if p == 0.0 {
-            continue;
-        }
-        let mut set = BitSet::new(nq.max(1));
-        for e in graph.edges(node as u32, t.initial().0) {
-            if e.payload == seed_id {
-                set.insert(e.to as usize);
-            }
-        }
-        if !set.is_empty() {
-            layer.add((node as u32, set), p);
-        }
-    }
-    layer
-}
-
-/// Advances the Thm 4.8 layer by one dense row-major `|Σ|²` matrix, gated
-/// by the step's expected emission id. Scanning the dense row and skipping
-/// zeros visits exactly the pairs `transitions_from` used to yield, in the
-/// same ascending order, so the fold is bit-identical to the historical
-/// sequence-walking loop.
-fn uniform_nfa_step(
-    t: &Transducer,
-    graph: &StepGraph,
-    layer: SubsetLayer<(u32, BitSet)>,
-    matrix: &[f64],
-    n_sym: usize,
-    expected: u32,
-) -> SubsetLayer<(u32, BitSet)> {
-    let nq = t.n_states();
-    let mut next: SubsetLayer<(u32, BitSet)> = SubsetLayer::with_capacity(layer.len());
-    for ((node, set), p) in layer.sorted() {
-        let row = &matrix[node as usize * n_sym..(node as usize + 1) * n_sym];
-        for (to, &pt) in row.iter().enumerate() {
-            if pt <= 0.0 {
-                continue;
-            }
-            let mut set2 = BitSet::new(nq.max(1));
-            for q in set.iter() {
-                for e in graph.edges(to as u32, q as u32) {
-                    if e.payload == expected {
-                        set2.insert(e.to as usize);
-                    }
-                }
-            }
-            if !set2.is_empty() {
-                next.add((to as u32, set2), p * pt);
-            }
-        }
-    }
-    next
-}
-
-/// Seeds the general configuration layer from a dense initial
-/// distribution. `cap` is the configuration-bit capacity `|Q|·(|o|+1)`.
-fn general_seed(
-    graph: &StepGraph,
-    initial: &[f64],
-    init_row: u32,
-    cap: usize,
-) -> SubsetLayer<(u32, BitSet)> {
-    let mut layer: SubsetLayer<(u32, BitSet)> = SubsetLayer::new();
-    for (node, &p) in initial.iter().enumerate() {
-        if p == 0.0 {
-            continue;
-        }
-        let mut set = BitSet::new(cap);
-        for e in graph.edges(node as u32, init_row) {
-            set.insert(e.to as usize);
-        }
-        if !set.is_empty() {
-            layer.add((node as u32, set), p);
-        }
-    }
-    layer
-}
-
-/// Advances the general configuration layer by one dense row-major
-/// `|Σ|²` matrix (same zero-skipping walk as [`uniform_nfa_step`]).
-fn general_step(
-    graph: &StepGraph,
-    layer: SubsetLayer<(u32, BitSet)>,
-    matrix: &[f64],
-    n_sym: usize,
-    cap: usize,
-) -> SubsetLayer<(u32, BitSet)> {
-    let mut next: SubsetLayer<(u32, BitSet)> = SubsetLayer::with_capacity(layer.len());
-    for ((node, set), p) in layer.sorted() {
-        let row = &matrix[node as usize * n_sym..(node as usize + 1) * n_sym];
-        for (to, &pt) in row.iter().enumerate() {
-            if pt <= 0.0 {
-                continue;
-            }
-            let mut set2 = BitSet::new(cap);
-            for bit in set.iter() {
-                for e in graph.edges(to as u32, bit as u32) {
-                    set2.insert(e.to as usize);
-                }
-            }
-            if !set2.is_empty() {
-                next.add((to as u32, set2), p * pt);
-            }
-        }
-    }
-    next
-}
-
 /// The per-route layer of a [`ConfidencePass`].
 pub(crate) enum ConfState<W> {
     /// Thm 4.6 k-uniform: `(node, state)` cells, each step gated by the
@@ -320,18 +205,15 @@ pub(crate) enum ConfState<W> {
     DetUniform { k: usize, pass: FlatPass<Prob, W> },
     /// Thm 4.6 positional: `(node, state·width + j)` cells.
     Det { pass: FlatPass<Prob, W> },
-    /// Thm 4.8: `(node, reachable-state set)` layer.
+    /// Thm 4.8: `(node, reachable-state set)` cells, each step's
+    /// successors taken in the column of the k-gram it must emit.
     UniformNfa {
         k: usize,
-        layer: SubsetLayer<(u32, BitSet)>,
+        fold: LiftedFold<GraphRule>,
     },
-    /// General exact: `(node, configuration set)` layer; configuration
+    /// General exact: `(node, configuration set)` cells; configuration
     /// bits are the output graph's rows, `q·(|o|+1) + j`.
-    General {
-        graph: Arc<StepGraph>,
-        cap: usize,
-        layer: SubsetLayer<(u32, BitSet)>,
-    },
+    General { fold: LiftedFold<GraphRule> },
 }
 
 impl<W> ConfState<W> {
@@ -407,20 +289,16 @@ impl<W: BorrowMut<Workspace<f64>>> ConfidencePass<W> {
             }
             PlanKind::UniformNfa { k } => {
                 let overrun = overrun(k);
-                let layer = if overrun {
-                    SubsetLayer::new()
-                } else {
-                    uniform_nfa_seed(t, plan.state_graph(), initial, plan.emission_id(&o[..k]))
-                };
-                (ConfState::UniformNfa { k, layer }, overrun)
+                let mut fold = LiftedFold::uniform_nfa(&plan, o, k, initial.len());
+                if !overrun {
+                    fold.seed(fold.rule.column(plan.emission_id(&o[..k])), initial);
+                }
+                (ConfState::UniformNfa { k, fold }, overrun)
             }
             PlanKind::General | PlanKind::Sproj | PlanKind::SprojIndexed => {
-                let graph = plan.output_graph(o);
-                let width = o.len() + 1;
-                let cap = (t.n_states() * width).max(1);
-                let init_row = (t.initial().index() * width) as u32;
-                let layer = general_seed(&graph, initial, init_row, cap);
-                (ConfState::General { graph, cap, layer }, false)
+                let mut fold = LiftedFold::general(&plan, o, initial.len());
+                fold.seed(0, initial);
+                (ConfState::General { fold }, false)
             }
         };
         ConfidencePass::resumed(plan, o, initial.len(), 0, overrun, state)
@@ -472,21 +350,13 @@ impl<W: BorrowMut<Workspace<f64>>> ConfidencePass<W> {
                 pass.accepting(t, 0).collect::<Neumaier>().total()
             }
             ConfState::Det { pass } => pass.accepting(t, o_len).collect::<Neumaier>().total(),
-            ConfState::UniformNfa { k, layer } => {
+            ConfState::UniformNfa { k, fold } => {
                 if self.overrun || o_len != k * n_positions {
                     return 0.0;
                 }
-                let accepting = self.plan.accepting();
-                layer.reduce(|(_, set)| set.intersects(accepting))
+                fold.probability()
             }
-            ConfState::General { layer, .. } => {
-                let width = o_len + 1;
-                layer.reduce(|(_, set)| {
-                    (0..t.n_states()).any(|q| {
-                        t.is_accepting(StateId(q as u32)) && set.contains(q * width + o_len)
-                    })
-                })
-            }
+            ConfState::General { fold } => fold.probability(),
         }
     }
 }
@@ -506,26 +376,16 @@ impl<W: BorrowMut<Workspace<f64>>> ForwardPass for ConfidencePass<W> {
             }
             _ => None,
         };
-        let (t, n) = (self.plan.transducer(), self.n_nodes);
         match &mut self.state {
             ConfState::DetUniform { pass, .. } => pass.step(step, gate),
             ConfState::Det { pass } => pass.step(step, None),
-            ConfState::UniformNfa { layer, .. } => {
-                let taken = std::mem::take(layer);
-                let expected = gate.unwrap_or(u32::MAX);
-                *layer = uniform_nfa_step(
-                    t,
-                    self.plan.state_graph(),
-                    taken,
-                    step.matrix(),
-                    n,
-                    expected,
-                );
+            ConfState::UniformNfa { fold, .. } => {
+                let col = fold
+                    .rule
+                    .column(gate.expect("a live uniform step has a gate"));
+                fold.step(col, step.matrix());
             }
-            ConfState::General { graph, cap, layer } => {
-                let taken = std::mem::take(layer);
-                *layer = general_step(graph, taken, step.matrix(), n, *cap);
-            }
+            ConfState::General { fold } => fold.step(0, step.matrix()),
         }
         self.uncounted.set(self.uncounted.get() + 1);
     }
@@ -536,7 +396,7 @@ impl<W: BorrowMut<Workspace<f64>>> ForwardPass for ConfidencePass<W> {
 }
 
 // ---------------------------------------------------------------------------
-// Acceptance probability
+// The subset table: one engine behind events, windows, Thm 4.8 and general
 // ---------------------------------------------------------------------------
 
 /// A [`LiftedDfa`] successor slot not determinized yet.
@@ -552,39 +412,116 @@ pub(crate) const DEAD: u32 = u32::MAX - 1;
 /// to `+0.0` stays present and keeps driving discovery.
 const ABSENT: f64 = -0.0;
 
-/// The query NFA determinized into a flat successor table over the lifted
-/// `(subset, node)` cells `d·|Σ| + node` — the state space of the
-/// acceptance DP. Subsets are interned densely in discovery order, `{q0}`
-/// first, exactly as `transmark_automata::ops::DetCore` interns them;
-/// `succ[d·|Σ| + σ]` caches each successor (or [`DEAD`]), so a step costs
-/// one table lookup and one multiply-add per positive transition.
+/// How a [`LiftedDfa`] determinizes: the subset reached from `set` by
+/// reading input symbol `symbol` in successor column `col`. A successor
+/// depends on nothing else (not on the Markov node, not on the position),
+/// so a table determinizes each one once per pass.
+pub(crate) trait SubsetRule {
+    /// Whether a [`LiftedFold`] over this rule orders its cells by
+    /// `(node, subset)` rather than by `(subset id, node)`.
+    const BY_SET: bool;
+
+    fn successor(&self, set: &BitSet, symbol: usize, col: usize) -> BitSet;
+}
+
+/// Events and windows: the query NFA's subset step, in one column.
+impl SubsetRule for Nfa {
+    const BY_SET: bool = false;
+
+    fn successor(&self, set: &BitSet, symbol: usize, _col: usize) -> BitSet {
+        self.step_set(set, SymbolId(symbol as u32))
+    }
+}
+
+/// The confidence routes' rule: the union of a step graph's edges over
+/// the set's bits (machine rows). The general route steps the output
+/// graph of `o`, whose rows are the configurations `q·(|o|+1) + j`, in one
+/// column. Thm 4.8 steps the state graph with one column per distinct
+/// k-gram of `o` (its gate), keeping the edges whose payload is the
+/// column's emission id.
+pub(crate) struct GraphRule {
+    graph: Arc<StepGraph>,
+    /// Every set's bit capacity: the graph's row count, at least 1.
+    cap: usize,
+    /// Thm 4.8: each column's emission id, ascending; empty for the
+    /// general route.
+    gates: Vec<u32>,
+}
+
+impl GraphRule {
+    /// The column of the step that must emit the k-gram interned as `id`
+    /// (Thm 4.8; every k-gram of `o` was numbered at seed).
+    pub(crate) fn column(&self, id: u32) -> usize {
+        self.gates
+            .binary_search(&id)
+            .expect("every k-gram of o has a column")
+    }
+}
+
+impl SubsetRule for GraphRule {
+    const BY_SET: bool = true;
+
+    fn successor(&self, set: &BitSet, symbol: usize, col: usize) -> BitSet {
+        let gate = self.gates.get(col).copied();
+        let mut out = BitSet::new(self.cap);
+        for row in set.iter() {
+            for e in self.graph.edges(symbol as u32, row as u32) {
+                if gate.is_none_or(|g| e.payload == g) {
+                    out.insert(e.to as usize);
+                }
+            }
+        }
+        out
+    }
+}
+
+/// A subset rule determinized into flat successor tables over the lifted
+/// `(subset, node)` cells `d·|Σ| + node`: the state space of the
+/// acceptance DP and of the Thm 4.8 and general confidence DPs. Subsets
+/// are interned densely in discovery order, the initial one first, exactly
+/// as `transmark_automata::ops::DetCore` interns them;
+/// `succ[col][d·|Σ| + σ]` caches each successor (or [`DEAD`]), so a step
+/// costs one table lookup and one multiply-add per positive transition.
 ///
-/// The fold grows the table lazily, in the order its steps ask
-/// ([`LiftedDfa::lazy`]); the sliding window builds it whole, breadth
-/// first, under a cell budget ([`LiftedDfa::eager`]).
+/// The folds grow the table lazily, in the order their steps ask
+/// ([`LiftedDfa::new`]); the sliding window builds it whole, breadth
+/// first, under a cell budget ([`LiftedDfa::eager`]). Each table counts
+/// the subsets it discovered into `kernel.subsets.discovered` once, when
+/// it is dropped or finished.
 pub(crate) struct LiftedDfa {
     k: usize,
-    /// The NFA's accepting states.
+    /// A subset accepts if it meets this set.
     finals: BitSet,
     /// Every subset found so far, by id (the dead one included, once
     /// found), and the id of each.
     subsets: Vec<BitSet>,
     ids: HashMap<BitSet, u32>,
-    succ: Vec<u32>,
+    /// One successor table per column; a column grows when a lookup
+    /// first passes its end, so only the columns a pass uses grow.
+    succ: Vec<Vec<u32>>,
     accepting: Vec<bool>,
+    /// Subsets interned since the last report, restored ones excepted.
+    fresh: u64,
 }
 
 impl LiftedDfa {
-    /// A table holding only `{q0}`; every successor is found on demand.
-    pub(crate) fn lazy(nfa: &Nfa) -> Self {
-        let mut table = LiftedDfa {
-            k: nfa.n_symbols(),
-            finals: nfa.accepting_set(),
+    /// An empty table over `k` symbols with `n_cols` successor columns;
+    /// every successor is found on demand.
+    fn new(k: usize, n_cols: usize, finals: BitSet) -> Self {
+        LiftedDfa {
+            k,
+            finals,
             subsets: Vec::new(),
             ids: HashMap::new(),
-            succ: Vec::new(),
+            succ: vec![Vec::new(); n_cols],
             accepting: Vec::new(),
-        };
+            fresh: 0,
+        }
+    }
+
+    /// The acceptance fold's table for `nfa`: `{q0}`, one column.
+    pub(crate) fn lazy(nfa: &Nfa) -> Self {
+        let mut table = LiftedDfa::new(nfa.n_symbols(), 1, nfa.accepting_set());
         table.intern(BitSet::singleton(
             nfa.n_states().max(1),
             nfa.initial().index(),
@@ -596,17 +533,21 @@ impl LiftedDfa {
     /// as the cell count `subsets · |Σ|` would exceed `cap`.
     pub(crate) fn eager(nfa: &Nfa, cap: usize) -> Option<Self> {
         let mut table = LiftedDfa::lazy(nfa);
-        let mut d = 0;
-        while d < table.n_subsets() {
-            if table.n_cells() > cap {
-                return None;
+        let complete = table.with_column(0, |table, column| {
+            let mut d = 0;
+            while d < table.n_subsets() {
+                if table.n_cells() > cap {
+                    return false;
+                }
+                for s in 0..table.k {
+                    table.successor(nfa, 0, column, d * table.k + s);
+                }
+                d += 1;
             }
-            for s in 0..table.k {
-                table.successor(nfa, d * table.k + s);
-            }
-            d += 1;
-        }
-        Some(table)
+            true
+        });
+        table.report();
+        complete.then_some(table)
     }
 
     /// Subsets materialized so far (the dead one included, once found).
@@ -622,7 +563,7 @@ impl LiftedDfa {
     /// The successors of subset `d`, one per symbol; only complete for a
     /// [`LiftedDfa::eager`] table.
     pub(crate) fn successors(&self, d: usize) -> &[u32] {
-        &self.succ[d * self.k..(d + 1) * self.k]
+        &self.succ[0][d * self.k..(d + 1) * self.k]
     }
 
     /// The id of `set`, interning it as the next id if it is new.
@@ -631,62 +572,99 @@ impl LiftedDfa {
             return d as usize;
         }
         let d = self.subsets.len();
+        self.fresh += 1;
         self.accepting.push(set.intersects(&self.finals));
-        self.succ.resize(self.succ.len() + self.k, UNKNOWN);
         self.ids.insert(set.clone(), d as u32);
         self.subsets.push(set);
         d
     }
 
-    /// The successor in `slot = d·|Σ| + σ`, determinizing it on a miss.
+    /// Runs `f` on the table with column `col` taken out of it, so that
+    /// a hot loop's hit is one bounds-checked load from a local vector.
+    fn with_column<T>(&mut self, col: usize, f: impl FnOnce(&mut Self, &mut Vec<u32>) -> T) -> T {
+        let mut column = std::mem::take(&mut self.succ[col]);
+        let out = f(self, &mut column);
+        self.succ[col] = column;
+        out
+    }
+
+    /// The successor in `slot = d·|Σ| + σ` of `column` (column `col`,
+    /// taken out by [`LiftedDfa::with_column`]), determinizing it on a
+    /// miss.
     #[inline]
-    fn successor(&mut self, nfa: &Nfa, slot: usize) -> u32 {
-        match self.succ[slot] {
-            UNKNOWN => self.discover(nfa, slot),
-            d => d,
+    fn successor<R: SubsetRule>(
+        &mut self,
+        rule: &R,
+        col: usize,
+        column: &mut Vec<u32>,
+        slot: usize,
+    ) -> u32 {
+        match column.get(slot) {
+            Some(&d) if d != UNKNOWN => d,
+            _ => self.discover(rule, col, column, slot),
         }
     }
 
     #[cold]
-    fn discover(&mut self, nfa: &Nfa, slot: usize) -> u32 {
-        let set = nfa.step_set(
-            &self.subsets[slot / self.k],
-            SymbolId((slot % self.k) as u32),
-        );
+    fn discover<R: SubsetRule>(
+        &mut self,
+        rule: &R,
+        col: usize,
+        column: &mut Vec<u32>,
+        slot: usize,
+    ) -> u32 {
+        let set = rule.successor(&self.subsets[slot / self.k], slot % self.k, col);
         let dead = set.is_empty();
         let d = self.intern(set);
         let next = if dead { DEAD } else { d as u32 };
-        self.succ[slot] = next;
+        if column.len() <= slot {
+            column.resize(self.subsets.len() * self.k, UNKNOWN);
+        }
+        column[slot] = next;
         next
     }
 
-    /// `μ₀→` (dense, length `|Σ|`) lifted: the first symbol read moves
-    /// `{q0}`. `nfa` must be the automaton the table was built from.
-    pub(crate) fn seed(&mut self, nfa: &Nfa, initial: &[f64]) -> LiftedVec {
-        let cells = self.n_cells();
-        let mut v = LiftedVec::new();
-        lifted_seed(self.k, cells, initial, &mut v, |slot| {
-            self.successor(nfa, slot)
+    /// `μ₀→` (dense, length `|Σ|`) lifted into `v`: the first symbol read
+    /// moves the initial subset, through column `col`. The caller orders
+    /// the cells.
+    pub(crate) fn seed<R: SubsetRule>(
+        &mut self,
+        rule: &R,
+        col: usize,
+        initial: &[f64],
+        v: &mut LiftedVec,
+    ) {
+        let (k, cells) = (self.k, self.n_cells());
+        self.with_column(col, |table, column| {
+            lifted_seed(k, cells, initial, v, |slot| {
+                table.successor(rule, col, column, slot)
+            });
         });
-        v
     }
 
     /// [`LiftedDfa::seed`] over a complete table, into `v` (reused).
     pub(crate) fn seed_complete(&self, initial: &[f64], v: &mut LiftedVec) {
         lifted_seed(self.k, self.n_cells(), initial, v, |slot| self.known(slot));
+        v.settle();
     }
 
-    /// Folds one dense row-major `|Σ|²` matrix into `cur`, writing `next`.
-    pub(crate) fn step(
+    /// Folds one dense row-major `|Σ|²` matrix into `cur` through column
+    /// `col`, writing `next` (listed if `sparse`). The caller orders the
+    /// cells.
+    pub(crate) fn step<R: SubsetRule>(
         &mut self,
-        nfa: &Nfa,
+        rule: &R,
+        col: usize,
         matrix: &[f64],
         cur: &LiftedVec,
         next: &mut LiftedVec,
+        sparse: bool,
     ) {
-        let cells = self.n_cells();
-        lifted_step(self.k, cells, matrix, cur, next, |slot| {
-            self.successor(nfa, slot)
+        let (k, cells) = (self.k, self.n_cells());
+        self.with_column(col, |table, column| {
+            lifted_step(k, cells, matrix, cur, next, sparse, |slot| {
+                table.successor(rule, col, column, slot)
+            });
         });
     }
 
@@ -714,13 +692,27 @@ impl LiftedDfa {
 
     #[inline]
     fn known(&self, slot: usize) -> u32 {
-        let d = self.succ[slot];
+        let d = self.succ[0][slot];
         debug_assert_ne!(d, UNKNOWN, "complete tables have every successor");
         d
     }
 
+    /// Lists the present cells of a listed vector in ascending `(node,
+    /// subset)` order, comparing the subsets themselves (`BitSet`'s
+    /// derived order), never their discovery ids.
+    fn settle_by_set(&self, v: &mut LiftedVec) {
+        let (k, subsets) = (self.k, &self.subsets);
+        v.live.sort_unstable_by(|&a, &b| {
+            let (a, b) = (a as usize, b as usize);
+            (a % k)
+                .cmp(&(b % k))
+                .then_with(|| subsets[a / k].cmp(&subsets[b / k]))
+        });
+        v.present = v.live.len();
+    }
+
     /// `Pr(prefix ∈ L(A))` of a lifted vector: the Neumaier sum of its
-    /// present cells in accepting subsets, in ascending cell order.
+    /// present cells in accepting subsets, in the vector's cell order.
     pub(crate) fn probability(&self, v: &LiftedVec) -> f64 {
         let mut total = Neumaier::new();
         v.for_each_present(self.k, |d, _, p| {
@@ -729,6 +721,21 @@ impl LiftedDfa {
             }
         });
         total.total()
+    }
+
+    /// Adds the subsets discovered since the last report to
+    /// `kernel.subsets.discovered`.
+    fn report(&mut self) {
+        if self.fresh > 0 {
+            transmark_obs::counter!("kernel.subsets.discovered")
+                .add(std::mem::take(&mut self.fresh));
+        }
+    }
+}
+
+impl Drop for LiftedDfa {
+    fn drop(&mut self) {
+        self.report();
     }
 }
 
@@ -744,26 +751,18 @@ const SPARSE_FRACTION: usize = 16;
 /// A vector over the lifted cells: one mass per cell ([`ABSENT`] where
 /// nothing arrived) and, when sparse (see [`SPARSE_FRACTION`]), the
 /// sorted list of its present cells.
+#[derive(Default)]
 pub(crate) struct LiftedVec {
     mass: Vec<f64>,
-    /// The present cells, ascending once built; empty unless `sparse`.
+    /// The present cells, in the fold's order once built; empty unless
+    /// `sparse`.
     live: Vec<u32>,
     /// How many cells are present, counted once the vector is built.
     present: usize,
     sparse: bool,
 }
 
-impl Default for LiftedVec {
-    fn default() -> Self {
-        LiftedVec::new()
-    }
-}
-
 impl LiftedVec {
-    pub(crate) fn new() -> Self {
-        LiftedVec::dense(Vec::new())
-    }
-
     /// Wraps dense cells: every cell whose sign bit is clear is present.
     pub(crate) fn dense(mass: Vec<f64>) -> Self {
         LiftedVec {
@@ -863,9 +862,10 @@ fn count_present(mass: &[f64]) -> usize {
             .sum::<usize>()
 }
 
-/// The lifted seed: `initial[node]` into cell `(succ(q0, node), node)`
-/// for every positive node, skipping dead successors. `cells` sizes the
-/// vector; a lazy table's discoveries grow it.
+/// The lifted seed: `initial[node]` into cell `(succ(initial, node),
+/// node)` for every positive node, skipping dead successors; the cells are
+/// listed, in deposit order. `cells` sizes the vector; a lazy table's
+/// discoveries grow it.
 fn lifted_seed(
     k: usize,
     cells: usize,
@@ -883,24 +883,25 @@ fn lifted_seed(
             v.deposit(k, d as usize * k + node, p);
         }
     }
-    v.settle();
 }
 
-/// One lifted step: present cells in ascending `(subset, node)` order,
-/// targets ascending, zero transitions and dead successors skipped. This
-/// order fixes the subsets' discovery ids and each cell's summation
-/// order, which the checkpoint blobs and every result's bits depend on
-/// (`tests/event_fold_pin.rs` pins them).
+/// One lifted step: present cells in `cur`'s order, targets ascending,
+/// zero transitions and dead successors skipped; `next` lists the cells
+/// it reaches, in deposit order, if `sparse`. The visit order fixes the
+/// subsets' discovery ids and each cell's summation order, which the
+/// checkpoint blobs and every result's bits depend on
+/// (`tests/event_fold_pin.rs` and `tests/subset_fold_pin.rs` pin them).
 fn lifted_step(
     k: usize,
     cells: usize,
     matrix: &[f64],
     cur: &LiftedVec,
     next: &mut LiftedVec,
+    sparse: bool,
     mut succ: impl FnMut(usize) -> u32,
 ) {
     debug_assert_eq!(matrix.len(), k * k, "step matrix must be |Σ|²");
-    next.reset(cells, cur.next_sparse());
+    next.reset(cells, sparse);
     // `LiftedVec::deposit`, inlined over borrowed fields so the layout
     // flag and the length stay in registers across the stores.
     let sparse = next.sparse;
@@ -926,52 +927,107 @@ fn lifted_step(
             *m += p * pt;
         }
     });
-    next.settle();
 }
 
-/// The single acceptance-DP engine behind
-/// [`EventSession`](crate::incremental::EventSession) — and so behind
-/// [`PreparedEventQuery`](crate::plan::PreparedEventQuery)'s acceptance
-/// and prefix series, the server's streams and the store's monitor:
-/// a dense vector over the lifted `(determinized subset, current node)`
-/// cells of a lazily grown [`LiftedDfa`], advanced one dense row-major
-/// `|Σ|²` matrix at a time.
+/// A subset fold: a rule, its lazily grown [`LiftedDfa`] and the layer
+/// over its lifted cells, advanced one dense row-major `|Σ|²` matrix at a
+/// time. Two folds run on it:
 ///
-/// The determinization is fresh per fold — subset ids are interned in
-/// discovery order and the reduction orders by id, so sharing one across
-/// evaluations would perturb float accumulation order (see `crate::plan`'s
-/// module docs). The dead (empty) subset can never accept again, so its
-/// mass is dropped eagerly; memory is bounded by reachable subsets × `|Σ|`,
-/// independent of how many steps are folded in.
-pub(crate) struct AcceptanceFold {
+/// * `LiftedFold<Nfa>`, the single acceptance-DP engine behind
+///   [`EventSession`](crate::incremental::EventSession) (and so behind
+///   [`PreparedEventQuery`](crate::plan::PreparedEventQuery)'s acceptance
+///   and prefix series, the server's streams and the store's monitor),
+///   keeps its cells in ascending `(subset id, node)` order, dense or
+///   listed. Its reductions order by discovery id, so its table is fresh
+///   per fold (see `crate::plan`'s module docs).
+/// * `LiftedFold<GraphRule>`, the Thm 4.8 and general confidence layer,
+///   keeps its cells listed in ascending `(node, subset)` order, by
+///   `BitSet`'s own order and never by id. Each cell sums its sources, and
+///   each reduction its cells, in the order of the hashed `(node, BitSet)`
+///   layer these routes folded through before, and its checkpoint lists
+///   them in that order too, so discovery ids reach neither a result nor
+///   a blob.
+///
+/// The dead (empty) subset can never accept again, so its mass is dropped
+/// eagerly.
+pub(crate) struct LiftedFold<R> {
+    pub(crate) rule: R,
     table: LiftedDfa,
     cur: LiftedVec,
     next: LiftedVec,
 }
 
-impl AcceptanceFold {
-    /// Seeds the fold from `μ₀→` (dense, length `|Σ|`). The caller has
-    /// already checked `initial.len() == nfa.n_symbols()`.
-    pub(crate) fn start(nfa: &Nfa, initial: &[f64]) -> Self {
-        let mut table = LiftedDfa::lazy(nfa);
-        let cur = table.seed(nfa, initial);
-        AcceptanceFold {
+impl<R: SubsetRule> LiftedFold<R> {
+    fn new(rule: R, table: LiftedDfa) -> Self {
+        LiftedFold {
+            rule,
             table,
-            cur,
-            next: LiftedVec::new(),
+            cur: LiftedVec::default(),
+            next: LiftedVec::default(),
         }
     }
 
-    /// Folds in one dense row-major `|Σ|²` transition matrix. `nfa` must
-    /// be the automaton this fold was started with.
-    pub(crate) fn step(&mut self, nfa: &Nfa, matrix: &[f64]) {
-        self.table.step(nfa, matrix, &self.cur, &mut self.next);
-        std::mem::swap(&mut self.cur, &mut self.next);
+    /// Orders a built layer's present cells (see [`SubsetRule::BY_SET`]).
+    fn settle(table: &LiftedDfa, v: &mut LiftedVec) {
+        if R::BY_SET {
+            table.settle_by_set(v);
+        } else {
+            v.settle();
+        }
     }
 
-    /// The current `Pr(S[1..t] ∈ L(A))`.
+    /// Seeds the layer from `μ₀→` (dense, length `|Σ|`), through column
+    /// `col`.
+    pub(crate) fn seed(&mut self, col: usize, initial: &[f64]) {
+        self.table.seed(&self.rule, col, initial, &mut self.cur);
+        Self::settle(&self.table, &mut self.cur);
+    }
+
+    /// Folds in one dense row-major `|Σ|²` matrix through column `col`.
+    pub(crate) fn step(&mut self, col: usize, matrix: &[f64]) {
+        let sparse = R::BY_SET || self.cur.next_sparse();
+        let table = &mut self.table;
+        table.step(&self.rule, col, matrix, &self.cur, &mut self.next, sparse);
+        Self::settle(table, &mut self.next);
+        std::mem::swap(&mut self.cur, &mut self.next);
+        if R::BY_SET && table.n_subsets() > COMPACT_AT.max(2 * self.cur.present) {
+            self.compact();
+        }
+    }
+
+    /// Moves the present cells into a table holding only their subsets.
+    /// The general route's sets carry output positions, so they rarely
+    /// recur, and its table would otherwise grow with the chain; the layer
+    /// is ordered by set, never by id, so the new ids change no bit.
+    fn compact(&mut self) {
+        let (k, n_cols) = (self.table.k, self.table.succ.len());
+        let table = LiftedDfa::new(k, n_cols, self.table.finals.clone());
+        let old = std::mem::replace(&mut self.table, table);
+        let cur = std::mem::take(&mut self.cur);
+        self.cur.reset(0, true);
+        cur.for_each_present(k, |d, node, p| {
+            let d = self.table.intern(old.subsets[d].clone());
+            self.cur.deposit(k, d * k + node, p);
+        });
+        self.cur.present = cur.present;
+        self.table.fresh = 0;
+    }
+
+    /// The Neumaier sum of the present cells in accepting subsets:
+    /// `Pr(S[1..t] ∈ L(A))` for acceptance.
     pub(crate) fn probability(&self) -> f64 {
         self.table.probability(&self.cur)
+    }
+}
+
+impl LiftedFold<Nfa> {
+    /// The acceptance fold of `nfa`, seeded from `μ₀→`. The caller has
+    /// already checked `initial.len() == nfa.n_symbols()`.
+    pub(crate) fn acceptance(nfa: Nfa, initial: &[f64]) -> Self {
+        let table = LiftedDfa::lazy(&nfa);
+        let mut fold = LiftedFold::new(nfa, table);
+        fold.seed(0, initial);
+        fold
     }
 
     /// Serializes the fold's exact state: every materialized subset in id
@@ -980,16 +1036,12 @@ impl AcceptanceFold {
     /// order, so ids — and therefore every id-ordered reduction downstream
     /// — are reproduced bit for bit. The successor table is deliberately
     /// not saved: it refills deterministically on demand.
-    pub(crate) fn save(&self, w: &mut crate::incremental::ByteWriter) {
+    pub(crate) fn save(&self, w: &mut ByteWriter) {
         let k = self.table.k;
         w.put_u32(k as u32);
         w.put_u64(self.table.n_subsets() as u64);
         for set in &self.table.subsets {
-            w.put_u32(set.capacity() as u32);
-            w.put_u32(set.len() as u32);
-            for b in set.iter() {
-                w.put_u32(b as u32);
-            }
+            write_set(w, set);
         }
         w.put_u64(self.cur.present as u64);
         self.cur.for_each_present(k, |d, node, p| {
@@ -999,14 +1051,10 @@ impl AcceptanceFold {
         });
     }
 
-    /// Rebuilds a fold from [`AcceptanceFold::save`] output. `nfa` must be
-    /// the automaton the fold was started with; a subset that does not
-    /// re-intern to its original id means the blob belongs to a different
-    /// query (or is corrupt).
-    pub(crate) fn restore(
-        nfa: &Nfa,
-        r: &mut crate::incremental::ByteReader<'_>,
-    ) -> Result<Self, EngineError> {
+    /// Rebuilds a fold of `nfa` from [`LiftedFold::save`] output; a subset
+    /// that does not re-intern to its original id means the blob belongs
+    /// to a different query (or is corrupt).
+    pub(crate) fn restore(nfa: Nfa, r: &mut ByteReader<'_>) -> Result<Self, EngineError> {
         let k = r.get_u32()? as usize;
         if k != nfa.n_symbols() {
             return Err(EngineError::BadCheckpoint(format!(
@@ -1015,7 +1063,8 @@ impl AcceptanceFold {
                 nfa.n_symbols()
             )));
         }
-        let mut table = LiftedDfa::lazy(nfa);
+        let table = LiftedDfa::lazy(&nfa);
+        let mut fold = LiftedFold::new(nfa, table);
         let n_subsets = r.get_u64()? as usize;
         if n_subsets == 0 {
             return Err(EngineError::BadCheckpoint(
@@ -1023,52 +1072,150 @@ impl AcceptanceFold {
             ));
         }
         for id in 0..n_subsets {
-            let cap = r.get_u32()? as usize;
-            let len = r.get_u32()? as usize;
-            let mut bits = Vec::with_capacity(len);
-            for _ in 0..len {
-                let b = r.get_u32()? as usize;
-                if b >= cap {
-                    return Err(EngineError::BadCheckpoint(format!(
-                        "subset bit {b} out of capacity {cap}"
-                    )));
-                }
-                bits.push(b);
-            }
-            let set = BitSet::from_iter_with_capacity(cap.max(1), bits);
-            let got = table.intern(set);
+            let got = fold.table.intern(read_set(r)?);
             if got != id {
                 return Err(EngineError::BadCheckpoint(format!(
                     "subset {id} re-interned as {got}; checkpoint does not match this query"
                 )));
             }
         }
-        let mut cur = LiftedVec::new();
-        cur.reset(table.n_cells(), true);
-        let n_entries = r.get_u64()? as usize;
-        for _ in 0..n_entries {
+        fold.cur.reset(fold.table.n_cells(), true);
+        for _ in 0..r.get_u64()? {
             let d = r.get_u64()? as usize;
             let node = r.get_u32()? as usize;
-            let p = r.get_f64()?;
+            let p = check_mass(r.get_f64()?)?;
             if d >= n_subsets || node >= k {
                 return Err(EngineError::BadCheckpoint(format!(
                     "layer entry ({d}, {node}) out of range"
                 )));
             }
-            if p.is_nan() || p.is_sign_negative() {
+            fold.cur.deposit(k, d * k + node, p);
+        }
+        fold.cur.settle();
+        fold.table.fresh = 0;
+        Ok(fold)
+    }
+}
+
+impl LiftedFold<GraphRule> {
+    /// Thm 4.8 on `plan`'s state graph: sets of states, `{q0}` first, one
+    /// column per distinct emission id among `o`'s k-grams.
+    pub(crate) fn uniform_nfa(plan: &PreparedQuery, o: &[SymbolId], k: usize, n: usize) -> Self {
+        let t = plan.transducer();
+        let mut gates: Vec<u32> = if k == 0 {
+            vec![plan.emission_id(&[])]
+        } else {
+            o.chunks_exact(k).map(|g| plan.emission_id(g)).collect()
+        };
+        gates.sort_unstable();
+        gates.dedup();
+        let graph = Arc::clone(plan.state_graph());
+        let rule = GraphRule {
+            graph,
+            cap: t.n_states().max(1),
+            gates,
+        };
+        LiftedFold::graph(rule, n, t.initial().index(), plan.accepting().clone())
+    }
+
+    /// The general route on `plan`'s output graph for `o`: sets of
+    /// configurations, `{(q0, 0)}` first; a set accepts if it holds an
+    /// accepting `(q, |o|)`.
+    pub(crate) fn general(plan: &PreparedQuery, o: &[SymbolId], n: usize) -> Self {
+        let t = plan.transducer();
+        let width = o.len() + 1;
+        let cap = (t.n_states() * width).max(1);
+        let finals = plan.accepting().iter().map(|q| q * width + o.len());
+        let finals = BitSet::from_iter_with_capacity(cap, finals);
+        let rule = GraphRule {
+            graph: plan.output_graph(o),
+            cap,
+            gates: Vec::new(),
+        };
+        LiftedFold::graph(rule, n, t.initial().index() * width, finals)
+    }
+
+    fn graph(rule: GraphRule, n_nodes: usize, initial: usize, finals: BitSet) -> Self {
+        let mut table = LiftedDfa::new(n_nodes, rule.gates.len().max(1), finals);
+        table.intern(BitSet::singleton(rule.cap, initial));
+        LiftedFold::new(rule, table)
+    }
+
+    /// Serializes the layer: its present cells as `(node, capacity, bits,
+    /// p)` entries, in the layer's `(node, subset)` order.
+    pub(crate) fn save(&self, w: &mut ByteWriter) {
+        w.put_u64(self.cur.present as u64);
+        self.cur.for_each_present(self.table.k, |d, node, p| {
+            w.put_u32(node as u32);
+            write_set(w, &self.table.subsets[d]);
+            w.put_f64(p);
+        });
+    }
+
+    /// Restores [`LiftedFold::save`] output into this fresh fold,
+    /// interning the sets in blob order. The layer is ordered by set, so
+    /// the resumed pass keeps its bits whatever ids the sets get.
+    pub(crate) fn restore(mut self, r: &mut ByteReader<'_>) -> Result<Self, EngineError> {
+        let k = self.table.k;
+        self.cur.reset(self.table.n_cells(), true);
+        for _ in 0..r.get_count(17)? {
+            let node = r.get_u32()? as usize;
+            let set = read_set(r)?;
+            let p = check_mass(r.get_f64()?)?;
+            if node >= k || set.capacity() != self.rule.cap {
                 return Err(EngineError::BadCheckpoint(format!(
-                    "layer entry ({d}, {node}) holds {p}, not a probability mass"
+                    "layer entry at node {node} of capacity {} does not fit this query",
+                    set.capacity()
                 )));
             }
-            cur.deposit(k, d * k + node, p);
+            let d = self.table.intern(set);
+            self.cur.deposit(k, d * k + node, p);
         }
-        cur.settle();
-        Ok(AcceptanceFold {
-            table,
-            cur,
-            next: LiftedVec::new(),
-        })
+        self.table.settle_by_set(&mut self.cur);
+        self.table.fresh = 0;
+        Ok(self)
     }
+}
+
+/// A confidence table holding more subsets than this, and more than twice
+/// its layer's present cells, keeps only the ones in use
+/// ([`LiftedFold::compact`]), so its memory follows the layer.
+const COMPACT_AT: usize = 1024;
+
+fn write_set(w: &mut ByteWriter, set: &BitSet) {
+    w.put_u32(set.capacity() as u32);
+    w.put_u32(set.len() as u32);
+    for b in set.iter() {
+        w.put_u32(b as u32);
+    }
+}
+
+/// Reads a [`write_set`] subset, refusing a bit outside its capacity.
+fn read_set(r: &mut ByteReader<'_>) -> Result<BitSet, EngineError> {
+    let cap = r.get_u32()? as usize;
+    let mut set = BitSet::new(cap.max(1));
+    for _ in 0..r.get_u32()? {
+        let b = r.get_u32()? as usize;
+        if b >= cap {
+            return Err(EngineError::BadCheckpoint(format!(
+                "subset bit {b} out of capacity {cap}"
+            )));
+        }
+        set.insert(b);
+    }
+    Ok(set)
+}
+
+/// Passes a restored cell's mass only if it is a probability mass: a
+/// cell's sign bit marks it present, so `-0.0` is refused with the
+/// negative, NaN and infinite values.
+pub(crate) fn check_mass(p: f64) -> Result<f64, EngineError> {
+    if !(p.is_finite() && p.is_sign_positive()) {
+        return Err(EngineError::BadCheckpoint(format!(
+            "cell holds {p}, not a probability mass"
+        )));
+    }
+    Ok(p)
 }
 
 /// The accepting states of a transducer as a [`BitSet`].
@@ -1259,9 +1406,9 @@ mod determinism_tests {
     use rand::{rngs::StdRng, SeedableRng};
     use transmark_markov::generate::{random_markov_sequence, RandomChainSpec};
 
-    /// The subset/configuration DPs must be bit-reproducible: HashMap
-    /// iteration order varies per map instance, so two calls in one
-    /// process already exercise different orders.
+    /// The subset/configuration DPs must be bit-reproducible: each call
+    /// grows a fresh table, and nothing they sum in depends on a hash
+    /// map's iteration order.
     #[test]
     fn probabilities_are_bit_reproducible() {
         let mut rng = StdRng::seed_from_u64(321);

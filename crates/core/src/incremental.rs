@@ -58,16 +58,11 @@
 use std::cell::Cell;
 use std::sync::Arc;
 
-use transmark_automata::BitSet;
 use transmark_automata::{Nfa, SymbolId};
-use transmark_kernel::{
-    LayerCsr, Prob, SlidingProduct, StepGraph, StepOperator, SubsetLayer, Workspace,
-};
+use transmark_kernel::{LayerCsr, Prob, SlidingProduct, StepGraph, StepOperator, Workspace};
 use transmark_markov::{MarkovSequence, StepSource};
 
-use crate::confidence::{
-    self, AcceptanceFold, ConfState, ConfidencePass, LiftedDfa, LiftedVec, DEAD,
-};
+use crate::confidence::{self, ConfState, ConfidencePass, LiftedDfa, LiftedFold, LiftedVec, DEAD};
 use crate::error::EngineError;
 use crate::forward::{FlatPass, ForwardPass, PulledLayer};
 use crate::plan::{PlanKind, PreparedQuery};
@@ -305,58 +300,6 @@ fn read_f64s(r: &mut ByteReader<'_>, expected_len: usize) -> Result<Vec<f64>, En
     Ok(v)
 }
 
-fn write_subset_layer(w: &mut ByteWriter, layer: &SubsetLayer<(u32, BitSet)>) {
-    let entries = layer.sorted();
-    w.put_u64(entries.len() as u64);
-    for ((node, set), p) in entries {
-        w.put_u32(node);
-        w.put_u32(set.capacity() as u32);
-        let bits: Vec<usize> = set.iter().collect();
-        w.put_u32(bits.len() as u32);
-        for b in bits {
-            w.put_u32(b as u32);
-        }
-        w.put_f64(p);
-    }
-}
-
-fn read_subset_layer(
-    r: &mut ByteReader<'_>,
-    n_nodes: usize,
-    cap: usize,
-) -> Result<SubsetLayer<(u32, BitSet)>, EngineError> {
-    let n = r.get_count(17)?;
-    let mut layer: SubsetLayer<(u32, BitSet)> = SubsetLayer::with_capacity(n);
-    for _ in 0..n {
-        let node = r.get_u32()?;
-        if node as usize >= n_nodes {
-            return Err(EngineError::BadCheckpoint(format!(
-                "layer node {node} out of range"
-            )));
-        }
-        let got_cap = r.get_u32()? as usize;
-        if got_cap != cap.max(1) {
-            return Err(EngineError::BadCheckpoint(format!(
-                "subset capacity {got_cap} does not match query capacity {cap}"
-            )));
-        }
-        let len = r.get_u32()? as usize;
-        let mut bits = Vec::with_capacity(len.min(got_cap));
-        for _ in 0..len {
-            let b = r.get_u32()? as usize;
-            if b >= got_cap {
-                return Err(EngineError::BadCheckpoint(format!(
-                    "subset bit {b} out of capacity {got_cap}"
-                )));
-            }
-            bits.push(b);
-        }
-        let p = r.get_f64()?;
-        layer.add((node, BitSet::from_iter_with_capacity(got_cap, bits)), p);
-    }
-    Ok(layer)
-}
-
 // ---------------------------------------------------------------------------
 // EventSession — the checkpointable acceptance fold
 // ---------------------------------------------------------------------------
@@ -368,9 +311,7 @@ fn read_subset_layer(
 /// processes. Memory is independent of the stream length (bounded by
 /// reachable subsets × `|Σ|`).
 pub struct EventSession {
-    nfa: Nfa,
-    fold: AcceptanceFold,
-    n_symbols: usize,
+    fold: LiftedFold<Nfa>,
     consumed: u64,
 }
 
@@ -383,18 +324,15 @@ impl EventSession {
                 sequence: initial.len(),
             });
         }
-        let fold = AcceptanceFold::start(&nfa, initial);
         Ok(EventSession {
-            n_symbols: initial.len(),
-            nfa,
-            fold,
+            fold: LiftedFold::acceptance(nfa, initial),
             consumed: 0,
         })
     }
 
     /// The query automaton.
     pub fn nfa(&self) -> &Nfa {
-        &self.nfa
+        &self.fold.rule
     }
 
     /// Transition matrices consumed so far.
@@ -421,14 +359,14 @@ impl EventSession {
 
     /// [`EventSession::advance`] without the reduction.
     pub(crate) fn step(&mut self, matrix: &[f64]) -> Result<(), EngineError> {
-        let k = self.n_symbols;
+        let k = self.nfa().n_symbols();
         if matrix.len() != k * k {
             return Err(EngineError::AlphabetMismatch {
                 transducer: k * k,
                 sequence: matrix.len(),
             });
         }
-        self.fold.step(&self.nfa, matrix);
+        self.fold.step(0, matrix);
         self.consumed += 1;
         Ok(())
     }
@@ -439,8 +377,8 @@ impl EventSession {
     pub fn checkpoint(&self) -> Vec<u8> {
         transmark_obs::counter!("checkpoint.saves").inc();
         transmark_obs::profile::instant("checkpoint.save");
-        let mut w =
-            ByteWriter::envelope(CheckpointKind::Event, self.nfa.fingerprint(), self.consumed);
+        let fingerprint = self.nfa().fingerprint();
+        let mut w = ByteWriter::envelope(CheckpointKind::Event, fingerprint, self.consumed);
         self.fold.save(&mut w);
         w.finish()
     }
@@ -449,12 +387,10 @@ impl EventSession {
     /// `nfa` must be the same automaton (fingerprint-checked).
     pub fn resume(nfa: Nfa, blob: &[u8]) -> Result<EventSession, EngineError> {
         let (mut r, position) = open_envelope(blob, CheckpointKind::Event, nfa.fingerprint())?;
-        let fold = AcceptanceFold::restore(&nfa, &mut r)?;
+        let fold = LiftedFold::<Nfa>::restore(nfa, &mut r)?;
         transmark_obs::counter!("checkpoint.resumes").inc();
         transmark_obs::profile::instant("checkpoint.resume");
         Ok(EventSession {
-            n_symbols: nfa.n_symbols(),
-            nfa,
             fold,
             consumed: position,
         })
@@ -546,9 +482,11 @@ impl PreparedQuery {
         }
         let overrun = r.get_u8()? != 0;
         let tag = r.get_u8()?;
-        let nq = t.n_states();
         let flat = |graph: Arc<StepGraph>, width: usize, r: &mut ByteReader<'_>| {
             let cells = read_f64s(r, n_nodes * graph.n_rows())?;
+            for &p in &cells {
+                confidence::check_mass(p)?;
+            }
             Ok::<_, EngineError>(FlatPass::restore(graph, Workspace::new(), &cells, width))
         };
         let state = match (self.kind(), tag) {
@@ -561,15 +499,11 @@ impl PreparedQuery {
             },
             (PlanKind::UniformNfa { k }, 3) => ConfState::UniformNfa {
                 k,
-                layer: read_subset_layer(&mut r, n_nodes, nq)?,
+                fold: LiftedFold::uniform_nfa(self, o, k, n_nodes).restore(&mut r)?,
             },
             (PlanKind::General | PlanKind::Sproj | PlanKind::SprojIndexed, 4) => {
-                let graph = self.output_graph(o);
-                let cap = (nq * (o.len() + 1)).max(1);
                 ConfState::General {
-                    graph,
-                    cap,
-                    layer: read_subset_layer(&mut r, n_nodes, cap)?,
+                    fold: LiftedFold::general(self, o, n_nodes).restore(&mut r)?,
                 }
             }
             (kind, tag) => {
@@ -631,9 +565,7 @@ impl ConfidenceSession {
             ConfState::DetUniform { pass, .. } | ConfState::Det { pass } => {
                 write_f64s(&mut w, pass.cells());
             }
-            ConfState::UniformNfa { layer, .. } | ConfState::General { layer, .. } => {
-                write_subset_layer(&mut w, layer);
-            }
+            ConfState::UniformNfa { fold, .. } | ConfState::General { fold } => fold.save(&mut w),
         }
         w.finish()
     }
@@ -885,7 +817,7 @@ impl SlidingWindowQuery {
     /// O(w·m·|Σ|) per call where the incremental path pays amortized one
     /// `m³` composition.
     pub fn recompute(&self, start_marginal: &[f64], matrices: &[&[f64]]) -> f64 {
-        let mut seed = LiftedVec::new();
+        let mut seed = LiftedVec::default();
         self.table.seed_complete(start_marginal, &mut seed);
         let mut cur = seed.into_cells();
         let mut next = vec![0.0; cur.len()];
@@ -1249,6 +1181,71 @@ mod tests {
                 "mass {bad} was restored"
             );
         }
+    }
+
+    /// Every confidence route restores its cells only if each holds a
+    /// probability mass: a blob whose last mass is edited to a negative
+    /// number, `-0.0` (a subset cell's absence mark), NaN or `+∞` is
+    /// refused, while an edit to another probability resumes.
+    #[test]
+    fn confidence_resume_rejects_a_mass_that_is_not_a_probability() {
+        use crate::generate::{random_transducer, RandomTransducerSpec, TransducerClass};
+        let m = chain(6, 6);
+        let mut rng = StdRng::seed_from_u64(41);
+        let mut tags = Vec::new();
+        for class in [
+            TransducerClass::Mealy,
+            TransducerClass::Deterministic,
+            TransducerClass::Uniform(1),
+            TransducerClass::General,
+        ] {
+            // The first machine of the class whose plan takes the class's
+            // route and that has an answer.
+            let (plan, o) = loop {
+                let spec = RandomTransducerSpec {
+                    n_states: 3,
+                    n_input_symbols: 3,
+                    n_output_symbols: 2,
+                    class,
+                    branching: 1.8,
+                };
+                let plan = crate::plan::prepare(&random_transducer(&spec, &mut rng));
+                let tag = match plan.kind() {
+                    PlanKind::DeterministicUniform { .. } => 1,
+                    PlanKind::Deterministic => 2,
+                    PlanKind::UniformNfa { .. } => 3,
+                    _ => 4,
+                };
+                if tag == tags.len() + 1 {
+                    if let Some(top) = plan.bind(&m).unwrap().top().unwrap() {
+                        tags.push(tag);
+                        break (plan, top.output);
+                    }
+                }
+            };
+            let mut s = plan.begin_confidence(m.initial_dist(), &o).unwrap();
+            for i in 0..3 {
+                s.step(m.transition_matrix(i)).unwrap();
+            }
+            let blob = s.checkpoint();
+            // The payload ends with the last cell's mass.
+            let at = blob.len() - 8;
+            for x in [-1.0, -0.0, f64::NAN, f64::INFINITY, 0.5] {
+                let mut edited = blob.clone();
+                edited[at..].copy_from_slice(&x.to_bits().to_le_bytes());
+                let r = plan.resume_confidence(&o, &edited);
+                if x == 0.5 {
+                    assert!(r.is_ok(), "{:?}", plan.kind());
+                } else {
+                    assert!(
+                        matches!(r, Err(EngineError::BadCheckpoint(_))),
+                        "{:?}: mass {x} was restored",
+                        plan.kind()
+                    );
+                }
+            }
+        }
+        assert_eq!(tags, [1, 2, 3, 4]);
     }
 
     #[test]

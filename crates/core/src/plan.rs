@@ -45,7 +45,10 @@
 //! bit-reproducibility. Each evaluation grows a fresh table. (A
 //! [`SlidingWindowQuery`](crate::SlidingWindowQuery) builds its table
 //! whole, breadth first, so its ids do not depend on the data and one
-//! table serves all of its sessions.)
+//! table serves all of its sessions.) The Thm 4.8 and general confidence
+//! passes step the same kind of table, also grown fresh per pass: their
+//! cells are ordered by subset rather than by id, but their successor
+//! rules depend on the output string.
 
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};

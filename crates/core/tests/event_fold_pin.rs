@@ -4,8 +4,9 @@
 //! acceptance, server stream and monitor) steps a dense vector over the
 //! lifted `(subset, node)` cells of a lazily determinized table. The
 //! reference below is the previous implementation, kept here verbatim in
-//! behaviour: a `SubsetLayer` keyed by `(subset id, node)`, sorted on
-//! every step, over a `DetCore` interning subsets in discovery order.
+//! behaviour: a hashed layer keyed by `(subset id, node)`, sorted on every
+//! step (here the ordered [`SortedLayer`], which reads in the same order),
+//! over a `DetCore` interning subsets in discovery order.
 //! Every series value must match bitwise, and the checkpoint blob must
 //! match byte for byte after every step — which also pins the discovery
 //! order, since the blob lists the subsets in id order.
@@ -14,26 +15,28 @@
 //! stays reachable: such a cell must still be present (in the reduction,
 //! in the blob and in discovery), as its hashed key was.
 
+mod common;
+
+use common::SortedLayer;
 use rand::{rngs::StdRng, RngExt, SeedableRng};
 
 use transmark_automata::ops::DetCore;
 use transmark_core::incremental::{EventSession, CHECKPOINT_MAGIC, CHECKPOINT_VERSION};
 use transmark_core::{Nfa, PreparedEventQuery, StateId, SymbolId};
-use transmark_kernel::SubsetLayer;
 use transmark_markov::generate::{random_markov_sequence, RandomChainSpec};
 use transmark_markov::MarkovSequence;
 
 /// The hashed acceptance fold, as it was before the dense one.
 struct HashedFold {
     det: DetCore,
-    layer: SubsetLayer<(usize, u32)>,
+    layer: SortedLayer<(usize, u32)>,
     n_sym: usize,
 }
 
 impl HashedFold {
     fn start(nfa: &Nfa, initial: &[f64]) -> Self {
         let mut det = DetCore::new(nfa);
-        let mut layer = SubsetLayer::new();
+        let mut layer = SortedLayer::new();
         for (node, &p) in initial.iter().enumerate() {
             if p == 0.0 {
                 continue;
@@ -52,7 +55,7 @@ impl HashedFold {
 
     fn step(&mut self, nfa: &Nfa, matrix: &[f64]) {
         let k = self.n_sym;
-        let mut next = SubsetLayer::with_capacity(self.layer.len());
+        let mut next = SortedLayer::new();
         for ((d, node), p) in self.layer.sorted() {
             let row = &matrix[node as usize * k..(node as usize + 1) * k];
             for (to, &pt) in row.iter().enumerate() {
@@ -74,11 +77,7 @@ impl HashedFold {
 
     /// Cells present with mass exactly `0.0`.
     fn zero_cells(&self) -> usize {
-        self.layer
-            .sorted()
-            .iter()
-            .filter(|(_, p)| *p == 0.0)
-            .count()
+        self.layer.zero_cells()
     }
 
     /// The `TMKC` event checkpoint of this state at `position`.

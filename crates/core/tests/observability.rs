@@ -443,3 +443,65 @@ fn whole_sequence_csr_is_built_only_to_enumerate_and_once() {
     let d = transmark_obs::registry().snapshot().diff(&base);
     assert_eq!(d.counter("kernel.csr.builds"), 1);
 }
+
+/// Each subset table reports what it discovered, once per pass, and a
+/// Σ*·(p₁|…|p_k) event query discovers at most Σ|pᵢ| + 1 subsets on any
+/// chain. After Takhanov & Kolmogorov: the subset reached after a string
+/// `w` is fixed by the longest suffix of `w` that is a prefix of some
+/// pattern, as in Aho–Corasick, and there are at most Σ|pᵢ| + 1 of those
+/// (the empty one included).
+#[test]
+fn pattern_queries_discover_at_most_one_subset_per_pattern_prefix() {
+    use rand::RngExt;
+    use transmark_core::{Nfa, PreparedEventQuery};
+    use transmark_markov::generate::{random_markov_sequence, RandomChainSpec};
+
+    let _g = GLOBAL_METRICS.lock().unwrap_or_else(|e| e.into_inner());
+    if !transmark_obs::enabled() {
+        return;
+    }
+    let mut rng = StdRng::seed_from_u64(0x7a_4b);
+    for case in 0..60 {
+        let k = rng.random_range(2..=4);
+        let mut nfa = Nfa::new(k);
+        let q0 = nfa.add_state(false);
+        for s in 0..k as u32 {
+            nfa.add_transition(q0, sym(s), q0);
+        }
+        let mut prefixes = 0;
+        for _ in 0..rng.random_range(1..=3) {
+            let len = rng.random_range(1..=5);
+            let mut from = q0;
+            for j in 0..len {
+                let to = nfa.add_state(j + 1 == len);
+                nfa.add_transition(from, sym(rng.random_range(0..k as u32)), to);
+                from = to;
+            }
+            prefixes += len;
+        }
+        let spec = RandomChainSpec {
+            len: rng.random_range(1..=300),
+            n_symbols: k,
+            zero_prob: [0.0, 0.3, 0.6][case % 3],
+        };
+        let m = random_markov_sequence(&spec, &mut rng);
+        let base = transmark_obs::registry().snapshot();
+        PreparedEventQuery::new(nfa).series(&m).unwrap();
+        let found = transmark_obs::registry()
+            .snapshot()
+            .diff(&base)
+            .counter("kernel.subsets.discovered");
+        assert!(
+            (1..=prefixes as u64 + 1).contains(&found),
+            "case {case}: {found} subsets for {prefixes} pattern symbols"
+        );
+    }
+
+    // The confidence routes report theirs as well: the Thm 4.9 gadget's
+    // configuration sets, more than one per position.
+    let (t, m, o) = transmark_workloads::gadgets::confidence_blowup(16);
+    let base = transmark_obs::registry().snapshot();
+    transmark_core::confidence_general(&t, &m, &o).unwrap();
+    let d = transmark_obs::registry().snapshot().diff(&base);
+    assert!(d.counter("kernel.subsets.discovered") > m.len() as u64);
+}

@@ -38,8 +38,6 @@
 //!   compose/apply plus the two-stack [`SlidingProduct`], the
 //!   window-eviction primitive behind sliding-window queries (amortized
 //!   one composition per tick, no source rewind);
-//! * [`SubsetLayer`] — sorted-iteration `HashMap` layers for the
-//!   dynamic-state (subset construction) passes;
 //! * [`Neumaier`] — compensated summation for final reductions.
 //!
 //! # Machine side vs. data side
@@ -47,9 +45,9 @@
 //! The artifacts split cleanly by what they depend on, and the prepared
 //! query layer in `transmark-core` is built on that split:
 //!
-//! * **Machine-side** (sequence-independent): [`StepGraph`]s, emission
-//!   tables, subset seeds. Compiled once per *query*, immutable
-//!   afterwards, `Send + Sync`, and shared across binds and threads as
+//! * **Machine-side** (sequence-independent): [`StepGraph`]s and
+//!   emission tables. Compiled once per *query*, immutable afterwards,
+//!   `Send + Sync`, and shared across binds and threads as
 //!   [`SharedStepGraph`] (`Arc<StepGraph>`).
 //! * **Data-side** (per-sequence): [`LayerCsr`], [`SparseSteps`] and
 //!   [`Workspace`]s. A bind owns its workspaces (mutable scratch,
@@ -73,7 +71,6 @@ pub mod numeric;
 pub mod semiring;
 pub mod step_graph;
 pub mod steps;
-pub mod subset;
 pub mod workspace;
 
 pub use dense::{
@@ -86,5 +83,4 @@ pub use numeric::Neumaier;
 pub use semiring::{Bool, MaxLog, Prob, Semiring};
 pub use step_graph::{MachineEdge, SharedStepGraph, StepGraph, StepGraphBuilder};
 pub use steps::{LayerCsr, SharedSparseSteps, SparseSteps, StepRows, StepView};
-pub use subset::SubsetLayer;
 pub use workspace::Workspace;

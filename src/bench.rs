@@ -209,6 +209,57 @@ pub fn run_suite(runs: usize, iters: usize) -> Result<Vec<CaseResult>, CliError>
         }),
     );
 
+    // confidence/uniform_nfa: the Thm 4.8 route on a 4-state
+    // nondeterministic 1-uniform machine over |Σ| = 6, on an n = 256 chain
+    // with three in ten transitions zero; confidence/general_blowup: the
+    // general route on the Thm 4.9 gadget at n = 24. Each declares its
+    // layers as `units`.
+    use transmark_core::generate::{random_transducer, RandomTransducerSpec, TransducerClass};
+    use transmark_markov::generate::{random_markov_sequence, RandomChainSpec};
+    let mut subset_rng = StdRng::seed_from_u64(29);
+    let spec = RandomTransducerSpec {
+        n_states: 4,
+        n_input_symbols: 6,
+        class: TransducerClass::Uniform(1),
+        ..Default::default()
+    };
+    let nfa_t = random_transducer(&spec, &mut subset_rng);
+    let chain = RandomChainSpec {
+        len: 256,
+        n_symbols: 6,
+        zero_prob: 0.3,
+    };
+    let nfa_m = random_markov_sequence(&chain, &mut subset_rng);
+    let nfa_o = transmark_core::prepare(&nfa_t)
+        .bind(&nfa_m)
+        .and_then(|b| b.top())
+        .map_err(run_err)?
+        .ok_or_else(|| run_err("no Thm 4.8 answer"))?
+        .output;
+    let (blowup_t, blowup_m, blowup_o) = transmark_workloads::gadgets::confidence_blowup(24);
+    for (name, seed, t, m, o) in [
+        ("confidence/uniform_nfa", 29, &nfa_t, &nfa_m, &nfa_o),
+        (
+            "confidence/general_blowup",
+            0,
+            &blowup_t,
+            &blowup_m,
+            &blowup_o,
+        ),
+    ] {
+        let plan = transmark_core::prepare(t);
+        let bound = plan.bind(m).map_err(run_err)?;
+        push(
+            name,
+            seed,
+            bound.strategy().label(),
+            Some(m.len() as u64 - 1),
+            time_case(runs, iters, || {
+                std::hint::black_box(bound.confidence(o).expect("valid"));
+            }),
+        );
+    }
+
     // fleet/rfid: 8 posterior streams, confidence across the store on 2
     // workers — measures the parallel driver (spawn, chunking, merge).
     let mut store = transmark_store::SequenceStore::new(Arc::clone(&dep.locations));

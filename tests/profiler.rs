@@ -224,6 +224,8 @@ fn bench_json_snapshot_is_schema_stable() {
         "fleet/rfid",
         "source/tmsb_2e14",
         "top/sparse_2e14",
+        "confidence/uniform_nfa",
+        "confidence/general_blowup",
     ] {
         let case = obj(cases
             .get(name)
