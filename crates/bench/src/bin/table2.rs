@@ -29,7 +29,7 @@ use transmark_core::confidence::{
 };
 use transmark_core::generate::TransducerClass;
 use transmark_core::transducer::Transducer;
-use transmark_core::{prepare, EventSession, PreparedEventQuery, StreamSession};
+use transmark_core::{prepare, PreparedEventQuery, StreamQuery};
 use transmark_markov::generate::{random_markov_sequence, RandomChainSpec};
 use transmark_markov::source::materialize;
 use transmark_markov::StepSource;
@@ -429,9 +429,9 @@ fn emit_on_zero(alphabet: &Arc<Alphabet>) -> Transducer {
 }
 
 /// `Pr(S ∈ L(A))` folded straight off a source, never materializing it.
-fn acceptance_streamed(nfa: &Nfa, src: &mut CyclicSource) -> f64 {
-    let sess = EventSession::start(nfa.clone(), src.initial()).expect("session starts");
-    StreamSession::Event(sess).drain(src, false).expect("drain")[0]
+fn acceptance_streamed(query: &StreamQuery, src: &mut CyclicSource) -> f64 {
+    let mut sess = query.start(src.initial()).expect("session starts");
+    sess.drain(src, false).expect("drain")[0]
 }
 
 /// STREAMING: acceptance and confidence over n = 2^10 … 2^17 positions,
@@ -455,6 +455,7 @@ fn streaming() {
     let source = |n| CyclicSource::new(&donor, n);
     let nfa = seen_last_symbol();
     let event = PreparedEventQuery::new(nfa.clone());
+    let streamed = StreamQuery::Series(nfa);
     let t = emit_on_zero(donor.alphabet_ref());
     let o = vec![SymbolId(0)];
     let layer_bytes = 8 * STREAM_SYMBOLS * STREAM_SYMBOLS;
@@ -473,7 +474,7 @@ fn streaming() {
         // Bit-identity first: the sweep only times passes that agree.
         let m = materialize(&mut source(n)).expect("cyclic source is valid");
         let acc_mat = event.acceptance(&m).expect("acceptance");
-        let acc_str = acceptance_streamed(&nfa, &mut source(n));
+        let acc_str = acceptance_streamed(&streamed, &mut source(n));
         assert_eq!(
             acc_mat.to_bits(),
             acc_str.to_bits(),
@@ -500,7 +501,7 @@ fn streaming() {
             black_box(event.acceptance(&m).expect("acceptance"));
         });
         let t_acc_str = time_median(reps, || {
-            black_box(acceptance_streamed(&nfa, &mut source(n)));
+            black_box(acceptance_streamed(&streamed, &mut source(n)));
         });
         let t_conf_mat = time_median(reps, || {
             let m = materialize(&mut source(n)).expect("cyclic source is valid");

@@ -31,10 +31,15 @@
 //!   that grows as positions arrive (O(min(w, t)·|Σ|) memory, O(|Σ|²)
 //!   advance per tick), so the width sizes no allocation; once the
 //!   window has filled, a tick allocates nothing.
-//! * [`StreamSession`] — any of the three behind one `advance` /
-//!   `probability` / `position` / `checkpoint` interface, plus the one
-//!   series driver every acceptance, prefix-series, monitor and window
-//!   pass runs through.
+//! * [`StreamQuery`] — the one map from a streamed query (confidence,
+//!   prefix series or window) to the session it opens, fresh or from a
+//!   checkpoint blob. Every caller outside this crate (the server's
+//!   stream sessions, `tmk stream`, the store's monitor and file fleets)
+//!   opens its sessions here.
+//! * [`StreamSession`] — what a session is advanced through: any of the
+//!   three behind one `advance` / `probability` / `position` /
+//!   `checkpoint` interface, plus the one series driver every
+//!   acceptance, prefix-series, monitor and window pass runs through.
 //!
 //! # Numerics contract
 //!
@@ -577,7 +582,8 @@ impl ConfidenceSession {
 
 /// One streamed query session of any kind, so a layer-driving loop (the
 /// server's stream sessions, `tmk stream`, the store's monitor, the
-/// engine's own series passes) is written once.
+/// engine's own series passes) is written once. Opened by
+/// [`StreamQuery::start`] or [`StreamQuery::resume`].
 pub enum StreamSession<'q> {
     /// `Pr(S →[A^ω]→ o)`, known once the stream ends.
     Confidence(ConfidenceSession),
@@ -642,7 +648,9 @@ impl StreamSession<'_> {
         series: bool,
     ) -> Result<Vec<f64>, EngineError> {
         confidence::check_source_fresh(src)?;
-        let mut out = Vec::with_capacity(if series { src.len() } else { 1 });
+        // Grown as layers arrive: a source's length is only a claim until
+        // its layers have been read.
+        let mut out = Vec::new();
         if series {
             out.push(self.probability());
         }
@@ -656,6 +664,60 @@ impl StreamSession<'_> {
             out.push(self.probability());
         }
         Ok(out)
+    }
+}
+
+// ---------------------------------------------------------------------------
+// StreamQuery — which session a streamed query opens
+// ---------------------------------------------------------------------------
+
+/// A streamed query, compiled before any layer arrives: the one place
+/// that maps a query kind to the [`StreamSession`] it opens, fresh
+/// ([`StreamQuery::start`]) or from a checkpoint blob
+/// ([`StreamQuery::resume`]). The server's stream sessions, `tmk stream`,
+/// the store's monitor and its file fleets all open sessions here; one
+/// query may open any number of sessions, concurrently.
+pub enum StreamQuery {
+    /// `Pr(S →[A^ω]→ output)` under a prepared plan.
+    Confidence {
+        /// The transducer's prepared plan.
+        plan: Arc<PreparedQuery>,
+        /// The output string `o`.
+        output: Vec<SymbolId>,
+    },
+    /// The prefix series `Pr(S[1..t] ∈ L(A))`.
+    Series(Nfa),
+    /// The sliding-window series `Pr(S[t−w+1..t] ∈ L(A))`.
+    Window(SlidingWindowQuery),
+}
+
+impl StreamQuery {
+    /// Opens a session from the stream's `μ₀→` distribution.
+    pub fn start(&self, initial: &[f64]) -> Result<StreamSession<'_>, EngineError> {
+        Ok(match self {
+            StreamQuery::Confidence { plan, output } => {
+                StreamSession::Confidence(plan.begin_confidence(initial, output)?)
+            }
+            StreamQuery::Series(nfa) => {
+                StreamSession::Event(EventSession::start(nfa.clone(), initial)?)
+            }
+            StreamQuery::Window(q) => StreamSession::Window(q.start(initial)?),
+        })
+    }
+
+    /// Reopens a session suspended by [`StreamSession::checkpoint`]. A
+    /// blob of another kind or another query is refused with
+    /// [`EngineError::BadCheckpoint`].
+    pub fn resume(&self, blob: &[u8]) -> Result<StreamSession<'_>, EngineError> {
+        Ok(match self {
+            StreamQuery::Confidence { plan, output } => {
+                StreamSession::Confidence(plan.resume_confidence(output, blob)?)
+            }
+            StreamQuery::Series(nfa) => {
+                StreamSession::Event(EventSession::resume(nfa.clone(), blob)?)
+            }
+            StreamQuery::Window(q) => StreamSession::Window(q.resume(blob)?),
+        })
     }
 }
 
@@ -1377,6 +1439,20 @@ mod tests {
         assert_eq!(s.span(), m.len());
         let bits = |v: &[f64]| v.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&got), bits(&want));
+    }
+
+    /// A source's claimed length sizes no series: a `.tms` holding one
+    /// step but claiming 10^14 positions gives both series drivers a
+    /// typed error when the text runs out.
+    #[test]
+    fn series_source_reserves_nothing_the_stream_cannot_back() {
+        let text = transmark_markov::textio::to_text(&chain(2, 10))
+            .replace("length 2\n", "length 100000000000000\n");
+        let lying = || transmark_markov::textio::TmsTextSource::new(text.as_bytes()).unwrap();
+        let event = crate::plan::PreparedEventQuery::new(has_two());
+        assert!(event.series_source(&mut lying()).is_err());
+        let window = SlidingWindowQuery::new(has_two(), 2).unwrap();
+        assert!(window.series_source(&mut lying()).is_err());
     }
 
     #[test]

@@ -67,7 +67,7 @@ pub use error::EngineError;
 pub use evidence::{Evidence, Evidences};
 pub use incremental::{
     CheckpointKind, ConfidenceSession, EventSession, SlidingWindowQuery, StreamCheckpoint,
-    StreamSession, WindowSession,
+    StreamQuery, StreamSession, WindowSession,
 };
 pub use plan::{
     choose_strategy, prepare, BoundQuery, BoundedCache, ConfidenceCost, PlanExplain, PlanKind,

@@ -10,7 +10,8 @@ use std::sync::Arc;
 
 use transmark_core::generate::{random_transducer, RandomTransducerSpec, TransducerClass};
 use transmark_core::incremental::{
-    CheckpointKind, EventSession, SlidingWindowQuery, StreamCheckpoint,
+    CheckpointKind, ConfidenceSession, EventSession, SlidingWindowQuery, StreamCheckpoint,
+    StreamQuery, StreamSession, WindowSession,
 };
 use transmark_core::plan::{prepare, PreparedQuery};
 use transmark_core::transducer::Transducer;
@@ -19,6 +20,30 @@ use transmark_core::SymbolId;
 use transmark_markov::generate::{random_markov_sequence, RandomChainSpec};
 use transmark_markov::numeric::approx_eq;
 use transmark_markov::{MarkovSequence, SequenceSource};
+
+/// The session a [`StreamQuery::Series`] opens.
+fn event(s: StreamSession<'_>) -> EventSession {
+    match s {
+        StreamSession::Event(s) => s,
+        _ => panic!("a series query opens an event session"),
+    }
+}
+
+/// The session a [`StreamQuery::Confidence`] opens.
+fn confidence(s: StreamSession<'_>) -> ConfidenceSession {
+    match s {
+        StreamSession::Confidence(s) => s,
+        _ => panic!("a confidence query opens a confidence session"),
+    }
+}
+
+/// The session a [`StreamQuery::Window`] opens.
+fn window(s: StreamSession<'_>) -> WindowSession<'_> {
+    match s {
+        StreamSession::Window(s) => s,
+        _ => panic!("a window query opens a window session"),
+    }
+}
 
 fn arb_class() -> impl Strategy<Value = TransducerClass> {
     prop_oneof![
@@ -142,17 +167,17 @@ proptest! {
     #[test]
     fn event_checkpoint_roundtrips_at_every_boundary(class in arb_class(), seed in any::<u64>(), n in 2usize..7) {
         let (t, m) = instance(class, seed, n);
-        let nfa = t.underlying_nfa();
+        let query = StreamQuery::Series(t.underlying_nfa());
         let steps = matrices(&m);
 
-        let mut full = EventSession::start(nfa.clone(), m.initial_dist()).unwrap();
+        let mut full = event(query.start(m.initial_dist()).unwrap());
         let mut expected = vec![full.probability()];
         for s in &steps {
             expected.push(full.advance(s).unwrap());
         }
 
         for split in 0..=steps.len() {
-            let mut sess = EventSession::start(nfa.clone(), m.initial_dist()).unwrap();
+            let mut sess = event(query.start(m.initial_dist()).unwrap());
             for s in &steps[..split] {
                 sess.advance(s).unwrap();
             }
@@ -161,7 +186,7 @@ proptest! {
             prop_assert_eq!(header.kind, CheckpointKind::Event);
             prop_assert_eq!(header.position, split as u64);
 
-            let mut resumed = EventSession::resume(nfa.clone(), &blob).unwrap();
+            let mut resumed = event(query.resume(&blob).unwrap());
             prop_assert_eq!(resumed.position(), split as u64);
             prop_assert_eq!(resumed.probability().to_bits(), expected[split].to_bits());
             for (i, s) in steps[split..].iter().enumerate() {
@@ -189,14 +214,15 @@ proptest! {
         outputs.push(vec![SymbolId(0); n]);
 
         for o in &outputs {
-            let mut full = plan.begin_confidence(m.initial_dist(), o).unwrap();
+            let query = StreamQuery::Confidence { plan: Arc::clone(&plan), output: o.clone() };
+            let mut full = confidence(query.start(m.initial_dist()).unwrap());
             for s in &steps {
                 full.step(s).unwrap();
             }
             let expected = full.finish();
 
             for split in 0..=steps.len() {
-                let mut sess = plan.begin_confidence(m.initial_dist(), o).unwrap();
+                let mut sess = confidence(query.start(m.initial_dist()).unwrap());
                 for s in &steps[..split] {
                     sess.step(s).unwrap();
                 }
@@ -205,7 +231,7 @@ proptest! {
                     StreamCheckpoint::inspect(&blob).unwrap().kind,
                     CheckpointKind::Confidence
                 );
-                let mut resumed = plan.resume_confidence(o, &blob).unwrap();
+                let mut resumed = confidence(query.resume(&blob).unwrap());
                 prop_assert_eq!(resumed.position(), split as u64);
                 for s in &steps[split..] {
                     resumed.step(s).unwrap();
@@ -226,17 +252,17 @@ proptest! {
     #[test]
     fn window_checkpoint_roundtrips_at_every_boundary(class in arb_class(), seed in any::<u64>(), n in 2usize..7, w in 1usize..5) {
         let (t, m) = instance(class, seed, n);
-        let q = SlidingWindowQuery::new(t.underlying_nfa(), w).unwrap();
+        let query = StreamQuery::Window(SlidingWindowQuery::new(t.underlying_nfa(), w).unwrap());
         let steps = matrices(&m);
 
-        let mut full = q.start(m.initial_dist()).unwrap();
+        let mut full = window(query.start(m.initial_dist()).unwrap());
         let mut expected = vec![full.probability()];
         for s in &steps {
             expected.push(full.advance(s).unwrap());
         }
 
         for split in 0..=steps.len() {
-            let mut sess = q.start(m.initial_dist()).unwrap();
+            let mut sess = window(query.start(m.initial_dist()).unwrap());
             for s in &steps[..split] {
                 sess.advance(s).unwrap();
             }
@@ -245,7 +271,7 @@ proptest! {
             prop_assert_eq!(header.kind, CheckpointKind::Window);
             prop_assert_eq!(header.position, split as u64);
 
-            let mut resumed = q.resume(&blob).unwrap();
+            let mut resumed = window(query.resume(&blob).unwrap());
             prop_assert_eq!(resumed.position(), split as u64);
             prop_assert_eq!(resumed.span(), sess.span());
             prop_assert_eq!(resumed.probability().to_bits(), expected[split].to_bits());
@@ -328,6 +354,24 @@ proptest! {
         // (unless the two random machines collide structurally).
         if t2.underlying_nfa().fingerprint() != nfa.fingerprint() {
             prop_assert!(EventSession::resume(t2.underlying_nfa(), &blob).is_err());
+        }
+
+        // Every kind's blob through the front door of each kind: only its
+        // own resumes it.
+        let queries = [
+            StreamQuery::Series(nfa.clone()),
+            StreamQuery::Window(q),
+            StreamQuery::Confidence { plan, output: Vec::new() },
+        ];
+        for (i, from) in queries.iter().enumerate() {
+            let mut sess = from.start(m.initial_dist()).unwrap();
+            for s in &matrices(&m) {
+                sess.advance(s).unwrap();
+            }
+            let blob = sess.checkpoint();
+            for (j, into) in queries.iter().enumerate() {
+                prop_assert_eq!(into.resume(&blob).is_ok(), i == j, "blob of kind {} into kind {}", i, j);
+            }
         }
     }
 }

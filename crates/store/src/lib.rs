@@ -36,7 +36,7 @@ pub use pool::{resolve_threads, scoped_map, PoolError, WorkerPool};
 
 use transmark_automata::{Alphabet, Nfa, SymbolId};
 use transmark_core::error::EngineError;
-use transmark_core::incremental::{EventSession, StreamSession};
+use transmark_core::incremental::StreamQuery;
 use transmark_core::plan::{PreparedEventQuery, PreparedQuery, ScoredAnswer};
 use transmark_core::transducer::Transducer;
 use transmark_markov::{MarkovSequence, StepSource};
@@ -626,10 +626,10 @@ pub fn event_probability_files(
     paths: &[std::path::PathBuf],
     n_threads: usize,
 ) -> Result<BTreeMap<String, f64>, StoreError> {
+    let query = StreamQuery::Series(query.clone());
     par_map_paths(paths, n_threads, |path| {
         let mut src = open_source(path)?;
-        let sess = EventSession::start(query.clone(), src.initial())?;
-        Ok(StreamSession::Event(sess).drain(&mut src, false)?[0])
+        Ok(query.start(src.initial())?.drain(&mut src, false)?[0])
     })
 }
 

@@ -5,8 +5,9 @@
 //! each time period", the probability that each stream satisfies the
 //! query. The fleet helpers in the crate root evaluate one stream at a
 //! time to completion; a [`Monitor`] instead keeps *every* stream's
-//! incremental session ([`transmark_core::incremental`]) in flight at
-//! once and interleaves them in tick batches, the shape of a live
+//! incremental session in flight at once, each opened by the one
+//! [`StreamQuery`] (prefix series or sliding window) that every worker
+//! shares, and interleaves them in tick batches, the shape of a live
 //! deployment where layers arrive continuously on thousands of streams
 //! and none of them can be "finished first".
 //!
@@ -24,7 +25,7 @@
 use std::path::PathBuf;
 
 use transmark_automata::Nfa;
-use transmark_core::incremental::{EventSession, SlidingWindowQuery, StreamSession};
+use transmark_core::incremental::{SlidingWindowQuery, StreamQuery, StreamSession};
 use transmark_markov::{MarkovSequence, StepSource};
 
 use crate::pool::resolve_threads;
@@ -40,7 +41,8 @@ pub struct MonitorConfig {
     /// `Pr(S[t−w+1..t] ∈ L(A))` via [`SlidingWindowQuery`] (amortized
     /// one `m × m` operator composition per tick over the query's `m`
     /// lifted cells, no rewind). `None`: Lahar's native prefix series
-    /// `Pr(S[1..t] ∈ L(A))` via [`EventSession`].
+    /// `Pr(S[1..t] ∈ L(A))` via
+    /// [`EventSession`](transmark_core::incremental::EventSession).
     pub window: Option<usize>,
     /// Worker threads (`0` = one per core, [`resolve_threads`]).
     pub threads: usize,
@@ -145,11 +147,11 @@ impl Monitor {
         } else {
             self.cfg.batch
         };
-        // The window machinery compiles once (the query's lifted table)
-        // and is shared read-only by every worker's sessions.
-        let window_query = match self.cfg.window {
-            Some(w) => Some(SlidingWindowQuery::new(self.nfa.clone(), w)?),
-            None => None,
+        // The query compiles once (for a window, its lifted table) and
+        // is shared read-only by every worker's sessions.
+        let query = match self.cfg.window {
+            Some(w) => StreamQuery::Window(SlidingWindowQuery::new(self.nfa.clone(), w)?),
+            None => StreamQuery::Series(self.nfa.clone()),
         };
 
         // The mode label splits monitor traffic by evaluation shape:
@@ -172,8 +174,7 @@ impl Monitor {
                 let handles: Vec<_> = (0..n_threads)
                     .map(|wi| {
                         let open = &open;
-                        let window_query = window_query.as_ref();
-                        let nfa = &self.nfa;
+                        let query = &query;
                         let rec = rec.clone();
                         scope.spawn(move || {
                             let _lane = rec.as_ref().map(|r| r.install(format!("monitor-{wi}")));
@@ -182,13 +183,7 @@ impl Monitor {
                             // streams wi, wi + n_threads, …
                             for idx in (wi..names.len()).step_by(n_threads) {
                                 let src = open(idx)?;
-                                let sess = match window_query {
-                                    Some(q) => StreamSession::Window(q.start(src.initial())?),
-                                    None => StreamSession::Event(EventSession::start(
-                                        nfa.clone(),
-                                        src.initial(),
-                                    )?),
-                                };
+                                let sess = query.start(src.initial())?;
                                 let series = vec![sess.probability()];
                                 active.push(Active {
                                     idx,

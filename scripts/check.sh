@@ -158,6 +158,12 @@ monitor_smoke() {
   # The multiplexed per-stream series (3 workers) must be byte-identical
   # to running each stream alone.
   solo=$("$tmk" stream "$dir/room_tracker.tmt" "$dir/hospital.tms")
+  # `tmk stream` has one path: stdin and `.tmsb` read as the `.tms` file.
+  if [ "$("$tmk" stream "$dir/room_tracker.tmt" - <"$dir/hospital.tms")" != "$solo" ] ||
+    [ "$("$tmk" stream "$dir/room_tracker.tmt" "$dir/s5.tmsb")" != "$solo" ]; then
+    echo "monitor smoke: stdin or .tmsb stream differs from the .tms file run" >&2
+    return 1
+  fi
   want=""
   for i in "${streams[@]}"; do
     want+="== $i"$'\n'"$solo"$'\n'

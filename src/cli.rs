@@ -54,7 +54,8 @@
 use std::fmt::Write as _;
 use std::path::Path;
 
-use transmark_core::plan::{prepare, PreparedEventQuery};
+use transmark_core::incremental::{SlidingWindowQuery, StreamQuery};
+use transmark_core::plan::prepare;
 use transmark_core::transducer::Transducer;
 use transmark_core::Strategy;
 use transmark_markov::MarkovSequence;
@@ -419,39 +420,22 @@ fn read_tmsb_bytes(path: &str) -> Result<Vec<u8>, CliError> {
     }
 }
 
-/// The incremental `tmk stream` path: a checkpointable session folding
-/// one layer at a time — plain acceptance or a sliding window, as a core
-/// `StreamSession` — with suspend (`--checkpoint-at`/
-/// `--checkpoint-out`) and resume (`--resume`) at any step boundary.
-/// The checkpoint file holds the core session's versioned blob verbatim.
-fn run_incremental_stream<S: transmark_markov::StepSource>(
+/// The `tmk stream` loop: the session `query` opens over `src` — fresh,
+/// or from a checkpoint blob (`--resume`) — prints its probability at
+/// every position, and stops early to suspend (`--checkpoint-at`/
+/// `--checkpoint-out`) at any step boundary. The checkpoint file holds
+/// the core session's versioned blob verbatim.
+fn run_stream(
     out: &mut String,
-    nfa: transmark_automata::Nfa,
-    src: &mut S,
-    window: Option<usize>,
+    query: &StreamQuery,
+    src: &mut dyn transmark_markov::StepSource,
     checkpoint_at: Option<u64>,
     checkpoint_out: Option<&str>,
     resume_blob: Option<&[u8]>,
 ) -> Result<(), CliError> {
-    use transmark_core::incremental::{EventSession, SlidingWindowQuery, StreamSession};
-
-    let wq_storage;
-    let mut sess = match window {
-        Some(w) => {
-            wq_storage = SlidingWindowQuery::new(nfa, w)?;
-            match resume_blob {
-                Some(b) => StreamSession::Window(wq_storage.resume(b)?),
-                None => StreamSession::Window(wq_storage.start(src.initial())?),
-            }
-        }
-        None => match resume_blob {
-            Some(b) => StreamSession::Event(EventSession::resume(nfa, b)?),
-            None => StreamSession::Event(EventSession::start(nfa, src.initial())?),
-        },
-    };
-
-    match resume_blob {
-        Some(_) => {
+    let mut sess = match resume_blob {
+        Some(b) => {
+            let sess = query.resume(b)?;
             // Skip the source forward to the suspension point; the state
             // itself comes from the checkpoint, not from replaying.
             let _ = writeln!(out, "resumed at t={}", sess.position() + 1);
@@ -463,11 +447,14 @@ fn run_incremental_stream<S: transmark_markov::StepSource>(
                     )));
                 }
             }
+            sess
         }
         None => {
+            let sess = query.start(src.initial())?;
             let _ = writeln!(out, "t={:<6} {}", 1, sess.probability());
+            sess
         }
-    }
+    };
 
     loop {
         if let (Some(at), Some(path)) = (checkpoint_at, checkpoint_out) {
@@ -953,9 +940,10 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
             }
             let query_path = args.remove(0);
             let t = load_transducer(&query_path)?;
-            // The running Boolean event query: Pr(S[1..t] ∈ L(A)) for the
-            // query's underlying input automaton, folded one layer at a
-            // time (memory independent of stream length).
+            // The running Boolean event query: Pr(S[1..t] ∈ L(A)), or over
+            // the last `--window` positions, for the query's underlying
+            // input automaton, folded one layer at a time (memory
+            // independent of stream length).
             let nfa = t.underlying_nfa();
             if let Some(s) = opts.strategy {
                 if s != Strategy::Sparse {
@@ -965,61 +953,34 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
                     )));
                 }
             }
-            if window.is_some() || checkpoint_at.is_some() || resume_path.is_some() {
-                // Incremental session path: checkpointable, resumable,
-                // optionally windowed.
-                let resume_blob = resume_path
-                    .as_deref()
-                    .map(std::fs::read)
-                    .transpose()
-                    .map_err(|e| run_err(format!("read checkpoint: {e}")))?;
+            let resume_blob = resume_path
+                .as_deref()
+                .map(std::fs::read)
+                .transpose()
+                .map_err(|e| run_err(format!("read checkpoint: {e}")))?;
+            let mut src: Box<dyn transmark_markov::StepSource> =
                 match args.first().map(String::as_str) {
-                    Some(path) if path != "-" => {
-                        let mut src = transmark_markov::fsio::open_step_source(Path::new(path))
-                            .map_err(|e| run_err(format!("{path}: {e}")))?;
-                        run_incremental_stream(
-                            &mut out,
-                            nfa,
-                            &mut src,
-                            window,
-                            checkpoint_at,
-                            checkpoint_out.as_deref(),
-                            resume_blob.as_deref(),
-                        )?;
-                    }
-                    _ => {
-                        let stdin = std::io::stdin();
-                        let mut src = transmark_markov::textio::TmsTextSource::new(stdin.lock())
-                            .map_err(|e| run_err(format!("stdin: {e}")))?;
-                        run_incremental_stream(
-                            &mut out,
-                            nfa,
-                            &mut src,
-                            window,
-                            checkpoint_at,
-                            checkpoint_out.as_deref(),
-                            resume_blob.as_deref(),
-                        )?;
-                    }
-                }
-            } else {
-                let series = match args.first().map(String::as_str) {
-                    Some(path) if path != "-" => {
-                        let mut src = transmark_markov::fsio::open_step_source(Path::new(path))
-                            .map_err(|e| run_err(format!("{path}: {e}")))?;
-                        PreparedEventQuery::new(nfa).series_source(&mut src)?
-                    }
-                    _ => {
-                        let stdin = std::io::stdin();
-                        let mut src = transmark_markov::textio::TmsTextSource::new(stdin.lock())
-                            .map_err(|e| run_err(format!("stdin: {e}")))?;
-                        PreparedEventQuery::new(nfa).series_source(&mut src)?
-                    }
+                    Some(path) if path != "-" => Box::new(
+                        transmark_markov::fsio::open_step_source(Path::new(path))
+                            .map_err(|e| run_err(format!("{path}: {e}")))?,
+                    ),
+                    _ => Box::new(
+                        transmark_markov::textio::TmsTextSource::new(std::io::stdin().lock())
+                            .map_err(|e| run_err(format!("stdin: {e}")))?,
+                    ),
                 };
-                for (i, p) in series.iter().enumerate() {
-                    let _ = writeln!(out, "t={:<6} {p}", i + 1);
-                }
-            }
+            let query = match window {
+                Some(w) => StreamQuery::Window(SlidingWindowQuery::new(nfa, w)?),
+                None => StreamQuery::Series(nfa),
+            };
+            run_stream(
+                &mut out,
+                &query,
+                &mut *src,
+                checkpoint_at,
+                checkpoint_out.as_deref(),
+                resume_blob.as_deref(),
+            )?;
         }
         "monitor" => {
             use transmark_store::{Monitor, MonitorConfig, DEFAULT_TICK_BATCH};

@@ -20,12 +20,13 @@
 //! (typed [`protocol::ERR_SATURATED`] at the door);
 //! per-tenant fairness is an in-flight quota keyed by the HELLO tenant
 //! name. Streamed `.tmsb` sessions drive an incremental core
-//! [`StreamSession`] (confidence, event series or sliding window) layer
-//! by layer with stop-and-wait backpressure — server memory stays
-//! O(|Σ|² + one chunk) no matter how long the sequence is — and the
-//! client can suspend any session to an opaque checkpoint blob
-//! ([`protocol::OP_STREAM_CHECKPOINT`]) and resume it later, even on a
-//! different connection ([`protocol::FLAG_RESUME`]).
+//! [`StreamSession`](transmark_core::incremental::StreamSession)
+//! (confidence, event series or sliding window), opened by a
+//! [`StreamQuery`], layer by layer with stop-and-wait backpressure —
+//! server memory stays O(|Σ|² + one chunk) no matter how long the
+//! sequence is — and the client can suspend any session to an opaque
+//! checkpoint blob ([`protocol::OP_STREAM_CHECKPOINT`]) and resume it
+//! later, even on a different connection ([`protocol::FLAG_RESUME`]).
 
 pub mod client;
 pub mod protocol;
@@ -38,7 +39,7 @@ use std::sync::{Arc, Mutex};
 
 use transmark_automata::SymbolId;
 use transmark_core::error::EngineError;
-use transmark_core::incremental::{EventSession, SlidingWindowQuery, StreamSession};
+use transmark_core::incremental::{SlidingWindowQuery, StreamQuery};
 use transmark_core::transducer::Transducer;
 use transmark_markov::binio::{read_prelude, RawLayerReader};
 use transmark_markov::{MarkovSequence, SourceError};
@@ -1113,11 +1114,15 @@ fn parse_serve_checkpoint(kind: u8, blob: &[u8]) -> Result<ServeCheckpoint, (u16
 /// incremental state machine: `.tmsb` prelude negotiation comes from
 /// [`read_prelude`]/[`RawLayerReader`], so version and stride/truncation
 /// typing still belong to the binio layer, while every decoded layer is
-/// fed to a core [`StreamSession`]. Between any two layers — including mid-layer, since
-/// the raw reader's partial fill survives the interrupting marker error —
-/// the client may swap a DATA frame for [`OP_STREAM_CHECKPOINT`] and get
-/// the suspended session back as an opaque blob; presenting that blob
-/// with `FLAG_RESUME` (and the remaining layers) continues bit-identically.
+/// fed to the core
+/// [`StreamSession`](transmark_core::incremental::StreamSession) that the
+/// query's [`StreamQuery`] opens, fresh or from the resume blob. Between
+/// any two layers — including mid-layer, since the raw reader's partial
+/// fill survives the interrupting marker error — the client may swap a
+/// DATA frame for [`OP_STREAM_CHECKPOINT`] and get the suspended session
+/// back as an opaque blob; presenting that blob with `FLAG_RESUME` (and
+/// the remaining layers) continues bit-identically. The RESULT is assembled
+/// by [`finish_result`], with no bound plan to explain.
 #[allow(clippy::too_many_arguments)]
 fn run_stream_query<R: Read, W: Write>(
     engine: &Engine,
@@ -1131,26 +1136,23 @@ fn run_stream_query<R: Read, W: Write>(
     resume: Option<&[u8]>,
     src: &mut FrameByteStream<'_, R, W>,
 ) -> Result<Vec<u8>, (u16, String)> {
-    let run = |src: &mut FrameByteStream<'_, R, W>| -> Result<(u8, PayloadBuilder), (u16, String)> {
-        if !matches!(kind, KIND_CONFIDENCE | KIND_SERIES | KIND_WINDOW) {
-            return Err((
-                ERR_BAD_FRAME,
-                format!("query kind {kind} cannot run over a stream session"),
-            ));
-        }
+    let run = || -> Result<(u8, PayloadBuilder), (u16, String)> {
         // Machine-side compilation happens before the wire is touched.
-        let plan = (kind == KIND_CONFIDENCE).then(|| engine.prepare(t));
-        let o = match kind {
-            KIND_CONFIDENCE => parse_output(t, output_text)?,
-            _ => Vec::new(),
-        };
-        let wq_storage;
-        let wq = if kind == KIND_WINDOW {
-            wq_storage =
-                SlidingWindowQuery::new(t.underlying_nfa(), window as usize).map_err(query_err)?;
-            Some(&wq_storage)
-        } else {
-            None
+        let query = match kind {
+            KIND_CONFIDENCE => StreamQuery::Confidence {
+                plan: engine.prepare(t),
+                output: parse_output(t, output_text)?,
+            },
+            KIND_SERIES => StreamQuery::Series(t.underlying_nfa()),
+            KIND_WINDOW => StreamQuery::Window(
+                SlidingWindowQuery::new(t.underlying_nfa(), window as usize).map_err(query_err)?,
+            ),
+            _ => {
+                return Err((
+                    ERR_BAD_FRAME,
+                    format!("query kind {kind} cannot run over a stream session"),
+                ))
+            }
         };
 
         let (mut sess, mut raw, mut series, dims) = match resume {
@@ -1162,23 +1164,7 @@ fn run_stream_query<R: Read, W: Write>(
                 let prelude = read_prelude(src).map_err(|e| source_err(&e))?;
                 let raw = RawLayerReader::new(&prelude).map_err(|e| source_err(&e))?;
                 let dims = (prelude.alphabet().len(), prelude.len());
-                let sess = match kind {
-                    KIND_CONFIDENCE => StreamSession::Confidence(
-                        plan.as_ref()
-                            .expect("plan prepared for confidence kind")
-                            .begin_confidence(prelude.initial(), &o)
-                            .map_err(query_err)?,
-                    ),
-                    KIND_SERIES => StreamSession::Event(
-                        EventSession::start(t.underlying_nfa(), prelude.initial())
-                            .map_err(query_err)?,
-                    ),
-                    _ => StreamSession::Window(
-                        wq.expect("window query built for window kind")
-                            .start(prelude.initial())
-                            .map_err(query_err)?,
-                    ),
-                };
+                let sess = query.start(prelude.initial()).map_err(query_err)?;
                 // Series kinds report the position-0 probability before
                 // any layer is consumed (matching `series_source`).
                 let mut series = Vec::new();
@@ -1192,23 +1178,7 @@ fn run_stream_query<R: Read, W: Write>(
                 // prelude, so the layer reader is rebuilt from the dims
                 // recorded in the envelope rather than re-read.
                 let env = parse_serve_checkpoint(kind, blob)?;
-                let sess = match kind {
-                    KIND_CONFIDENCE => StreamSession::Confidence(
-                        plan.as_ref()
-                            .expect("plan prepared for confidence kind")
-                            .resume_confidence(&o, &env.core)
-                            .map_err(checkpoint_err)?,
-                    ),
-                    KIND_SERIES => StreamSession::Event(
-                        EventSession::resume(t.underlying_nfa(), &env.core)
-                            .map_err(checkpoint_err)?,
-                    ),
-                    _ => StreamSession::Window(
-                        wq.expect("window query built for window kind")
-                            .resume(&env.core)
-                            .map_err(checkpoint_err)?,
-                    ),
-                };
+                let sess = query.resume(&env.core).map_err(checkpoint_err)?;
                 let raw = RawLayerReader::from_dims(env.k, env.n, env.position)
                     .map_err(|e| (ERR_BAD_CHECKPOINT, format!("resume checkpoint: {e}")))?;
                 transmark_obs::counter!("serve.stream_resumes").inc();
@@ -1275,44 +1245,8 @@ fn run_stream_query<R: Read, W: Write>(
         Ok((RESULT_SERIES, b))
     };
 
-    let need_profile = with_profile || trace_id != 0 || ctx.slow_ms.is_some();
-    if !need_profile {
-        let (result_kind, body) = run(src)?;
-        return Ok(PayloadBuilder::new()
-            .u8(result_kind)
-            .raw(&body.build())
-            .string("")
-            .build());
-    }
-    let rec = Arc::new(Recorder::new());
-    if trace_id != 0 {
-        rec.set_trace(trace_id);
-    }
-    let timer = transmark_obs::Timer::start();
-    let outcome = engine.profiled_with(&rec, || run(src));
-    let dur_ns = timer.elapsed_ns();
-    let mut profile = rec.finish();
-    if trace_id != 0 && ctx.queue_wait_ns > 0 {
-        profile.prepend_wait("pool-queue", "pool.queue_wait", ctx.queue_wait_ns);
-    }
-    // Streamed sessions have no bound plan to explain; the phase
-    // timings still tell the slow-log reader where the time went.
-    maybe_log_slow(ctx, kind, dur_ns, "", &profile);
-    let (result_kind, body) = outcome?;
-    let profile_text = if with_profile {
-        if trace_id != 0 {
-            profile.to_json()
-        } else {
-            profile.to_text()
-        }
-    } else {
-        String::new()
-    };
-    Ok(PayloadBuilder::new()
-        .u8(result_kind)
-        .raw(&body.build())
-        .string(&profile_text)
-        .build())
+    let no_explain = std::cell::RefCell::new(String::new());
+    finish_result(engine, ctx, kind, with_profile, trace_id, &no_explain, run)
 }
 
 /// Consumes session frames up to STREAM_END after an error was sent in

@@ -201,6 +201,37 @@ fn show_rejects_sizes_the_file_cannot_back() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// `tmk stream` over files claiming 10^14 positions — plain series and
+/// sliding window, text and binary — gets a one-line error once the file
+/// runs out, never an allocation sized from the claim.
+#[test]
+fn stream_rejects_lengths_the_file_cannot_back() {
+    let dir = scratch("stream-claims");
+    // "has seen b", over the hostile files' alphabet {a, b}.
+    let query = dir.join("seen_b.tmt");
+    std::fs::write(
+        &query,
+        "transducer v1\ninput-alphabet a b\noutput-alphabet x\nstates 2\ninitial 0\n\
+         accepting 1\nedge 0 a 0\nedge 0 b 1\nedge 1 a 1\nedge 1 b 1\n",
+    )
+    .unwrap();
+    for (file, bytes) in transmark::workloads::hostile::files() {
+        if !file.starts_with("long") {
+            continue;
+        }
+        let path = dir.join(file);
+        std::fs::write(&path, bytes).unwrap();
+        for window in [None, Some("2")] {
+            let mut argv = vec!["stream", query.to_str().unwrap(), path.to_str().unwrap()];
+            argv.extend(window.iter().flat_map(|w| ["--window", *w]));
+            let e = run(&args(&argv)).unwrap_err();
+            assert_eq!(e.exit_code, 1, "{file} {window:?}: {}", e.message);
+            assert!(!e.message.contains('\n'), "{file}: {}", e.message);
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A window width sizes nothing up front: `--window 4294967295` over the
 /// 5-position example prints what `--window 5` prints.
 #[test]

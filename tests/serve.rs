@@ -640,9 +640,10 @@ fn tmsb_header(k: u32, n: u64, names_len: u64) -> Vec<u8> {
 /// Payloads whose size fields claim far more than they hold — a `.tmsb`
 /// with |Σ| = u32::MAX, a stream prelude with a 1 TiB names block, a
 /// stream prelude whose 2^16 names imply 32 GiB layers, a `.tms` with
-/// 10^14 positions — each get a typed ERR_QUERY instead of an allocation
-/// that would abort the process, and a client on another connection is
-/// still served.
+/// 10^14 positions, a stream prelude claiming 10^14 positions ahead of
+/// its two layers (for a series, a window and a confidence session) —
+/// each get a typed ERR_QUERY instead of an allocation that would abort
+/// the process, and a client on another connection is still served.
 #[test]
 fn hostile_size_fields_are_typed_errors() {
     let (t, m) = instance(TransducerClass::Mealy, 9, 3);
@@ -663,6 +664,8 @@ fn hostile_size_fields_are_typed_errors() {
     }
     huge_stride.extend_from_slice(&[0; 100]);
     let huge_n = "markov-sequence v1\nalphabet 0 1\nlength 100000000000000\ninitial 1 0\n";
+    let mut long_stream = to_tmsb_bytes(&m);
+    long_stream[16..24].copy_from_slice(&100_000_000_000_000u64.to_le_bytes());
 
     let expect_query_error = |r: Result<_, WireError>, what: &str| match r {
         Err(WireError::Remote { code, .. }) => assert_eq!(code, ERR_QUERY, "{what}"),
@@ -692,6 +695,24 @@ fn hostile_size_fields_are_typed_errors() {
             .series(&query_text, &Sequence::Text(huge_n), false)
             .map(|_| ()),
         "length 10^14",
+    );
+    expect_query_error(
+        hostile
+            .stream_series(&query_text, &long_stream, 8)
+            .map(|_| ()),
+        "streamed series, n = 10^14",
+    );
+    expect_query_error(
+        hostile
+            .stream_window(&query_text, &long_stream, 2, 8, StreamOptions::default())
+            .map(|_| ()),
+        "streamed window, n = 10^14",
+    );
+    expect_query_error(
+        hostile
+            .stream_confidence(&query_text, "", &long_stream, 8)
+            .map(|_| ()),
+        "streamed confidence, n = 10^14",
     );
 
     let mut healthy = Client::connect(&addr(), "healthy").expect("connect");
