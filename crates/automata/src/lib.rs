@@ -21,9 +21,10 @@
 //!   syntax used by the paper's §5 examples, e.g. `".*Name:"`,
 //!   `"[a-zA-Z,]+"`) into an [`Nfa`].
 //! * [`ops`] — products, complement, concatenation, reversal, trimming,
-//!   emptiness, and both eager and on-the-fly subset construction.
-//! * [`bitset`] — a small fixed-capacity bit set used as the subset key in
-//!   determinization (also reused by the query engine's subset DPs).
+//!   emptiness, and subset construction.
+//! * [`bitset`] — a small fixed-capacity bit set, and [`SubsetTable`], the
+//!   one interner of subsets, storing each set once: determinization and
+//!   the query engine's subset DPs both number their subsets through it.
 //!
 //! Everything here is deterministic and allocation-conscious: transition
 //! tables are flat `Vec`s indexed by `state * |Σ| + symbol`.
@@ -38,7 +39,7 @@ pub mod ops;
 pub mod regex;
 
 pub use alphabet::{Alphabet, SymbolId};
-pub use bitset::BitSet;
+pub use bitset::{BitSet, SubsetTable};
 pub use dfa::Dfa;
 pub use error::AutomataError;
 pub use fingerprint::Fingerprinter;

@@ -3,15 +3,15 @@
 //!
 //! Two pieces deserve a note:
 //!
-//! * [`DetCore`] performs *on-the-fly* subset construction: a successor
-//!   is interned only when a caller asks for it, so only the subsets
-//!   actually reached are materialized. [`determinize`] drives it to
-//!   completion. The engine's Theorem 5.5 path and its event monitors
-//!   step their own flat lifted table instead (`LiftedDfa` in
-//!   `transmark_core::confidence`), which interns subsets in the same
-//!   order; reaching only the live subsets is what turns the naive
-//!   `2^{|Q|}` blow-up into the paper's `|Q_B|²·4^{|Q_E|}`-style bound
-//!   without special-casing.
+//! * [`determinize`] runs the subset construction over a
+//!   [`SubsetTable`], the one interner of subsets, which stores each set
+//!   once and numbers it densely in discovery order. The engine's
+//!   Theorem 5.5 path and its event monitors step their own lazily grown
+//!   lifted table over the same interner (`LiftedDfa` in
+//!   `transmark_core::confidence`), so only the subsets actually reached
+//!   are materialized; that is what turns the naive `2^{|Q|}` blow-up
+//!   into the paper's `|Q_B|²·4^{|Q_E|}`-style bound without
+//!   special-casing.
 //! * [`concat_nfa`] builds the concatenation of two epsilon-free NFAs
 //!   without introducing epsilon transitions, which keeps the engine's DP
 //!   layers aligned with Markov-sequence positions.
@@ -19,7 +19,7 @@
 use std::collections::HashMap;
 
 use crate::alphabet::SymbolId;
-use crate::bitset::BitSet;
+use crate::bitset::{BitSet, SubsetTable};
 use crate::dfa::Dfa;
 use crate::error::AutomataError;
 use crate::nfa::{Nfa, StateId};
@@ -28,109 +28,26 @@ use crate::nfa::{Nfa, StateId};
 // Determinization
 // ---------------------------------------------------------------------------
 
-/// On-the-fly subset construction over an [`Nfa`], holding no borrow of
-/// it: interned subsets, their dense ids, and the cached transition
-/// table.
+/// Eager subset construction: the complete DFA for `L(nfa)`, over the
+/// subsets reachable from `{q0}`.
 ///
-/// [`DetCore::step`] computes (and caches) the successor of a
-/// subset-state under a symbol, taking the automaton per call, so a
-/// consumer that owns its NFA holds a `DetCore` beside it with no
-/// self-referential borrow. `{q0}` is id `0` and new subsets are interned
-/// densely in discovery order, so reductions that order by id are
-/// bit-reproducible.
-pub struct DetCore {
-    accepting: BitSet,
-    subsets: Vec<BitSet>,
-    ids: HashMap<BitSet, usize>,
-    /// Cached transitions: `trans[id * n_symbols + sym]`, `usize::MAX` = not
-    /// yet computed.
-    trans: Vec<usize>,
-    n_symbols: usize,
-}
-
-impl DetCore {
-    /// Starts a subset construction for `nfa`. Every later call must pass
-    /// the same automaton.
-    pub fn new(nfa: &Nfa) -> Self {
-        let init = BitSet::singleton(nfa.n_states().max(1), nfa.initial().index());
-        let mut ids = HashMap::new();
-        ids.insert(init.clone(), 0);
-        Self {
-            accepting: nfa.accepting_set(),
-            subsets: vec![init],
-            ids,
-            trans: vec![usize::MAX; nfa.n_symbols()],
-            n_symbols: nfa.n_symbols(),
-        }
-    }
-
-    /// The id of the initial subset `{q0}`.
-    pub fn initial(&self) -> usize {
-        0
-    }
-
-    /// Number of subset states materialized so far.
-    pub fn n_materialized(&self) -> usize {
-        self.subsets.len()
-    }
-
-    /// The subset of NFA states behind a determinized state.
-    pub fn subset(&self, id: usize) -> &BitSet {
-        &self.subsets[id]
-    }
-
-    /// Whether the determinized state is accepting (its subset contains an
-    /// accepting NFA state).
-    pub fn is_accepting(&self, id: usize) -> bool {
-        self.subsets[id].intersects(&self.accepting)
-    }
-
-    /// Whether the determinized state is the dead (empty) subset.
-    pub fn is_dead(&self, id: usize) -> bool {
-        self.subsets[id].is_empty()
-    }
-
-    /// The successor of subset-state `id` under `symbol`. `nfa` must be
-    /// the automaton this core was created from.
-    pub fn step(&mut self, nfa: &Nfa, id: usize, symbol: SymbolId) -> usize {
-        let slot = id * self.n_symbols + symbol.index();
-        let cached = self.trans[slot];
-        if cached != usize::MAX {
-            return cached;
-        }
-        let next = nfa.step_set(&self.subsets[id], symbol);
-        let next_id = match self.ids.get(&next) {
-            Some(&i) => i,
-            None => {
-                let i = self.subsets.len();
-                self.ids.insert(next.clone(), i);
-                self.subsets.push(next);
-                self.trans.extend((0..self.n_symbols).map(|_| usize::MAX));
-                i
-            }
-        };
-        self.trans[slot] = next_id;
-        next_id
-    }
-}
-
-/// Eager subset construction: the complete DFA for `L(nfa)`.
+/// Subset ids are dense in discovery order and are the DFA's state ids:
+/// `{q0}` is state 0. The frontier is a stack, so subsets are expanded
+/// depth first, each new one numbered when a successor first reaches it.
 pub fn determinize(nfa: &Nfa) -> Dfa {
-    let mut det = DetCore::new(nfa);
+    let accepting = nfa.accepting_set();
+    let mut table = SubsetTable::new(nfa.n_states().max(1));
     let mut dfa = Dfa::new(nfa.n_symbols());
-    // Subset ids are discovered in BFS order and coincide with DFA state
-    // ids because DetCore interns subsets densely.
+    table.intern(BitSet::singleton(table.capacity(), nfa.initial().index()));
+    dfa.add_state(table[0].intersects(&accepting));
     let mut frontier = vec![0usize];
-    dfa.add_state(det.is_accepting(0));
-    let mut known = 1usize;
     while let Some(id) = frontier.pop() {
         for s in 0..nfa.n_symbols() {
             let sym = SymbolId(s as u32);
-            let to = det.step(nfa, id, sym);
-            while to >= known {
-                dfa.add_state(det.is_accepting(known));
-                frontier.push(known);
-                known += 1;
+            let to = table.intern(nfa.step_set(&table[id], sym));
+            if to == dfa.n_states() {
+                dfa.add_state(table[to].intersects(&accepting));
+                frontier.push(to);
             }
             dfa.set_transition(StateId(id as u32), sym, StateId(to as u32));
         }
@@ -463,13 +380,23 @@ mod tests {
     fn on_the_fly_matches_eager() {
         let n = ends_ab();
         let d = determinize(&n);
-        let mut det = DetCore::new(&n);
+        let accepting = n.accepting_set();
+        let mut table = SubsetTable::new(n.n_states());
+        let init = table.intern(BitSet::singleton(n.n_states(), n.initial().index()));
         for s in all_strings(2, 5) {
-            let mut id = det.initial();
+            let (mut id, mut q) = (init, d.initial());
             for &c in &s {
-                id = det.step(&n, id, c);
+                id = table.intern(n.step_set(&table[id], c));
+                q = d.step(q, c);
             }
-            assert_eq!(det.is_accepting(id), d.accepts(&s), "mismatch on {s:?}");
+            assert_eq!(table[id], n.reachable_after(&s), "reach set of {s:?}");
+            assert_eq!(table[id].is_empty(), n.reachable_after(&s).is_empty());
+            assert_eq!(
+                table[id].intersects(&accepting),
+                d.accepts(&s),
+                "mismatch on {s:?}"
+            );
+            assert_eq!(d.is_accepting(q), n.accepts(&s), "mismatch on {s:?}");
         }
     }
 

@@ -219,29 +219,36 @@ fn word_dfa_language_is_singleton() {
 
 mod determinizer_props {
     use super::*;
-    use transmark_automata::ops::DetCore;
+    use transmark_automata::ops::determinize;
+    use transmark_automata::{BitSet, SubsetTable};
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// On-the-fly determinization agrees with direct NFA subset
-        /// simulation on every string, including dead-subset detection.
+        /// On-the-fly determinization over a `SubsetTable` agrees with
+        /// direct NFA subset simulation on every string, including
+        /// dead-subset detection, and so does the eager `determinize`.
         #[test]
         fn determinizer_tracks_reach_sets(spec in super::nfa_spec()) {
             let nfa = super::build_nfa(&spec);
-            let mut det = DetCore::new(&nfa);
+            let dfa = determinize(&nfa);
+            let accepting = nfa.accepting_set();
+            let mut table = SubsetTable::new(nfa.n_states());
+            let init = table.intern(BitSet::singleton(nfa.n_states(), nfa.initial().index()));
             for s in super::all_strings(spec.n_symbols, 4) {
-                let mut id = det.initial();
+                let mut id = init;
                 for &c in &s {
-                    id = det.step(&nfa, id, c);
+                    id = table.intern(nfa.step_set(&table[id], c));
                 }
                 let reach = nfa.reachable_after(&s);
-                prop_assert_eq!(det.is_dead(id), reach.is_empty());
-                prop_assert_eq!(det.subset(id), &reach);
-                prop_assert_eq!(det.is_accepting(id), nfa.accepts(&s));
+                prop_assert_eq!(table[id].is_empty(), reach.is_empty());
+                prop_assert_eq!(&table[id], &reach);
+                prop_assert_eq!(table[id].intersects(&accepting), nfa.accepts(&s));
+                prop_assert_eq!(dfa.accepts(&s), nfa.accepts(&s));
             }
             // Materialized subsets are bounded by distinct reach sets + 1.
-            prop_assert!(det.n_materialized() <= 2usize.pow(spec.n_states as u32) + 1);
+            prop_assert!(table.len() <= 2usize.pow(spec.n_states as u32) + 1);
+            prop_assert!(dfa.n_states() <= 2usize.pow(spec.n_states as u32) + 1);
         }
     }
 }

@@ -47,10 +47,9 @@
 
 use std::borrow::BorrowMut;
 use std::cell::Cell;
-use std::collections::HashMap;
 use std::sync::Arc;
 
-use transmark_automata::{BitSet, Nfa, StateId, SymbolId};
+use transmark_automata::{BitSet, Nfa, StateId, SubsetTable, SymbolId};
 use transmark_kernel::{count_layers, Neumaier, Prob, StepGraph, Strategy, Workspace};
 use transmark_markov::{MarkovSequence, StepSource};
 
@@ -478,8 +477,8 @@ impl SubsetRule for GraphRule {
 /// A subset rule determinized into flat successor tables over the lifted
 /// `(subset, node)` cells `d·|Σ| + node`: the state space of the
 /// acceptance DP and of the Thm 4.8 and general confidence DPs. Subsets
-/// are interned densely in discovery order, the initial one first, exactly
-/// as `transmark_automata::ops::DetCore` interns them;
+/// are interned in a [`SubsetTable`], each stored once and numbered
+/// densely in discovery order, the initial one first;
 /// `succ[col][d·|Σ| + σ]` caches each successor (or [`DEAD`]), so a step
 /// costs one table lookup and one multiply-add per positive transition.
 ///
@@ -493,9 +492,8 @@ pub(crate) struct LiftedDfa {
     /// A subset accepts if it meets this set.
     finals: BitSet,
     /// Every subset found so far, by id (the dead one included, once
-    /// found), and the id of each.
-    subsets: Vec<BitSet>,
-    ids: HashMap<BitSet, u32>,
+    /// found).
+    sets: SubsetTable,
     /// One successor table per column; a column grows when a lookup
     /// first passes its end, so only the columns a pass uses grow.
     succ: Vec<Vec<u32>>,
@@ -505,14 +503,13 @@ pub(crate) struct LiftedDfa {
 }
 
 impl LiftedDfa {
-    /// An empty table over `k` symbols with `n_cols` successor columns;
-    /// every successor is found on demand.
+    /// An empty table over `k` symbols with `n_cols` successor columns,
+    /// of sets of `finals`' capacity; every successor is found on demand.
     fn new(k: usize, n_cols: usize, finals: BitSet) -> Self {
         LiftedDfa {
             k,
+            sets: SubsetTable::new(finals.capacity()),
             finals,
-            subsets: Vec::new(),
-            ids: HashMap::new(),
             succ: vec![Vec::new(); n_cols],
             accepting: Vec::new(),
             fresh: 0,
@@ -552,7 +549,7 @@ impl LiftedDfa {
 
     /// Subsets materialized so far (the dead one included, once found).
     pub(crate) fn n_subsets(&self) -> usize {
-        self.subsets.len()
+        self.sets.len()
     }
 
     /// The lifted cell count `subsets · |Σ|`.
@@ -568,14 +565,11 @@ impl LiftedDfa {
 
     /// The id of `set`, interning it as the next id if it is new.
     fn intern(&mut self, set: BitSet) -> usize {
-        if let Some(&d) = self.ids.get(&set) {
-            return d as usize;
+        let d = self.sets.intern(set);
+        if d == self.accepting.len() {
+            self.fresh += 1;
+            self.accepting.push(self.sets[d].intersects(&self.finals));
         }
-        let d = self.subsets.len();
-        self.fresh += 1;
-        self.accepting.push(set.intersects(&self.finals));
-        self.ids.insert(set.clone(), d as u32);
-        self.subsets.push(set);
         d
     }
 
@@ -613,12 +607,12 @@ impl LiftedDfa {
         column: &mut Vec<u32>,
         slot: usize,
     ) -> u32 {
-        let set = rule.successor(&self.subsets[slot / self.k], slot % self.k, col);
+        let set = rule.successor(&self.sets[slot / self.k], slot % self.k, col);
         let dead = set.is_empty();
         let d = self.intern(set);
         let next = if dead { DEAD } else { d as u32 };
         if column.len() <= slot {
-            column.resize(self.subsets.len() * self.k, UNKNOWN);
+            column.resize(self.n_cells(), UNKNOWN);
         }
         column[slot] = next;
         next
@@ -701,12 +695,12 @@ impl LiftedDfa {
     /// subset)` order, comparing the subsets themselves (`BitSet`'s
     /// derived order), never their discovery ids.
     fn settle_by_set(&self, v: &mut LiftedVec) {
-        let (k, subsets) = (self.k, &self.subsets);
+        let (k, sets) = (self.k, &self.sets);
         v.live.sort_unstable_by(|&a, &b| {
             let (a, b) = (a as usize, b as usize);
             (a % k)
                 .cmp(&(b % k))
-                .then_with(|| subsets[a / k].cmp(&subsets[b / k]))
+                .then_with(|| sets[a / k].cmp(&sets[b / k]))
         });
         v.present = v.live.len();
     }
@@ -1006,7 +1000,7 @@ impl<R: SubsetRule> LiftedFold<R> {
         let cur = std::mem::take(&mut self.cur);
         self.cur.reset(0, true);
         cur.for_each_present(k, |d, node, p| {
-            let d = self.table.intern(old.subsets[d].clone());
+            let d = self.table.intern(old.sets[d].clone());
             self.cur.deposit(k, d * k + node, p);
         });
         self.cur.present = cur.present;
@@ -1040,7 +1034,7 @@ impl LiftedFold<Nfa> {
         let k = self.table.k;
         w.put_u32(k as u32);
         w.put_u64(self.table.n_subsets() as u64);
-        for set in &self.table.subsets {
+        for set in self.table.sets.iter() {
             write_set(w, set);
         }
         w.put_u64(self.cur.present as u64);
@@ -1071,8 +1065,9 @@ impl LiftedFold<Nfa> {
                 "fold has no materialized subsets".into(),
             ));
         }
+        let cap = fold.table.sets.capacity();
         for id in 0..n_subsets {
-            let got = fold.table.intern(read_set(r)?);
+            let got = fold.table.intern(read_set(r, cap)?);
             if got != id {
                 return Err(EngineError::BadCheckpoint(format!(
                     "subset {id} re-interned as {got}; checkpoint does not match this query"
@@ -1147,7 +1142,7 @@ impl LiftedFold<GraphRule> {
         w.put_u64(self.cur.present as u64);
         self.cur.for_each_present(self.table.k, |d, node, p| {
             w.put_u32(node as u32);
-            write_set(w, &self.table.subsets[d]);
+            write_set(w, &self.table.sets[d]);
             w.put_f64(p);
         });
     }
@@ -1160,12 +1155,11 @@ impl LiftedFold<GraphRule> {
         self.cur.reset(self.table.n_cells(), true);
         for _ in 0..r.get_count(17)? {
             let node = r.get_u32()? as usize;
-            let set = read_set(r)?;
+            let set = read_set(r, self.rule.cap)?;
             let p = check_mass(r.get_f64()?)?;
-            if node >= k || set.capacity() != self.rule.cap {
+            if node >= k {
                 return Err(EngineError::BadCheckpoint(format!(
-                    "layer entry at node {node} of capacity {} does not fit this query",
-                    set.capacity()
+                    "layer entry at node {node} does not fit this query"
                 )));
             }
             let d = self.table.intern(set);
@@ -1190,10 +1184,16 @@ fn write_set(w: &mut ByteWriter, set: &BitSet) {
     }
 }
 
-/// Reads a [`write_set`] subset, refusing a bit outside its capacity.
-fn read_set(r: &mut ByteReader<'_>) -> Result<BitSet, EngineError> {
-    let cap = r.get_u32()? as usize;
-    let mut set = BitSet::new(cap.max(1));
+/// Reads a [`write_set`] subset, refusing any capacity but the query's
+/// `cap` before it sizes anything, and a bit outside it.
+fn read_set(r: &mut ByteReader<'_>, cap: usize) -> Result<BitSet, EngineError> {
+    let got = r.get_u32()? as usize;
+    if got != cap {
+        return Err(EngineError::BadCheckpoint(format!(
+            "subset of capacity {got} does not fit this query (capacity {cap})"
+        )));
+    }
+    let mut set = BitSet::new(cap);
     for _ in 0..r.get_u32()? {
         let b = r.get_u32()? as usize;
         if b >= cap {

@@ -1455,6 +1455,92 @@ mod tests {
         assert!(window.series_source(&mut lying()).is_err());
     }
 
+    /// A checkpoint subset as `write_set` lays it out: capacity, bit
+    /// count, bits.
+    fn subset_bytes(cap: u32, bits: &[u32]) -> Vec<u8> {
+        let mut out = [cap, bits.len() as u32].map(u32::to_le_bytes).concat();
+        for b in bits {
+            out.extend(b.to_le_bytes());
+        }
+        out
+    }
+
+    /// An event blob for `has_two` (2 states, 3 symbols) listing `{q0}`,
+    /// then `subsets`, then one cell `(subset 1, node 0)`.
+    fn event_blob(subsets: &[Vec<u8>]) -> Vec<u8> {
+        let m = chain(6, 6);
+        let fresh = EventSession::start(has_two(), m.initial_dist()).unwrap();
+        // The envelope (23 bytes) and |Σ|.
+        let mut blob = fresh.checkpoint()[..27].to_vec();
+        blob.extend((1 + subsets.len() as u64).to_le_bytes());
+        blob.extend(subset_bytes(2, &[0]));
+        blob.extend(subsets.concat());
+        blob.extend(1u64.to_le_bytes());
+        blob.extend(1u64.to_le_bytes());
+        blob.extend(0u32.to_le_bytes());
+        blob.extend(0.5f64.to_bits().to_le_bytes());
+        blob
+    }
+
+    /// A subset's claimed capacity sizes nothing: an event blob whose four
+    /// distinct subsets claim 2^32 − 1 bits each (512 MiB of words apiece,
+    /// from 12 bytes of blob) is refused before any of them is allocated, and so
+    /// is a general-route confidence cell claiming it.
+    #[test]
+    fn resume_sizes_no_subset_the_query_cannot_back() {
+        let huge: Vec<_> = (1..5).map(|b| subset_bytes(u32::MAX, &[b])).collect();
+        assert!(matches!(
+            EventSession::resume(has_two(), &event_blob(&huge)),
+            Err(EngineError::BadCheckpoint(_))
+        ));
+
+        use crate::generate::{random_transducer, RandomTransducerSpec, TransducerClass};
+        let m = chain(6, 6);
+        let mut rng = StdRng::seed_from_u64(41);
+        let plan = loop {
+            let spec = RandomTransducerSpec {
+                n_states: 3,
+                n_input_symbols: 3,
+                n_output_symbols: 2,
+                class: TransducerClass::General,
+                branching: 1.8,
+            };
+            let plan = crate::plan::prepare(&random_transducer(&spec, &mut rng));
+            if plan.kind() == PlanKind::General {
+                break plan;
+            }
+        };
+        let o = [SymbolId(0)];
+        let fresh = plan.begin_confidence(m.initial_dist(), &o).unwrap();
+        // The envelope, |Σ|, the overrun flag and the route tag; then one
+        // cell at node 0.
+        let mut blob = fresh.checkpoint()[..29].to_vec();
+        blob.extend(1u64.to_le_bytes());
+        blob.extend(0u32.to_le_bytes());
+        blob.extend(subset_bytes(u32::MAX, &[]));
+        blob.extend(0.5f64.to_bits().to_le_bytes());
+        assert!(matches!(
+            plan.resume_confidence(&o, &blob),
+            Err(EngineError::BadCheckpoint(_))
+        ));
+    }
+
+    /// A subset whose bits the query cannot back is refused at resume: a
+    /// capacity-1000 subset holding bit 999, on a 2-state NFA, must not
+    /// reach the next step.
+    #[test]
+    fn resume_refuses_subset_bits_the_query_cannot_back() {
+        let blob = event_blob(&[subset_bytes(1000, &[999])]);
+        assert!(matches!(
+            EventSession::resume(has_two(), &blob),
+            Err(EngineError::BadCheckpoint(_))
+        ));
+        // The same blob with subset 1 = {q1} is a valid checkpoint.
+        let blob = event_blob(&[subset_bytes(2, &[1])]);
+        let mut s = EventSession::resume(has_two(), &blob).unwrap();
+        s.advance(chain(6, 6).transition_matrix(0)).unwrap();
+    }
+
     #[test]
     fn window_one_is_per_position_marginal_acceptance() {
         let m = chain(10, 9);

@@ -6,7 +6,7 @@
 //! reference below is the previous implementation, kept here verbatim in
 //! behaviour: a hashed layer keyed by `(subset id, node)`, sorted on every
 //! step (here the ordered [`SortedLayer`], which reads in the same order),
-//! over a `DetCore` interning subsets in discovery order.
+//! over a `Determinizer` interning subsets in discovery order.
 //! Every series value must match bitwise, and the checkpoint blob must
 //! match byte for byte after every step — which also pins the discovery
 //! order, since the blob lists the subsets in id order.
@@ -17,10 +17,9 @@
 
 mod common;
 
-use common::SortedLayer;
+use common::{Determinizer, SortedLayer};
 use rand::{rngs::StdRng, RngExt, SeedableRng};
 
-use transmark_automata::ops::DetCore;
 use transmark_core::incremental::{EventSession, CHECKPOINT_MAGIC, CHECKPOINT_VERSION};
 use transmark_core::{Nfa, PreparedEventQuery, StateId, SymbolId};
 use transmark_markov::generate::{random_markov_sequence, RandomChainSpec};
@@ -28,14 +27,14 @@ use transmark_markov::MarkovSequence;
 
 /// The hashed acceptance fold, as it was before the dense one.
 struct HashedFold {
-    det: DetCore,
+    det: Determinizer,
     layer: SortedLayer<(usize, u32)>,
     n_sym: usize,
 }
 
 impl HashedFold {
     fn start(nfa: &Nfa, initial: &[f64]) -> Self {
-        let mut det = DetCore::new(nfa);
+        let mut det = Determinizer::new(nfa);
         let mut layer = SortedLayer::new();
         for (node, &p) in initial.iter().enumerate() {
             if p == 0.0 {

@@ -246,7 +246,7 @@ impl<R: BufRead> TmsTextSource<R> {
 
         let ln = src
             .read_meaningful()?
-            .ok_or_else(|| serr(0, "empty input"))?;
+            .ok_or_else(|| serr(src.line_no, "empty input"))?;
         let header = src.line.trim();
         if header != "markov-sequence v1" {
             return Err(serr(
@@ -257,7 +257,7 @@ impl<R: BufRead> TmsTextSource<R> {
 
         let ln = src
             .read_meaningful()?
-            .ok_or_else(|| serr(0, "missing alphabet line"))?;
+            .ok_or_else(|| src.ended("alphabet line"))?;
         {
             let mut parts = src.line.split_whitespace();
             if parts.next() != Some("alphabet") {
@@ -277,7 +277,7 @@ impl<R: BufRead> TmsTextSource<R> {
 
         let ln = src
             .read_meaningful()?
-            .ok_or_else(|| serr(0, "missing length line"))?;
+            .ok_or_else(|| src.ended("length line"))?;
         src.n = src
             .line
             .trim()
@@ -300,7 +300,7 @@ impl<R: BufRead> TmsTextSource<R> {
 
         let ln = src
             .read_meaningful()?
-            .ok_or_else(|| serr(0, "missing initial line"))?;
+            .ok_or_else(|| src.ended("initial line"))?;
         let body = src
             .line
             .trim()
@@ -309,6 +309,12 @@ impl<R: BufRead> TmsTextSource<R> {
         parse_row(ln, body, k, Row::Initial, &mut src.initial)?;
         validate_vector(&src.initial, "initial", 0)?;
         Ok(src)
+    }
+
+    /// The error for input that ends before `what`: it names the last
+    /// line read (0 if there was none).
+    fn ended(&self, what: impl std::fmt::Display) -> SourceError {
+        serr(self.line_no, format!("input ends: missing {what}"))
     }
 
     /// Reads the next nonempty, non-comment line into `self.line`,
@@ -365,7 +371,7 @@ impl<R: BufRead> StepSource for TmsTextSource<R> {
 
         let ln = self
             .read_meaningful()?
-            .ok_or_else(|| serr(0, format!("missing \"step {step}\" header")))?;
+            .ok_or_else(|| self.ended(format_args!("\"step {step}\" header")))?;
         if !is_step_header(self.line.trim(), step) {
             return Err(serr(
                 ln,
@@ -377,7 +383,7 @@ impl<R: BufRead> StepSource for TmsTextSource<R> {
         for row in 0..k {
             let ln = self
                 .read_meaningful()?
-                .ok_or_else(|| serr(0, format!("missing row {row} of step {step}")))?;
+                .ok_or_else(|| self.ended(format_args!("row {row} of step {step}")))?;
             parse_row(
                 ln,
                 self.line.trim(),
@@ -450,6 +456,41 @@ mod tests {
             materialize(&mut src),
             Err(SourceError::Parse { line: 6, .. })
         ));
+    }
+
+    /// A `.tms` cut short after any line reports the last line it read:
+    /// `line 40: input ends: missing row 0 of step 5`, never line 0.
+    #[test]
+    fn truncated_text_names_the_last_line_read() {
+        let mut rng = StdRng::seed_from_u64(12);
+        let m = random_markov_sequence(
+            &RandomChainSpec {
+                len: 4,
+                n_symbols: 2,
+                zero_prob: 0.2,
+            },
+            &mut rng,
+        );
+        let text = to_text(&m);
+        let lines: Vec<&str> = text.lines().collect();
+        let read = |cut: usize| {
+            let short: String = lines[..cut].iter().map(|l| format!("{l}\n")).collect();
+            TmsTextSource::new(short.as_bytes()).and_then(|mut src| materialize(&mut src))
+        };
+        for cut in 0..lines.len() {
+            match read(cut) {
+                Err(SourceError::Parse { line, message }) => {
+                    assert_eq!(line, cut, "{message}");
+                    let want = ["input ends: missing ", "empty input"][usize::from(cut == 0)];
+                    assert!(message.starts_with(want), "line {line}: {message}");
+                }
+                other => panic!("cut after {cut} lines: expected a parse error, got {other:?}"),
+            }
+        }
+        assert_eq!(
+            read(7).unwrap_err().to_string(),
+            "line 7: input ends: missing \"step 1\" header"
+        );
     }
 
     #[test]
