@@ -21,19 +21,10 @@
 //! rows of `|O|` probabilities. `#` comments and blank lines are ignored.
 
 use std::fmt::Write as _;
-use std::sync::Arc;
-
-use transmark_automata::Alphabet;
 
 use crate::hmm::Hmm;
-use crate::textio::{ParseError, TextIoError};
-
-fn err(line: usize, message: impl Into<String>) -> TextIoError {
-    TextIoError::Parse(ParseError {
-        line,
-        message: message.into(),
-    })
-}
+use crate::source::SourceError;
+use crate::textio::{parse_row, LineReader, ParseError};
 
 /// Serializes an HMM to the v1 text format.
 pub fn to_text(hmm: &Hmm) -> String {
@@ -82,92 +73,42 @@ pub fn to_text(hmm: &Hmm) -> String {
 }
 
 /// Parses the v1 text format; the result is validated by [`Hmm::new`].
-pub fn from_text(text: &str) -> Result<Hmm, TextIoError> {
-    let mut lines = text
-        .lines()
-        .enumerate()
-        .map(|(i, l)| (i + 1, l.trim()))
-        .filter(|(_, l)| !l.is_empty() && !l.starts_with('#'));
-
-    let (ln, header) = lines.next().ok_or_else(|| err(0, "empty input"))?;
-    if header != "hmm v1" {
-        return Err(err(ln, format!("expected \"hmm v1\", found {header:?}")));
-    }
-    let mut alphabet_line = |prefix: &str| -> Result<Arc<Alphabet>, TextIoError> {
-        let (ln, line) = lines
-            .next()
-            .ok_or_else(|| err(0, format!("missing \"{prefix}\" line")))?;
-        let names: Vec<&str> = line
-            .strip_prefix(prefix)
-            .ok_or_else(|| err(ln, format!("expected \"{prefix} <names…>\"")))?
-            .split_whitespace()
-            .collect();
-        if names.is_empty() {
-            return Err(err(ln, format!("{prefix} must list at least one symbol")));
-        }
-        let a = Alphabet::from_names(names.iter().copied());
-        if a.len() != names.len() {
-            return Err(err(ln, format!("duplicate names in {prefix}")));
-        }
-        Ok(Arc::new(a))
-    };
-    let hidden = alphabet_line("hidden")?;
-    let observations = alphabet_line("observations")?;
+pub fn from_text(text: &str) -> Result<Hmm, SourceError> {
+    let mut lines = LineReader::new(text.as_bytes());
+    lines.magic("hmm v1")?;
+    let hidden = lines.alphabet("hidden")?;
+    let observations = lines.alphabet("observations")?;
     let (k, m) = (hidden.len(), observations.len());
 
-    let parse_row =
-        |ln: usize, body: &str, cols: usize, what: &str| -> Result<Vec<f64>, TextIoError> {
-            let vals: Result<Vec<f64>, _> = body.split_whitespace().map(str::parse).collect();
-            let vals = vals.map_err(|e| err(ln, format!("bad number in {what}: {e}")))?;
-            if vals.len() != cols {
-                return Err(err(
-                    ln,
-                    format!("{what} has {} entries, expected {cols}", vals.len()),
-                ));
-            }
-            Ok(vals)
-        };
+    let (ln, body) = lines.keyword("initial", "<p…>")?;
+    let mut initial = Vec::new();
+    parse_row(ln, body, k, "initial distribution", &mut initial)?;
 
-    let (ln, init_line) = lines.next().ok_or_else(|| err(0, "missing initial line"))?;
-    let initial = parse_row(
-        ln,
-        init_line
-            .strip_prefix("initial")
-            .ok_or_else(|| err(ln, "expected \"initial <p…>\""))?,
-        k,
-        "initial distribution",
-    )?;
-
-    let mut table = |header: &str, cols: usize| -> Result<Vec<f64>, TextIoError> {
-        let (ln, line) = lines
-            .next()
-            .ok_or_else(|| err(0, format!("missing \"{header}\" header")))?;
+    let mut table = |header: &str, cols: usize| -> Result<Vec<f64>, SourceError> {
+        let (ln, line) = lines.require(format_args!("\"{header}\" header"))?;
         if line != header {
-            return Err(err(ln, format!("expected \"{header}\", found {line:?}")));
+            let message = format!("expected \"{header}\", found {line:?}");
+            return Err(ParseError::at(ln, message).into());
         }
         // Grown row by row: `k` and `cols` are only claims until the rows
         // arrive.
         let mut out = Vec::new();
         for row in 0..k {
-            let (ln, body) = lines
-                .next()
-                .ok_or_else(|| err(0, format!("missing row {row} of {header}")))?;
-            out.extend(parse_row(ln, body, cols, &format!("{header} row {row}"))?);
+            let (ln, body) = lines.require(format_args!("row {row} of {header}"))?;
+            parse_row(ln, body, cols, format_args!("{header} row {row}"), &mut out)?;
         }
         Ok(out)
     };
     let transition = table("transition", k)?;
     let emission = table("emission", m)?;
-    if let Some((ln, extra)) = lines.next() {
-        return Err(err(ln, format!("unexpected trailing content: {extra:?}")));
-    }
-    let observations = Arc::try_unwrap(observations).unwrap_or_else(|a| (*a).clone());
-    Hmm::new(hidden, observations, initial, transition, emission).map_err(TextIoError::from)
+    lines.finish()?;
+    Hmm::new(hidden, observations, initial, transition, emission).map_err(SourceError::Model)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use transmark_automata::Alphabet;
 
     fn toy() -> Hmm {
         let hidden = Alphabet::from_names(["rain", "sun"]);
@@ -208,16 +149,16 @@ mod tests {
 
     #[test]
     fn errors_are_located_and_classified() {
-        assert!(matches!(from_text(""), Err(TextIoError::Parse(_))));
+        assert!(matches!(from_text(""), Err(SourceError::Parse(_))));
         let short_row =
             "hmm v1\nhidden a b\nobservations x\ninitial 1 0\ntransition\n1 0\n0\nemission\n1\n1\n";
         match from_text(short_row) {
-            Err(TextIoError::Parse(e)) => assert_eq!(e.line, 7, "{e}"),
+            Err(SourceError::Parse(e)) => assert_eq!(e.line, 7, "{e}"),
             other => panic!("expected located error, got {other:?}"),
         }
         // Rows that parse but are not distributions: a model error.
         let bad_dist = "hmm v1\nhidden a b\nobservations x\ninitial 0.7 0.7\ntransition\n1 0\n0 1\nemission\n1\n1\n";
-        assert!(matches!(from_text(bad_dist), Err(TextIoError::Model(_))));
+        assert!(matches!(from_text(bad_dist), Err(SourceError::Model(_))));
     }
 
     #[test]
@@ -232,7 +173,7 @@ mod tests {
             " 0".repeat(k - 1)
         );
         match from_text(&text) {
-            Err(TextIoError::Parse(e)) => assert_eq!(e.line, 6, "{e}"),
+            Err(SourceError::Parse(e)) => assert_eq!(e.line, 6, "{e}"),
             other => panic!("expected a parse error on line 6, got {other:?}"),
         }
     }

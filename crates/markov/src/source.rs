@@ -43,19 +43,15 @@ use transmark_automata::Alphabet;
 
 use crate::error::MarkovError;
 use crate::sequence::MarkovSequence;
+use crate::textio::ParseError;
 
 /// Everything that can go wrong pulling from a step source.
 #[derive(Debug)]
 pub enum SourceError {
     /// The underlying reader failed.
     Io(std::io::Error),
-    /// Malformed text input (1-based line; 0 = end of input).
-    Parse {
-        /// 1-based line of the failure (0 = end of input).
-        line: usize,
-        /// Human-readable description.
-        message: String,
-    },
+    /// Malformed text input, located at its line.
+    Parse(ParseError),
     /// Malformed binary layout (bad magic, truncation, size mismatch).
     Format(String),
     /// The header's format version is one this reader does not speak —
@@ -88,7 +84,7 @@ impl fmt::Display for SourceError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SourceError::Io(e) => write!(f, "i/o error: {e}"),
-            SourceError::Parse { line, message } => write!(f, "line {line}: {message}"),
+            SourceError::Parse(e) => write!(f, "{e}"),
             SourceError::Format(m) => write!(f, "invalid tmsb data: {m}"),
             SourceError::Version { found, supported } => write!(
                 f,
@@ -113,6 +109,12 @@ impl std::error::Error for SourceError {}
 impl From<std::io::Error> for SourceError {
     fn from(e: std::io::Error) -> Self {
         SourceError::Io(e)
+    }
+}
+
+impl From<ParseError> for SourceError {
+    fn from(e: ParseError) -> Self {
+        SourceError::Parse(e)
     }
 }
 

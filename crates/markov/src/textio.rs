@@ -1,4 +1,5 @@
-//! A plain-text interchange format for Markov sequences.
+//! A plain-text interchange format for Markov sequences, and the line
+//! reader under every text format.
 //!
 //! The paper assumes sequences are "represented in a straightforward
 //! manner … a transition matrix for each index and an array for μ₀→"
@@ -30,8 +31,12 @@
 //! parses is a *valid* Markov sequence (rows summing to 1, etc.). No
 //! buffer is sized from a claimed `length` or `|Σ|`: each grows with the
 //! numbers actually read.
+//!
+//! [`LineReader`] (with [`parse_alphabet`]) is the reading core every
+//! text decoder shares: this one, HMM text ([`crate::hmm_textio`]),
+//! transducer text and s-projector text.
 
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 use std::io::BufRead;
 use std::sync::Arc;
 
@@ -44,44 +49,191 @@ use crate::source::{materialize, SourceError, StepSource};
 /// A parse failure with its (1-based) line number.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ParseError {
-    /// 1-based line of the failure (0 = end of input).
+    /// 1-based line of the failure. When the input ends early it is the
+    /// last line read, so only an input with no line at all reports 0.
     pub line: usize,
     /// Human-readable description.
     pub message: String,
 }
 
-impl std::fmt::Display for ParseError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+impl ParseError {
+    /// A failure at `line`.
+    pub fn at(line: usize, message: impl Into<String>) -> Self {
+        ParseError {
+            line,
+            message: message.into(),
+        }
+    }
+}
+
+impl fmt::Display for ParseError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "line {}: {}", self.line, self.message)
     }
 }
 
 impl std::error::Error for ParseError {}
 
-/// Everything that can go wrong reading a sequence file.
-#[derive(Debug)]
-pub enum TextIoError {
-    /// Syntactic problem.
-    Parse(ParseError),
-    /// The parsed data is not a valid Markov sequence.
-    Model(MarkovError),
+/// The one line reader under every text format: it yields the meaningful
+/// lines of any [`BufRead`] (trimmed; blank and `#` lines skipped) with
+/// their 1-based numbers, through one reused buffer.
+///
+/// Input that ends early is reported at the last line read, naming what
+/// is missing. Reading can fail only in the reader underneath
+/// ([`SourceError::Io`]); every other failure is a
+/// [`SourceError::Parse`].
+pub struct LineReader<R> {
+    reader: R,
+    line_no: usize,
+    line: String,
+    /// Where the current line lies in `line`, trimmed.
+    span: std::ops::Range<usize>,
 }
 
-impl std::fmt::Display for TextIoError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TextIoError::Parse(e) => write!(f, "{e}"),
-            TextIoError::Model(e) => write!(f, "{e}"),
+impl<R: BufRead> LineReader<R> {
+    /// A reader positioned before the first line of `reader`.
+    pub fn new(reader: R) -> Self {
+        LineReader {
+            reader,
+            line_no: 0,
+            line: String::new(),
+            span: 0..0,
+        }
+    }
+
+    /// Reads lines until a meaningful one; `false` at end of input.
+    fn advance(&mut self) -> Result<bool, SourceError> {
+        loop {
+            self.line.clear();
+            if self.reader.read_line(&mut self.line)? == 0 {
+                return Ok(false);
+            }
+            self.line_no += 1;
+            let t = self.line.trim_start();
+            let start = self.line.len() - t.len();
+            let t = t.trim_end();
+            if !t.is_empty() && !t.starts_with('#') {
+                self.span = start..start + t.len();
+                return Ok(true);
+            }
+        }
+    }
+
+    /// The line [`Self::advance`] stopped at, trimmed.
+    fn line(&self) -> &str {
+        &self.line[self.span.clone()]
+    }
+
+    /// The next meaningful line and its number; `None` at end of input.
+    pub fn next_line(&mut self) -> Result<Option<(usize, &str)>, SourceError> {
+        Ok(self.advance()?.then(|| (self.line_no, self.line())))
+    }
+
+    /// The next meaningful line and its number. End of input is an error
+    /// at the last line read: `input ends: missing {what}`.
+    pub(crate) fn require(
+        &mut self,
+        what: impl fmt::Display,
+    ) -> Result<(usize, &str), SourceError> {
+        if !self.advance()? {
+            let message = format!("input ends: missing {what}");
+            return Err(ParseError::at(self.line_no, message).into());
+        }
+        Ok((self.line_no, self.line()))
+    }
+
+    /// Reads the format's first line, which must be exactly `magic`.
+    pub fn magic(&mut self, magic: &str) -> Result<(), SourceError> {
+        if !self.advance()? {
+            return Err(ParseError::at(self.line_no, "empty input").into());
+        }
+        let found = self.line();
+        if found != magic {
+            let message = format!("expected {magic:?}, found {found:?}");
+            return Err(ParseError::at(self.line_no, message).into());
+        }
+        Ok(())
+    }
+
+    /// Reads a `{kw} {usage}` line, returning its number and what follows
+    /// the keyword, less leading whitespace. The keyword is a prefix:
+    /// `length5` reads as `length 5`.
+    pub fn keyword(&mut self, kw: &str, usage: &str) -> Result<(usize, &str), SourceError> {
+        let (ln, line) = self.require(format_args!("{kw} line"))?;
+        let rest = line
+            .strip_prefix(kw)
+            .ok_or_else(|| ParseError::at(ln, format!("expected \"{kw} {usage}\"")))?;
+        Ok((ln, rest.trim_start()))
+    }
+
+    /// Reads a `{kw} <names…>` line as an alphabet (see
+    /// [`parse_alphabet`]).
+    pub fn alphabet(&mut self, kw: &str) -> Result<Alphabet, SourceError> {
+        let (ln, names) = self.keyword(kw, "<names…>")?;
+        Ok(parse_alphabet(ln, kw, names.split_whitespace())?)
+    }
+
+    /// Fails on any meaningful line left, for formats that end at a
+    /// fixed line.
+    pub fn finish(&mut self) -> Result<(), SourceError> {
+        match self.next_line()? {
+            Some((ln, extra)) => {
+                let message = format!("unexpected trailing content: {extra:?}");
+                Err(ParseError::at(ln, message).into())
+            }
+            None => Ok(()),
         }
     }
 }
 
-impl std::error::Error for TextIoError {}
-
-impl From<MarkovError> for TextIoError {
-    fn from(e: MarkovError) -> Self {
-        TextIoError::Model(e)
+/// The alphabet a `{kw}` line lists: at least one name, none repeated.
+pub fn parse_alphabet<S: AsRef<str>>(
+    line: usize,
+    kw: &str,
+    names: impl IntoIterator<Item = S>,
+) -> Result<Alphabet, ParseError> {
+    let names: Vec<S> = names.into_iter().collect();
+    if names.is_empty() {
+        return Err(ParseError::at(
+            line,
+            format!("{kw} must have at least one symbol"),
+        ));
     }
+    let alphabet = Alphabet::from_names(&names);
+    if alphabet.len() != names.len() {
+        return Err(ParseError::at(line, format!("duplicate names in {kw}")));
+    }
+    Ok(alphabet)
+}
+
+/// Appends the `cols` numbers of `body`, the row named `what`, to `out`.
+/// A bad number anywhere in the line is reported before a wrong count,
+/// and at most `cols` numbers are kept, so `out` grows only with numbers
+/// the line actually holds.
+pub(crate) fn parse_row(
+    line: usize,
+    body: &str,
+    cols: usize,
+    what: impl fmt::Display,
+    out: &mut Vec<f64>,
+) -> Result<(), ParseError> {
+    let mut count = 0usize;
+    for token in body.split_whitespace() {
+        let p: f64 = token
+            .parse()
+            .map_err(|e| ParseError::at(line, format!("bad number in {what}: {e}")))?;
+        if count < cols {
+            out.push(p);
+        }
+        count += 1;
+    }
+    if count != cols {
+        return Err(ParseError::at(
+            line,
+            format!("{what} has {count} entries, expected {cols}"),
+        ));
+    }
+    Ok(())
 }
 
 /// Serializes a sequence to the v1 text format.
@@ -117,20 +269,8 @@ pub fn to_text(m: &MarkovSequence) -> String {
 /// Every transition entry takes at least two bytes of the text (a number
 /// and its separator), so a `length` whose `(n−1)·|Σ|²` entries the text
 /// cannot hold is rejected at the `length` line, before any row is read.
-pub fn from_text(text: &str) -> Result<MarkovSequence, TextIoError> {
-    TmsTextSource::open(text.as_bytes(), Some(text.len()))
-        .and_then(|mut src| materialize(&mut src))
-        .map_err(|e| match e {
-            SourceError::Parse { line, message } => {
-                TextIoError::Parse(ParseError { line, message })
-            }
-            SourceError::Model(e) => TextIoError::Model(e),
-            // Reading a `&str` cannot fail, and text has no binary layout.
-            other => TextIoError::Parse(ParseError {
-                line: 0,
-                message: other.to_string(),
-            }),
-        })
+pub fn from_text(text: &str) -> Result<MarkovSequence, SourceError> {
+    TmsTextSource::open(text.as_bytes(), Some(text.len())).and_then(|mut src| materialize(&mut src))
 }
 
 /// A chunked, incremental reader of the v1 text format: a
@@ -148,10 +288,7 @@ pub fn from_text(text: &str) -> Result<MarkovSequence, TextIoError> {
 /// are parsed. Use the binary format ([`crate::binio`]) when a
 /// rewindable source is needed.
 pub struct TmsTextSource<R> {
-    reader: R,
-    line_no: usize,
-    /// Reused raw-line buffer.
-    line: String,
+    lines: LineReader<R>,
     alphabet: Arc<Alphabet>,
     n: usize,
     initial: Vec<f64>,
@@ -159,55 +296,6 @@ pub struct TmsTextSource<R> {
     /// Reused layer buffer, grown as rows arrive.
     buf: Vec<f64>,
     trailing_checked: bool,
-}
-
-fn serr(line: usize, message: impl Into<String>) -> SourceError {
-    SourceError::Parse {
-        line,
-        message: message.into(),
-    }
-}
-
-/// The row a line of numbers fills, named only in error messages.
-#[derive(Clone, Copy)]
-enum Row {
-    Initial,
-    Step { step: usize, row: usize },
-}
-
-impl std::fmt::Display for Row {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Row::Initial => f.write_str("initial distribution"),
-            Row::Step { step, row } => write!(f, "step {step} row {row}"),
-        }
-    }
-}
-
-/// Appends the `k` numbers of `body` to `out`. A bad number anywhere in
-/// the line is reported before a wrong count, and at most `k` numbers are
-/// kept, so `out` grows only with numbers the line actually holds.
-fn parse_row(
-    ln: usize,
-    body: &str,
-    k: usize,
-    row: Row,
-    out: &mut Vec<f64>,
-) -> Result<(), SourceError> {
-    let mut count = 0usize;
-    for token in body.split_whitespace() {
-        let p: f64 = token
-            .parse()
-            .map_err(|e| serr(ln, format!("bad number in {row}: {e}")))?;
-        if count < k {
-            out.push(p);
-        }
-        count += 1;
-    }
-    if count != k {
-        return Err(serr(ln, format!("{row} has {count} entries, expected {k}")));
-    }
-    Ok(())
 }
 
 /// Whether `line` reads exactly `step {step}` (decimal, no sign or
@@ -232,106 +320,47 @@ impl<R: BufRead> TmsTextSource<R> {
     /// bytes: a `length` line claiming more entries than that many bytes
     /// can hold is rejected on the spot.
     fn open(reader: R, max_bytes: Option<usize>) -> Result<Self, SourceError> {
-        let mut src = TmsTextSource {
-            reader,
-            line_no: 0,
-            line: String::new(),
-            alphabet: Arc::new(Alphabet::from_names(std::iter::empty::<&str>())),
-            n: 0,
-            initial: Vec::new(),
-            pos: 0,
-            buf: Vec::new(),
-            trailing_checked: false,
-        };
-
-        let ln = src
-            .read_meaningful()?
-            .ok_or_else(|| serr(src.line_no, "empty input"))?;
-        let header = src.line.trim();
-        if header != "markov-sequence v1" {
-            return Err(serr(
-                ln,
-                format!("expected \"markov-sequence v1\", found {header:?}"),
-            ));
+        let mut lines = LineReader::new(reader);
+        lines.magic("markov-sequence v1")?;
+        // Unlike the other keyword lines, `alphabet` must be a whole word
+        // here: `alphabetx` is refused, not read as the alphabet {x}.
+        let (ln, line) = lines.require("alphabet line")?;
+        let mut names = line.split_whitespace();
+        if names.next() != Some("alphabet") {
+            return Err(ParseError::at(ln, "expected \"alphabet <names…>\"").into());
         }
+        let alphabet = Arc::new(parse_alphabet(ln, "alphabet", names)?);
+        let k = alphabet.len();
 
-        let ln = src
-            .read_meaningful()?
-            .ok_or_else(|| src.ended("alphabet line"))?;
-        {
-            let mut parts = src.line.split_whitespace();
-            if parts.next() != Some("alphabet") {
-                return Err(serr(ln, "expected \"alphabet <names…>\""));
-            }
-            let names: Vec<&str> = parts.collect();
-            if names.is_empty() {
-                return Err(serr(ln, "alphabet must have at least one symbol"));
-            }
-            let alphabet = Arc::new(Alphabet::from_names(names.iter().copied()));
-            if alphabet.len() != names.len() {
-                return Err(serr(ln, "duplicate symbol names in alphabet"));
-            }
-            src.alphabet = alphabet;
-        }
-        let k = src.alphabet.len();
-
-        let ln = src
-            .read_meaningful()?
-            .ok_or_else(|| src.ended("length line"))?;
-        src.n = src
-            .line
-            .trim()
-            .strip_prefix("length")
-            .map(str::trim)
-            .ok_or_else(|| serr(ln, "expected \"length <n>\""))?
+        let (ln, rest) = lines.keyword("length", "<n>")?;
+        let n: usize = rest
             .parse()
-            .map_err(|e| serr(ln, format!("bad length: {e}")))?;
-        let n = src.n;
+            .map_err(|e| ParseError::at(ln, format!("bad length: {e}")))?;
         let entries = n.saturating_sub(1).saturating_mul(k).saturating_mul(k);
         if max_bytes.is_some_and(|bytes| entries > bytes.div_ceil(2)) {
-            return Err(serr(
+            return Err(ParseError::at(
                 ln,
                 format!("length {n} needs {entries} transition entries; the text cannot hold them"),
-            ));
+            )
+            .into());
         }
         if n == 0 {
             return Err(SourceError::Model(MarkovError::EmptySequence));
         }
 
-        let ln = src
-            .read_meaningful()?
-            .ok_or_else(|| src.ended("initial line"))?;
-        let body = src
-            .line
-            .trim()
-            .strip_prefix("initial")
-            .ok_or_else(|| serr(ln, "expected \"initial <p…>\""))?;
-        parse_row(ln, body, k, Row::Initial, &mut src.initial)?;
-        validate_vector(&src.initial, "initial", 0)?;
-        Ok(src)
-    }
-
-    /// The error for input that ends before `what`: it names the last
-    /// line read (0 if there was none).
-    fn ended(&self, what: impl std::fmt::Display) -> SourceError {
-        serr(self.line_no, format!("input ends: missing {what}"))
-    }
-
-    /// Reads the next nonempty, non-comment line into `self.line`,
-    /// returning its 1-based number; `None` at end of input.
-    fn read_meaningful(&mut self) -> Result<Option<usize>, SourceError> {
-        loop {
-            self.line.clear();
-            let read = self.reader.read_line(&mut self.line)?;
-            if read == 0 {
-                return Ok(None);
-            }
-            self.line_no += 1;
-            let t = self.line.trim();
-            if !t.is_empty() && !t.starts_with('#') {
-                return Ok(Some(self.line_no));
-            }
-        }
+        let (ln, body) = lines.keyword("initial", "<p…>")?;
+        let mut initial = Vec::new();
+        parse_row(ln, body, k, "initial distribution", &mut initial)?;
+        validate_vector(&initial, "initial", 0)?;
+        Ok(TmsTextSource {
+            lines,
+            alphabet,
+            n,
+            initial,
+            pos: 0,
+            buf: Vec::new(),
+            trailing_checked: false,
+        })
     }
 }
 
@@ -356,12 +385,7 @@ impl<R: BufRead> StepSource for TmsTextSource<R> {
         if self.pos + 1 >= self.n {
             if !self.trailing_checked {
                 self.trailing_checked = true;
-                if let Some(ln) = self.read_meaningful()? {
-                    return Err(serr(
-                        ln,
-                        format!("unexpected trailing content: {:?}", self.line.trim()),
-                    ));
-                }
+                self.lines.finish()?;
             }
             return Ok(None);
         }
@@ -369,26 +393,22 @@ impl<R: BufRead> StepSource for TmsTextSource<R> {
         let k = self.alphabet.len();
         let t = transmark_obs::Timer::start();
 
-        let ln = self
-            .read_meaningful()?
-            .ok_or_else(|| self.ended(format_args!("\"step {step}\" header")))?;
-        if !is_step_header(self.line.trim(), step) {
-            return Err(serr(
-                ln,
-                format!("expected \"step {step}\", found {:?}", self.line.trim()),
-            ));
+        let (ln, header) = self.lines.require(format_args!("\"step {step}\" header"))?;
+        if !is_step_header(header, step) {
+            let message = format!("expected \"step {step}\", found {header:?}");
+            return Err(ParseError::at(ln, message).into());
         }
 
         self.buf.clear();
         for row in 0..k {
-            let ln = self
-                .read_meaningful()?
-                .ok_or_else(|| self.ended(format_args!("row {row} of step {step}")))?;
+            let (ln, body) = self
+                .lines
+                .require(format_args!("row {row} of step {step}"))?;
             parse_row(
                 ln,
-                self.line.trim(),
+                body,
                 k,
-                Row::Step { step, row },
+                format_args!("step {step} row {row}"),
                 &mut self.buf,
             )?;
         }
@@ -414,7 +434,7 @@ mod tests {
         // before any row is read.
         let text = "markov-sequence v1\nalphabet a b\nlength 100000000000000\ninitial 1 0\n";
         let line = |text: &str| match from_text(text) {
-            Err(TextIoError::Parse(e)) => e.line,
+            Err(SourceError::Parse(e)) => e.line,
             other => panic!("expected a parse error, got {other:?}"),
         };
         assert_eq!(line(text), 3);
@@ -445,7 +465,7 @@ mod tests {
         let mut src = TmsTextSource::new(text.as_bytes()).expect("a valid header");
         assert_eq!(src.buf.capacity(), 0);
         match src.next_step() {
-            Err(SourceError::Parse { line: 6, message }) => {
+            Err(SourceError::Parse(ParseError { line: 6, message })) => {
                 assert!(message.contains("has 1 entries"), "{message}")
             }
             other => panic!("expected a parse error on line 6, got {other:?}"),
@@ -454,43 +474,8 @@ mod tests {
         let mut src = TmsTextSource::new(text.as_bytes()).expect("a valid header");
         assert!(matches!(
             materialize(&mut src),
-            Err(SourceError::Parse { line: 6, .. })
+            Err(SourceError::Parse(ParseError { line: 6, .. }))
         ));
-    }
-
-    /// A `.tms` cut short after any line reports the last line it read:
-    /// `line 40: input ends: missing row 0 of step 5`, never line 0.
-    #[test]
-    fn truncated_text_names_the_last_line_read() {
-        let mut rng = StdRng::seed_from_u64(12);
-        let m = random_markov_sequence(
-            &RandomChainSpec {
-                len: 4,
-                n_symbols: 2,
-                zero_prob: 0.2,
-            },
-            &mut rng,
-        );
-        let text = to_text(&m);
-        let lines: Vec<&str> = text.lines().collect();
-        let read = |cut: usize| {
-            let short: String = lines[..cut].iter().map(|l| format!("{l}\n")).collect();
-            TmsTextSource::new(short.as_bytes()).and_then(|mut src| materialize(&mut src))
-        };
-        for cut in 0..lines.len() {
-            match read(cut) {
-                Err(SourceError::Parse { line, message }) => {
-                    assert_eq!(line, cut, "{message}");
-                    let want = ["input ends: missing ", "empty input"][usize::from(cut == 0)];
-                    assert!(message.starts_with(want), "line {line}: {message}");
-                }
-                other => panic!("cut after {cut} lines: expected a parse error, got {other:?}"),
-            }
-        }
-        assert_eq!(
-            read(7).unwrap_err().to_string(),
-            "line 7: input ends: missing \"step 1\" header"
-        );
     }
 
     #[test]
@@ -562,7 +547,7 @@ mod tests {
         ];
         for (text, line) in cases {
             match from_text(text) {
-                Err(TextIoError::Parse(e)) => assert_eq!(e.line, line, "input {text:?}"),
+                Err(SourceError::Parse(e)) => assert_eq!(e.line, line, "input {text:?}"),
                 other => panic!("expected parse error at line {line} for {text:?}, got {other:?}"),
             }
         }
@@ -573,7 +558,7 @@ mod tests {
         // Rows parse but don't sum to 1.
         let text =
             "markov-sequence v1\nalphabet a b\nlength 2\ninitial 0.6 0.3\nstep 0\n1 0\n0 1\n";
-        assert!(matches!(from_text(text), Err(TextIoError::Model(_))));
+        assert!(matches!(from_text(text), Err(SourceError::Model(_))));
     }
 
     #[test]
@@ -624,6 +609,41 @@ mod tests {
         let trailing = "markov-sequence v1\nalphabet a b\nlength 1\ninitial 1 0\ntrailing junk";
         let mut s = TmsTextSource::new(trailing.as_bytes()).unwrap();
         assert!(s.next_step().is_err());
+    }
+
+    /// The reader yields each meaningful line trimmed, with its physical
+    /// line number, through to a last line with no newline, whatever the
+    /// size of the buffer under it; a line that is not UTF-8 fails as an
+    /// I/O error.
+    #[test]
+    fn line_reader_numbers_trimmed_meaningful_lines() {
+        use std::io::BufReader;
+        fn read_all<R: BufRead>(reader: R) -> Result<Vec<(usize, String)>, SourceError> {
+            let mut lines = LineReader::new(reader);
+            let mut out = Vec::new();
+            while let Some((ln, line)) = lines.next_line()? {
+                out.push((ln, line.to_string()));
+            }
+            Ok(out)
+        }
+        let text = "# header\n\n  alphabet a b \r\n\t# indented\nlength 2\n\ninitial 1 0";
+        let whole = read_all(text.as_bytes()).unwrap();
+        let expected = [(3, "alphabet a b"), (5, "length 2"), (7, "initial 1 0")];
+        let expected: Vec<_> = expected.iter().map(|&(n, l)| (n, l.to_string())).collect();
+        assert_eq!(whole, expected);
+        for cap in 1..=text.len() {
+            let read = read_all(BufReader::with_capacity(cap, text.as_bytes())).unwrap();
+            assert_eq!(read, expected, "buffer of {cap} bytes");
+        }
+        let bad: &[u8] = b"length 2\nalpha\xffbet\n";
+        for cap in [1, 4, 64] {
+            let mut lines = LineReader::new(BufReader::with_capacity(cap, bad));
+            assert_eq!(lines.next_line().unwrap(), Some((1, "length 2")));
+            match lines.next_line() {
+                Err(SourceError::Io(e)) => assert_eq!(e.kind(), std::io::ErrorKind::InvalidData),
+                other => panic!("expected an I/O error, got {other:?}"),
+            }
+        }
     }
 
     #[test]

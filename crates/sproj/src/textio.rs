@@ -15,40 +15,20 @@
 //! `alphabet` is given as a single run of characters (symbol names must
 //! be single characters for the regex syntax to apply; write `\s` for a
 //! space symbol); the three component lines hold the §5 `B`, `A`, `E`
-//! expressions. `#` comments and blank lines are ignored.
+//! expressions, and nothing may follow the `suffix` line. `#` comments
+//! and blank lines are ignored.
 
 use std::fmt::Write as _;
 
 use transmark_automata::Alphabet;
+use transmark_core::error::EngineError;
+use transmark_markov::textio::{parse_alphabet, LineReader};
 
 use crate::projector::SProjector;
 
-pub use transmark_markov::textio::ParseError;
-
-/// Everything that can go wrong reading an s-projector file.
-#[derive(Debug)]
-pub enum TextIoError {
-    /// Syntactic problem (including regex errors, which carry the line of
-    /// the offending component).
-    Parse(ParseError),
-}
-
-impl std::fmt::Display for TextIoError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TextIoError::Parse(e) => write!(f, "{e}"),
-        }
-    }
-}
-
-impl std::error::Error for TextIoError {}
-
-fn err(line: usize, message: impl Into<String>) -> TextIoError {
-    TextIoError::Parse(ParseError {
-        line,
-        message: message.into(),
-    })
-}
+/// The transducer format's errors: a regex error is a
+/// [`TextIoError::Parse`] at the line of the offending component.
+pub use transmark_core::textio::{ParseError, TextIoError};
 
 /// Serializes the *source form* of an s-projector: the alphabet and the
 /// three component patterns. Since [`SProjector`] stores compiled DFAs
@@ -74,52 +54,26 @@ pub fn to_text(alphabet: &Alphabet, prefix: &str, pattern: &str, suffix: &str) -
 
 /// Parses the v1 text format and compiles the projector.
 pub fn from_text(text: &str) -> Result<SProjector, TextIoError> {
-    let mut lines = text
-        .lines()
-        .enumerate()
-        .map(|(i, l)| (i + 1, l.trim()))
-        .filter(|(_, l)| !l.is_empty() && !l.starts_with('#'));
-
-    let (ln, header) = lines.next().ok_or_else(|| err(0, "empty input"))?;
-    if header != "sprojector v1" {
-        return Err(err(
-            ln,
-            format!("expected \"sprojector v1\", found {header:?}"),
-        ));
-    }
-    let (ln, alpha_line) = lines
-        .next()
-        .ok_or_else(|| err(0, "missing alphabet line"))?;
-    let chars = alpha_line
-        .strip_prefix("alphabet")
-        .map(str::trim)
-        .ok_or_else(|| err(ln, "expected \"alphabet <chars>\""))?;
-    if chars.is_empty() {
-        return Err(err(ln, "alphabet must have at least one character"));
-    }
+    let mut lines = LineReader::new(text.as_bytes());
+    lines.magic("sprojector v1")?;
+    let (ln, chars) = lines.keyword("alphabet", "<chars>")?;
     // `\s` escapes a space symbol (plain spaces are destroyed by trimming).
     let chars = chars.replace("\\s", " ");
-    let alphabet = Alphabet::of_chars(&chars);
-    if alphabet.len() != chars.chars().count() {
-        return Err(err(ln, "duplicate characters in alphabet"));
-    }
+    let alphabet = parse_alphabet(ln, "alphabet", chars.chars().map(String::from))?;
 
-    let mut component = |what: &'static str| -> Result<(usize, String), TextIoError> {
-        let (ln, line) = lines
-            .next()
-            .ok_or_else(|| err(0, format!("missing \"{what}\" line")))?;
-        let body = line
-            .strip_prefix(what)
-            .ok_or_else(|| err(ln, format!("expected \"{what} <regex>\"")))?;
-        Ok((ln, body.trim().to_string()))
+    let mut component = |what: &str| {
+        lines
+            .keyword(what, "<regex>")
+            .map(|(ln, body)| (ln, body.to_string()))
     };
     let (pl, prefix) = component("prefix")?;
     let (al, pattern) = component("pattern")?;
     let (sl, suffix) = component("suffix")?;
+    lines.finish()?;
 
     // Compile each component separately so errors point at the right line.
-    let compile_err = |ln: usize, which: &str, e: transmark_core::error::EngineError| {
-        err(ln, format!("invalid {which} pattern: {e}"))
+    let compile_err = |ln: usize, which: &str, e: EngineError| {
+        ParseError::at(ln, format!("invalid {which} pattern: {e}")).into()
     };
     SProjector::from_patterns(alphabet.clone(), &prefix, &pattern, &suffix).map_err(|e| {
         // Re-compile the pieces to locate the failure.
@@ -178,5 +132,97 @@ mod tests {
         }
         let dup = "sprojector v1\nalphabet aa\nprefix .*\npattern a\nsuffix .*\n";
         assert!(matches!(from_text(dup), Err(TextIoError::Parse(_))));
+    }
+
+    #[test]
+    fn trailing_content_is_rejected() {
+        let text = "sprojector v1\nalphabet ab\nprefix .*\npattern a\nsuffix .*\n# end\nsuffix b\n";
+        match from_text(text) {
+            Err(TextIoError::Parse(e)) => {
+                assert_eq!(e.line, 7, "{e}");
+                assert!(e.message.starts_with("unexpected trailing content"), "{e}");
+            }
+            other => panic!("expected a parse error, got {other:?}"),
+        }
+    }
+
+    /// Every text format cut short after any of its fixed lines reports
+    /// the last line it read (`line 7: input ends: missing "step 1"
+    /// header`); only an empty input reports line 0. This crate sees all
+    /// four decoders: `.tms`, `.tmh`, `.tmt` (whose edge lines are
+    /// optional, so only its first six lines are fixed) and `.tmp`.
+    #[test]
+    fn truncated_text_names_the_last_line_read() {
+        use rand::{rngs::StdRng, SeedableRng};
+        use transmark_core::generate::{random_transducer, RandomTransducerSpec};
+        use transmark_markov::generate::{random_markov_sequence, RandomChainSpec};
+        use transmark_markov::hmm_textio;
+        use transmark_markov::source::materialize;
+        use transmark_markov::textio::TmsTextSource;
+        use transmark_markov::Hmm;
+
+        let mut rng = StdRng::seed_from_u64(12);
+        let chain = random_markov_sequence(
+            &RandomChainSpec {
+                len: 4,
+                n_symbols: 2,
+                zero_prob: 0.2,
+            },
+            &mut rng,
+        );
+        let machine = random_transducer(&RandomTransducerSpec::default(), &mut rng);
+        let hmm = Hmm::new(
+            Alphabet::from_names(["rain", "sun"]),
+            Alphabet::from_names(["umbrella", "none"]),
+            vec![0.6, 0.4],
+            vec![0.7, 0.3, 0.2, 0.8],
+            vec![0.9, 0.1, 0.25, 0.75],
+        )
+        .expect("a valid HMM");
+
+        type Decode = fn(&str) -> Result<(), TextIoError>;
+        let tms: Decode = |text| {
+            TmsTextSource::new(text.as_bytes())
+                .and_then(|mut src| materialize(&mut src))
+                .map(drop)
+                .map_err(TextIoError::from)
+        };
+        let tmh: Decode = |text| {
+            hmm_textio::from_text(text)
+                .map(drop)
+                .map_err(TextIoError::from)
+        };
+        let tmt: Decode = |text| transmark_core::textio::from_text(text).map(drop);
+        let tmp: Decode = |text| from_text(text).map(drop);
+        let chain_text = transmark_markov::textio::to_text(&chain);
+        let cases = [
+            (chain_text.clone(), usize::MAX, tms),
+            (hmm_textio::to_text(&hmm), usize::MAX, tmh),
+            (transmark_core::textio::to_text(&machine), 6, tmt),
+            (to_text(&Alphabet::of_chars("ab"), "b*", "a+", ".*"), 5, tmp),
+        ];
+        for (text, fixed, decode) in cases {
+            let lines: Vec<&str> = text.lines().collect();
+            for cut in 0..fixed.min(lines.len()) {
+                let short: String = lines[..cut].iter().map(|l| format!("{l}\n")).collect();
+                match decode(&short) {
+                    Err(TextIoError::Parse(e)) => {
+                        assert_eq!(e.line, cut, "{e}");
+                        let want = ["input ends: missing ", "empty input"][usize::from(cut == 0)];
+                        assert!(e.message.starts_with(want), "{e}");
+                    }
+                    other => panic!("{:?} cut after {cut} lines: got {other:?}", lines[0]),
+                }
+            }
+        }
+        let cut: String = chain_text
+            .lines()
+            .take(7)
+            .map(|l| format!("{l}\n"))
+            .collect();
+        assert_eq!(
+            tms(&cut).unwrap_err().to_string(),
+            "line 7: input ends: missing \"step 1\" header"
+        );
     }
 }

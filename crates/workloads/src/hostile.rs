@@ -1,10 +1,10 @@
-//! Sequence files whose size fields claim far more than the file holds.
+//! Files whose size fields claim far more than the file holds.
 //!
 //! Each is a few bytes to under a megabyte on disk, yet a decoder that
 //! sizes a buffer from its header would ask for terabytes (`length`) or
-//! tens of gigabytes (`|Σ|²`). Every decoder must reject them with a
-//! typed error, having allocated only for the bytes that arrived; these
-//! are the regression inputs for that rule.
+//! tens of gigabytes (`|Σ|²`, a transducer's `states`). Every decoder
+//! must reject them with a typed error, having allocated only for the
+//! bytes that arrived; these are the regression inputs for that rule.
 
 use transmark_automata::Alphabet;
 use transmark_markov::binio::to_tmsb_bytes;
@@ -54,8 +54,14 @@ fn wide_text() -> String {
     )
 }
 
-/// All three files with the names they are stored under; the extension
-/// picks the decoder.
+/// A 115-byte `.tmt` over the input alphabet {a, b} whose `states` line
+/// claims 4·10^9 states: a builder adding them asks for about 200 GB of
+/// transition table.
+pub const HUGE_STATES_TMT: &str = "transducer v1\ninput-alphabet a b\noutput-alphabet x\n\
+states 4000000000\ninitial 0\naccepting 0\nedge 0 a 0\nedge 0 b 0 x\n";
+
+/// All three sequence files with the names they are stored under; the
+/// extension picks the decoder.
 pub fn files() -> [(&'static str, Vec<u8>); 3] {
     [
         ("long.tms", long_text().into_bytes()),
@@ -76,5 +82,39 @@ mod tests {
         let wide = wide_text();
         assert!(wide.len() < 900_000, "{}", wide.len());
         assert!(wide.ends_with("step 0\n1\n"));
+        assert_eq!(HUGE_STATES_TMT.len(), 115);
+    }
+
+    /// Past 2^20 table slots (`textio::FREE_SLOTS`), the `.tmt` decoder
+    /// refuses a `states` count claiming more than one table slot (a
+    /// state and an input symbol) per byte of text. Every machine the
+    /// workloads build stays far inside that bound at any size, so all
+    /// of them round trip through their text.
+    #[test]
+    fn shipped_machines_fit_the_states_bound() {
+        use transmark_core::textio;
+        let rfid = crate::rfid::deployment(&crate::rfid::RfidSpec::default());
+        let machines = [
+            crate::hospital::room_tracker(),
+            rfid.room_tracker(None),
+            rfid.room_tracker(Some(1)),
+            crate::speech::demo_lexicon()
+                .transducer()
+                .expect("the demo lexicon builds"),
+            crate::gadgets::emax_gap(12).0,
+            crate::gadgets::projector_gap(12).0,
+            crate::gadgets::amplified_emax_gap(4, 3).0,
+        ];
+        for t in machines {
+            let text = textio::to_text(&t);
+            let slots = t.n_states() * t.input_alphabet().len();
+            assert!(
+                4 * slots <= text.len(),
+                "{slots} slots in {} bytes",
+                text.len()
+            );
+            let back = textio::from_text(&text).expect("a shipped machine parses");
+            assert_eq!(back.n_states(), t.n_states());
+        }
     }
 }

@@ -201,6 +201,27 @@ fn show_rejects_sizes_the_file_cannot_back() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A `.tmt` whose `states` line claims 4·10^9 states gets a one-line
+/// error from `tmk top` at that line, never an allocation abort.
+#[test]
+fn top_rejects_states_the_text_cannot_back() {
+    let dir = scratch("huge-states");
+    run(&args(&["export-example", dir.to_str().unwrap()])).expect("export");
+    let query = dir.join("huge.tmt");
+    std::fs::write(&query, transmark::workloads::hostile::HUGE_STATES_TMT).unwrap();
+    let seq = dir.join("hospital.tms");
+    let e = run(&args(&[
+        "top",
+        seq.to_str().unwrap(),
+        query.to_str().unwrap(),
+    ]))
+    .unwrap_err();
+    assert_eq!(e.exit_code, 1, "{}", e.message);
+    assert!(!e.message.contains('\n'), "{}", e.message);
+    assert!(e.message.contains("huge.tmt: line 4: "), "{}", e.message);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// `tmk stream` over files claiming 10^14 positions — plain series and
 /// sliding window, text and binary — gets a one-line error once the file
 /// runs out, never an allocation sized from the claim.

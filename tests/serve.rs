@@ -721,6 +721,39 @@ fn hostile_size_fields_are_typed_errors() {
         .expect("a healthy client is served after the hostile payloads");
 }
 
+/// A query text whose `states` line claims 4·10^9 states gets ERR_QUERY
+/// inside a QUERY and a STREAM_BEGIN frame, before the server adds a
+/// state, and a client on another connection is still served.
+#[test]
+fn query_states_the_text_cannot_back_are_query_errors() {
+    let (t, m) = instance(TransducerClass::Mealy, 9, 3);
+    let tmsb = to_tmsb_bytes(&m);
+    let huge = transmark::workloads::hostile::HUGE_STATES_TMT;
+    let expect_query_error = |r: Result<_, WireError>, what: &str| match r {
+        Err(WireError::Remote { code, .. }) => assert_eq!(code, ERR_QUERY, "{what}"),
+        other => panic!("{what}: expected a remote query error, got {other:?}"),
+    };
+    let mut hostile = Client::connect(&addr(), "huge-states").expect("connect");
+    expect_query_error(
+        hostile
+            .series(huge, &Sequence::Binary(&tmsb), false)
+            .map(|_| ()),
+        "QUERY",
+    );
+    expect_query_error(
+        hostile.stream_series(huge, &tmsb, 8).map(|_| ()),
+        "STREAM_BEGIN",
+    );
+    let mut healthy = Client::connect(&addr(), "healthy").expect("connect");
+    healthy
+        .series(
+            &transmark::engine::textio::to_text(&t),
+            &Sequence::Binary(&tmsb),
+            false,
+        )
+        .expect("a healthy client is served after the huge state count");
+}
+
 /// A window width sent in STREAM_BEGIN sizes nothing on the server: a
 /// width of 2^32 − 1 over a 6-position stream returns the width-6 series
 /// bit for bit, and a client on another connection is still served.
