@@ -55,9 +55,9 @@ use transmark_markov::{MarkovSequence, StepSource};
 
 use crate::error::EngineError;
 use crate::forward::{FlatPass, ForwardPass, PulledLayer};
-use crate::incremental::{ByteReader, ByteWriter};
 use crate::plan::{PlanKind, PreparedQuery};
 use crate::transducer::Transducer;
+use transmark_markov::codec::{ByteReader, ByteWriter};
 
 // Every confidence route is one `ConfidencePass`: both binds drive it
 // over pulled layers (`BoundQuery` from its sequence, `SourceBoundQuery`
@@ -1032,16 +1032,13 @@ impl LiftedFold<Nfa> {
     /// not saved: it refills deterministically on demand.
     pub(crate) fn save(&self, w: &mut ByteWriter) {
         let k = self.table.k;
-        w.put_u32(k as u32);
-        w.put_u64(self.table.n_subsets() as u64);
+        w.u32(k as u32).u64(self.table.n_subsets() as u64);
         for set in self.table.sets.iter() {
             write_set(w, set);
         }
-        w.put_u64(self.cur.present as u64);
+        w.u64(self.cur.present as u64);
         self.cur.for_each_present(k, |d, node, p| {
-            w.put_u64(d as u64);
-            w.put_u32(node as u32);
-            w.put_f64(p);
+            w.u64(d as u64).u32(node as u32).f64(p);
         });
     }
 
@@ -1049,7 +1046,7 @@ impl LiftedFold<Nfa> {
     /// that does not re-intern to its original id means the blob belongs
     /// to a different query (or is corrupt).
     pub(crate) fn restore(nfa: Nfa, r: &mut ByteReader<'_>) -> Result<Self, EngineError> {
-        let k = r.get_u32()? as usize;
+        let k = r.u32("fold alphabet size")? as usize;
         if k != nfa.n_symbols() {
             return Err(EngineError::BadCheckpoint(format!(
                 "fold alphabet {} does not match query alphabet {}",
@@ -1059,7 +1056,8 @@ impl LiftedFold<Nfa> {
         }
         let table = LiftedDfa::lazy(&nfa);
         let mut fold = LiftedFold::new(nfa, table);
-        let n_subsets = r.get_u64()? as usize;
+        // A subset is at least its capacity and bit count.
+        let n_subsets = r.count_u64(4 + 4, "subsets")?;
         if n_subsets == 0 {
             return Err(EngineError::BadCheckpoint(
                 "fold has no materialized subsets".into(),
@@ -1075,10 +1073,11 @@ impl LiftedFold<Nfa> {
             }
         }
         fold.cur.reset(fold.table.n_cells(), true);
-        for _ in 0..r.get_u64()? {
-            let d = r.get_u64()? as usize;
-            let node = r.get_u32()? as usize;
-            let p = check_mass(r.get_f64()?)?;
+        // A cell is a subset id, a node and a mass.
+        for _ in 0..r.count_u64(8 + 4 + 8, "layer cells")? {
+            let d = r.u64("cell subset")? as usize;
+            let node = r.u32("cell node")? as usize;
+            let p = check_mass(r.f64("cell mass")?)?;
             if d >= n_subsets || node >= k {
                 return Err(EngineError::BadCheckpoint(format!(
                     "layer entry ({d}, {node}) out of range"
@@ -1139,11 +1138,11 @@ impl LiftedFold<GraphRule> {
     /// Serializes the layer: its present cells as `(node, capacity, bits,
     /// p)` entries, in the layer's `(node, subset)` order.
     pub(crate) fn save(&self, w: &mut ByteWriter) {
-        w.put_u64(self.cur.present as u64);
+        w.u64(self.cur.present as u64);
         self.cur.for_each_present(self.table.k, |d, node, p| {
-            w.put_u32(node as u32);
+            w.u32(node as u32);
             write_set(w, &self.table.sets[d]);
-            w.put_f64(p);
+            w.f64(p);
         });
     }
 
@@ -1153,10 +1152,11 @@ impl LiftedFold<GraphRule> {
     pub(crate) fn restore(mut self, r: &mut ByteReader<'_>) -> Result<Self, EngineError> {
         let k = self.table.k;
         self.cur.reset(self.table.n_cells(), true);
-        for _ in 0..r.get_count(17)? {
-            let node = r.get_u32()? as usize;
+        // A cell is a node, a subset (at least 8 bytes) and a mass.
+        for _ in 0..r.count_u64(4 + 8 + 8, "layer cells")? {
+            let node = r.u32("cell node")? as usize;
             let set = read_set(r, self.rule.cap)?;
-            let p = check_mass(r.get_f64()?)?;
+            let p = check_mass(r.f64("cell mass")?)?;
             if node >= k {
                 return Err(EngineError::BadCheckpoint(format!(
                     "layer entry at node {node} does not fit this query"
@@ -1177,25 +1177,24 @@ impl LiftedFold<GraphRule> {
 const COMPACT_AT: usize = 1024;
 
 fn write_set(w: &mut ByteWriter, set: &BitSet) {
-    w.put_u32(set.capacity() as u32);
-    w.put_u32(set.len() as u32);
+    w.u32(set.capacity() as u32).u32(set.len() as u32);
     for b in set.iter() {
-        w.put_u32(b as u32);
+        w.u32(b as u32);
     }
 }
 
 /// Reads a [`write_set`] subset, refusing any capacity but the query's
 /// `cap` before it sizes anything, and a bit outside it.
 fn read_set(r: &mut ByteReader<'_>, cap: usize) -> Result<BitSet, EngineError> {
-    let got = r.get_u32()? as usize;
+    let got = r.u32("subset capacity")? as usize;
     if got != cap {
         return Err(EngineError::BadCheckpoint(format!(
             "subset of capacity {got} does not fit this query (capacity {cap})"
         )));
     }
     let mut set = BitSet::new(cap);
-    for _ in 0..r.get_u32()? {
-        let b = r.get_u32()? as usize;
+    for _ in 0..r.count_u32(4, "subset bits")? {
+        let b = r.u32("subset bit")? as usize;
         if b >= cap {
             return Err(EngineError::BadCheckpoint(format!(
                 "subset bit {b} out of capacity {cap}"

@@ -150,6 +150,13 @@ impl From<MarkovError> for EngineError {
     }
 }
 
+// The only bytes this crate decodes are checkpoint blobs.
+impl From<transmark_markov::codec::ByteError> for EngineError {
+    fn from(e: transmark_markov::codec::ByteError) -> Self {
+        EngineError::BadCheckpoint(e.to_string())
+    }
+}
+
 // `SourceError` owns an `io::Error`, which is neither `Clone` nor
 // `PartialEq`, so it is carried as its rendered message.
 impl From<transmark_markov::SourceError> for EngineError {

@@ -65,6 +65,7 @@ use std::sync::Arc;
 
 use transmark_automata::{Nfa, SymbolId};
 use transmark_kernel::{LayerCsr, Prob, SlidingProduct, StepGraph, StepOperator, Workspace};
+use transmark_markov::codec::{ByteReader, ByteWriter};
 use transmark_markov::{MarkovSequence, StepSource};
 
 use crate::confidence::{self, ConfState, ConfidencePass, LiftedDfa, LiftedFold, LiftedVec, DEAD};
@@ -132,177 +133,75 @@ pub struct StreamCheckpoint {
 impl StreamCheckpoint {
     /// Decodes a blob's header without restoring any session state.
     pub fn inspect(blob: &[u8]) -> Result<StreamCheckpoint, EngineError> {
-        let mut r = ByteReader::new(blob);
-        r.expect_magic()?;
-        let kind = CheckpointKind::from_code(r.get_u8()?)?;
-        let fingerprint = r.get_u64()?;
-        let position = r.get_u64()?;
-        Ok(StreamCheckpoint {
-            kind,
-            fingerprint,
-            position,
-        })
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Little-endian blob codec
-// ---------------------------------------------------------------------------
-
-/// Appends little-endian primitives to a growing blob.
-pub(crate) struct ByteWriter {
-    buf: Vec<u8>,
-}
-
-impl ByteWriter {
-    fn envelope(kind: CheckpointKind, fingerprint: u64, position: u64) -> ByteWriter {
-        let mut w = ByteWriter {
-            buf: Vec::with_capacity(64),
-        };
-        w.buf.extend_from_slice(&CHECKPOINT_MAGIC);
-        w.buf.extend_from_slice(&CHECKPOINT_VERSION.to_le_bytes());
-        w.put_u8(kind.code());
-        w.put_u64(fingerprint);
-        w.put_u64(position);
-        w
+        StreamCheckpoint::read(&mut ByteReader::new(blob))
     }
 
-    pub(crate) fn put_u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    pub(crate) fn put_u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    pub(crate) fn put_u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    pub(crate) fn put_f64(&mut self, v: f64) {
-        self.buf.extend_from_slice(&v.to_bits().to_le_bytes());
-    }
-
-    fn finish(self) -> Vec<u8> {
-        self.buf
-    }
-}
-
-/// Reads little-endian primitives back out of a blob; every read past the
-/// end is a loud [`EngineError::BadCheckpoint`], never a panic.
-pub(crate) struct ByteReader<'a> {
-    buf: &'a [u8],
-    at: usize,
-}
-
-impl<'a> ByteReader<'a> {
-    fn new(buf: &'a [u8]) -> ByteReader<'a> {
-        ByteReader { buf, at: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], EngineError> {
-        if self.buf.len() - self.at < n {
-            return Err(EngineError::BadCheckpoint(format!(
-                "truncated blob: needed {n} bytes at offset {}, have {}",
-                self.at,
-                self.buf.len() - self.at
-            )));
-        }
-        let s = &self.buf[self.at..self.at + n];
-        self.at += n;
-        Ok(s)
-    }
-
-    pub(crate) fn get_u8(&mut self) -> Result<u8, EngineError> {
-        Ok(self.take(1)?[0])
-    }
-
-    pub(crate) fn get_u32(&mut self) -> Result<u32, EngineError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    pub(crate) fn get_u64(&mut self) -> Result<u64, EngineError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    pub(crate) fn get_f64(&mut self) -> Result<f64, EngineError> {
-        Ok(f64::from_bits(self.get_u64()?))
-    }
-
-    /// Reads an element count and rejects it unless `count ·
-    /// min_elem_bytes` still fits in the unread remainder — a corrupted
-    /// length then errors instead of attempting a giant allocation.
-    pub(crate) fn get_count(&mut self, min_elem_bytes: usize) -> Result<usize, EngineError> {
-        let n = self.get_u64()? as usize;
-        if n.checked_mul(min_elem_bytes.max(1))
-            .is_none_or(|total| total > self.buf.len() - self.at)
-        {
-            return Err(EngineError::BadCheckpoint(format!(
-                "implausible element count {n} at offset {}",
-                self.at
-            )));
-        }
-        Ok(n)
-    }
-
-    fn expect_magic(&mut self) -> Result<(), EngineError> {
-        if self.take(4)? != CHECKPOINT_MAGIC {
+    fn read(r: &mut ByteReader<'_>) -> Result<StreamCheckpoint, EngineError> {
+        if r.take(4, "checkpoint magic")? != CHECKPOINT_MAGIC {
             return Err(EngineError::BadCheckpoint("bad magic".into()));
         }
-        let version = u16::from_le_bytes(self.take(2)?.try_into().unwrap());
+        let version = r.u16("checkpoint version")?;
         if version != CHECKPOINT_VERSION {
             return Err(EngineError::BadCheckpoint(format!(
                 "unsupported checkpoint version {version} (expected {CHECKPOINT_VERSION})"
             )));
         }
-        Ok(())
+        Ok(StreamCheckpoint {
+            kind: CheckpointKind::from_code(r.u8("checkpoint kind")?)?,
+            fingerprint: r.u64("fingerprint")?,
+            position: r.u64("position")?,
+        })
     }
+}
+
+// ---------------------------------------------------------------------------
+// Blob envelope
+// ---------------------------------------------------------------------------
+
+/// A blob's writer, holding its envelope.
+fn envelope(kind: CheckpointKind, fingerprint: u64, position: u64) -> ByteWriter {
+    let mut w = ByteWriter::with_capacity(64);
+    w.raw(&CHECKPOINT_MAGIC).u16(CHECKPOINT_VERSION);
+    w.u8(kind.code()).u64(fingerprint).u64(position);
+    w
 }
 
 /// Opens a blob, validating magic/version/kind/fingerprint, and returns
 /// the payload reader plus the recorded position.
-fn open_envelope<'a>(
-    blob: &'a [u8],
+fn open_envelope(
+    blob: &[u8],
     kind: CheckpointKind,
     fingerprint: u64,
-) -> Result<(ByteReader<'a>, u64), EngineError> {
+) -> Result<(ByteReader<'_>, u64), EngineError> {
     let mut r = ByteReader::new(blob);
-    r.expect_magic()?;
-    let got_kind = CheckpointKind::from_code(r.get_u8()?)?;
-    if got_kind != kind {
+    let head = StreamCheckpoint::read(&mut r)?;
+    if head.kind != kind {
         return Err(EngineError::BadCheckpoint(format!(
-            "checkpoint kind {got_kind:?} cannot resume a {kind:?} session"
+            "checkpoint kind {:?} cannot resume a {kind:?} session",
+            head.kind
         )));
     }
-    let got_fp = r.get_u64()?;
-    if got_fp != fingerprint {
+    if head.fingerprint != fingerprint {
         return Err(EngineError::BadCheckpoint(format!(
-            "fingerprint {got_fp:#x} does not match this query ({fingerprint:#x})"
+            "fingerprint {:#x} does not match this query ({fingerprint:#x})",
+            head.fingerprint
         )));
     }
-    let position = r.get_u64()?;
-    Ok((r, position))
+    Ok((r, head.position))
 }
 
 fn write_f64s(w: &mut ByteWriter, v: &[f64]) {
-    w.put_u64(v.len() as u64);
-    for &x in v {
-        w.put_f64(x);
-    }
+    w.u64(v.len() as u64).f64s(v);
 }
 
 fn read_f64s(r: &mut ByteReader<'_>, expected_len: usize) -> Result<Vec<f64>, EngineError> {
-    let n = r.get_count(8)?;
+    let n = r.count_u64(8, "vector cells")?;
     if n != expected_len {
         return Err(EngineError::BadCheckpoint(format!(
             "vector length {n} does not match expected {expected_len}"
         )));
     }
-    let mut v = Vec::with_capacity(n);
-    for _ in 0..n {
-        v.push(r.get_f64()?);
-    }
-    Ok(v)
+    Ok(r.f64s(n, "vector cells")?)
 }
 
 // ---------------------------------------------------------------------------
@@ -383,7 +282,7 @@ impl EventSession {
         transmark_obs::counter!("checkpoint.saves").inc();
         transmark_obs::profile::instant("checkpoint.save");
         let fingerprint = self.nfa().fingerprint();
-        let mut w = ByteWriter::envelope(CheckpointKind::Event, fingerprint, self.consumed);
+        let mut w = envelope(CheckpointKind::Event, fingerprint, self.consumed);
         self.fold.save(&mut w);
         w.finish()
     }
@@ -393,6 +292,7 @@ impl EventSession {
     pub fn resume(nfa: Nfa, blob: &[u8]) -> Result<EventSession, EngineError> {
         let (mut r, position) = open_envelope(blob, CheckpointKind::Event, nfa.fingerprint())?;
         let fold = LiftedFold::<Nfa>::restore(nfa, &mut r)?;
+        r.finish("the fold")?;
         transmark_obs::counter!("checkpoint.resumes").inc();
         transmark_obs::profile::instant("checkpoint.resume");
         Ok(EventSession {
@@ -478,15 +378,15 @@ impl PreparedQuery {
         let fp = confidence_fingerprint(self, o);
         let (mut r, position) = open_envelope(blob, CheckpointKind::Confidence, fp)?;
         let t = self.transducer();
-        let n_nodes = r.get_u32()? as usize;
+        let n_nodes = r.u32("alphabet size")? as usize;
         if n_nodes != t.n_input_symbols() {
             return Err(EngineError::BadCheckpoint(format!(
                 "checkpoint alphabet {n_nodes} does not match query alphabet {}",
                 t.n_input_symbols()
             )));
         }
-        let overrun = r.get_u8()? != 0;
-        let tag = r.get_u8()?;
+        let overrun = r.u8("overrun flag")? != 0;
+        let tag = r.u8("route tag")?;
         let flat = |graph: Arc<StepGraph>, width: usize, r: &mut ByteReader<'_>| {
             let cells = read_f64s(r, n_nodes * graph.n_rows())?;
             for &p in &cells {
@@ -517,6 +417,7 @@ impl PreparedQuery {
                 )))
             }
         };
+        r.finish("the confidence pass")?;
         transmark_obs::counter!("checkpoint.resumes").inc();
         transmark_obs::profile::instant("checkpoint.resume");
         let pass = ConfidencePass::resumed(Arc::clone(self), o, n_nodes, position, overrun, state);
@@ -562,10 +463,10 @@ impl ConfidenceSession {
         transmark_obs::profile::instant("checkpoint.save");
         let p = &self.pass;
         let fp = confidence_fingerprint(&p.plan, &p.o);
-        let mut w = ByteWriter::envelope(CheckpointKind::Confidence, fp, p.consumed);
-        w.put_u32(p.n_nodes as u32);
-        w.put_u8(p.overrun as u8);
-        w.put_u8(p.state.tag());
+        let mut w = envelope(CheckpointKind::Confidence, fp, p.consumed);
+        w.u32(p.n_nodes as u32)
+            .u8(p.overrun as u8)
+            .u8(p.state.tag());
         match &p.state {
             ConfState::DetUniform { pass, .. } | ConfState::Det { pass } => {
                 write_f64s(&mut w, pass.cells());
@@ -807,7 +708,8 @@ impl SlidingWindowQuery {
         let (mut r, position) = open_envelope(blob, CheckpointKind::Window, self.fingerprint())?;
         let k = self.nfa.n_symbols();
         let md = self.table.n_cells();
-        let n_marg = r.get_count(8 * k)?;
+        // A marginal is a vector of k cells; an operator one of md² cells.
+        let n_marg = r.count_u64(8 + 8 * k, "window marginals")?;
         if n_marg == 0 || n_marg > self.window {
             return Err(EngineError::BadCheckpoint(format!(
                 "marginal ring length {n_marg} outside 1..={}",
@@ -829,25 +731,30 @@ impl SlidingWindowQuery {
             }
             Ok(StepOperator::from_cells(md, cells))
         };
-        let read_ops = |r: &mut ByteReader<'_>| -> Result<Vec<StepOperator<Prob>>, EngineError> {
-            let n = r.get_count(1)?;
+        // The two stacks hold one operator per marginal past the first:
+        // each list is refused before it reserves anything unless its
+        // count fits both that total and the bytes behind it.
+        let mut untaken = n_marg - 1;
+        let mut read_ops = |r: &mut ByteReader<'_>, last: bool| {
+            let n = r.count_u64(8 + 8 * md * md, "window operators")?;
+            if n > untaken || (last && n != untaken) {
+                return Err(EngineError::BadCheckpoint(format!(
+                    "window product does not hold {} operators for {n_marg} marginals",
+                    n_marg - 1
+                )));
+            }
+            untaken -= n;
             let mut ops = Vec::with_capacity(n);
             for _ in 0..n {
                 ops.push(read_op(r)?);
             }
-            Ok(ops)
+            Ok::<_, EngineError>(ops)
         };
-        let front = read_ops(&mut r)?;
-        let back = read_ops(&mut r)?;
+        let front = read_ops(&mut r, false)?;
+        let back = read_ops(&mut r, true)?;
         let back_agg = read_op(&mut r)?;
+        r.finish("the window product")?;
         let swag = SlidingProduct::from_parts(md, front, back, back_agg);
-        if swag.len() != n_marg - 1 {
-            return Err(EngineError::BadCheckpoint(format!(
-                "window product holds {} operators for {} marginals",
-                swag.len(),
-                n_marg
-            )));
-        }
         transmark_obs::counter!("checkpoint.resumes").inc();
         transmark_obs::profile::instant("checkpoint.resume");
         Ok(WindowSession {
@@ -1117,18 +1024,18 @@ impl WindowSession<'_> {
     pub fn checkpoint(&self) -> Vec<u8> {
         transmark_obs::counter!("checkpoint.saves").inc();
         transmark_obs::profile::instant("checkpoint.save");
-        let mut w = ByteWriter::envelope(
+        let mut w = envelope(
             CheckpointKind::Window,
             self.query.fingerprint(),
             self.consumed,
         );
-        w.put_u64(self.marginals.len as u64);
+        w.u64(self.marginals.len as u64);
         for i in 0..self.marginals.len {
             write_f64s(&mut w, self.marginals.slot(i));
         }
         let (front, back, back_agg) = self.swag.parts();
         let write_ops = |w: &mut ByteWriter, ops: &[StepOperator<Prob>]| {
-            w.put_u64(ops.len() as u64);
+            w.u64(ops.len() as u64);
             for op in ops {
                 write_f64s(w, op.cells());
             }
@@ -1208,6 +1115,13 @@ mod tests {
         }
         assert!(matches!(
             EventSession::resume(other, &blob),
+            Err(EngineError::BadCheckpoint(_))
+        ));
+        // A byte past the fold is refused.
+        let mut long = blob.clone();
+        long.push(0);
+        assert!(matches!(
+            EventSession::resume(has_two(), &long),
             Err(EngineError::BadCheckpoint(_))
         ));
         // Truncations never panic.
@@ -1539,6 +1453,37 @@ mod tests {
         let blob = event_blob(&[subset_bytes(2, &[1])]);
         let mut s = EventSession::resume(has_two(), &blob).unwrap();
         s.advance(chain(6, 6).transition_matrix(0)).unwrap();
+    }
+
+    /// A window blob's operator counts size nothing: a real `w = 4` blob
+    /// whose front list claims 2^26 operators, with 64 MiB behind the
+    /// claim (what a rule of one byte per operator asks), is refused with
+    /// a typed error before either list reserves its 2 GiB.
+    #[test]
+    fn window_resume_reserves_no_operators_the_blob_cannot_back() {
+        let m = chain(9, 8);
+        let q = SlidingWindowQuery::new(has_two(), 4).unwrap();
+        let mut s = q.start(m.initial_dist()).unwrap();
+        for i in 0..6 {
+            s.advance(m.transition_matrix(i)).unwrap();
+        }
+        let blob = s.checkpoint();
+        assert!(q.resume(&blob).is_ok());
+        // Past the envelope: the marginal ring, then the front count.
+        let mut r = transmark_markov::codec::ByteReader::new(&blob[23..]);
+        let n_marg = r.u64("marginals").unwrap() as usize;
+        let at = 23 + 8 + n_marg * (8 + 8 * 3);
+        let claim: u64 = 1 << 26;
+        let mut bad = blob[..at].to_vec();
+        bad.extend(claim.to_le_bytes());
+        bad.extend(&blob[at + 8..]);
+        bad.resize(bad.len() + claim as usize, 0);
+        assert!(matches!(q.resume(&bad), Err(EngineError::BadCheckpoint(_))));
+        // Operator counts that fit the bytes but not the marginal ring
+        // are refused too.
+        let mut bad = blob.clone();
+        bad[at..at + 8].copy_from_slice(&(n_marg as u64).to_le_bytes());
+        assert!(matches!(q.resume(&bad), Err(EngineError::BadCheckpoint(_))));
     }
 
     #[test]

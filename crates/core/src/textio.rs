@@ -154,6 +154,10 @@ pub fn from_text(text: &str) -> Result<Transducer, TextIoError> {
     let initial: usize = rest
         .parse()
         .map_err(|e| ParseError::at(ln, format!("bad initial state: {e}")))?;
+    if initial >= n_states {
+        let message = format!("initial state {initial} out of range");
+        return Err(ParseError::at(ln, message).into());
+    }
 
     let (ln, rest) = lines.keyword("accepting", "<q…>")?;
     let accepting: Vec<usize> = rest
@@ -165,10 +169,6 @@ pub fn from_text(text: &str) -> Result<Transducer, TextIoError> {
     let mut b = TransducerBuilder::new(Arc::clone(&input), Arc::clone(&output));
     for _ in 0..n_states {
         b.add_state(false);
-    }
-    if initial >= n_states {
-        let message = format!("initial state {initial} out of range");
-        return Err(ParseError::at(ln, message).into());
     }
     b.set_initial(StateId(initial as u32));
     for q in accepting {
@@ -280,6 +280,15 @@ mod tests {
             Err(TextIoError::Parse(e)) => {
                 assert_eq!(e.line, 7);
                 assert!(e.message.contains("unknown input symbol"));
+            }
+            other => panic!("expected parse error, got {other:?}"),
+        }
+        // A state out of range is reported at its own line.
+        let bad_initial = "transducer v1\ninput-alphabet a\noutput-alphabet x\nstates 1\ninitial 9\naccepting 0\nedge 0 a 0\n";
+        match from_text(bad_initial) {
+            Err(TextIoError::Parse(e)) => {
+                assert_eq!(e.line, 5);
+                assert!(e.message.contains("initial state 9 out of range"));
             }
             other => panic!("expected parse error, got {other:?}"),
         }

@@ -6,6 +6,8 @@
 
 use proptest::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::Arc;
 
 use transmark_core::generate::{random_transducer, RandomTransducerSpec, TransducerClass};
@@ -20,6 +22,48 @@ use transmark_core::SymbolId;
 use transmark_markov::generate::{random_markov_sequence, RandomChainSpec};
 use transmark_markov::numeric::approx_eq;
 use transmark_markov::{MarkovSequence, SequenceSource};
+
+/// Tracks this thread's largest single allocation, so a test can bound
+/// what decoding a blob reserves (tests running in parallel do not see
+/// each other's).
+struct LargestAllocation;
+
+thread_local! {
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
+}
+
+fn note(size: usize) {
+    let _ = LARGEST.try_with(|c| c.set(c.get().max(size)));
+}
+
+unsafe impl GlobalAlloc for LargestAllocation {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        System.alloc(layout)
+    }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        System.alloc_zeroed(layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note(new_size);
+        System.realloc(ptr, layout, new_size)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: LargestAllocation = LargestAllocation;
+
+/// Runs `f` and returns the largest single allocation it made on this
+/// thread.
+fn largest_allocation(f: impl FnOnce()) -> usize {
+    LARGEST.with(|c| c.set(0));
+    f();
+    LARGEST.with(Cell::get)
+}
 
 /// The session a [`StreamQuery::Series`] opens.
 fn event(s: StreamSession<'_>) -> EventSession {
@@ -371,6 +415,49 @@ proptest! {
             let blob = sess.checkpoint();
             for (j, into) in queries.iter().enumerate() {
                 prop_assert_eq!(into.resume(&blob).is_ok(), i == j, "blob of kind {} into kind {}", i, j);
+            }
+        }
+    }
+}
+
+/// The count a mutated blob claims, and the zero bytes appended to back
+/// it at one byte per element.
+const CLAIM: u64 = 1 << 14;
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Any 8 bytes of a blob's payload set to a large count, with
+    /// [`CLAIM`] bytes appended behind it, never panics, and resuming
+    /// reserves no more than a small multiple of the blob: no count may
+    /// size an allocation its elements' bytes cannot back. Every session
+    /// kind, every offset.
+    #[test]
+    fn claimed_counts_reserve_only_what_the_blob_backs(class in arb_class(), seed in any::<u64>(), n in 2usize..6, w in 1usize..5) {
+        let (t, m) = instance(class, seed, n);
+        let queries = [
+            StreamQuery::Series(t.underlying_nfa()),
+            StreamQuery::Window(SlidingWindowQuery::new(t.underlying_nfa(), w).unwrap()),
+            StreamQuery::Confidence { plan: prepare(&t), output: vec![SymbolId(0); n] },
+        ];
+        for query in &queries {
+            let mut sess = query.start(m.initial_dist()).unwrap();
+            for s in &matrices(&m) {
+                sess.advance(s).unwrap();
+            }
+            let blob = sess.checkpoint();
+            let mut bad = blob.clone();
+            bad.resize(blob.len() + CLAIM as usize, 0);
+            // Query-sized tables are allocated whatever the blob says.
+            let bound = 8 * bad.len() + (64 << 10);
+            // The 23-byte envelope holds no count.
+            for at in 23..=blob.len() - 8 {
+                bad[at..at + 8].copy_from_slice(&CLAIM.to_le_bytes());
+                let largest = largest_allocation(|| {
+                    let _ = query.resume(&bad);
+                });
+                prop_assert!(largest <= bound, "count at byte {} reserved {} bytes", at, largest);
+                bad[at..at + 8].copy_from_slice(&blob[at..at + 8]);
             }
         }
     }

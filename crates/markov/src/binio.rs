@@ -45,6 +45,7 @@ use std::sync::Arc;
 
 use transmark_automata::Alphabet;
 
+use crate::codec::{ByteReader, ByteWriter};
 use crate::error::MarkovError;
 use crate::sequence::{validate_matrix, validate_vector, MarkovSequence};
 use crate::source::{materialize, RewindableStepSource, SourceError, StepSource};
@@ -62,18 +63,18 @@ fn ferr(message: impl Into<String>) -> SourceError {
     SourceError::Format(message.into())
 }
 
-/// Serializes the names block (length-prefixed UTF-8, zero-padded to a
-/// multiple of 8).
-fn names_block(alphabet: &Alphabet) -> Vec<u8> {
-    let mut block = Vec::new();
+/// The header and names block: the fixed fields, then per symbol a
+/// length-prefixed UTF-8 name, zero-padded to a multiple of 8.
+fn prelude_head(alphabet: &Alphabet, k: u32, n: u64) -> Vec<u8> {
+    let mut names = ByteWriter::new();
     for (_, name) in alphabet.iter() {
-        block.extend_from_slice(&(name.len() as u32).to_le_bytes());
-        block.extend_from_slice(name.as_bytes());
+        names.str(name);
     }
-    while block.len() % 8 != 0 {
-        block.push(0);
-    }
-    block
+    let mut names = names.finish();
+    names.resize(names.len().next_multiple_of(8), 0);
+    let mut w = ByteWriter::with_capacity(HEADER_LEN + names.len());
+    w.raw(&MAGIC).u32(VERSION).u32(k).u32(0).u64(n);
+    w.u64(names.len() as u64).raw(&names).finish()
 }
 
 /// Streams a source to `w` in `.tmsb` form without materializing it:
@@ -87,15 +88,7 @@ pub fn write_tmsb<W: Write, S: StepSource>(w: &mut W, src: &mut S) -> Result<(),
     if k == 0 || k > u32::MAX as usize {
         return Err(ferr(format!("alphabet size {k} not representable")));
     }
-    let names = names_block(&alphabet);
-
-    w.write_all(&MAGIC)?;
-    w.write_all(&VERSION.to_le_bytes())?;
-    w.write_all(&(k as u32).to_le_bytes())?;
-    w.write_all(&0u32.to_le_bytes())?;
-    w.write_all(&(n as u64).to_le_bytes())?;
-    w.write_all(&(names.len() as u64).to_le_bytes())?;
-    w.write_all(&names)?;
+    w.write_all(&prelude_head(&alphabet, k as u32, n as u64))?;
 
     let initial = src.initial();
     if initial.len() != k {
@@ -141,19 +134,20 @@ struct Header {
 
 /// The names block length a header claims, checked to be a multiple of 8
 /// (claimed only: callers compare it against the bytes they hold).
-fn names_len(header: &[u8; HEADER_LEN]) -> Result<usize, SourceError> {
-    let len = u64::from_le_bytes(header[24..32].try_into().expect("8 bytes"));
+fn names_len(header: &[u8]) -> Result<usize, SourceError> {
+    let len = ByteReader::new(&header[24..]).u64("names block length")?;
     if !len.is_multiple_of(8) {
         return Err(ferr("names block length must be a multiple of 8"));
     }
     usize::try_from(len).map_err(|_| ferr(format!("names block of {len} bytes overflows")))
 }
 
-fn parse_header(header: &[u8; HEADER_LEN], names: &[u8]) -> Result<Header, SourceError> {
-    if header[0..4] != MAGIC {
+fn parse_header(header: &[u8], names: &[u8]) -> Result<Header, SourceError> {
+    let mut r = ByteReader::new(header);
+    if r.take(4, "magic")? != MAGIC {
         return Err(ferr("bad magic (not a .tmsb file)"));
     }
-    let version = u32::from_le_bytes(header[4..8].try_into().expect("4 bytes"));
+    let version = r.u32("version")?;
     if version != VERSION {
         // Typed, not a generic format error: a peer streaming a
         // future-versioned file over the wire gets a negotiable
@@ -164,34 +158,24 @@ fn parse_header(header: &[u8; HEADER_LEN], names: &[u8]) -> Result<Header, Sourc
             supported: VERSION,
         });
     }
-    let k = u32::from_le_bytes(header[8..12].try_into().expect("4 bytes")) as usize;
+    let k = r.u32("alphabet size")?;
     if k == 0 {
         return Err(ferr("alphabet size must be ≥ 1"));
     }
-    let n = u64::from_le_bytes(header[16..24].try_into().expect("8 bytes")) as usize;
+    r.u32("reserved field")?;
+    let n = r.u64("length")? as usize;
     if n == 0 {
         return Err(SourceError::Model(MarkovError::EmptySequence));
     }
 
-    let mut at = 0usize;
-    // Each name takes at least its 4-byte length prefix, so the block
-    // bounds how many a header's `k` can truthfully claim.
-    let mut names_vec = Vec::with_capacity(k.min(names.len() / 4));
-    for i in 0..k {
-        if at + 4 > names.len() {
-            return Err(ferr(format!("names block truncated at symbol {i}")));
-        }
-        let len = u32::from_le_bytes(names[at..at + 4].try_into().expect("4 bytes")) as usize;
-        at += 4;
-        if at + len > names.len() {
-            return Err(ferr(format!("name {i} overruns names block")));
-        }
-        let name = std::str::from_utf8(&names[at..at + len])
-            .map_err(|_| ferr(format!("name {i} is not valid UTF-8")))?;
-        names_vec.push(name.to_string());
-        at += len;
+    let mut r = ByteReader::new(names);
+    // Each name takes at least its 4-byte length prefix.
+    let k = r.claim(k.into(), 4, "symbol names")?;
+    let mut names = Vec::with_capacity(k);
+    for _ in 0..k {
+        names.push(r.str("symbol name")?);
     }
-    let alphabet = Arc::new(Alphabet::from_names(names_vec.iter().map(String::as_str)));
+    let alphabet = Arc::new(Alphabet::from_names(names));
     if alphabet.len() != k {
         return Err(ferr("duplicate symbol names"));
     }
@@ -540,15 +524,10 @@ impl<'a> TmsbSlice<'a> {
     /// Parses the header and validates the initial distribution; layers
     /// are validated lazily as they are pulled.
     pub fn new(data: &'a [u8]) -> Result<Self, SourceError> {
-        if data.len() < HEADER_LEN {
-            return Err(ferr("truncated header"));
-        }
-        let header: &[u8; HEADER_LEN] = data[..HEADER_LEN].try_into().expect("checked");
+        let mut r = ByteReader::new(data);
+        let header = r.take(HEADER_LEN, "header")?;
         let names_len = names_len(header)?;
-        if data.len() - HEADER_LEN < names_len {
-            return Err(ferr("truncated names block"));
-        }
-        let h = parse_header(header, &data[HEADER_LEN..HEADER_LEN + names_len])?;
+        let h = parse_header(header, r.take(names_len, "names block")?)?;
 
         let initial_start = HEADER_LEN + names_len;
         let layers_start = initial_start + 8 * h.k;

@@ -31,13 +31,16 @@
 //! * [`source`] — the streaming data plane: the [`StepSource`] pull
 //!   contract plus the in-memory cursor; [`textio`] adds a chunked text
 //!   reader, [`binio`] the zero-copy binary `.tmsb` format, and [`fsio`]
-//!   the path-based opener dispatching between the two.
+//!   the path-based opener dispatching between the two. [`codec`] is the
+//!   one byte reader and writer under every binary format of the
+//!   workspace.
 //! * [`support`] — exhaustive enumeration of the nonzero-probability
 //!   strings, used as the brute-force oracle throughout the test suite.
 //! * [`numeric`] — compensated summation and comparison helpers shared by
 //!   the dynamic programs downstream.
 
 pub mod binio;
+pub mod codec;
 pub mod error;
 pub mod factors;
 pub mod fsio;

@@ -41,6 +41,7 @@ use std::sync::Arc;
 
 use transmark_automata::Alphabet;
 
+use crate::codec::ByteError;
 use crate::error::MarkovError;
 use crate::sequence::MarkovSequence;
 use crate::textio::ParseError;
@@ -115,6 +116,12 @@ impl From<std::io::Error> for SourceError {
 impl From<ParseError> for SourceError {
     fn from(e: ParseError) -> Self {
         SourceError::Parse(e)
+    }
+}
+
+impl From<ByteError> for SourceError {
+    fn from(e: ByteError) -> Self {
+        SourceError::Format(e.to_string())
     }
 }
 

@@ -8,13 +8,14 @@ use std::io::BufReader;
 use std::net::TcpStream;
 
 use transmark_markov::binio::read_prelude;
+use transmark_markov::codec::{ByteReader, ByteWriter};
 
 use super::protocol::{
-    parse_error, read_frame, write_frame, Cursor, Frame, PayloadBuilder, WireError, FLAG_PROFILE,
-    FLAG_RESUME, FLAG_TRACE, KIND_CONFIDENCE, KIND_SERIES, KIND_TOP_K, KIND_WINDOW, OP_CHECKPOINT,
-    OP_ERROR, OP_HELLO, OP_HELLO_OK, OP_METRICS, OP_QUERY, OP_RESULT, OP_SHUTDOWN, OP_SHUTDOWN_OK,
-    OP_STREAM_ACK, OP_STREAM_BEGIN, OP_STREAM_CHECKPOINT, OP_STREAM_DATA, OP_STREAM_END,
-    RESULT_CONFIDENCE, RESULT_SERIES, RESULT_TEXT, RESULT_TOP_K, WIRE_MAGIC, WIRE_VERSION,
+    parse_error, read_frame, write_frame, Frame, WireError, FLAG_PROFILE, FLAG_RESUME, FLAG_TRACE,
+    KIND_CONFIDENCE, KIND_SERIES, KIND_TOP_K, KIND_WINDOW, OP_CHECKPOINT, OP_ERROR, OP_HELLO,
+    OP_HELLO_OK, OP_METRICS, OP_QUERY, OP_RESULT, OP_SHUTDOWN, OP_SHUTDOWN_OK, OP_STREAM_ACK,
+    OP_STREAM_BEGIN, OP_STREAM_CHECKPOINT, OP_STREAM_DATA, OP_STREAM_END, RESULT_CONFIDENCE,
+    RESULT_SERIES, RESULT_TEXT, RESULT_TOP_K, WIRE_MAGIC, WIRE_VERSION,
 };
 
 /// A sequence payload for self-contained queries: `.tms` text or
@@ -62,24 +63,18 @@ impl StreamCheckpoint {
     /// Serializes for a checkpoint file: 8-byte LE position, then the
     /// opaque blob.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(8 + self.blob.len());
-        out.extend_from_slice(&self.position.to_le_bytes());
-        out.extend_from_slice(&self.blob);
-        out
+        ByteWriter::with_capacity(8 + self.blob.len())
+            .u64(self.position)
+            .raw(&self.blob)
+            .finish()
     }
 
     /// Inverse of [`StreamCheckpoint::to_bytes`].
     pub fn from_bytes(bytes: &[u8]) -> Result<StreamCheckpoint, WireError> {
-        if bytes.len() < 8 {
-            return Err(WireError::Malformed(format!(
-                "checkpoint file holds {} bytes; even an empty checkpoint has 8",
-                bytes.len()
-            )));
-        }
-        let position = u64::from_le_bytes(bytes[..8].try_into().expect("8-byte slice"));
+        let mut r = ByteReader::new(bytes);
         Ok(StreamCheckpoint {
-            position,
-            blob: bytes[8..].to_vec(),
+            position: r.u64("checkpoint file position")?,
+            blob: r.rest().to_vec(),
         })
     }
 }
@@ -146,11 +141,11 @@ impl Client {
             version: WIRE_VERSION,
             trace_id: 0,
         };
-        let hello = PayloadBuilder::new()
+        let hello = ByteWriter::new()
             .raw(&WIRE_MAGIC)
             .u32(WIRE_VERSION)
-            .string(tenant)
-            .build();
+            .str(tenant)
+            .finish();
         write_frame(&mut client.writer, OP_HELLO, &hello)?;
         let frame = client.read_reply()?;
         if frame.op != OP_HELLO_OK {
@@ -159,8 +154,7 @@ impl Client {
                 frame.op
             )));
         }
-        let mut c = Cursor::new(&frame.payload);
-        client.version = c.u32("negotiated version")?;
+        client.version = ByteReader::new(&frame.payload).u32("negotiated version")?;
         Ok(client)
     }
 
@@ -219,16 +213,17 @@ impl Client {
         if trace_id != 0 {
             flags |= FLAG_TRACE;
         }
-        let mut b = PayloadBuilder::new().u8(kind).u8(flags);
+        let mut w = ByteWriter::new();
+        w.u8(kind).u8(flags);
         if trace_id != 0 {
-            b = b.u64(trace_id);
+            w.u64(trace_id);
         }
-        let b = b.u32(k).string(query).string(output);
+        w.u32(k).str(query).str(output);
         match seq {
-            Sequence::Text(text) => b.u8(0).bytes(text.as_bytes()),
-            Sequence::Binary(bytes) => b.u8(1).bytes(bytes),
+            Sequence::Text(text) => w.u8(0).bytes(text.as_bytes()),
+            Sequence::Binary(bytes) => w.u8(1).bytes(bytes),
         }
-        .build()
+        .finish()
     }
 
     /// Issues one self-contained query and returns the raw RESULT
@@ -262,7 +257,7 @@ impl Client {
     ) -> Result<Response<f64>, WireError> {
         let payload = self.query_payload(KIND_CONFIDENCE, profile, 0, query, output, seq);
         let (result, sent_at_ns) = self.query(&payload)?;
-        let mut r = decode_result(&result, RESULT_CONFIDENCE, |c| c.f64("confidence"))?;
+        let mut r = decode_result(&result, RESULT_CONFIDENCE, |r| Ok(r.f64("confidence")?))?;
         r.sent_at_ns = sent_at_ns;
         Ok(r)
     }
@@ -322,7 +317,7 @@ impl Client {
     ) -> Result<Response<f64>, WireError> {
         let (result, sent_at_ns) =
             self.stream(KIND_CONFIDENCE, query, output, 0, tmsb, chunk, opts)?;
-        let mut r = decode_result(&result, RESULT_CONFIDENCE, |c| c.f64("confidence"))?;
+        let mut r = decode_result(&result, RESULT_CONFIDENCE, |r| Ok(r.f64("confidence")?))?;
         r.sent_at_ns = sent_at_ns;
         Ok(r)
     }
@@ -398,20 +393,21 @@ impl Client {
             // merging, so the trace flag implies the profile flag.
             flags |= FLAG_TRACE | FLAG_PROFILE;
         }
-        let mut b = PayloadBuilder::new().u8(kind).u8(flags);
+        let mut w = ByteWriter::new();
+        w.u8(kind).u8(flags);
         if kind == KIND_WINDOW {
-            b = b.u32(window);
+            w.u32(window);
         }
         if trace_id != 0 {
-            b = b.u64(trace_id);
+            w.u64(trace_id);
         }
-        b = b.string(query).string(output);
+        w.str(query).str(output);
         if let Some(ck) = resume {
-            b = b.bytes(&ck.blob);
+            w.bytes(&ck.blob);
         }
         let _span = transmark_obs::span::enter("client.stream");
         let sent_at_ns = transmark_obs::profile::now_ns();
-        write_frame(&mut self.writer, OP_STREAM_BEGIN, &b.build())?;
+        write_frame(&mut self.writer, OP_STREAM_BEGIN, &w.finish())?;
 
         // On resume the server rebuilds its layer reader from the
         // checkpoint, so the wire skips the prelude and every layer it
@@ -460,11 +456,9 @@ impl Client {
                         ));
                     }
                     awaiting_checkpoint = false;
-                    let mut c = Cursor::new(&frame.payload);
-                    let position = c.u64("checkpoint position")?;
-                    let blob = c.bytes("checkpoint blob")?.to_vec();
+                    let ck = decode_checkpoint(&frame.payload)?;
                     if let Some(cb) = opts.on_checkpoint.as_mut() {
-                        cb(&StreamCheckpoint { position, blob });
+                        cb(&ck);
                     }
                     // The server re-acks next; the loop continues.
                 }
@@ -505,14 +499,14 @@ impl Client {
                 frame.op
             )));
         }
-        let mut c = Cursor::new(&frame.payload);
-        let kind = c.u8("result kind")?;
+        let mut r = ByteReader::new(&frame.payload);
+        let kind = r.u8("result kind")?;
         if kind != RESULT_TEXT {
             return Err(WireError::Malformed(format!(
                 "expected text result, got kind {kind}"
             )));
         }
-        Ok(String::from_utf8_lossy(&frame.payload[1..]).into_owned())
+        Ok(String::from_utf8_lossy(r.rest()).into_owned())
     }
 
     /// Asks the server to shut down gracefully; returns once it acks.
@@ -544,58 +538,158 @@ fn layer_byte_offset(tmsb: &[u8], position: u64) -> Result<usize, WireError> {
     Ok(off as usize)
 }
 
+/// Decodes an [`OP_CHECKPOINT`] payload: the layers consumed, then the
+/// length-prefixed blob.
+fn decode_checkpoint(payload: &[u8]) -> Result<StreamCheckpoint, WireError> {
+    let mut r = ByteReader::new(payload);
+    let position = r.u64("checkpoint position")?;
+    let blob = r.bytes("checkpoint blob")?.to_vec();
+    r.finish("checkpoint blob")?;
+    Ok(StreamCheckpoint { position, blob })
+}
+
 /// Decodes a RESULT payload: checks the result kind, decodes the body
 /// with `f`, and splits off the trailing profile text.
 fn decode_result<T>(
     payload: &[u8],
     expected_kind: u8,
-    f: impl FnOnce(&mut Cursor<'_>) -> Result<T, WireError>,
+    f: impl FnOnce(&mut ByteReader<'_>) -> Result<T, WireError>,
 ) -> Result<Response<T>, WireError> {
-    let mut c = Cursor::new(payload);
-    let kind = c.u8("result kind")?;
+    let mut r = ByteReader::new(payload);
+    let kind = r.u8("result kind")?;
     if kind != expected_kind {
         return Err(WireError::Malformed(format!(
             "expected result kind {expected_kind}, got {kind}"
         )));
     }
-    let value = f(&mut c)?;
-    let profile = c.string("profile")?;
+    let value = f(&mut r)?;
+    let profile = r.str("profile")?;
+    r.finish("profile")?;
     Ok(Response {
         value,
-        profile: if profile.is_empty() {
-            None
-        } else {
-            Some(profile)
-        },
+        profile: (!profile.is_empty()).then(|| profile.to_string()),
         sent_at_ns: None,
     })
 }
 
-fn decode_answers(c: &mut Cursor<'_>) -> Result<Vec<WireAnswer>, WireError> {
-    let count = c.u32("answer count")? as usize;
-    let mut answers = Vec::with_capacity(count.min(1 << 16));
+fn decode_answers(r: &mut ByteReader<'_>) -> Result<Vec<WireAnswer>, WireError> {
+    // An answer is at least its output length, `E_max` and confidence.
+    let count = r.count_u32(4 + 8 + 8, "answers")?;
+    let mut answers = Vec::with_capacity(count);
     for _ in 0..count {
-        let len = c.u32("output length")? as usize;
-        let mut output = Vec::with_capacity(len.min(1 << 16));
+        let len = r.count_u32(4, "output symbols")?;
+        let mut output = Vec::with_capacity(len);
         for _ in 0..len {
-            output.push(c.u32("output symbol")?);
+            output.push(r.u32("output symbol")?);
         }
-        let emax = c.f64("emax")?;
-        let confidence = c.f64("confidence")?;
         answers.push(WireAnswer {
             output,
-            emax,
-            confidence,
+            emax: r.f64("emax")?,
+            confidence: r.f64("confidence")?,
         });
     }
     Ok(answers)
 }
 
-fn decode_series(c: &mut Cursor<'_>) -> Result<Vec<f64>, WireError> {
-    let count = c.u64("series length")? as usize;
-    let mut series = Vec::with_capacity(count.min(1 << 20));
-    for _ in 0..count {
-        series.push(c.f64("series value")?);
+fn decode_series(r: &mut ByteReader<'_>) -> Result<Vec<f64>, WireError> {
+    let count = r.count_u64(8, "series values")?;
+    Ok(r.f64s(count, "series values")?)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Checks that `decode` refuses every cut of `payload` short of its
+    /// whole, and the whole plus one byte, with [`WireError::Malformed`],
+    /// and accepts the whole.
+    fn refuses_every_cut<T>(payload: &[u8], decode: impl Fn(&[u8]) -> Result<T, WireError>) {
+        assert!(decode(payload).is_ok(), "the whole payload decodes");
+        let long = [payload, &[0]].concat();
+        assert!(matches!(decode(&long), Err(WireError::Malformed(_))));
+        for cut in 0..payload.len() {
+            assert!(
+                matches!(decode(&payload[..cut]), Err(WireError::Malformed(_))),
+                "cut at byte {cut} of {}",
+                payload.len()
+            );
+        }
     }
-    Ok(series)
+
+    /// A RESULT payload as the server writes it: kind, body, profile.
+    fn result(kind: u8, body: impl FnOnce(&mut ByteWriter)) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        w.u8(kind);
+        body(&mut w);
+        w.str("profile text").finish()
+    }
+
+    #[test]
+    fn result_decoders_refuse_every_truncation() {
+        let confidence = result(RESULT_CONFIDENCE, |w| {
+            w.f64(0.4038);
+        });
+        refuses_every_cut(&confidence, |p| {
+            decode_result(p, RESULT_CONFIDENCE, |r| Ok(r.f64("confidence")?))
+        });
+        let answers = result(RESULT_TOP_K, |w| {
+            w.u32(2);
+            for (output, p) in [(&[1u32, 2][..], 0.3969), (&[][..], 0.25)] {
+                w.u32(output.len() as u32);
+                for &s in output {
+                    w.u32(s);
+                }
+                w.f64(p).f64(p + 0.01);
+            }
+        });
+        refuses_every_cut(&answers, |p| decode_result(p, RESULT_TOP_K, decode_answers));
+        let series = result(RESULT_SERIES, |w| {
+            w.u64(3).f64(0.25).f64(0.5).f64(0.8180000000000001);
+        });
+        refuses_every_cut(&series, |p| decode_result(p, RESULT_SERIES, decode_series));
+        let decoded = decode_result(&series, RESULT_SERIES, decode_series).unwrap();
+        assert_eq!(decoded.value, [0.25, 0.5, 0.8180000000000001]);
+        assert_eq!(decoded.profile.as_deref(), Some("profile text"));
+    }
+
+    /// An answer or series count past what the payload holds is refused
+    /// before anything is reserved for it.
+    #[test]
+    fn result_counts_reserve_only_what_the_payload_backs() {
+        let answers = result(RESULT_TOP_K, |w| {
+            w.u32(u32::MAX);
+        });
+        assert!(decode_result(&answers, RESULT_TOP_K, decode_answers).is_err());
+        let series = result(RESULT_SERIES, |w| {
+            w.u64(u64::MAX);
+        });
+        assert!(decode_result(&series, RESULT_SERIES, decode_series).is_err());
+    }
+
+    #[test]
+    fn checkpoint_frame_and_file_refuse_every_truncation() {
+        let ck = StreamCheckpoint {
+            position: 3,
+            blob: b"TMKC opaque state".to_vec(),
+        };
+        let frame = ByteWriter::new().u64(ck.position).bytes(&ck.blob).finish();
+        refuses_every_cut(&frame, decode_checkpoint);
+        assert_eq!(decode_checkpoint(&frame).unwrap(), ck);
+
+        // The file is the position, then the blob to its end: a cut inside
+        // the position is refused, and a cut inside the blob leaves a
+        // shorter opaque blob, which the server refuses on resume.
+        let file = ck.to_bytes();
+        assert_eq!(StreamCheckpoint::from_bytes(&file).unwrap(), ck);
+        for cut in 0..file.len() {
+            match StreamCheckpoint::from_bytes(&file[..cut]) {
+                Err(WireError::Malformed(_)) => assert!(cut < 8, "cut at byte {cut}"),
+                Ok(got) => {
+                    assert!(cut >= 8, "cut at byte {cut}");
+                    assert_eq!((got.position, &got.blob[..]), (3, &ck.blob[..cut - 8]));
+                }
+                Err(other) => panic!("cut at byte {cut}: {other}"),
+            }
+        }
+    }
 }

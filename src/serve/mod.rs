@@ -42,6 +42,7 @@ use transmark_core::error::EngineError;
 use transmark_core::incremental::{SlidingWindowQuery, StreamQuery};
 use transmark_core::transducer::Transducer;
 use transmark_markov::binio::{read_prelude, RawLayerReader};
+use transmark_markov::codec::{ByteError, ByteReader, ByteWriter};
 use transmark_markov::{MarkovSequence, SourceError};
 use transmark_obs::log::RecordKind;
 use transmark_obs::{ExecutionProfile, Recorder};
@@ -49,13 +50,13 @@ use transmark_store::{PoolError, WorkerPool};
 
 use crate::facade::Engine;
 use protocol::{
-    read_frame, read_frame_after_len, write_error, write_frame, Cursor, Frame, PayloadBuilder,
-    WireError, ERR_BAD_CHECKPOINT, ERR_BAD_FRAME, ERR_QUERY, ERR_QUOTA, ERR_SATURATED, ERR_STATE,
-    ERR_VERSION, FLAG_PROFILE, FLAG_RESUME, FLAG_TRACE, KIND_CONFIDENCE, KIND_SERIES, KIND_TOP_K,
-    KIND_WINDOW, OP_CHECKPOINT, OP_HELLO, OP_HELLO_OK, OP_METRICS, OP_QUERY, OP_RESULT,
-    OP_SHUTDOWN, OP_SHUTDOWN_OK, OP_STREAM_ACK, OP_STREAM_BEGIN, OP_STREAM_CHECKPOINT,
-    OP_STREAM_DATA, OP_STREAM_END, RESULT_CONFIDENCE, RESULT_SERIES, RESULT_TEXT, RESULT_TOP_K,
-    WIRE_MAGIC, WIRE_VERSION, WIRE_VERSION_MIN,
+    read_frame, read_frame_after_len, write_error, write_frame, Frame, WireError,
+    ERR_BAD_CHECKPOINT, ERR_BAD_FRAME, ERR_QUERY, ERR_QUOTA, ERR_SATURATED, ERR_STATE, ERR_VERSION,
+    FLAG_PROFILE, FLAG_RESUME, FLAG_TRACE, KIND_CONFIDENCE, KIND_SERIES, KIND_TOP_K, KIND_WINDOW,
+    OP_CHECKPOINT, OP_HELLO, OP_HELLO_OK, OP_METRICS, OP_QUERY, OP_RESULT, OP_SHUTDOWN,
+    OP_SHUTDOWN_OK, OP_STREAM_ACK, OP_STREAM_BEGIN, OP_STREAM_CHECKPOINT, OP_STREAM_DATA,
+    OP_STREAM_END, RESULT_CONFIDENCE, RESULT_SERIES, RESULT_TEXT, RESULT_TOP_K, WIRE_MAGIC,
+    WIRE_VERSION, WIRE_VERSION_MIN,
 };
 
 /// Configuration for [`Server::start`].
@@ -471,14 +472,14 @@ fn hello(
         let _ = write_error(writer, ERR_STATE, "first frame must be HELLO");
         return None;
     }
-    if frame.payload.len() < 4 || frame.payload[..4] != WIRE_MAGIC {
+    let mut r = ByteReader::new(&frame.payload);
+    if r.take(4, "magic").ok() != Some(&WIRE_MAGIC[..]) {
         let _ = write_error(writer, ERR_BAD_FRAME, "bad magic (not a tmkp peer)");
         return None;
     }
-    let mut c = Cursor::new(&frame.payload[4..]);
-    let decoded = c
+    let decoded = r
         .u32("protocol version")
-        .and_then(|version| Ok((version, c.string("tenant")?)));
+        .and_then(|version| Ok((version, r.str("tenant")?)));
     let (version, tenant) = match decoded {
         Ok(d) => d,
         Err(e) => {
@@ -500,15 +501,15 @@ fn hello(
     }
     let negotiated = version.min(WIRE_VERSION);
     let tenant = if tenant.is_empty() {
-        "anonymous".to_string()
+        "anonymous"
     } else {
         tenant
     };
-    let ok = PayloadBuilder::new().u32(negotiated).build();
+    let ok = ByteWriter::new().u32(negotiated).finish();
     if write_frame(writer, OP_HELLO_OK, &ok).is_err() {
         return None;
     }
-    Some((tenant, negotiated))
+    Some((tenant.to_string(), negotiated))
 }
 
 /// Per-connection request context threaded into the query handlers:
@@ -571,17 +572,17 @@ fn execute_query(
     payload: &[u8],
     ctx: &QueryCtx,
 ) -> Result<Vec<u8>, (u16, String)> {
-    let mut c = Cursor::new(payload);
-    let kind = c.u8("kind").map_err(bad_frame)?;
-    let flags = c.u8("flags").map_err(bad_frame)?;
-    let trace_id = parse_trace_id(&mut c, flags, ctx.version)?;
-    let k = c.u32("k").map_err(bad_frame)?;
-    let query_text = c.string("query").map_err(bad_frame)?;
-    let output_text = c.string("output").map_err(bad_frame)?;
-    let seq_format = c.u8("sequence format").map_err(bad_frame)?;
-    let seq_bytes = c.bytes("sequence").map_err(bad_frame)?;
+    let mut r = ByteReader::new(payload);
+    let kind = r.u8("kind").map_err(bad_frame)?;
+    let flags = r.u8("flags").map_err(bad_frame)?;
+    let trace_id = parse_trace_id(&mut r, flags, ctx.version)?;
+    let k = r.u32("k").map_err(bad_frame)?;
+    let query_text = r.str("query").map_err(bad_frame)?;
+    let output_text = r.str("output").map_err(bad_frame)?;
+    let seq_format = r.u8("sequence format").map_err(bad_frame)?;
+    let seq_bytes = r.bytes("sequence").map_err(bad_frame)?;
 
-    let t = transmark_core::textio::from_text(&query_text)
+    let t = transmark_core::textio::from_text(query_text)
         .map_err(|e| (ERR_QUERY, format!("query parse: {e}")))?;
     let m = decode_sequence(seq_format, seq_bytes)?;
 
@@ -589,39 +590,35 @@ fn execute_query(
     // The bound plan's explain, captured for the slow-query log; the
     // closure fills it in once binding has chosen a strategy.
     let explain = std::cell::RefCell::new(String::new());
-    let run = || -> Result<(u8, PayloadBuilder), (u16, String)> {
+    let run = || -> Result<ByteWriter, (u16, String)> {
         match kind {
             KIND_CONFIDENCE => {
-                let o = parse_output(&t, &output_text)?;
+                let o = parse_output(&t, output_text)?;
                 let plan = engine.prepare(&t);
                 let b = plan.bind(&m).map_err(query_err)?;
                 *explain.borrow_mut() = b.explain().to_string();
                 let v = b.confidence(&o).map_err(query_err)?;
-                Ok((RESULT_CONFIDENCE, PayloadBuilder::new().f64(v)))
+                Ok(confidence_result(v))
             }
             KIND_TOP_K => {
                 let plan = engine.prepare(&t);
                 let bound = plan.bind(&m).map_err(query_err)?;
                 *explain.borrow_mut() = bound.explain().to_string();
                 let answers = bound.top_k_scored(k as usize).map_err(query_err)?;
-                let mut b = PayloadBuilder::new().u32(answers.len() as u32);
+                let mut w = ByteWriter::new();
+                w.u8(RESULT_TOP_K).u32(answers.len() as u32);
                 for a in &answers {
-                    b = b.u32(a.output.len() as u32);
+                    w.u32(a.output.len() as u32);
                     for s in &a.output {
-                        b = b.u32(s.0);
+                        w.u32(s.0);
                     }
-                    b = b.f64(a.emax).f64(a.confidence);
+                    w.f64(a.emax).f64(a.confidence);
                 }
-                Ok((RESULT_TOP_K, b))
+                Ok(w)
             }
             KIND_SERIES => {
                 let event = engine.prepare_event(&t.underlying_nfa());
-                let series = event.series(&m).map_err(query_err)?;
-                let mut b = PayloadBuilder::new().u64(series.len() as u64);
-                for v in &series {
-                    b = b.f64(*v);
-                }
-                Ok((RESULT_SERIES, b))
+                Ok(series_result(&event.series(&m).map_err(query_err)?))
             }
             other => Err((ERR_BAD_FRAME, format!("unknown query kind {other}"))),
         }
@@ -632,7 +629,7 @@ fn execute_query(
 
 /// Consumes the optional version-2 trace id: present exactly when
 /// [`FLAG_TRACE`] is set, which a version-1 peer must not do.
-fn parse_trace_id(c: &mut Cursor, flags: u8, version: u32) -> Result<u64, (u16, String)> {
+fn parse_trace_id(r: &mut ByteReader<'_>, flags: u8, version: u32) -> Result<u64, (u16, String)> {
     if flags & FLAG_TRACE == 0 {
         return Ok(0);
     }
@@ -642,13 +639,28 @@ fn parse_trace_id(c: &mut Cursor, flags: u8, version: u32) -> Result<u64, (u16, 
             "trace context requires negotiated tmkp version >= 2".to_string(),
         ));
     }
-    c.u64("trace id").map_err(bad_frame)
+    r.u64("trace id").map_err(bad_frame)
+}
+
+/// A RESULT body of one confidence.
+fn confidence_result(v: f64) -> ByteWriter {
+    let mut w = ByteWriter::new();
+    w.u8(RESULT_CONFIDENCE).f64(v);
+    w
+}
+
+/// A RESULT body of a series: its length, then its values.
+fn series_result(series: &[f64]) -> ByteWriter {
+    let mut w = ByteWriter::with_capacity(1 + 8 + 8 * series.len());
+    w.u8(RESULT_SERIES).u64(series.len() as u64).f64s(series);
+    w
 }
 
 /// Runs `run` (under a query-scoped profiler when the request asked for
 /// one, carries a trace id, or the slow-query log is armed) and
-/// assembles the RESULT payload: result kind, body, length-prefixed
-/// profile (text, or [`ExecutionProfile::to_json`] when wire-traced).
+/// completes the RESULT payload it returns (result kind, body) with the
+/// length-prefixed profile (text, or [`ExecutionProfile::to_json`] when
+/// wire-traced).
 fn finish_result(
     engine: &Engine,
     ctx: &QueryCtx,
@@ -656,16 +668,11 @@ fn finish_result(
     with_profile: bool,
     trace_id: u64,
     explain: &std::cell::RefCell<String>,
-    run: impl FnOnce() -> Result<(u8, PayloadBuilder), (u16, String)>,
+    run: impl FnOnce() -> Result<ByteWriter, (u16, String)>,
 ) -> Result<Vec<u8>, (u16, String)> {
     let need_profile = with_profile || trace_id != 0 || ctx.slow_ms.is_some();
     if !need_profile {
-        let (result_kind, body) = run()?;
-        return Ok(PayloadBuilder::new()
-            .u8(result_kind)
-            .raw(&body.build())
-            .string("")
-            .build());
+        return Ok(run()?.str("").finish());
     }
     let rec = Arc::new(Recorder::new());
     if trace_id != 0 {
@@ -679,7 +686,7 @@ fn finish_result(
         profile.prepend_wait("pool-queue", "pool.queue_wait", ctx.queue_wait_ns);
     }
     maybe_log_slow(ctx, kind, dur_ns, &explain.borrow(), &profile);
-    let (result_kind, body) = outcome?;
+    let mut body = outcome?;
     let profile_text = if with_profile {
         if trace_id != 0 {
             profile.to_json()
@@ -689,11 +696,7 @@ fn finish_result(
     } else {
         String::new()
     };
-    Ok(PayloadBuilder::new()
-        .u8(result_kind)
-        .raw(&body.build())
-        .string(&profile_text)
-        .build())
+    Ok(body.str(&profile_text).finish())
 }
 
 /// Publishes a [`RecordKind::SlowQuery`] record when the wall time
@@ -722,8 +725,8 @@ fn maybe_log_slow(ctx: &QueryCtx, kind: u8, dur_ns: u64, explain: &str, p: &Exec
     transmark_obs::log::publish(RecordKind::SlowQuery, ctx.tenant, &detail, dur_ns);
 }
 
-fn bad_frame(e: WireError) -> (u16, String) {
-    (ERR_BAD_FRAME, e.to_string())
+fn bad_frame(e: ByteError) -> (u16, String) {
+    (ERR_BAD_FRAME, WireError::from(e).to_string())
 }
 
 fn query_err(e: transmark_core::error::EngineError) -> (u16, String) {
@@ -813,7 +816,10 @@ impl<'a, R: Read, W: Write> FrameByteStream<'a, R, W> {
 
     /// Sends an [`OP_CHECKPOINT`] frame (position + opaque blob).
     fn send_checkpoint(&mut self, position: u64, blob: &[u8]) -> bool {
-        let payload = PayloadBuilder::new().u64(position).bytes(blob).build();
+        let payload = ByteWriter::with_capacity(12 + blob.len())
+            .u64(position)
+            .bytes(blob)
+            .finish();
         match write_frame(self.writer, OP_CHECKPOINT, &payload) {
             Ok(()) => {
                 transmark_obs::counter!("serve.stream_checkpoints").inc();
@@ -829,7 +835,7 @@ impl<'a, R: Read, W: Write> FrameByteStream<'a, R, W> {
     /// Acks the consumed prefix and pulls the next DATA frame.
     fn refill(&mut self) -> std::io::Result<()> {
         loop {
-            let ack = PayloadBuilder::new().u64(self.consumed).build();
+            let ack = ByteWriter::new().u64(self.consumed).finish();
             write_frame(self.writer, OP_STREAM_ACK, &ack).map_err(|e| {
                 self.broken = true;
                 wire_to_io(e)
@@ -961,25 +967,25 @@ fn handle_stream<R: Read, W: Write>(
     };
     transmark_obs::counter!("serve.stream_sessions").inc();
 
-    let mut c = Cursor::new(payload);
-    type StreamHeader = (u8, bool, u64, u32, Transducer, String, Option<Vec<u8>>);
-    let parsed = (|| -> Result<StreamHeader, (u16, String)> {
-        let kind = c.u8("kind").map_err(bad_frame)?;
-        let flags = c.u8("flags").map_err(bad_frame)?;
+    let mut r = ByteReader::new(payload);
+    type StreamHeader<'a> = (u8, bool, u64, u32, Transducer, &'a str, Option<&'a [u8]>);
+    let parsed = (|| -> Result<StreamHeader<'_>, (u16, String)> {
+        let kind = r.u8("kind").map_err(bad_frame)?;
+        let flags = r.u8("flags").map_err(bad_frame)?;
         let window = if kind == KIND_WINDOW {
-            c.u32("window").map_err(bad_frame)?
+            r.u32("window").map_err(bad_frame)?
         } else {
             0
         };
-        let trace_id = parse_trace_id(&mut c, flags, ctx.version)?;
-        let query_text = c.string("query").map_err(bad_frame)?;
-        let output_text = c.string("output").map_err(bad_frame)?;
+        let trace_id = parse_trace_id(&mut r, flags, ctx.version)?;
+        let query_text = r.str("query").map_err(bad_frame)?;
+        let output_text = r.str("output").map_err(bad_frame)?;
         let resume = if flags & FLAG_RESUME != 0 {
-            Some(c.bytes("resume checkpoint").map_err(bad_frame)?.to_vec())
+            Some(r.bytes("resume checkpoint").map_err(bad_frame)?)
         } else {
             None
         };
-        let t = transmark_core::textio::from_text(&query_text)
+        let t = transmark_core::textio::from_text(query_text)
             .map_err(|e| (ERR_QUERY, format!("query parse: {e}")))?;
         Ok((
             kind,
@@ -1013,8 +1019,8 @@ fn handle_stream<R: Read, W: Write>(
         trace_id,
         window,
         &t,
-        &output_text,
-        resume.as_deref(),
+        output_text,
+        resume,
         &mut src,
     );
     let aligned = src.drain();
@@ -1042,12 +1048,12 @@ fn checkpoint_err(e: transmark_core::error::EngineError) -> (u16, String) {
 /// blobs: enough to rebuild the layer reader (`k`, `n`), the progress
 /// already streamed back on resume-less kinds (`series`), and the core
 /// session's own versioned checkpoint (`core`).
-struct ServeCheckpoint {
+struct ServeCheckpoint<'a> {
     k: usize,
     n: usize,
     position: u64,
     series: Vec<f64>,
-    core: Vec<u8>,
+    core: &'a [u8],
 }
 
 fn encode_serve_checkpoint(
@@ -1058,49 +1064,38 @@ fn encode_serve_checkpoint(
     series: &[f64],
     core: &[u8],
 ) -> Vec<u8> {
-    let mut b = PayloadBuilder::new()
-        .u8(kind)
-        .u32(k as u32)
-        .u64(n as u64)
-        .u64(position)
-        .u64(series.len() as u64);
-    for v in series {
-        b = b.f64(*v);
-    }
-    b.bytes(core).build()
+    let mut w = ByteWriter::with_capacity(29 + 8 * series.len() + 4 + core.len());
+    w.u8(kind).u32(k as u32).u64(n as u64).u64(position);
+    w.u64(series.len() as u64).f64s(series).bytes(core).finish()
 }
 
-fn parse_serve_checkpoint(kind: u8, blob: &[u8]) -> Result<ServeCheckpoint, (u16, String)> {
-    let bad = |m: String| (ERR_BAD_CHECKPOINT, format!("resume checkpoint: {m}"));
-    let mut c = Cursor::new(blob);
-    let ck = c.u8("kind").map_err(|e| bad(e.to_string()))?;
+fn parse_serve_checkpoint(kind: u8, blob: &[u8]) -> Result<ServeCheckpoint<'_>, (u16, String)> {
+    read_serve_checkpoint(kind, blob)
+        .map_err(|e| (ERR_BAD_CHECKPOINT, format!("resume checkpoint: {e}")))
+}
+
+fn read_serve_checkpoint(
+    kind: u8,
+    blob: &[u8],
+) -> Result<ServeCheckpoint<'_>, Box<dyn std::error::Error>> {
+    let mut r = ByteReader::new(blob);
+    let ck = r.u8("kind")?;
     if ck != kind {
-        return Err(bad(format!(
-            "blob was taken from a kind-{ck} session, not kind {kind}"
-        )));
+        return Err(format!("blob was taken from a kind-{ck} session, not kind {kind}").into());
     }
-    let k = c.u32("alphabet size").map_err(|e| bad(e.to_string()))? as usize;
-    let n = c.u64("sequence length").map_err(|e| bad(e.to_string()))?;
-    let n = usize::try_from(n).map_err(|_| bad(format!("implausible sequence length {n}")))?;
-    let position = c.u64("position").map_err(|e| bad(e.to_string()))?;
-    let series_len = c.u64("series length").map_err(|e| bad(e.to_string()))?;
-    // Plausibility before allocating: every recorded probability cost 8
-    // bytes of blob, and the series never outruns the stream position
-    // (it holds at most one entry per consumed layer plus position 0).
-    if series_len > blob.len() as u64 / 8 || series_len > position.saturating_add(1) {
-        return Err(bad(format!("implausible series length {series_len}")));
+    let k = r.u32("alphabet size")? as usize;
+    let n = r.u64("sequence length")?;
+    let n = usize::try_from(n).map_err(|_| format!("implausible sequence length {n}"))?;
+    let position = r.u64("position")?;
+    let series_len = r.count_u64(8, "series values")?;
+    // The series holds at most one entry per consumed layer plus
+    // position 0.
+    if series_len as u64 > position.saturating_add(1) {
+        return Err(format!("series of {series_len} values outruns position {position}").into());
     }
-    let mut series = Vec::with_capacity(series_len as usize);
-    for _ in 0..series_len {
-        series.push(c.f64("series entry").map_err(|e| bad(e.to_string()))?);
-    }
-    let core = c
-        .bytes("session state")
-        .map_err(|e| bad(e.to_string()))?
-        .to_vec();
-    if !c.is_exhausted() {
-        return Err(bad("trailing bytes after session state".to_string()));
-    }
+    let series = r.f64s(series_len, "series values")?;
+    let core = r.bytes("session state")?;
+    r.finish("session state")?;
     Ok(ServeCheckpoint {
         k,
         n,
@@ -1136,7 +1131,7 @@ fn run_stream_query<R: Read, W: Write>(
     resume: Option<&[u8]>,
     src: &mut FrameByteStream<'_, R, W>,
 ) -> Result<Vec<u8>, (u16, String)> {
-    let run = || -> Result<(u8, PayloadBuilder), (u16, String)> {
+    let run = || -> Result<ByteWriter, (u16, String)> {
         // Machine-side compilation happens before the wire is touched.
         let query = match kind {
             KIND_CONFIDENCE => StreamQuery::Confidence {
@@ -1178,7 +1173,7 @@ fn run_stream_query<R: Read, W: Write>(
                 // prelude, so the layer reader is rebuilt from the dims
                 // recorded in the envelope rather than re-read.
                 let env = parse_serve_checkpoint(kind, blob)?;
-                let sess = query.resume(&env.core).map_err(checkpoint_err)?;
+                let sess = query.resume(env.core).map_err(checkpoint_err)?;
                 let raw = RawLayerReader::from_dims(env.k, env.n, env.position)
                     .map_err(|e| (ERR_BAD_CHECKPOINT, format!("resume checkpoint: {e}")))?;
                 transmark_obs::counter!("serve.stream_resumes").inc();
@@ -1233,16 +1228,9 @@ fn run_stream_query<R: Read, W: Write>(
         }
 
         if !sess.is_series() {
-            return Ok((
-                RESULT_CONFIDENCE,
-                PayloadBuilder::new().f64(sess.probability()),
-            ));
+            return Ok(confidence_result(sess.probability()));
         }
-        let mut b = PayloadBuilder::new().u64(series.len() as u64);
-        for v in &series {
-            b = b.f64(*v);
-        }
-        Ok((RESULT_SERIES, b))
+        Ok(series_result(&series))
     };
 
     let no_explain = std::cell::RefCell::new(String::new());
@@ -1273,10 +1261,10 @@ fn handle_metrics(writer: &mut impl Write, shared: &Shared, payload: &[u8]) -> b
         2 => snap.to_prometheus(),
         _ => snap.to_text(),
     };
-    let result = PayloadBuilder::new()
+    let result = ByteWriter::with_capacity(1 + text.len())
         .u8(RESULT_TEXT)
         .raw(text.as_bytes())
-        .build();
+        .finish();
     write_frame(writer, OP_RESULT, &result).is_ok()
 }
 
@@ -1343,4 +1331,43 @@ fn read_fully(reader: &mut impl Read, buf: &mut [u8]) -> Result<(), ()> {
         }
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every cut of a valid checkpoint envelope, and a byte past its end,
+    /// is a typed ERR_BAD_CHECKPOINT.
+    #[test]
+    fn serve_checkpoint_envelope_refuses_every_truncation() {
+        let core = b"TMKC core session state";
+        let blob = encode_serve_checkpoint(KIND_SERIES, 3, 9, 2, &[1.0, 0.5, 0.25], core);
+        let env = parse_serve_checkpoint(KIND_SERIES, &blob).expect("the whole envelope");
+        assert_eq!((env.k, env.n, env.position), (3, 9, 2));
+        assert_eq!(
+            (&env.series[..], env.core),
+            (&[1.0, 0.5, 0.25][..], &core[..])
+        );
+        let mut long = blob.clone();
+        long.push(0);
+        for bad in (0..blob.len()).map(|cut| &blob[..cut]).chain([&long[..]]) {
+            match parse_serve_checkpoint(KIND_SERIES, bad) {
+                Err((code, _)) => assert_eq!(code, ERR_BAD_CHECKPOINT, "{} bytes", bad.len()),
+                Ok(_) => panic!("{} of {} bytes decoded", bad.len(), blob.len()),
+            }
+        }
+    }
+
+    /// A series longer than the recorded position can explain, or than
+    /// the envelope's bytes can hold, is refused before it is reserved.
+    #[test]
+    fn serve_checkpoint_series_must_fit_position_and_bytes() {
+        let blob = encode_serve_checkpoint(KIND_SERIES, 3, 9, 0, &[1.0, 0.5], b"core");
+        assert!(parse_serve_checkpoint(KIND_SERIES, &blob).is_err());
+        let mut blob = encode_serve_checkpoint(KIND_SERIES, 3, 9, u64::MAX - 1, &[], b"core");
+        let at = 1 + 4 + 8 + 8;
+        blob[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert!(parse_serve_checkpoint(KIND_SERIES, &blob).is_err());
+    }
 }

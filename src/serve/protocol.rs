@@ -22,6 +22,8 @@
 
 use std::io::{ErrorKind, Read, Write};
 
+use transmark_markov::codec::{ByteError, ByteReader, ByteWriter};
+
 /// Leading bytes of the [`OP_HELLO`] payload.
 pub const WIRE_MAGIC: [u8; 4] = *b"TMKP";
 /// The newest protocol version this build speaks. Version 2 adds
@@ -184,6 +186,13 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
+/// A payload the codec refuses is a malformed frame.
+impl From<ByteError> for WireError {
+    fn from(e: ByteError) -> Self {
+        WireError::Malformed(e.to_string())
+    }
+}
+
 impl From<std::io::Error> for WireError {
     fn from(e: std::io::Error) -> Self {
         WireError::Io(e)
@@ -285,161 +294,19 @@ fn truncated(what: &str, e: std::io::Error) -> WireError {
 
 /// Sends a typed [`OP_ERROR`] frame.
 pub fn write_error(w: &mut impl Write, code: u16, message: &str) -> Result<(), WireError> {
-    let mut payload = Vec::with_capacity(2 + message.len());
-    payload.extend_from_slice(&code.to_le_bytes());
-    payload.extend_from_slice(message.as_bytes());
+    let payload = ByteWriter::with_capacity(2 + message.len())
+        .u16(code)
+        .raw(message.as_bytes())
+        .finish();
     write_frame(w, OP_ERROR, &payload)
 }
 
 /// Parses an [`OP_ERROR`] payload into its code and message.
 pub fn parse_error(payload: &[u8]) -> (u16, String) {
-    if payload.len() < 2 {
-        return (ERR_BAD_FRAME, "truncated error frame".to_string());
-    }
-    let code = u16::from_le_bytes([payload[0], payload[1]]);
-    let message = String::from_utf8_lossy(&payload[2..]).into_owned();
-    (code, message)
-}
-
-// ---- Payload cursor --------------------------------------------------------
-
-/// A little-endian decode cursor over one frame's payload. Every getter
-/// fails loudly on truncation instead of wrapping or zero-filling.
-pub struct Cursor<'a> {
-    bytes: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Cursor<'a> {
-    /// Starts decoding at the front of `bytes`.
-    pub fn new(bytes: &'a [u8]) -> Self {
-        Cursor { bytes, at: 0 }
-    }
-
-    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], WireError> {
-        if self.at + n > self.bytes.len() {
-            return Err(WireError::Malformed(format!(
-                "payload truncated reading {what}"
-            )));
-        }
-        let s = &self.bytes[self.at..self.at + n];
-        self.at += n;
-        Ok(s)
-    }
-
-    /// One byte.
-    pub fn u8(&mut self, what: &str) -> Result<u8, WireError> {
-        Ok(self.take(1, what)?[0])
-    }
-
-    /// A little-endian u16.
-    pub fn u16(&mut self, what: &str) -> Result<u16, WireError> {
-        Ok(u16::from_le_bytes(
-            self.take(2, what)?.try_into().expect("2 bytes"),
-        ))
-    }
-
-    /// A little-endian u32.
-    pub fn u32(&mut self, what: &str) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(
-            self.take(4, what)?.try_into().expect("4 bytes"),
-        ))
-    }
-
-    /// A little-endian u64.
-    pub fn u64(&mut self, what: &str) -> Result<u64, WireError> {
-        Ok(u64::from_le_bytes(
-            self.take(8, what)?.try_into().expect("8 bytes"),
-        ))
-    }
-
-    /// A little-endian f64 bit pattern (bit-exact, no decimal detour).
-    pub fn f64(&mut self, what: &str) -> Result<f64, WireError> {
-        Ok(f64::from_bits(self.u64(what)?))
-    }
-
-    /// A u32-length-prefixed byte run.
-    pub fn bytes(&mut self, what: &str) -> Result<&'a [u8], WireError> {
-        let len = self.u32(what)? as usize;
-        self.take(len, what)
-    }
-
-    /// A u32-length-prefixed UTF-8 string.
-    pub fn string(&mut self, what: &str) -> Result<String, WireError> {
-        let b = self.bytes(what)?;
-        String::from_utf8(b.to_vec())
-            .map_err(|_| WireError::Malformed(format!("{what} is not valid UTF-8")))
-    }
-
-    /// True when every payload byte has been consumed.
-    pub fn is_exhausted(&self) -> bool {
-        self.at == self.bytes.len()
-    }
-}
-
-/// A payload builder mirroring [`Cursor`]'s encodings.
-#[derive(Default)]
-pub struct PayloadBuilder {
-    bytes: Vec<u8>,
-}
-
-impl PayloadBuilder {
-    /// An empty payload.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Appends one byte.
-    pub fn u8(mut self, v: u8) -> Self {
-        self.bytes.push(v);
-        self
-    }
-
-    /// Appends a little-endian u16.
-    pub fn u16(mut self, v: u16) -> Self {
-        self.bytes.extend_from_slice(&v.to_le_bytes());
-        self
-    }
-
-    /// Appends a little-endian u32.
-    pub fn u32(mut self, v: u32) -> Self {
-        self.bytes.extend_from_slice(&v.to_le_bytes());
-        self
-    }
-
-    /// Appends a little-endian u64.
-    pub fn u64(mut self, v: u64) -> Self {
-        self.bytes.extend_from_slice(&v.to_le_bytes());
-        self
-    }
-
-    /// Appends an f64 as its little-endian bit pattern.
-    pub fn f64(mut self, v: f64) -> Self {
-        self.bytes.extend_from_slice(&v.to_bits().to_le_bytes());
-        self
-    }
-
-    /// Appends a u32-length-prefixed byte run.
-    pub fn bytes(mut self, v: &[u8]) -> Self {
-        self = self.u32(v.len() as u32);
-        self.bytes.extend_from_slice(v);
-        self
-    }
-
-    /// Appends a u32-length-prefixed UTF-8 string.
-    pub fn string(self, v: &str) -> Self {
-        self.bytes(v.as_bytes())
-    }
-
-    /// Appends raw bytes with no length prefix.
-    pub fn raw(mut self, v: &[u8]) -> Self {
-        self.bytes.extend_from_slice(v);
-        self
-    }
-
-    /// The finished payload.
-    pub fn build(self) -> Vec<u8> {
-        self.bytes
+    let mut r = ByteReader::new(payload);
+    match r.u16("error code") {
+        Ok(code) => (code, String::from_utf8_lossy(r.rest()).into_owned()),
+        Err(e) => (ERR_BAD_FRAME, e.to_string()),
     }
 }
 
@@ -501,28 +368,5 @@ mod tests {
             .unwrap()
             .unwrap();
         assert_eq!((f.op, f.payload), (OP_STREAM_DATA, payload));
-    }
-
-    #[test]
-    fn cursor_and_builder_are_inverses() {
-        let payload = PayloadBuilder::new()
-            .u8(7)
-            .u16(300)
-            .u32(70_000)
-            .u64(1 << 40)
-            .f64(0.1 + 0.2)
-            .string("tenant")
-            .bytes(&[1, 2, 3])
-            .build();
-        let mut c = Cursor::new(&payload);
-        assert_eq!(c.u8("a").unwrap(), 7);
-        assert_eq!(c.u16("b").unwrap(), 300);
-        assert_eq!(c.u32("c").unwrap(), 70_000);
-        assert_eq!(c.u64("d").unwrap(), 1 << 40);
-        assert_eq!(c.f64("e").unwrap().to_bits(), (0.1f64 + 0.2).to_bits());
-        assert_eq!(c.string("f").unwrap(), "tenant");
-        assert_eq!(c.bytes("g").unwrap(), &[1, 2, 3]);
-        assert!(c.is_exhausted());
-        assert!(c.u8("past the end").is_err());
     }
 }

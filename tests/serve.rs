@@ -14,14 +14,15 @@ use std::sync::OnceLock;
 use transmark::engine::generate::{random_transducer, RandomTransducerSpec, TransducerClass};
 use transmark::engine::transducer::Transducer;
 use transmark::markov::binio::{to_tmsb_bytes, TmsbReader};
+use transmark::markov::codec::{ByteReader, ByteWriter};
 use transmark::markov::generate::{random_markov_sequence, RandomChainSpec};
 use transmark::markov::MarkovSequence;
 use transmark::serve::client::{Client, Sequence, StreamCheckpoint, StreamOptions};
 use transmark::serve::protocol::{
-    parse_error, read_frame, write_frame, PayloadBuilder, WireError, ERR_BAD_CHECKPOINT,
-    ERR_BAD_FRAME, ERR_QUERY, ERR_QUOTA, ERR_VERSION, FLAG_TRACE, KIND_SERIES, OP_CHECKPOINT,
-    OP_ERROR, OP_HELLO, OP_HELLO_OK, OP_QUERY, OP_RESULT, OP_STREAM_ACK, OP_STREAM_BEGIN,
-    OP_STREAM_CHECKPOINT, OP_STREAM_DATA, OP_STREAM_END, WIRE_MAGIC, WIRE_VERSION,
+    parse_error, read_frame, write_frame, WireError, ERR_BAD_CHECKPOINT, ERR_BAD_FRAME, ERR_QUERY,
+    ERR_QUOTA, ERR_VERSION, FLAG_TRACE, KIND_SERIES, MAX_FRAME, OP_CHECKPOINT, OP_ERROR, OP_HELLO,
+    OP_HELLO_OK, OP_QUERY, OP_RESULT, OP_STREAM_ACK, OP_STREAM_BEGIN, OP_STREAM_CHECKPOINT,
+    OP_STREAM_DATA, OP_STREAM_END, WIRE_MAGIC, WIRE_VERSION,
 };
 use transmark::serve::{ServeConfig, Server};
 use transmark::Engine;
@@ -375,20 +376,20 @@ fn disconnected_stream_resumes_on_a_new_connection() {
 
     // Raw session: HELLO, BEGIN, one DATA burst, checkpoint, vanish.
     let mut s = TcpStream::connect(addr()).expect("connect");
-    let hello = PayloadBuilder::new()
+    let hello = ByteWriter::new()
         .raw(&WIRE_MAGIC)
         .u32(WIRE_VERSION)
-        .string("flaky")
-        .build();
+        .str("flaky")
+        .finish();
     write_frame(&mut s, OP_HELLO, &hello).expect("hello");
     let frame = read_frame(&mut s).expect("hello reply").expect("frame");
     assert_eq!(frame.op, OP_HELLO_OK);
-    let begin = PayloadBuilder::new()
+    let begin = ByteWriter::new()
         .u8(3) // KIND_SERIES
         .u8(0)
-        .string(&query_text)
-        .string("")
-        .build();
+        .str(&query_text)
+        .str("")
+        .finish();
     write_frame(&mut s, OP_STREAM_BEGIN, &begin).expect("begin");
     let frame = read_frame(&mut s).expect("first ack").expect("frame");
     assert_eq!(frame.op, OP_STREAM_ACK);
@@ -398,9 +399,9 @@ fn disconnected_stream_resumes_on_a_new_connection() {
     write_frame(&mut s, OP_STREAM_CHECKPOINT, &[]).expect("checkpoint request");
     let frame = read_frame(&mut s).expect("checkpoint").expect("frame");
     assert_eq!(frame.op, OP_CHECKPOINT);
-    let mut c = transmark::serve::protocol::Cursor::new(&frame.payload);
-    let position = c.u64("position").expect("position");
-    let blob = c.bytes("blob").expect("blob").to_vec();
+    let mut r = ByteReader::new(&frame.payload);
+    let position = r.u64("position").expect("position");
+    let blob = r.bytes("blob").expect("blob").to_vec();
     assert_eq!(position, 1, "one full layer made it over before the cut");
     assert!(!blob.is_empty());
     drop(s); // the "disconnect": no END, no result
@@ -559,11 +560,11 @@ fn plan_cache_is_shared_across_connections() {
 #[test]
 fn tmkp_version_mismatch_is_typed() {
     let mut s = TcpStream::connect(addr()).expect("connect");
-    let hello = PayloadBuilder::new()
+    let hello = ByteWriter::new()
         .raw(&WIRE_MAGIC)
         .u32(WIRE_VERSION + 41)
-        .string("time-traveller")
-        .build();
+        .str("time-traveller")
+        .finish();
     write_frame(&mut s, OP_HELLO, &hello).expect("send hello");
     let frame = read_frame(&mut s)
         .expect("read reply")
@@ -581,11 +582,11 @@ fn tmkp_version_mismatch_is_typed() {
 #[test]
 fn bad_magic_is_rejected() {
     let mut s = TcpStream::connect(addr()).expect("connect");
-    let hello = PayloadBuilder::new()
+    let hello = ByteWriter::new()
         .raw(b"NOPE")
         .u32(WIRE_VERSION)
-        .string("")
-        .build();
+        .str("")
+        .finish();
     write_frame(&mut s, OP_HELLO, &hello).expect("send hello");
     let frame = read_frame(&mut s)
         .expect("read reply")
@@ -781,6 +782,73 @@ fn wide_window_stream_reserves_nothing_the_stream_cannot_back() {
         .expect("a healthy client is served after the wide window");
 }
 
+/// A window checkpoint's operator counts size nothing on the server: a
+/// real `w = 4` blob whose front list claims about 2^26 operators, with
+/// as many bytes behind the claim, sent in one STREAM_BEGIN frame with
+/// the resume flag, gets ERR_BAD_CHECKPOINT, and a client on another
+/// connection is still served.
+#[test]
+fn window_resume_reserves_no_operators_the_blob_cannot_back() {
+    let (t, m) = instance(TransducerClass::Mealy, 0xC0DE, 8);
+    let query_text = transmark::engine::textio::to_text(&t);
+    let tmsb = to_tmsb_bytes(&m);
+    let mut cks: Vec<StreamCheckpoint> = Vec::new();
+    let mut grab = |ck: &StreamCheckpoint| {
+        if !ck.is_empty() {
+            cks.push(ck.clone());
+        }
+    };
+    let mut client = Client::connect(&addr(), "window-claim").expect("connect");
+    let opts = StreamOptions {
+        checkpoint_every: Some(1),
+        on_checkpoint: Some(&mut grab),
+        resume: None,
+    };
+    client
+        .stream_window(&query_text, &tmsb, 4, 64, opts)
+        .expect("seed window stream");
+    let ck = cks.pop().expect("a non-empty checkpoint");
+
+    // The envelope: kind, |Σ|, n, position, series, then the core blob.
+    let mut r = ByteReader::new(&ck.blob);
+    r.take(1 + 4 + 8 + 8, "dims").expect("dims");
+    let series = r.count_u64(8, "series").expect("series");
+    r.take(8 * series, "series").expect("series");
+    let head = ck.blob.len() - r.remaining();
+    let core = r.bytes("core").expect("core");
+    // In the core blob: past its envelope, the marginal ring (|Σ| = 2),
+    // then the front operator count.
+    let n_marg = ByteReader::new(&core[23..]).u64("marginals").expect("ring") as usize;
+    let at = 23 + 8 + n_marg * (8 + 8 * 2);
+    let slack = 4096 + query_text.len() + ck.blob.len();
+    let claim = (MAX_FRAME - slack) as u64;
+    let mut bad_core = core[..at].to_vec();
+    bad_core.extend(claim.to_le_bytes());
+    bad_core.extend(&core[at + 8..]);
+    bad_core.resize(bad_core.len() + claim as usize, 0);
+    let bad = StreamCheckpoint {
+        position: ck.position,
+        blob: ByteWriter::new()
+            .raw(&ck.blob[..head])
+            .bytes(&bad_core)
+            .finish(),
+    };
+    assert!(bad.blob.len() + query_text.len() + 64 <= MAX_FRAME);
+    let opts = StreamOptions {
+        resume: Some(&bad),
+        ..StreamOptions::default()
+    };
+    match client.stream_window(&query_text, &tmsb, 4, 64, opts) {
+        Err(WireError::Remote { code, .. }) => assert_eq!(code, ERR_BAD_CHECKPOINT),
+        other => panic!("expected a checkpoint error, got {other:?}"),
+    }
+    drop(bad);
+    let mut healthy = Client::connect(&addr(), "healthy").expect("connect");
+    healthy
+        .stream_series(&query_text, &tmsb, 16)
+        .expect("a healthy client is served after the window claim");
+}
+
 /// A top-k `k` sent in a QUERY sizes nothing on the server: `k` = 2^32 − 1
 /// returns every answer, as a `k` past their count does, and a client
 /// on another connection is still served.
@@ -858,20 +926,20 @@ fn tenant_quota_is_enforced() {
     // Session A (tenant "shared") opens a stream and stalls after the
     // first ack: its quota slot stays held while it dawdles.
     let mut a = TcpStream::connect(&addr).expect("connect A");
-    let hello = PayloadBuilder::new()
+    let hello = ByteWriter::new()
         .raw(&WIRE_MAGIC)
         .u32(WIRE_VERSION)
-        .string("shared")
-        .build();
+        .str("shared")
+        .finish();
     write_frame(&mut a, OP_HELLO, &hello).expect("hello A");
     let frame = read_frame(&mut a).expect("hello reply").expect("frame");
     assert_eq!(frame.op, OP_HELLO_OK);
-    let begin = PayloadBuilder::new()
+    let begin = ByteWriter::new()
         .u8(3) // KIND_SERIES
         .u8(0)
-        .string(&query_text)
-        .string("")
-        .build();
+        .str(&query_text)
+        .str("")
+        .finish();
     write_frame(&mut a, OP_STREAM_BEGIN, &begin).expect("begin A");
     let frame = read_frame(&mut a).expect("first ack").expect("frame");
     assert_eq!(frame.op, OP_STREAM_ACK);
@@ -1003,17 +1071,17 @@ fn graceful_shutdown_via_client() {
 fn v1_peer_negotiates_and_trace_flag_is_rejected() {
     let mut s = TcpStream::connect(addr()).expect("connect raw");
     let mut hello = WIRE_MAGIC.to_vec();
-    hello.extend_from_slice(&PayloadBuilder::new().u32(1).string("legacy").build());
+    hello.extend_from_slice(&ByteWriter::new().u32(1).str("legacy").finish());
     write_frame(&mut s, OP_HELLO, &hello).expect("send v1 hello");
     let ok = read_frame(&mut s).expect("hello reply").expect("frame");
     assert_eq!(ok.op, OP_HELLO_OK);
     assert_eq!(ok.payload.as_slice(), &1u32.to_le_bytes());
 
-    let query = PayloadBuilder::new()
+    let query = ByteWriter::new()
         .u8(KIND_SERIES)
         .u8(FLAG_TRACE)
         .u64(0xdead_beef)
-        .build();
+        .finish();
     write_frame(&mut s, OP_QUERY, &query).expect("send traced query");
     let reply = read_frame(&mut s).expect("reply").expect("frame");
     assert_eq!(reply.op, OP_ERROR);
